@@ -400,7 +400,7 @@ def _run_evaluate(plan: ExperimentPlan) -> int:
     bad = np.nonzero(np.abs(denom) < plan.eval_floor)[0]
     if bad.size:
         raise ValueError(f"truth entry at {eval_set[bad[0]]} is below the evaluation floor")
-    errors = np.abs(denom - est[obs.row_idx, obs.col_idx]) / denom
+    errors = np.abs(denom - est[obs.row_idx, obs.col_idx]) / np.abs(denom)
     rows = _metric_rows_for(errors)
     grid = _cdf_grid(plan)
     cdf = {"re": (grid, empirical_cdf(errors, grid))}

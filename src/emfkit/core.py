@@ -84,13 +84,31 @@ def _check_indices(idx: np.ndarray, bound: int, axis: str):
         raise ValueError(f"{axis} index {bad} out of range [0, {bound})")
 
 
+@dataclass(frozen=True)
+class ColumnBucket:
+    """Columns of equal padded width and their observations, one slot each.
+
+    rows, values and live are (columns, width) arrays: the row index and
+    value of each slot, and whether the slot holds an observation (padding
+    slots have row 0 and value 0).  obs lists the observation index of every
+    live slot in row-major slot order, so ``v[live]`` lines up with ``obs``.
+    """
+
+    cols: np.ndarray
+    rows: np.ndarray
+    values: np.ndarray
+    live: np.ndarray
+    obs: np.ndarray
+
+
 class EntryObservations:
     """Observed matrix entries (i, j, value) of an m-by-n matrix.
 
     Duplicate (i, j) pairs are rejected: the completion model has one
-    observation per element.  Row- and column-grouped views are built once
-    at construction for the per-row subproblem solvers; instances are
-    immutable after that and safe to share.
+    observation per element.  Instances are immutable and safe to share.
+    The column-grouped views (:attr:`by_col` for gradients and the padded
+    :attr:`column_buckets` layout the subproblem solver works on) are built
+    on first use and cached, so construction only validates and counts.
     """
 
     def __init__(self, shape: tuple[int, int], row_idx, col_idx, values):
@@ -121,15 +139,6 @@ class EntryObservations:
         self.row_idx = rows
         self.col_idx = cols
         self.values = vals
-        p = vals.size
-        # grouped views, built once here: (by_row @ v)[i] sums v over row i's
-        # observations, and likewise per column
-        self.by_row = sp.csr_matrix(
-            (np.ones(p), (rows, np.arange(p))), shape=(m, p)
-        )
-        self.by_col = sp.csr_matrix(
-            (np.ones(p), (cols, np.arange(p))), shape=(n, p)
-        )
         self.row_counts = np.bincount(rows, minlength=m)
         self.col_counts = np.bincount(cols, minlength=n)
 
@@ -147,6 +156,48 @@ class EntryObservations:
         cols = [e[1] for e in entries]
         vals = [e[2] for e in entries]
         return cls(shape, rows, cols, vals)
+
+    @cached_property
+    def by_col(self) -> sp.csr_matrix:
+        """(by_col @ v)[j] sums v over column j's observations; built on first use."""
+        p = self.size
+        return sp.csr_matrix(
+            (np.ones(p), (self.col_idx, np.arange(p))), shape=(self.shape[1], p)
+        )
+
+    @cached_property
+    def column_buckets(self) -> tuple["ColumnBucket", ...]:
+        """Observations grouped per column into zero-padded degree buckets.
+
+        A column with d >= 1 observations gets 2^ceil(log2 d) slots, so
+        padding at most doubles the slot count whatever the degree spread;
+        an empty column gets none.  Columns of equal width share a bucket,
+        in increasing column order, and each column's observations keep
+        their original relative order.  Built on first use, then cached.
+        """
+        counts = self.col_counts
+        widths = np.where(counts > 0, 1 << np.frexp(counts - 1)[1], 0)
+        order = np.argsort(self.col_idx, kind="stable")
+        sorted_cols = self.col_idx[order]
+        starts = np.cumsum(counts) - counts
+        slot = np.arange(order.size) - starts[sorted_cols]
+        obs_width = widths[sorted_cols]
+        buckets = []
+        for width in np.unique(widths):
+            cols = np.nonzero(widths == width)[0]
+            local = np.empty(self.shape[1], dtype=np.int64)
+            local[cols] = np.arange(cols.size)
+            sel = obs_width == width
+            obs = order[sel]
+            at = (local[sorted_cols[sel]], slot[sel])
+            rows = np.zeros((cols.size, width), dtype=np.int64)
+            values = np.zeros((cols.size, width))
+            live = np.zeros((cols.size, width), dtype=bool)
+            rows[at] = self.row_idx[obs]
+            values[at] = self.values[obs]
+            live[at] = True
+            buckets.append(ColumnBucket(cols, rows, values, live, obs))
+        return tuple(buckets)
 
     @cached_property
     def transposed(self) -> "EntryObservations":
@@ -282,7 +333,9 @@ class SolveReport:
 
     objective_trace holds the objective at the initialization and after
     every completed outer iteration; inner_iters has one count per
-    subproblem solve (two per outer iteration).
+    subproblem solve (two per outer iteration).  uncertified_solves counts
+    the subproblem solves that stopped without their optimality certificate
+    (at max_inner); converged speaks only for the outer loop.
     """
 
     factors: FactorPair
@@ -291,6 +344,7 @@ class SolveReport:
     converged: bool = False
     stop_reason: StopReason = StopReason.MAX_ITERATIONS
     wall_seconds: float = 0.0
+    uncertified_solves: int = 0
 
     def __post_init__(self):
         trace = np.ascontiguousarray(self.objective_trace, dtype=np.float64)

@@ -136,6 +136,7 @@ def fit(obs: ObservationSet, config: EmfConfig) -> SolveReport:
     factors = FactorPair(x_bar, y_warm)
     trace = [objective(obs, factors, omega, ridge)]
     inner_iters: list[int] = []
+    uncertified = 0
     stop = StopReason.MAX_ITERATIONS
 
     for _ in range(config.max_outer):
@@ -150,6 +151,7 @@ def fit(obs: ObservationSet, config: EmfConfig) -> SolveReport:
         x_half = res_x.solution
 
         inner_iters += [res_y.inner_iterations, res_x.inner_iterations]
+        uncertified += (not res_y.converged) + (not res_x.converged)
         factors = FactorPair(x_half, y_side)
         # the x-subproblem's final objective IS the full objective at this pair
         trace.append(float(res_x.inner_objective_trace[-1]))
@@ -178,6 +180,7 @@ def fit(obs: ObservationSet, config: EmfConfig) -> SolveReport:
         converged=stop is not StopReason.MAX_ITERATIONS,
         stop_reason=stop,
         wall_seconds=time.perf_counter() - t_start,
+        uncertified_solves=uncertified,
     )
 
 

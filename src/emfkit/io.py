@@ -194,6 +194,7 @@ def export_results(
         for t, v in enumerate(report.objective_trace):
             rows.append(("objective_trace", str(t), float(v)))
         rows.append(("converged", "", 1.0 if report.converged else 0.0))
+        rows.append(("uncertified_solves", "", float(report.uncertified_solves)))
         rows.append(("outer_iterations", "", float(len(report.objective_trace) - 1)))
     cdf_tables = dict(cdf_tables or {})
 

@@ -72,7 +72,7 @@ def _eval_indices(eval_set) -> tuple[np.ndarray, np.ndarray]:
 
 
 def relative_errors(truth, estimate: FactorPair, eval_set, floor: float = 1e-12) -> np.ndarray:
-    """|truth_ij - estimate_ij| / truth_ij over eval_set, in order.
+    """|truth_ij - estimate_ij| / |truth_ij| over eval_set, in order.
 
     Raises if any |truth_ij| is below the floor: silently skipping
     near-zero denominators would bias downstream CDFs.
@@ -87,7 +87,7 @@ def relative_errors(truth, estimate: FactorPair, eval_set, floor: float = 1e-12)
             f"truth entry ({rows[t]}, {cols[t]}) = {denom[t]!r} is below the floor {floor!r}"
         )
     pred = product_at_entries(estimate, rows, cols)
-    return np.abs(denom - pred) / denom
+    return np.abs(denom - pred) / np.abs(denom)
 
 
 def empirical_cdf(values, grid) -> np.ndarray:

@@ -4,16 +4,22 @@ With one factor fixed the objective is a convex, C^1, piecewise-quadratic
 function of the other factor.  The fast path is sign-set iteration
 (reweighted least squares with the two-valued asymmetric weights): fix the
 weights implied by the current residual signs, solve the weighted ridge
-normal equations, recompute signs, repeat.  A stable pattern's solution
-satisfying its own signs has zero gradient and is therefore the global
-minimizer.  If a reweighted step ever increases the objective, the step is
-bisected toward the previous iterate (the step is a strict descent
-direction, so a short enough step always descends).
+normal equations, recompute signs, repeat.  Once a round leaves the weights
+unchanged its solution satisfies its own signs, has zero gradient and is
+therefore the global minimizer.  If a reweighted step ever increases the
+objective, the step is bisected toward the previous iterate (the step is a
+strict descent direction, so a short enough step always descends).
 
 For entry observations the problem decomposes into independent k-dim
-subproblems per row of the unknown factor, solved batched; general linear
-measurements couple all rows and are solved by conjugate gradients on the
-weighted normal equations.
+subproblems per row of the unknown factor.  They are solved batched on the
+observation set's cached column layout
+(:attr:`~emfkit.core.EntryObservations.column_buckets`): per degree bucket
+a (columns, width, k) array of the fixed factor's rows, gathered once per
+solve, with padding slots at weight zero, so normal matrices, right-hand
+sides, residuals, per-row objectives and the gradient are each one batched
+matmul or reduction per bucket.  General linear measurements couple all
+rows and are solved by conjugate gradients on the weighted normal
+equations.
 
 :func:`reference_qp_solve` is the independent oracle: it enumerates all
 2^p residual sign patterns of the split-variable formulation (positive and
@@ -147,9 +153,6 @@ def _grad_norm(obs, x, y, omega, ridge) -> float:
 def _solve_entry(x, obs, omega, ridge, y0, max_inner, tol_gradient):
     n = obs.shape[1]
     k = x.shape[1]
-    p = obs.size
-    rows, cols, vals = obs.row_idx, obs.col_idx, obs.values
-    gc = obs.by_col
     if ridge == 0.0:
         short = np.nonzero(obs.col_counts < k)[0]
         if short.size:
@@ -157,51 +160,49 @@ def _solve_entry(x, obs, omega, ridge, y0, max_inner, tol_gradient):
                 f"column {short[0]} has {obs.col_counts[short[0]]} observations, "
                 f"fewer than rank {k}, and ridge is zero"
             )
-    xg = x[rows]
-    # the weighted normal matrices are symmetric: assemble only the upper
-    # triangle as k(k+1)/2 product columns, grouped per matrix column
-    iu, ju = np.triu_indices(k)
-    pairs = np.empty((p, iu.size))
-    scratch = np.empty((p, iu.size))
-    diag = np.arange(k)
+    buckets = obs.column_buckets
+    # per half-step: the fixed factor's rows in every slot, and the two weight
+    # levels with padding slots held at weight zero
+    xb = [x[b.rows] for b in buckets]
+    xbt = [a.transpose(0, 2, 1) for a in xb]
+    w_pos = [np.where(b.live, omega, 0.0) for b in buckets]
+    w_neg = [np.where(b.live, 1.0 - omega, 0.0) for b in buckets]
     ridge_x = ridge * float((x * x).sum()) if ridge else 0.0
 
-    def grad_norm_at(w, r, y):
-        g = gc @ ((-2.0 * w * r)[:, None] * xg)
-        if ridge:
-            g = g + 2.0 * ridge * y
-        return float(np.linalg.norm(g))
+    def residuals_at(y):
+        return [
+            b.values - np.matmul(a, y[b.cols, :, None])[:, :, 0]
+            for b, a in zip(buckets, xb)
+        ]
 
-    def row_objectives(w, r, y):
-        o = gc @ (w * r * r)
+    def weights_of(rs):
+        return [np.where(r >= 0.0, wp, wn) for r, wp, wn in zip(rs, w_pos, w_neg)]
+
+    def col_objectives(ws, rs, y):
+        o = np.empty(n)
+        for b, w, r in zip(buckets, ws, rs):
+            o[b.cols] = (w * r * r).sum(axis=1)
         if ridge:
-            o = o + ridge * (y * y).sum(axis=1)
+            o += ridge * (y * y).sum(axis=1)
         return o
 
-    for t in range(iu.size):
-        np.multiply(xg[:, iu[t]], xg[:, ju[t]], out=pairs[:, t])
+    def grad_norm_at(ws, rs, y):
+        g = 2.0 * ridge * y if ridge else np.zeros((n, k))
+        for b, at, w, r in zip(buckets, xbt, ws, rs):
+            g[b.cols] -= 2.0 * np.matmul(at, (w * r)[:, :, None])[:, :, 0]
+        return float(np.linalg.norm(g))
 
-    y = y0
-    r = vals - np.einsum("pk,pk->p", xg, y[cols])
-    pattern = r >= 0.0
-    w = np.where(pattern, omega, 1.0 - omega)
-    obj_rows = row_objectives(w, r, y)
-    trace = [float(obj_rows.sum()) + ridge_x]
-    grad0 = grad_norm_at(w, r, y)
-
-    converged = False
-    iterations = 0
-    normal = np.empty((n, k, k))
-    for iterations in range(1, max_inner + 1):
-        np.multiply(pairs, w[:, None], out=scratch)
-        packed = gc @ scratch
-        normal[:, iu, ju] = packed
-        normal[:, ju, iu] = packed
+    def weighted_solve(ws):
+        normal = np.empty((n, k, k))
+        rhs = np.empty((n, k, 1))
+        for b, a, at, w in zip(buckets, xb, xbt, ws):
+            xw = a * w[:, :, None]
+            normal[b.cols] = np.matmul(at, xw)
+            rhs[b.cols] = np.matmul(xw.transpose(0, 2, 1), b.values[:, :, None])
         if ridge:
-            normal[:, diag, diag] += ridge
-        rhs = gc @ ((w * vals)[:, None] * xg)
+            normal += ridge * np.eye(k)
         try:
-            y_new = np.linalg.solve(normal, rhs[:, :, None])[:, :, 0]
+            y_new = np.linalg.solve(normal, rhs)[:, :, 0]
         except np.linalg.LinAlgError as exc:
             raise SingularDesignError(
                 "a per-row weighted normal matrix is singular and ridge is zero"
@@ -210,40 +211,53 @@ def _solve_entry(x, obs, omega, ridge, y0, max_inner, tol_gradient):
             raise SingularDesignError(
                 "a per-row weighted normal matrix is numerically singular"
             )
+        return y_new
 
-        r_new = vals - np.einsum("pk,pk->p", xg, y_new[cols])
-        w_new = np.where(r_new >= 0.0, omega, 1.0 - omega)
-        obj_new = row_objectives(w_new, r_new, y_new)
+    y = y0
+    rs = residuals_at(y)
+    ws = weights_of(rs)
+    obj_rows = col_objectives(ws, rs, y)
+    trace = [float(obj_rows.sum()) + ridge_x]
+    grad0 = grad_norm_at(ws, rs, y)
 
-        damped = False
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_inner + 1):
+        y_new = weighted_solve(ws)
+        rs_new = residuals_at(y_new)
+        ws_new = weights_of(rs_new)
+        obj_new = col_objectives(ws_new, rs_new, y_new)
+
         worse = obj_new > obj_rows * (1.0 + _DESCENT_SLACK) + 1e-300
-        if worse.any():
-            damped = True
-            y_new, obj_new = _bisect_rows(
-                y, y_new, obj_rows, obj_new, worse, xg, cols, vals, omega, ridge
+        damped = bool(worse.any())
+        if damped:
+            y_new = _bisect_rows(
+                y, y_new, obj_rows, worse, x, obs.row_idx, obs.col_idx, obs.values,
+                omega, ridge,
             )
-            r_new = vals - np.einsum("pk,pk->p", xg, y_new[cols])
-            w_new = np.where(r_new >= 0.0, omega, 1.0 - omega)
-            obj_new = row_objectives(w_new, r_new, y_new)
+            rs_new = residuals_at(y_new)
+            ws_new = weights_of(rs_new)
+            obj_new = col_objectives(ws_new, rs_new, y_new)
 
-        y, r, obj_rows = y_new, r_new, obj_new
-        new_pattern = r >= 0.0
-        w = w_new
+        # unchanged weights reproduce this very solve; at omega = 0.5 that
+        # holds after the first round whatever the signs do
+        stable = not damped and all(map(np.array_equal, ws_new, ws))
+        y, rs, ws, obj_rows = y_new, rs_new, ws_new, obj_new
         trace.append(float(obj_rows.sum()) + ridge_x)
-
-        stable = (not damped) and bool(np.array_equal(new_pattern, pattern))
-        pattern = new_pattern
         if stable:
             converged = True
             break
         # signs of near-zero residuals can flap on rounding noise without the
         # point moving; once the objective stalls, certify by the gradient
         if (trace[-2] - trace[-1]) <= 1e-13 * max(trace[-2], 1e-300):
-            if grad_norm_at(w, r, y) <= tol_gradient * (1.0 + grad0):
+            if grad_norm_at(ws, rs, y) <= tol_gradient * (1.0 + grad0):
                 converged = True
                 break
 
-    gnorm = grad_norm_at(w, r, y)
+    gnorm = grad_norm_at(ws, rs, y)
+    pattern = np.empty(obs.size, dtype=bool)
+    for b, r in zip(buckets, rs):
+        pattern[b.obs] = r[b.live] >= 0.0
     return SubproblemResult(
         solution=y,
         sign_pattern=pattern,
@@ -254,16 +268,15 @@ def _solve_entry(x, obs, omega, ridge, y0, max_inner, tol_gradient):
     )
 
 
-def _bisect_rows(y_old, y_new, obj_old, obj_new, worse, xg, cols, vals, omega, ridge):
+def _bisect_rows(y_old, y_new, obj_old, worse, x, rows, cols, vals, omega, ridge):
     """Per-row halving toward y_old until every flagged row descends."""
     bad = np.nonzero(worse)[0]
     local = -np.ones(len(y_old), dtype=np.int64)
     local[bad] = np.arange(bad.size)
     sub = local[cols] >= 0
-    xg_s, cols_s, vals_s = xg[sub], local[cols[sub]], vals[sub]
+    xg_s, cols_s, vals_s = x[rows[sub]], local[cols[sub]], vals[sub]
 
     y_out = y_new.copy()
-    obj_out = obj_new.copy()
     base = y_old[bad]
     step = y_new[bad] - base
     t = np.full(bad.size, 0.5)
@@ -279,7 +292,6 @@ def _bisect_rows(y_old, y_new, obj_old, obj_new, worse, xg, cols, vals, omega, r
         ok = active & (obj_trial <= obj_old[bad] * (1.0 + _DESCENT_SLACK) + 1e-300)
         if ok.any():
             y_out[bad[ok]] = trial[ok]
-            obj_out[bad[ok]] = obj_trial[ok]
             active &= ~ok
         if not active.any():
             break
@@ -287,8 +299,7 @@ def _bisect_rows(y_old, y_new, obj_old, obj_new, worse, xg, cols, vals, omega, r
     if active.any():
         # could not find a descent step: keep the previous iterate for those rows
         y_out[bad[active]] = y_old[bad[active]]
-        obj_out[bad[active]] = obj_old[bad[active]]
-    return y_out, obj_out
+    return y_out
 
 
 def _conjugate_gradient(apply_op, rhs, rel_tol=1e-12):
@@ -342,8 +353,7 @@ def _solve_general(x, obs, omega, ridge, y0, max_inner, tol_gradient):
 
     y = y0.ravel().copy()
     obj, r = full_objective(y)
-    pattern = r >= 0.0
-    w = np.where(pattern, omega, 1.0 - omega)
+    w = np.where(r >= 0.0, omega, 1.0 - omega)
     trace = [obj]
     grad0 = _grad_norm(obs, x, y.reshape(n, k), omega, ridge)
 
@@ -368,11 +378,10 @@ def _solve_general(x, obs, omega, ridge, y0, max_inner, tol_gradient):
                 y_new, obj_new, r_new = y, obj, r
 
         y, obj, r = y_new, obj_new, r_new
-        new_pattern = r >= 0.0
-        w = np.where(new_pattern, omega, 1.0 - omega)
+        w_new = np.where(r >= 0.0, omega, 1.0 - omega)
         trace.append(obj)
-        stable = (not damped) and bool(np.array_equal(new_pattern, pattern))
-        pattern = new_pattern
+        stable = (not damped) and bool(np.array_equal(w_new, w))
+        w = w_new
         if stable:
             converged = True
             break
@@ -385,7 +394,7 @@ def _solve_general(x, obs, omega, ridge, y0, max_inner, tol_gradient):
     gnorm = _grad_norm(obs, x, solution, omega, ridge)
     return SubproblemResult(
         solution=solution,
-        sign_pattern=pattern,
+        sign_pattern=r >= 0.0,
         inner_iterations=iterations,
         final_gradient_norm=gnorm,
         converged=converged and gnorm <= tol_gradient * (1.0 + grad0),

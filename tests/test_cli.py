@@ -104,6 +104,20 @@ def test_evaluate_mode(tmp_path):
     assert med == pytest.approx(0.1, abs=1e-12)
 
 
+def test_evaluate_mode_negative_truth(tmp_path):
+    truth = np.array([[-2.0, -4.0], [-8.0, -2.0]])
+    est = truth / 2
+    tp, ep = tmp_path / "t.txt", tmp_path / "e.txt"
+    write_dense(tp, truth)
+    write_dense(ep, est)
+    out = tmp_path / "res"
+    assert run_cli("evaluate", "--input", tp, "--estimate", ep, "--out-dir", out,
+                   "--sentinel", 99) == 0
+    rows = read_results_csv(out / "evaluate.csv")
+    med = [r["value"] for r in rows if r["metric"] == "re_median"][0]
+    assert med == pytest.approx(0.5, abs=1e-12)
+
+
 def test_expectile_mode(tmp_path, capsys):
     vals = tmp_path / "v.txt"
     vals.write_text("0 1\n")

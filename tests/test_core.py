@@ -94,12 +94,18 @@ def test_entry_observations_rejects_bad_indices_and_values():
 
 
 def test_entry_observations_grouping_views():
-    obs = EntryObservations((3, 2), [0, 2, 2], [1, 0, 1], [5.0, 6.0, 7.0])
+    obs = EntryObservations((3, 3), [0, 2, 2], [1, 0, 1], [5.0, 6.0, 7.0])
     v = np.array([1.0, 10.0, 100.0])
-    assert (obs.by_row @ v).tolist() == [1.0, 0.0, 110.0]
-    assert (obs.by_col @ v).tolist() == [10.0, 101.0]
+    assert (obs.by_col @ v).tolist() == [10.0, 101.0, 0.0]
     assert obs.row_counts.tolist() == [1, 0, 2]
-    assert obs.col_counts.tolist() == [1, 2]
+    assert obs.col_counts.tolist() == [1, 2, 0]
+    # one bucket per padded width: empty column 2, column 0, column 1
+    empty, single, pair = obs.column_buckets
+    assert empty.cols.tolist() == [2] and empty.rows.shape == (1, 0)
+    assert single.cols.tolist() == [0] and single.rows.tolist() == [[2]]
+    assert pair.cols.tolist() == [1] and pair.rows.tolist() == [[0, 2]]
+    assert pair.values.tolist() == [[5.0, 7.0]] and pair.obs.tolist() == [0, 2]
+    assert all(b.live.all() for b in obs.column_buckets)
 
 
 def test_entry_observations_transpose_roundtrip():

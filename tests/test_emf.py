@@ -179,3 +179,12 @@ def test_converged_fit_residuals_vanish():
     assert rel_err(reconstruct(rep.factors), truth) <= 1e-6
     r = residuals(obs, rep.factors)
     assert np.abs(r).max() <= 1e-6
+
+
+def test_uncertified_inner_solves_are_counted():
+    rng = np.random.RandomState(21)
+    _, obs = completion(30, 25, 2, 0.5, seed=21, noise=rng.standard_t(3, (30, 25)))
+    capped = fit(obs, EmfConfig(omega=0.1, rank=2, max_outer=5, max_inner=1, seed=1))
+    assert 0 < capped.uncertified_solves <= len(capped.inner_iters)
+    full = fit(obs, EmfConfig(omega=0.1, rank=2, max_outer=5, seed=1))
+    assert full.uncertified_solves == 0

@@ -110,6 +110,7 @@ def _dummy_report():
         objective_trace=np.array([4.0, 1.0, 0.25]),
         inner_iters=[2, 2],
         converged=True,
+        uncertified_solves=3,
     )
 
 
@@ -126,6 +127,8 @@ def test_export_roundtrip_and_determinism(tmp_path):
     parsed = read_results_csv(out)
     trace = [r["value"] for r in parsed if r["metric"] == "objective_trace"]
     assert trace == [4.0, 1.0, 0.25]
+    certs = [r["value"] for r in parsed if r["metric"] in ("converged", "uncertified_solves")]
+    assert certs == [1.0, 3.0]
     med = [r for r in parsed if r["metric"] == "re_median"][0]
     assert med["value"] == 0.125
     assert med["omega"] == "0.1" and med["seed"] == "7"

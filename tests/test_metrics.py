@@ -36,6 +36,13 @@ def test_relative_errors_matches_brute_force():
     assert np.allclose(errs, brute, atol=1e-14)
 
 
+def test_relative_errors_divide_by_magnitude_of_negative_truth():
+    truth = np.array([[-2.0, 4.0]])
+    est = constant_estimate(1, 2, -1.0)
+    assert relative_errors(truth, est, [(0, 0)]).tolist() == [0.5]
+    assert (relative_errors(truth, est, [(0, 0), (0, 1)]) >= 0).all()
+
+
 def test_relative_errors_floor():
     truth = np.array([[1.0, 1e-15]])
     f = constant_estimate(1, 2, 1.0)

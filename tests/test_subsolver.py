@@ -242,3 +242,87 @@ def test_max_inner_returns_unconverged_flag():
     # one round cannot certify stability from a far-off warm start
     assert res.inner_iterations == 1
     assert not res.converged
+
+
+def column_degree_instance(rng, m, degrees):
+    """Completion instance with the given per-column observation counts,
+    observations listed in a shuffled (not column-sorted) order."""
+    rows = np.concatenate([rng.choice(m, size=d, replace=False) for d in degrees])
+    cols = np.repeat(np.arange(len(degrees)), degrees)
+    perm = rng.permutation(rows.size)
+    values = rng.standard_t(3, rows.size) * 2
+    return EntryObservations((m, len(degrees)), rows[perm], cols[perm], values)
+
+
+@pytest.mark.parametrize("omega", (0.1, 0.5, 0.9))
+@pytest.mark.parametrize("ridge", (0.0, 0.4))
+def test_padded_layout_matches_reference_qp(omega, ridge, monkeypatch):
+    import emfkit.subsolver as subsolver
+
+    bisections = []
+    real_bisect = subsolver._bisect_rows
+
+    def counting_bisect(*args):
+        bisections.append(1)
+        return real_bisect(*args)
+
+    monkeypatch.setattr(subsolver, "_bisect_rows", counting_bisect)
+    rng = np.random.RandomState(40 + int(omega * 10) + int(ridge * 10))
+    k = 2
+    # column 0 has exactly k observations; with ridge a column stays empty
+    degrees = [k, 3, 5, 0] if ridge else [k, 3, 5]
+    for _ in range(6):
+        x = rng.randn(8, k)
+        obs = column_degree_instance(rng, 8, degrees)
+        ref = reference_qp_solve(x, obs, omega, ridge)
+        warm = rng.randn(obs.shape[1], k) * 10
+        res = solve_y(x, obs, omega, ridge, warm_start=warm)
+        assert res.converged
+        assert np.linalg.norm(ref - res.solution) <= 1e-6 * max(1.0, np.linalg.norm(ref))
+        if ridge:
+            assert np.array_equal(res.solution[3], np.zeros(k))
+    if omega != 0.5:
+        assert bisections, "far warm starts should exercise the damped step"
+
+
+def test_padded_layout_power_law_degrees_match_weighted_lstsq():
+    rng = np.random.RandomState(50)
+    m, k, omega = 400, 3, 0.2
+    degrees = np.maximum(k + 1, (300 / np.arange(1, 81) ** 1.2).astype(int))
+    obs = column_degree_instance(rng, m, degrees)
+    slots = sum(b.live.size for b in obs.column_buckets)
+    assert obs.size <= slots <= 2 * obs.size
+    assert len(obs.column_buckets) >= 5
+    x = rng.randn(m, k)
+    res = solve_y(x, obs, omega)
+    assert res.converged
+    w = np.where(res.sign_pattern, omega, 1.0 - omega)
+    for j in range(obs.shape[1]):
+        sel = obs.col_idx == j
+        sw = np.sqrt(w[sel])
+        y_j = np.linalg.lstsq(sw[:, None] * x[obs.row_idx[sel]], sw * obs.values[sel], rcond=None)[0]
+        assert np.allclose(res.solution[j], y_j, rtol=1e-9, atol=1e-10)
+
+
+def test_sign_pattern_in_observation_order():
+    rng = np.random.RandomState(51)
+    obs = column_degree_instance(rng, 30, [4, 9, 17, 6, 28, 5])
+    x = rng.randn(30, 3)
+    for omega in (0.1, 0.9):
+        res = solve_y(x, obs, omega)
+        r = residuals(obs, FactorPair(x, res.solution))
+        assert np.array_equal(res.sign_pattern, r >= 0.0)
+        # sparse rows: the transposed solve needs the ridge to be well posed
+        t = solve_x(res.solution, obs, omega, ridge=0.1)
+        r = residuals(obs, FactorPair(t.solution, res.solution))
+        assert np.array_equal(t.sign_pattern, r >= 0.0)
+
+
+def test_half_omega_stops_after_one_round():
+    # at omega = 0.5 the weights never change, so the first solve is final
+    rng = np.random.RandomState(52)
+    obs = entry_instance(rng, m=10, n=4, k=2, per_col=6)
+    res = solve_y(rng.randn(10, 2), obs, 0.5, warm_start=rng.randn(4, 2))
+    assert res.inner_iterations == 1 and res.converged
+    gres = solve_y(rng.randn(4, 2), general_instance(rng), 0.5)
+    assert gres.inner_iterations == 1 and gres.converged
