@@ -110,7 +110,6 @@ class ExperimentPlan:
             ridge=self.ridge,
             use_qr=self.use_qr,
             seed=seed,
-            eval_denominator_floor=self.eval_floor,
         )
 
 

@@ -291,9 +291,6 @@ class EmfConfig:
     max_outer caps alternating sweeps (0 returns the initialization),
     max_inner caps sign-set rounds per subproblem.  ridge adds an optional
     Tikhonov term guarding rank-deficient subproblems.
-    init_scale_by_inverse_rate rescales the entry-observation initialization
-    target by (m*n)/p; off by default, which follows the plain weighted
-    measurement sum.
     """
 
     omega: float
@@ -305,8 +302,6 @@ class EmfConfig:
     use_qr: bool = False
     seed: int = 0
     max_inner: int = 100
-    eval_denominator_floor: float = 1e-12
-    init_scale_by_inverse_rate: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.omega < 1.0:
@@ -321,8 +316,6 @@ class EmfConfig:
             raise ValueError("tolerances must be nonnegative")
         if self.ridge < 0:
             raise ValueError(f"ridge must be >= 0, got {self.ridge}")
-        if self.eval_denominator_floor <= 0:
-            raise ValueError("eval_denominator_floor must be positive")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 

@@ -119,12 +119,7 @@ def fit(obs: ObservationSet, config: EmfConfig) -> SolveReport:
     """
     t_start = time.perf_counter()
     init = svd_init(obs, config.rank, config.seed)
-    scale = 1.0
-    if config.init_scale_by_inverse_rate and isinstance(obs, EntryObservations):
-        # deviates from the plain weighted-sum initialization; off by default
-        scale = (obs.shape[0] * obs.shape[1]) / obs.size
-    d0 = init.d0 * scale
-    if d0[0] <= 1e-300:
+    if init.d0[0] <= 1e-300:
         raise DegenerateInitError("all-zero measurement sum; nothing to initialize from")
 
     omega, ridge = config.omega, config.ridge
@@ -132,7 +127,7 @@ def fit(obs: ObservationSet, config: EmfConfig) -> SolveReport:
     obs_t = obs.transposed
 
     x_bar = init.x0
-    y_warm = init.y0 * d0
+    y_warm = init.y0 * init.d0
     factors = FactorPair(x_bar, y_warm)
     trace = [objective(obs, factors, omega, ridge)]
     inner_iters: list[int] = []
@@ -166,10 +161,11 @@ def fit(obs: ObservationSet, config: EmfConfig) -> SolveReport:
         if (prev - cur) / max(prev, 1e-300) < config.tol_objective:
             stop = StopReason.TOLERANCE_OBJECTIVE
             break
-        # res_x certifies the x-gradient at exactly this pair
-        gx = res_x.final_gradient_norm
-        gy = np.linalg.norm(gradient_y(obs, factors, omega, ridge))
-        if gx < config.tol_gradient and gy < config.tol_gradient:
+        # res_x certifies the x-gradient at exactly this pair; the y-gradient
+        # costs a full residual pass, so it is only computed when it decides
+        if res_x.final_gradient_norm < config.tol_gradient and (
+            np.linalg.norm(gradient_y(obs, factors, omega, ridge)) < config.tol_gradient
+        ):
             stop = StopReason.TOLERANCE_GRADIENT
             break
 

@@ -10,16 +10,18 @@ therefore the global minimizer.  If a reweighted step ever increases the
 objective, the step is bisected toward the previous iterate (the step is a
 strict descent direction, so a short enough step always descends).
 
-For entry observations the problem decomposes into independent k-dim
-subproblems per row of the unknown factor.  They are solved batched on the
-observation set's cached column layout
-(:attr:`~emfkit.core.EntryObservations.column_buckets`): per degree bucket
-a (columns, width, k) array of the fixed factor's rows, gathered once per
-solve, with padding slots at weight zero, so normal matrices, right-hand
-sides, residuals, per-row objectives and the gradient are each one batched
-matmul or reduction per bucket.  General linear measurements couple all
-rows and are solved by conjugate gradients on the weighted normal
-equations.
+One driver serves both observation kinds.  It works on blocks of
+independent subproblems: per block a (rows, width, d) array of design rows,
+gathered once per solve, with padding slots at weight zero, so normal
+matrices, right-hand sides, residuals, per-row objectives and the gradient
+are each one batched matmul or reduction per block.  For entry observations
+the problem decomposes into independent k-dim subproblems per row of the
+unknown factor, and the blocks are the observation set's cached column
+layout (:attr:`~emfkit.core.EntryObservations.column_buckets`) with the
+fixed factor's rows as design.  General linear measurements couple all rows:
+they form one block whose single row is vec(Y), with one slot per
+measurement, and its normal equations are solved directly for the min-norm
+solution.
 
 :func:`reference_qp_solve` is the independent oracle: it enumerates all
 2^p residual sign patterns of the split-variable formulation (positive and
@@ -33,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EntryObservations, FactorPair, ObservationSet, as_matrix
-from .loss import asymmetric_weights, gradient_y
+from .core import ColumnBucket, EntryObservations, ObservationSet, as_matrix
+from .loss import asymmetric_weights
 
 _DESCENT_SLACK = 1e-13
 _MAX_HALVINGS = 60
@@ -118,9 +120,7 @@ def solve_y(
 ) -> SubproblemResult:
     """Globally minimize the objective over the right factor, left factor fixed."""
     x, y0 = _validate_inputs(x_fixed, obs, omega, ridge, warm_start)
-    if isinstance(obs, EntryObservations):
-        return _solve_entry(x, obs, omega, ridge, y0, max_inner, tol_gradient)
-    return _solve_general(x, obs, omega, ridge, y0, max_inner, tol_gradient)
+    return _solve_blocks(x, obs, omega, ridge, y0, max_inner, tol_gradient)
 
 
 def solve_x(
@@ -145,25 +145,32 @@ def solve_x(
     )
 
 
-def _grad_norm(obs, x, y, omega, ridge) -> float:
-    g = gradient_y(obs, FactorPair(x, y), omega, ridge)
-    return float(np.linalg.norm(g))
-
-
-def _solve_entry(x, obs, omega, ridge, y0, max_inner, tol_gradient):
-    n = obs.shape[1]
+def _solve_blocks(x, obs, omega, ridge, y0, max_inner, tol_gradient):
     k = x.shape[1]
-    if ridge == 0.0:
-        short = np.nonzero(obs.col_counts < k)[0]
-        if short.size:
-            raise SingularDesignError(
-                f"column {short[0]} has {obs.col_counts[short[0]]} observations, "
-                f"fewer than rank {k}, and ridge is zero"
-            )
-    buckets = obs.column_buckets
-    # per half-step: the fixed factor's rows in every slot, and the two weight
-    # levels with padding slots held at weight zero
-    xb = [x[b.rows] for b in buckets]
+    entry = isinstance(obs, EntryObservations)
+    if entry:
+        if ridge == 0.0:
+            short = np.nonzero(obs.col_counts < k)[0]
+            if short.size:
+                raise SingularDesignError(
+                    f"column {short[0]} has {obs.col_counts[short[0]]} observations, "
+                    f"fewer than rank {k}, and ridge is zero"
+                )
+        src, rows, cols = x, obs.row_idx, obs.col_idx
+        buckets = obs.column_buckets
+        # per half-step: the fixed factor's rows in every slot
+        xb = [x[b.rows] for b in buckets]
+    else:
+        # one block: row 0 of y is vec(Y), and measurement i is slot i, with
+        # design row g_i = vec(A_i^T x) of the full design src
+        p = obs.size
+        src, rows, cols = _design_matrix(x, obs), np.arange(p), np.zeros(p, dtype=np.int64)
+        live = np.ones((1, p), dtype=bool)
+        buckets = (ColumnBucket(cols[:1], rows[None], obs.values[None], live, rows),)
+        xb = [src[None]]
+        y0 = y0.reshape(1, -1)
+    n, d = y0.shape
+    # the two weight levels, with padding slots held at weight zero
     xbt = [a.transpose(0, 2, 1) for a in xb]
     w_pos = [np.where(b.live, omega, 0.0) for b in buckets]
     w_neg = [np.where(b.live, 1.0 - omega, 0.0) for b in buckets]
@@ -178,7 +185,7 @@ def _solve_entry(x, obs, omega, ridge, y0, max_inner, tol_gradient):
     def weights_of(rs):
         return [np.where(r >= 0.0, wp, wn) for r, wp, wn in zip(rs, w_pos, w_neg)]
 
-    def col_objectives(ws, rs, y):
+    def block_objectives(ws, rs, y):
         o = np.empty(n)
         for b, w, r in zip(buckets, ws, rs):
             o[b.cols] = (w * r * r).sum(axis=1)
@@ -187,20 +194,24 @@ def _solve_entry(x, obs, omega, ridge, y0, max_inner, tol_gradient):
         return o
 
     def grad_norm_at(ws, rs, y):
-        g = 2.0 * ridge * y if ridge else np.zeros((n, k))
+        g = 2.0 * ridge * y if ridge else np.zeros((n, d))
         for b, at, w, r in zip(buckets, xbt, ws, rs):
             g[b.cols] -= 2.0 * np.matmul(at, (w * r)[:, :, None])[:, :, 0]
         return float(np.linalg.norm(g))
 
     def weighted_solve(ws):
-        normal = np.empty((n, k, k))
-        rhs = np.empty((n, k, 1))
+        normal = np.empty((n, d, d))
+        rhs = np.empty((n, d, 1))
         for b, a, at, w in zip(buckets, xb, xbt, ws):
             xw = a * w[:, :, None]
             normal[b.cols] = np.matmul(at, xw)
             rhs[b.cols] = np.matmul(xw.transpose(0, 2, 1), b.values[:, :, None])
         if ridge:
-            normal += ridge * np.eye(k)
+            normal += ridge * np.eye(d)
+        if not entry:
+            # min-norm solution: without ridge fewer measurements than n*k
+            # leave the normal matrix singular
+            return np.linalg.lstsq(normal[0], rhs[0, :, 0], rcond=None)[0][None]
         try:
             y_new = np.linalg.solve(normal, rhs)[:, :, 0]
         except np.linalg.LinAlgError as exc:
@@ -216,7 +227,7 @@ def _solve_entry(x, obs, omega, ridge, y0, max_inner, tol_gradient):
     y = y0
     rs = residuals_at(y)
     ws = weights_of(rs)
-    obj_rows = col_objectives(ws, rs, y)
+    obj_rows = block_objectives(ws, rs, y)
     trace = [float(obj_rows.sum()) + ridge_x]
     grad0 = grad_norm_at(ws, rs, y)
 
@@ -226,18 +237,17 @@ def _solve_entry(x, obs, omega, ridge, y0, max_inner, tol_gradient):
         y_new = weighted_solve(ws)
         rs_new = residuals_at(y_new)
         ws_new = weights_of(rs_new)
-        obj_new = col_objectives(ws_new, rs_new, y_new)
+        obj_new = block_objectives(ws_new, rs_new, y_new)
 
         worse = obj_new > obj_rows * (1.0 + _DESCENT_SLACK) + 1e-300
         damped = bool(worse.any())
         if damped:
             y_new = _bisect_rows(
-                y, y_new, obj_rows, worse, x, obs.row_idx, obs.col_idx, obs.values,
-                omega, ridge,
+                y, y_new, obj_rows, worse, src, rows, cols, obs.values, omega, ridge
             )
             rs_new = residuals_at(y_new)
             ws_new = weights_of(rs_new)
-            obj_new = col_objectives(ws_new, rs_new, y_new)
+            obj_new = block_objectives(ws_new, rs_new, y_new)
 
         # unchanged weights reproduce this very solve; at omega = 0.5 that
         # holds after the first round whatever the signs do
@@ -259,7 +269,7 @@ def _solve_entry(x, obs, omega, ridge, y0, max_inner, tol_gradient):
     for b, r in zip(buckets, rs):
         pattern[b.obs] = r[b.live] >= 0.0
     return SubproblemResult(
-        solution=y,
+        solution=y.reshape(obs.shape[1], k),
         sign_pattern=pattern,
         inner_iterations=iterations,
         final_gradient_norm=gnorm,
@@ -300,106 +310,6 @@ def _bisect_rows(y_old, y_new, obj_old, worse, x, rows, cols, vals, omega, ridge
         # could not find a descent step: keep the previous iterate for those rows
         y_out[bad[active]] = y_old[bad[active]]
     return y_out
-
-
-def _conjugate_gradient(apply_op, rhs, rel_tol=1e-12):
-    """CG for an SPSD system with rhs in its range; zero start (min-norm)."""
-    z = np.zeros_like(rhs)
-    resid = rhs.copy()
-    direction = resid.copy()
-    rs = float(resid @ resid)
-    bnorm = float(np.sqrt(rhs @ rhs)) or 1.0
-    for _ in range(max(20, 10 * rhs.size)):
-        if np.sqrt(rs) <= rel_tol * bnorm:
-            break
-        ad = apply_op(direction)
-        dad = float(direction @ ad)
-        if dad <= 0.0:
-            break
-        alpha = rs / dad
-        z += alpha * direction
-        resid -= alpha * ad
-        rs_new = float(resid @ resid)
-        direction = resid + (rs_new / rs) * direction
-        rs = rs_new
-    return z
-
-
-def _solve_general(x, obs, omega, ridge, y0, max_inner, tol_gradient):
-    n = obs.shape[1]
-    k = x.shape[1]
-    p = obs.size
-    # design rows g_i = vec(A_i^T x), so that r_i = b_i - g_i . vec(Y)
-    g = np.empty((p, n * k))
-    for i, a in enumerate(obs.measurements):
-        g[i] = np.asarray(a.T @ x).ravel()
-    b = obs.values
-
-    def wls(w):
-        def apply_op(z):
-            out = g.T @ (w * (g @ z))
-            if ridge:
-                out = out + ridge * z
-            return out
-
-        return _conjugate_gradient(apply_op, g.T @ (w * b))
-
-    def full_objective(yv):
-        r = b - g @ yv
-        val = float(np.dot(asymmetric_weights(r, omega) * r, r))
-        if ridge:
-            val += ridge * float(yv @ yv) + ridge * float((x * x).sum())
-        return val, r
-
-    y = y0.ravel().copy()
-    obj, r = full_objective(y)
-    w = np.where(r >= 0.0, omega, 1.0 - omega)
-    trace = [obj]
-    grad0 = _grad_norm(obs, x, y.reshape(n, k), omega, ridge)
-
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_inner + 1):
-        y_new = wls(w)
-        obj_new, r_new = full_objective(y_new)
-        damped = False
-        if obj_new > obj * (1.0 + _DESCENT_SLACK) + 1e-300:
-            damped = True
-            t = 0.5
-            step = y_new - y
-            for _ in range(_MAX_HALVINGS):
-                y_try = y + t * step
-                obj_try, r_try = full_objective(y_try)
-                if obj_try <= obj * (1.0 + _DESCENT_SLACK) + 1e-300:
-                    y_new, obj_new, r_new = y_try, obj_try, r_try
-                    break
-                t *= 0.5
-            else:
-                y_new, obj_new, r_new = y, obj, r
-
-        y, obj, r = y_new, obj_new, r_new
-        w_new = np.where(r >= 0.0, omega, 1.0 - omega)
-        trace.append(obj)
-        stable = (not damped) and bool(np.array_equal(w_new, w))
-        w = w_new
-        if stable:
-            converged = True
-            break
-        if (trace[-2] - trace[-1]) <= 1e-13 * max(trace[-2], 1e-300):
-            if _grad_norm(obs, x, y.reshape(n, k), omega, ridge) <= tol_gradient * (1.0 + grad0):
-                converged = True
-                break
-
-    solution = y.reshape(n, k)
-    gnorm = _grad_norm(obs, x, solution, omega, ridge)
-    return SubproblemResult(
-        solution=solution,
-        sign_pattern=r >= 0.0,
-        inner_iterations=iterations,
-        final_gradient_norm=gnorm,
-        converged=converged and gnorm <= tol_gradient * (1.0 + grad0),
-        inner_objective_trace=np.asarray(trace),
-    )
 
 
 def _design_matrix(x, obs) -> np.ndarray:

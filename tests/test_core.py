@@ -138,7 +138,8 @@ def test_config_defaults_and_validation():
     assert cfg.ridge == 0.0
     assert cfg.use_qr is False
     assert cfg.max_inner == 100
-    assert cfg.eval_denominator_floor == 1e-12
+    assert cfg.max_outer == 100
+    assert cfg.seed == 0
     for bad in (dict(omega=0.0), dict(omega=1.0), dict(rank=0), dict(ridge=-1.0),
                 dict(max_outer=-1), dict(max_inner=0)):
         with pytest.raises(ValueError):

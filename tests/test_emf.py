@@ -188,3 +188,27 @@ def test_uncertified_inner_solves_are_counted():
     assert 0 < capped.uncertified_solves <= len(capped.inner_iters)
     full = fit(obs, EmfConfig(omega=0.1, rank=2, max_outer=5, seed=1))
     assert full.uncertified_solves == 0
+
+
+def test_y_gradient_only_computed_when_x_gradient_passes(monkeypatch):
+    import emfkit.emf as emf
+
+    calls = []
+    real = emf.gradient_y
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(emf, "gradient_y", counting)
+    rng = np.random.RandomState(21)
+    _, obs = completion(30, 25, 2, 0.5, seed=21, noise=rng.standard_t(3, (30, 25)))
+    # one inner round per half-step leaves every x-gradient above tolerance
+    capped = fit(obs, EmfConfig(omega=0.1, rank=2, max_outer=5, max_inner=1, seed=1))
+    assert capped.stop_reason is StopReason.MAX_ITERATIONS
+    assert capped.uncertified_solves > 0
+    assert calls == []
+    _, clean = completion(30, 25, 2, 0.5, seed=17)
+    rep = fit(clean, EmfConfig(omega=0.7, rank=2, max_outer=200, seed=3))
+    assert rep.stop_reason is StopReason.TOLERANCE_GRADIENT
+    assert calls

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from emfkit.core import EntryObservations, FactorPair, GeneralObservations
-from emfkit.loss import objective, residuals
+from emfkit.loss import gradient_y, objective, residuals
 from emfkit.subsolver import (
     RankDeficientError,
     SingularDesignError,
@@ -326,3 +326,82 @@ def test_half_omega_stops_after_one_round():
     assert res.inner_iterations == 1 and res.converged
     gres = solve_y(rng.randn(4, 2), general_instance(rng), 0.5)
     assert gres.inner_iterations == 1 and gres.converged
+
+
+def one_hot_measurements(obs):
+    """The entry observations as general measurements <E_ij, M>."""
+    mats = []
+    for i, j in zip(obs.row_idx, obs.col_idx):
+        e = np.zeros(obs.shape)
+        e[i, j] = 1.0
+        mats.append(e)
+    return GeneralObservations(obs.shape, mats, obs.values)
+
+
+@pytest.mark.parametrize("omega", (0.1, 0.5, 0.9))
+def test_one_driver_serves_both_observation_kinds(omega, monkeypatch):
+    import emfkit.subsolver as subsolver
+
+    damped = {"entry": 0, "general": 0}
+    real_bisect = subsolver._bisect_rows
+
+    def counting_bisect(y_old, *args):
+        damped["general" if len(y_old) == 1 else "entry"] += 1
+        return real_bisect(y_old, *args)
+
+    monkeypatch.setattr(subsolver, "_bisect_rows", counting_bisect)
+    rng = np.random.RandomState(60 + int(omega * 10))
+    m, k = 8, 2
+    for _ in range(3):
+        obs = column_degree_instance(rng, m, [5, 4, 6, 5])
+        gobs = one_hot_measurements(obs)
+        # a column of ones lets y[:, 0] shift every fitted value of a column
+        x = np.column_stack([np.ones(m), rng.randn(m, k - 1)])
+        y_ls = solve_y(x, obs, 0.5).solution
+        r = residuals(obs, FactorPair(x, y_ls))
+        # shift each column until all residuals sit on the low-weight side:
+        # the first round then solves plain least squares and overshoots
+        side = 1.0 if omega < 0.5 else -1.0
+        reach = np.zeros(obs.shape[1])
+        np.maximum.at(reach, obs.col_idx, -side * r)
+        shifted = y_ls.copy()
+        shifted[:, 0] -= side * (reach + 0.1)
+        for warm in (rng.randn(obs.shape[1], k) * 10, shifted):
+            a = solve_y(x, obs, omega, warm_start=warm)
+            b = solve_y(x, gobs, omega, warm_start=warm)
+            assert a.converged and b.converged
+            assert np.abs(a.solution - b.solution).max() <= 1e-8
+            assert np.array_equal(a.sign_pattern, b.sign_pattern)
+    if omega != 0.5:
+        assert damped["entry"] and damped["general"]
+
+
+def test_general_certificate_is_the_loss_gradient():
+    rng = np.random.RandomState(61)
+    x = rng.randn(4, 2)
+    gobs = general_instance(rng, p=10)
+    for ridge in (0.0, 0.3):
+        res = solve_y(x, gobs, 0.2, ridge, warm_start=rng.randn(3, 2) * 10, max_inner=1)
+        g = np.linalg.norm(gradient_y(gobs, FactorPair(x, res.solution), 0.2, ridge))
+        assert g > 1e-3
+        assert abs(res.final_gradient_norm - g) <= 1e-9 * g
+
+
+def test_general_solve_certifies_near_its_optimum():
+    # p = 500 measurements of a rank-3 20x20 matrix: far more rows than n*k = 60
+    from emfkit import synth
+
+    m, n, k, p = 20, 20, 3, 500
+    rng = np.random.RandomState(62)
+    for seed in range(3):
+        f = synth.gen_low_rank(m, n, k, seed)
+        noise = synth.chi_square_noise(p, 1, 3, 0.5, seed).ravel()
+        gobs = synth.apply_measurements(
+            synth.gaussian_measurements(m, n, p, seed), f.x @ f.y.T, noise
+        )
+        x = f.x + 0.1 * rng.randn(m, k)
+        opt = solve_y(x, gobs, 0.25)
+        assert opt.converged
+        res = solve_y(x, gobs, 0.25, warm_start=opt.solution + 1e-6 * rng.randn(n, k))
+        assert res.converged
+        assert np.abs(res.solution - opt.solution).max() <= 1e-8
