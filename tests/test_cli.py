@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from emfkit.cli import main
+import emfkit.cli
+from emfkit.cli import ExperimentPlan, _resolve_plan, build_parser, main
 from emfkit.io import read_results_csv, write_dense
 from emfkit.synth import gen_low_rank
 
@@ -42,10 +45,24 @@ def test_synth_smoke_grid_files_and_determinism(tmp_path):
     assert _dir_bytes(out) == before  # byte-identical rerun
 
 
-def test_synth_workers_match_serial(tmp_path):
-    base = [
-        "synth-exp", "--m", 30, "--n", 30, "--k-true", 2, "--rank", 2,
-        "--sampling-rate", 0.4, "--noise-scale", 0.1, "--dof", 3,
+def _complete_input(tmp_path):
+    f = gen_low_rank(40, 30, 2, seed=11)
+    src = tmp_path / "matrix.txt"
+    write_dense(src, f.x @ f.y.T + 0.05)
+    return src
+
+
+@pytest.mark.parametrize("mode", ["synth-exp", "complete"])
+def test_synth_workers_match_serial(tmp_path, mode):
+    if mode == "synth-exp":
+        base = [
+            "synth-exp", "--m", 30, "--n", 30, "--k-true", 2, "--rank", 2,
+            "--sampling-rate", 0.4, "--noise-scale", 0.1, "--dof", 3,
+        ]
+    else:  # the workers get the parsed matrix, not the file name
+        base = ["complete", "--input", _complete_input(tmp_path), "--rank", 2,
+                "--sampling-rate", 0.4, "--bins", "0,0.5,1,5"]
+    base += [
         "--omega", 0.3, "--omega", 0.7, "--seed", 0, "--seed", 1,
         "--max-outer", 25, "--cdf-points", 5,
     ]
@@ -57,14 +74,28 @@ def test_synth_workers_match_serial(tmp_path):
     assert a == b
 
 
+def test_complete_parses_its_input_once_per_grid(tmp_path, monkeypatch):
+    calls = []
+    load = emfkit.cli.load_dense
+
+    def counting_load(*args, **kwargs):
+        calls.append(args[0])
+        return load(*args, **kwargs)
+
+    monkeypatch.setattr(emfkit.cli, "load_dense", counting_load)
+    code = run_cli(
+        "complete", "--input", _complete_input(tmp_path), "--sampling-rate", 0.4,
+        "--omega", 0.3, "--omega", 0.7, "--seed", 0, "--seed", 1, "--rank", 2,
+        "--max-outer", 5, "--cdf-points", 5, "--out-dir", tmp_path / "res",
+    )
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_complete_mode_end_to_end(tmp_path):
-    f = gen_low_rank(40, 30, 2, seed=11)
-    mat = f.x @ f.y.T + 0.05
-    src = tmp_path / "matrix.txt"
-    write_dense(src, mat)
     out = tmp_path / "res"
     code = run_cli(
-        "complete", "--input", src, "--sampling-rate", 0.4,
+        "complete", "--input", _complete_input(tmp_path), "--sampling-rate", 0.4,
         "--omega", 0.5, "--seed", 3, "--rank", 2, "--max-outer", 30,
         "--bins", "0,0.5,1,5", "--out-dir", out, "--cdf-points", 21,
     )
@@ -81,14 +112,21 @@ def test_complete_rejects_oversampling(tmp_path):
     mat = np.full((4, 4), 2.0)
     mat[0, 0] = -1.0  # one missing entry
     src = tmp_path / "m.txt"
-    src.write_text("\n".join(" ".join(repr(v) for v in row) for row in mat) + "\n")
+    src.write_text("\n".join(" ".join(repr(float(v)) for v in row) for row in mat) + "\n")
     out = tmp_path / "res"
     code = run_cli(
         "complete", "--input", src, "--sampling-rate", 1.0,
         "--omega", 0.5, "--seed", 0, "--out-dir", out,
     )
     assert code == 1
-    assert (out / "failures.txt").exists()
+    manifest = (out / "failures.txt").read_text()
+    assert manifest.startswith(
+        "complete_s0_w0.5\tValueError: sampling rate 1.0 needs 16 entries but the "
+        "file provides only 15 observed ones\n"
+    )
+    assert "Traceback (most recent call last):" in manifest
+    assert manifest.rstrip().endswith("ValueError: sampling rate 1.0 needs 16 entries but the "
+                                      "file provides only 15 observed ones")
 
 
 def test_evaluate_mode(tmp_path):
@@ -154,3 +192,52 @@ def test_unknown_config_key_fails(tmp_path):
 
 def test_invalid_omega_rejected(tmp_path):
     assert run_cli("synth-exp", "--omega", 1.5, "--out-dir", tmp_path / "x") == 1
+
+
+def test_config_input_format_typo_fails(tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"input = {_complete_input(tmp_path)}\ninput_format = triplet\n")
+    out = tmp_path / "res"
+    assert run_cli("complete", "--config", cfg, "--out-dir", out) == 1
+    assert not out.exists()
+
+
+def _non_default_text(field):
+    """Valid flag/config text for a plan field that differs from its default."""
+    special = {"format": "json", "input_format": "triplets", "omega": "0.2,0.6"}
+    by_type = {"tuple[int, ...]": "7,8", "tuple[float, ...]": "0.75,2.5",
+               "int": "7", "float": "0.7", "bool": "true"}  # annotations are strings
+    return special.get(field.name) or by_type.get(field.type, "elsewhere")
+
+
+def _plan(*argv):
+    return _resolve_plan(build_parser().parse_args([str(a) for a in argv]))
+
+
+@pytest.mark.parametrize("mode", ["synth-exp", "complete", "evaluate", "expectile"])
+def test_every_plan_field_is_a_flag_and_a_config_key(tmp_path, mode):
+    default = ExperimentPlan(mode=mode)
+    assert _plan(mode) == default
+    for field in dataclasses.fields(ExperimentPlan):
+        if field.name == "mode":
+            continue
+        text = _non_default_text(field)
+        flag = "--" + field.name.replace("_", "-")
+        by_flag = _plan(mode, flag) if field.type == "bool" else _plan(mode, flag, text)
+        cfg = tmp_path / f"{field.name}.cfg"
+        cfg.write_text(f"{field.name} = {text}\n")
+        by_config = _plan(mode, "--config", cfg)
+        assert by_flag == by_config, field.name
+        assert getattr(by_flag, field.name) != getattr(default, field.name), field.name
+        assert by_flag == dataclasses.replace(default, **{field.name: getattr(by_flag, field.name)})
+
+    # tuple fields: repeats and comma lists are the same plan
+    assert _plan(mode, "--omega", 0.2, "--omega", 0.6) == _plan(mode, "--omega", "0.2,0.6")
+    bins = _plan(mode, "--bins", "0,0.3", "--bins", "3.1,20")
+    assert bins.bins == (0.0, 0.3, 3.1, 20.0) and isinstance(bins.bins[0], float)
+    assert _plan(mode, "--seed", 3, "--seed", "4,5").seed == (3, 4, 5)
+    # a flag overrides the config file, also for a boolean turned off
+    cfg = tmp_path / "qr.cfg"
+    cfg.write_text("use_qr = yes\nrank = 4\n")
+    assert _plan(mode, "--config", cfg).use_qr is True
+    assert _plan(mode, "--config", cfg, "--no-use-qr") == dataclasses.replace(default, rank=4)
