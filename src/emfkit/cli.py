@@ -281,16 +281,32 @@ def _run_cell(plan: ExperimentPlan, name: str, provider, seed: int, omega: float
         }
 
 
+# The instance provider of the grid a pool worker serves.  The pool
+# initializer sets it once per worker process, so the provider (for
+# ``complete``, the whole parsed input) is not sent again with every cell.
+_worker_provider = None
+
+
+def _set_worker_provider(provider) -> None:
+    global _worker_provider
+    _worker_provider = provider
+
+
+def _run_worker_cell(plan: ExperimentPlan, name: str, seed: int, omega: float) -> dict:
+    return _run_cell(plan, name, _worker_provider, seed, omega)
+
+
 def _run_grid(plan: ExperimentPlan, name: str, provider) -> int:
     """Run every (seed, omega) cell, optionally in a process pool; ``provider``
-    is sent to the workers, so it must pickle."""
+    is handed to each worker once, so it must pickle."""
     cells = [(s, w) for s in plan.seed for w in plan.omega]
-    run = partial(_run_cell, plan, name, provider)
     if plan.workers > 1:
-        with ProcessPoolExecutor(max_workers=plan.workers) as pool:
-            results = list(pool.map(run, *zip(*cells)))
+        with ProcessPoolExecutor(
+            max_workers=plan.workers, initializer=_set_worker_provider, initargs=(provider,)
+        ) as pool:
+            results = list(pool.map(partial(_run_worker_cell, plan, name), *zip(*cells)))
     else:
-        results = [run(s, w) for s, w in cells]
+        results = [_run_cell(plan, name, provider, s, w) for s, w in cells]
     results.sort(key=lambda r: (r["seed"], r["omega"]))
 
     out = Path(plan.out_dir)

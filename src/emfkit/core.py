@@ -17,6 +17,10 @@ import numpy as np
 import scipy.sparse as sp
 
 
+# Most columns one ColumnBucket holds (see EntryObservations.column_buckets).
+BUCKET_COLUMNS = 256
+
+
 class DuplicateEntryError(ValueError):
     """Two observations of the same matrix element (i, j)."""
 
@@ -173,26 +177,35 @@ class EntryObservations:
         padding at most doubles the slot count whatever the degree spread;
         an empty column gets none.  Columns of equal width share a bucket,
         in increasing column order, and each column's observations keep
-        their original relative order.  Built on first use, then cached.
+        their original relative order.  A bucket holds at most
+        ``BUCKET_COLUMNS`` columns; more columns of one width fill several
+        buckets, which bounds the per-bucket temporaries of a solve.  Built
+        on first use, then cached.
         """
         counts = self.col_counts
         widths = np.where(counts > 0, 1 << np.frexp(counts - 1)[1], 0)
-        order = np.argsort(self.col_idx, kind="stable")
-        sorted_cols = self.col_idx[order]
-        starts = np.cumsum(counts) - counts
-        slot = np.arange(order.size) - starts[sorted_cols]
-        obs_width = widths[sorted_cols]
+        # columns by (width, index), observations by column in that order
+        col_order = np.argsort(widths, kind="stable")
+        position = np.empty(col_order.size, dtype=np.int64)
+        position[col_order] = np.arange(col_order.size)
+        obs_pos = position[self.col_idx]
+        order = np.argsort(obs_pos, kind="stable")
+        obs_pos = obs_pos[order]
+        bounds = np.concatenate([[0], np.cumsum(counts[col_order])])
+        slot = np.arange(order.size) - bounds[obs_pos]
+        sorted_widths = widths[col_order]
+        offset = np.arange(col_order.size) - np.searchsorted(sorted_widths, sorted_widths)
+        starts = np.nonzero(offset % BUCKET_COLUMNS == 0)[0]
         buckets = []
-        for width in np.unique(widths):
-            cols = np.nonzero(widths == width)[0]
-            local = np.empty(self.shape[1], dtype=np.int64)
-            local[cols] = np.arange(cols.size)
-            sel = obs_width == width
-            obs = order[sel]
-            at = (local[sorted_cols[sel]], slot[sel])
-            rows = np.zeros((cols.size, width), dtype=np.int64)
-            values = np.zeros((cols.size, width))
-            live = np.zeros((cols.size, width), dtype=bool)
+        for lo, hi in zip(starts, np.append(starts[1:], col_order.size)):
+            cols = col_order[lo:hi]
+            span = slice(bounds[lo], bounds[hi])
+            obs = order[span]
+            at = (obs_pos[span] - lo, slot[span])
+            shape = (hi - lo, sorted_widths[lo])
+            rows = np.zeros(shape, dtype=np.int64)
+            values = np.zeros(shape)
+            live = np.zeros(shape, dtype=bool)
             rows[at] = self.row_idx[obs]
             values[at] = self.values[obs]
             live[at] = True

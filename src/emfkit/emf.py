@@ -12,6 +12,7 @@ only behind a flag for equivalence testing.
 from __future__ import annotations
 
 import time
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,7 +68,8 @@ def svd_init(obs: ObservationSet, k: int, seed: int) -> InitTriple:
 
     Randomized subspace iteration with oversampling, run until the retained
     singular value estimates are stable to ~1e-9 relative on two
-    consecutive checks.  The test matrix comes from the package generator,
+    consecutive checks; stopping at the iteration cap instead emits a
+    RuntimeWarning.  The test matrix comes from the package generator,
     so results are reproducible bit-for-bit given the seed.
 
     Column signs are canonicalized (largest-magnitude entry of each x0
@@ -84,12 +86,15 @@ def svd_init(obs: ObservationSet, k: int, seed: int) -> InitTriple:
     q = _orthonormalize(np.asarray(s @ rng.normal(n * ell).reshape(n, ell)))
     prev = None
     stable_checks = 0
+    change = np.inf
     for _ in range(_MAX_POWER_ITERS):
         q = _orthonormalize(np.asarray(st @ q))   # n x ell
         q = _orthonormalize(np.asarray(s @ q))    # m x ell
         svals = np.linalg.svd(np.asarray(st @ q), compute_uv=False)[:k]
         if prev is not None:
-            if np.all(np.abs(svals - prev) <= _SV_TOL * (svals + 1e-300)):
+            delta = np.abs(svals - prev)
+            change = float(np.max(delta / (svals + 1e-300)))
+            if np.all(delta <= _SV_TOL * (svals + 1e-300)):
                 stable_checks += 1
                 if stable_checks >= 2:
                     prev = svals
@@ -97,6 +102,14 @@ def svd_init(obs: ObservationSet, k: int, seed: int) -> InitTriple:
             else:
                 stable_checks = 0
         prev = svals
+    else:
+        warnings.warn(
+            f"svd_init stopped at its cap of {_MAX_POWER_ITERS} power iterations before "
+            f"the singular values settled: their last relative change was {change:.3g} "
+            f"(tolerance {_SV_TOL:g})",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     small = np.asarray(st @ q).T  # ell x n projection of s
     ub, d, vt = np.linalg.svd(small, full_matrices=False)
     x0 = q @ ub[:, :k]

@@ -23,6 +23,17 @@ they form one block whose single row is vec(Y), with one slot per
 measurement, and its normal equations are solved directly for the min-norm
 solution.
 
+Rows of the unknown are independent subproblems, so each converges on its
+own: a row leaves the round loop once a round leaves its weights unchanged
+and does not damp it.  It then satisfies its own signs and is its own
+global minimizer, and every later round would reproduce it bit for bit.
+Each round solves, and recomputes residuals, weights and objectives for,
+only the rows still in the loop, gathered bucket by bucket (a bucket whose
+rows are all still in the loop is used as it is, uncopied); the half-step
+ends when no row is left.  The general block is one row, in the loop or
+done.  Rounds and solutions are exactly those of re-solving every row in
+every round until all weights hold.
+
 :func:`reference_qp_solve` is the independent oracle: it enumerates all
 2^p residual sign patterns of the split-variable formulation (positive and
 negative residual parts) and keeps the candidate with the lowest true
@@ -32,6 +43,7 @@ objective.  Intended for tests on tiny instances only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -145,6 +157,43 @@ def solve_x(
     )
 
 
+class _Part(NamedTuple):
+    """Some columns of one block: their ids, design rows, values and the two
+    weight levels of their slots (zero at padding)."""
+
+    cols: np.ndarray
+    design: np.ndarray
+    values: np.ndarray
+    w_pos: np.ndarray
+    w_neg: np.ndarray
+
+
+def _weighted_solve(part: _Part, w, ridge, min_norm):
+    """Solve the part's weighted ridge normal equations: one row per column.
+
+    With min_norm (the general block) the min-norm solution is returned:
+    without ridge fewer measurements than n*k leave the normal matrix
+    singular.
+    """
+    a = part.design
+    xw = a * w[:, :, None]
+    normal = np.matmul(a.transpose(0, 2, 1), xw)
+    rhs = np.matmul(xw.transpose(0, 2, 1), part.values[:, :, None])
+    if ridge:
+        normal += ridge * np.eye(a.shape[2])
+    if min_norm:
+        return np.linalg.lstsq(normal[0], rhs[0, :, 0], rcond=None)[0][None]
+    try:
+        y = np.linalg.solve(normal, rhs)[:, :, 0]
+    except np.linalg.LinAlgError as exc:
+        raise SingularDesignError(
+            "a per-row weighted normal matrix is singular and ridge is zero"
+        ) from exc
+    if not np.isfinite(y).all():
+        raise SingularDesignError("a per-row weighted normal matrix is numerically singular")
+    return y
+
+
 def _solve_blocks(x, obs, omega, ridge, y0, max_inner, tol_gradient):
     k = x.shape[1]
     entry = isinstance(obs, EntryObservations)
@@ -171,90 +220,81 @@ def _solve_blocks(x, obs, omega, ridge, y0, max_inner, tol_gradient):
         y0 = y0.reshape(1, -1)
     n, d = y0.shape
     # the two weight levels, with padding slots held at weight zero
-    xbt = [a.transpose(0, 2, 1) for a in xb]
     w_pos = [np.where(b.live, omega, 0.0) for b in buckets]
     w_neg = [np.where(b.live, 1.0 - omega, 0.0) for b in buckets]
     ridge_x = ridge * float((x * x).sum()) if ridge else 0.0
 
-    def residuals_at(y):
-        return [
-            b.values - np.matmul(a, y[b.cols, :, None])[:, :, 0]
-            for b, a in zip(buckets, xb)
-        ]
+    def gather(i, sel):
+        """Bucket i's columns at positions sel; all of them, uncopied, for None."""
+        part = _Part(buckets[i].cols, xb[i], buckets[i].values, w_pos[i], w_neg[i])
+        return part if sel is None else _Part(*(a[sel] for a in part))
 
-    def weights_of(rs):
-        return [np.where(r >= 0.0, wp, wn) for r, wp, wn in zip(rs, w_pos, w_neg)]
-
-    def block_objectives(ws, rs, y):
-        o = np.empty(n)
-        for b, w, r in zip(buckets, ws, rs):
-            o[b.cols] = (w * r * r).sum(axis=1)
+    def update(i, sel, part, y, obj):
+        """Store the residuals and weights at y of bucket i's columns sel
+        (gathered in part), their objectives in obj; return the weights."""
+        r = part.values - np.matmul(part.design, y[part.cols, :, None])[:, :, 0]
+        w = np.where(r >= 0.0, part.w_pos, part.w_neg)
+        obj[part.cols] = (w * r * r).sum(axis=1)
         if ridge:
-            o += ridge * (y * y).sum(axis=1)
-        return o
+            yc = y[part.cols]
+            obj[part.cols] += ridge * (yc * yc).sum(axis=1)
+        if sel is None:
+            rs[i], ws[i] = r, w
+        else:
+            rs[i][sel], ws[i][sel] = r, w
+        return w
 
     def grad_norm_at(ws, rs, y):
         g = 2.0 * ridge * y if ridge else np.zeros((n, d))
-        for b, at, w, r in zip(buckets, xbt, ws, rs):
-            g[b.cols] -= 2.0 * np.matmul(at, (w * r)[:, :, None])[:, :, 0]
+        for b, a, w, r in zip(buckets, xb, ws, rs):
+            g[b.cols] -= 2.0 * np.matmul(a.transpose(0, 2, 1), (w * r)[:, :, None])[:, :, 0]
         return float(np.linalg.norm(g))
 
-    def weighted_solve(ws):
-        normal = np.empty((n, d, d))
-        rhs = np.empty((n, d, 1))
-        for b, a, at, w in zip(buckets, xb, xbt, ws):
-            xw = a * w[:, :, None]
-            normal[b.cols] = np.matmul(at, xw)
-            rhs[b.cols] = np.matmul(xw.transpose(0, 2, 1), b.values[:, :, None])
-        if ridge:
-            normal += ridge * np.eye(d)
-        if not entry:
-            # min-norm solution: without ridge fewer measurements than n*k
-            # leave the normal matrix singular
-            return np.linalg.lstsq(normal[0], rhs[0, :, 0], rcond=None)[0][None]
-        try:
-            y_new = np.linalg.solve(normal, rhs)[:, :, 0]
-        except np.linalg.LinAlgError as exc:
-            raise SingularDesignError(
-                "a per-row weighted normal matrix is singular and ridge is zero"
-            ) from exc
-        if not np.isfinite(y_new).all():
-            raise SingularDesignError(
-                "a per-row weighted normal matrix is numerically singular"
-            )
-        return y_new
-
     y = y0
-    rs = residuals_at(y)
-    ws = weights_of(rs)
-    obj_rows = block_objectives(ws, rs, y)
+    rs, ws = [None] * len(buckets), [None] * len(buckets)
+    obj_rows = np.empty(n)
+    for i in range(len(buckets)):
+        update(i, None, gather(i, None), y, obj_rows)
     trace = [float(obj_rows.sum()) + ridge_x]
     grad0 = grad_norm_at(ws, rs, y)
 
+    # per bucket, the positions of the columns still in the loop (None: all)
+    active = [None] * len(buckets)
     converged = False
     iterations = 0
     for iterations in range(1, max_inner + 1):
-        y_new = weighted_solve(ws)
-        rs_new = residuals_at(y_new)
-        ws_new = weights_of(rs_new)
-        obj_new = block_objectives(ws_new, rs_new, y_new)
+        y_new = y.copy()
+        obj_new = obj_rows.copy()
+        changed = np.zeros(n, dtype=bool)
+        for i, sel in enumerate(active):
+            if sel is not None and not sel.size:
+                continue
+            part = gather(i, sel)
+            w_old = ws[i] if sel is None else ws[i][sel]
+            y_new[part.cols] = _weighted_solve(part, w_old, ridge, not entry)
+            w = update(i, sel, part, y_new, obj_new)
+            changed[part.cols] = (w != w_old).any(axis=1)
 
         worse = obj_new > obj_rows * (1.0 + _DESCENT_SLACK) + 1e-300
-        damped = bool(worse.any())
-        if damped:
+        if worse.any():
             y_new = _bisect_rows(
                 y, y_new, obj_rows, worse, src, rows, cols, obs.values, omega, ridge
             )
-            rs_new = residuals_at(y_new)
-            ws_new = weights_of(rs_new)
-            obj_new = block_objectives(ws_new, rs_new, y_new)
+            for i, b in enumerate(buckets):
+                sel = np.nonzero(worse[b.cols])[0]
+                if sel.size:
+                    update(i, sel, gather(i, sel), y_new, obj_new)
 
-        # unchanged weights reproduce this very solve; at omega = 0.5 that
-        # holds after the first round whatever the signs do
-        stable = not damped and all(map(np.array_equal, ws_new, ws))
-        y, rs, ws, obj_rows = y_new, rs_new, ws_new, obj_new
+        # a column whose weights held through an undamped step satisfies its
+        # own signs, so it is its own global minimizer and every later round
+        # would reproduce it bit for bit; at omega = 0.5 every column leaves
+        # after the first round whatever the signs do
+        stay = changed | worse
+        active = [np.nonzero(stay[b.cols])[0] for b in buckets]
+        active = [None if s.size == b.cols.size else s for s, b in zip(active, buckets)]
+        y, obj_rows = y_new, obj_new
         trace.append(float(obj_rows.sum()) + ridge_x)
-        if stable:
+        if not stay.any():
             converged = True
             break
         # signs of near-zero residuals can flap on rounding noise without the

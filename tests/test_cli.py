@@ -74,6 +74,31 @@ def test_synth_workers_match_serial(tmp_path, mode):
     assert a == b
 
 
+class CountingProvider:
+    """The synth-exp instance provider, counting how often it is pickled."""
+
+    pickles = 0
+
+    def __call__(self, plan, seed):
+        return emfkit.cli._synth_instance(plan, seed)
+
+    def __reduce__(self):
+        CountingProvider.pickles += 1
+        return (CountingProvider, ())
+
+
+def test_grid_workers_get_the_provider_once(tmp_path, monkeypatch):
+    monkeypatch.setattr(CountingProvider, "pickles", 0)
+    plan = ExperimentPlan(
+        "synth-exp", omega=(0.3, 0.7), seed=(0, 1, 2), m=20, n=20, k_true=2, rank=2,
+        sampling_rate=0.5, max_outer=3, cdf_points=5, workers=2, out_dir=str(tmp_path),
+    )
+    assert emfkit.cli._run_grid(plan, "synth", CountingProvider()) == 0
+    # once per worker at most (zero under fork), not once per each of the 6 cells
+    assert CountingProvider.pickles <= plan.workers
+    assert len(list(tmp_path.glob("synth_s*_w*.cdf.re.csv"))) == 6
+
+
 def test_complete_parses_its_input_once_per_grid(tmp_path, monkeypatch):
     calls = []
     load = emfkit.cli.load_dense

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import emfkit.core
 from emfkit.core import EntryObservations, FactorPair, GeneralObservations
 from emfkit.loss import gradient_y, objective, residuals
 from emfkit.subsolver import (
@@ -405,3 +408,173 @@ def test_general_solve_certifies_near_its_optimum():
         res = solve_y(x, gobs, 0.25, warm_start=opt.solution + 1e-6 * rng.randn(n, k))
         assert res.converged
         assert np.abs(res.solution - opt.solution).max() <= 1e-8
+
+
+def per_column_sign_set(x, obs, omega, ridge, warm):
+    """Plain sign-set iteration, one column at a time, with step halving when
+    a full step raises the column's objective.  Returns the solution, the
+    sign pattern and per column its number of rounds: the last one leaves
+    its weights unchanged and takes the full step."""
+    n, k = warm.shape
+    y = warm.copy()
+    pattern = np.empty(obs.size, dtype=bool)
+    rounds = np.zeros(n, dtype=int)
+    damped = False
+    for j in range(n):
+        sel = np.nonzero(obs.col_idx == j)[0]
+        a, v = x[obs.row_idx[sel]], obs.values[sel]
+
+        def state(yj):
+            r = v - a @ yj
+            w = np.where(r >= 0.0, omega, 1.0 - omega)
+            return r, w, float(w @ (r * r)) + ridge * float(yj @ yj)
+
+        yj = warm[j]
+        _, w, o = state(yj)
+        while True:
+            rounds[j] += 1
+            assert rounds[j] < 100
+            step = np.linalg.solve(a.T @ (w[:, None] * a) + ridge * np.eye(k), a.T @ (w * v)) - yj
+            t = 1.0
+            r_new, w_new, o_new = state(yj + step)
+            while o_new > o * (1.0 + 1e-13) + 1e-300:
+                t *= 0.5
+                assert t > 2.0**-60
+                r_new, w_new, o_new = state(yj + t * step)
+            yj = yj + t * step
+            damped |= t < 1.0
+            if t == 1.0 and np.array_equal(w_new, w):
+                break
+            w, o = w_new, o_new
+        y[j] = yj
+        pattern[sel] = r_new >= 0.0
+    return y, pattern, rounds, damped
+
+
+def solved_columns_per_round(monkeypatch, obs):
+    """Wrap the batched solve; the returned list gets the ids of the columns
+    each round solves."""
+    import emfkit.subsolver as subsolver
+
+    bucket_of = np.empty(obs.shape[1], dtype=int)
+    for i, b in enumerate(obs.column_buckets):
+        bucket_of[b.cols] = i
+    per_round, last = [], [np.inf]
+    real_solve = subsolver._weighted_solve
+
+    def recording_solve(part, *args):
+        # a round visits its buckets in increasing order, and a round solves
+        # only buckets the round before solved: a bucket at or before the last
+        # one visited starts a new round
+        i = bucket_of[part.cols[0]]
+        if i <= last[0]:
+            per_round.append([])
+        last[0] = i
+        per_round[-1].extend(part.cols.tolist())
+        return real_solve(part, *args)
+
+    monkeypatch.setattr(subsolver, "_weighted_solve", recording_solve)
+    return per_round
+
+
+@pytest.mark.parametrize("case", ["damped", "ridge", "split buckets"])
+def test_converged_columns_leave_the_round_loop(case, monkeypatch):
+    rng = np.random.RandomState(74)
+    m, k, omega, ridge = 40, 3, 0.1, 0.0
+    degrees = rng.randint(6, 30, size=12)
+    if case == "ridge":
+        ridge = 0.3
+    if case == "split buckets":
+        monkeypatch.setattr(emfkit.core, "BUCKET_COLUMNS", 2)
+        degrees = rng.randint(9, 17, size=12)  # one width, six buckets
+    obs = column_degree_instance(rng, m, degrees)
+    x = rng.randn(m, k)
+    warm = rng.randn(obs.shape[1], k) * (10.0 if case == "damped" else 0.5)
+    per_round = solved_columns_per_round(monkeypatch, obs)
+    res = solve_y(x, obs, omega, ridge, warm_start=warm)
+
+    y_ref, pattern_ref, rounds, damped = per_column_sign_set(x, obs, omega, ridge, warm)
+    assert res.converged
+    assert np.abs(res.solution - y_ref).max() <= 1e-9 * max(1.0, np.abs(y_ref).max())
+    assert np.array_equal(res.sign_pattern, pattern_ref)
+    # round t solves exactly the columns still iterating in round t of the
+    # reference: all of them first, then those whose weights changed or whose
+    # step was damped in round t - 1
+    assert res.inner_iterations == len(per_round) == rounds.max() >= 3
+    for t, cols in enumerate(per_round, start=1):
+        assert sorted(cols) == np.nonzero(rounds >= t)[0].tolist()
+    assert len(set(rounds)) > 2  # columns leave in different rounds
+    if case == "damped":
+        assert damped
+    if case == "split buckets":
+        assert len(obs.column_buckets) == 6
+
+
+seeds = st.integers(0, 2**32 - 1)
+inner_omegas = st.floats(0.05, 0.95)
+ridges = st.sampled_from([0.0, 0.3])
+
+
+def tiny_instance(rng, general, ridge):
+    """A random entry or general instance small enough for reference_qp_solve."""
+    k = rng.randint(1, 3)
+    if general:
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        return rng.randn(m, k), general_instance(rng, m, n, p=rng.randint(1, 9))
+    m, n = rng.randint(k, 7), rng.randint(1, 4)
+    degrees = rng.randint(0 if ridge else k, m + 1, size=n)
+    if degrees.sum() > 12:
+        degrees = np.minimum(degrees, max(k, 12 // n))
+    degrees[0] = max(degrees[0], 1)
+    return rng.randn(m, k), column_degree_instance(rng, m, degrees)
+
+
+@given(seed=seeds, omega=inner_omegas, ridge=ridges, general=st.booleans())
+@settings(max_examples=60)
+def test_property_solver_matches_reference_qp(seed, omega, ridge, general):
+    rng = np.random.RandomState(seed)
+    x, obs = tiny_instance(rng, general, ridge)
+    warm = rng.randn(obs.shape[1], x.shape[1]) * 3
+    res = solve_y(x, obs, omega, ridge, warm_start=warm)
+    ref = reference_qp_solve(x, obs, omega, ridge)
+    assert res.converged
+    assert np.linalg.norm(res.solution - ref) <= 1e-6 * max(1.0, np.linalg.norm(ref))
+
+
+@given(seed=seeds, omega=inner_omegas, ridge=ridges, general=st.booleans(),
+       cap=st.sampled_from([2, 256]))
+@settings(max_examples=40)
+def test_property_solution_ignores_observation_order(seed, omega, ridge, general, cap):
+    # shuffled observations, and for entries relabeled columns, which moves
+    # every column to another bucket position; cap 2 splits the buckets
+    rng = np.random.RandomState(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(emfkit.core, "BUCKET_COLUMNS", cap)
+        if general:
+            m, n, k, p = 4, 3, 2, rng.randint(1, 30)
+            obs = general_instance(rng, m, n, p)
+            perm = rng.permutation(p)
+            moved = GeneralObservations(obs.shape, [obs.measurements[i] for i in perm],
+                                        obs.values[perm])
+            relabel = np.arange(n)
+        else:
+            m, n, k = 20, rng.randint(1, 9), rng.randint(1, 4)
+            degrees = rng.randint(0 if ridge else k, m + 1, size=n)
+            degrees[0] = max(degrees[0], 1)
+            obs = column_degree_instance(rng, m, degrees)
+            perm, relabel = rng.permutation(obs.size), rng.permutation(n)
+            moved = EntryObservations(obs.shape, obs.row_idx[perm],
+                                      relabel[obs.col_idx[perm]], obs.values[perm])
+        x = rng.randn(m, k)
+        warm = rng.randn(n, k) * 3
+        warm_moved = np.empty_like(warm)
+        warm_moved[relabel] = warm
+        a = solve_y(x, obs, omega, ridge, warm_start=warm)
+        b = solve_y(x, moved, omega, ridge, warm_start=warm_moved)
+    assert a.converged and b.converged
+    scale = max(1.0, np.abs(a.solution).max())
+    assert np.abs(b.solution[relabel] - a.solution).max() <= 1e-9 * scale
+    # an interpolated observation's residual is rounding noise of either sign
+    r = residuals(obs, FactorPair(x, a.solution))
+    sure = (np.abs(r) > 1e-9 * max(1.0, np.abs(obs.values).max()))[perm]
+    assert np.array_equal(b.sign_pattern[sure], a.sign_pattern[perm][sure])
