@@ -129,6 +129,11 @@ def fit(obs: ObservationSet, config: EmfConfig) -> SolveReport:
     Records the objective at the initialization and after every outer
     iteration; stops early once the relative objective decrease falls below
     tol_objective or both partial gradient norms fall below tol_gradient.
+    The x-gradient at a sweep's pair is the x half-step's own certificate.
+    The y-gradient there is the starting gradient of the next sweep's y
+    half-step, which starts from that same pair: when both pass, that
+    half-step is discarded and the sweep's pair is returned.  Only after
+    the last allowed sweep is the y-gradient computed separately.
     """
     t_start = time.perf_counter()
     init = svd_init(obs, config.rank, config.seed)
@@ -146,9 +151,19 @@ def fit(obs: ObservationSet, config: EmfConfig) -> SolveReport:
     inner_iters: list[int] = []
     uncertified = 0
     stop = StopReason.MAX_ITERATIONS
+    x_passed = False
 
     for _ in range(config.max_outer):
         res_y = solve_y(x_bar, obs, omega, ridge, warm_start=y_warm, **caps)
+        if x_passed:
+            g = res_y.start_gradient
+            if config.use_qr:
+                # the warm pair (X R^-1, Y R^T) has the sweep pair's product,
+                # so its data term times R is the sweep pair's y-gradient
+                g = (g - 2.0 * ridge * y_warm) @ r_x + 2.0 * ridge * y_side
+            if np.linalg.norm(g) < config.tol_gradient:
+                stop = StopReason.TOLERANCE_GRADIENT
+                break
         y_half = res_y.solution
         if config.use_qr:
             y_side, r_y = qr_orthonormalize(y_half)
@@ -174,13 +189,14 @@ def fit(obs: ObservationSet, config: EmfConfig) -> SolveReport:
         if (prev - cur) / max(prev, 1e-300) < config.tol_objective:
             stop = StopReason.TOLERANCE_OBJECTIVE
             break
-        # res_x certifies the x-gradient at exactly this pair; the y-gradient
-        # costs a full residual pass, so it is only computed when it decides
-        if res_x.final_gradient_norm < config.tol_gradient and (
+        # res_x certifies the x-gradient at exactly this pair
+        x_passed = res_x.final_gradient_norm < config.tol_gradient
+    else:
+        # no next y half-step reads the last sweep's y-gradient
+        if x_passed and (
             np.linalg.norm(gradient_y(obs, factors, omega, ridge)) < config.tol_gradient
         ):
             stop = StopReason.TOLERANCE_GRADIENT
-            break
 
     return SolveReport(
         factors=factors,

@@ -71,24 +71,17 @@ def load_dense(
     """Read a dense matrix with sentinel-marked holes.
 
     Returns the raw matrix (sentinel left in place) and the observation set
-    of all non-sentinel entries.
+    of all non-sentinel entries.  The file is parsed in one vectorized
+    call; only when that fails or reads a non-finite value is it parsed
+    again token by token, to raise with the offending line and column.
     """
-    lines = [
-        (no, ln.split())
-        for no, ln in enumerate(Path(path).read_text().splitlines(), start=1)
-        if ln.strip()
-    ]
-    if not lines:
-        raise EmptyFileError(f"{path}: no data lines")
-    width = len(lines[0][1])
-    data = np.empty((len(lines), width))
-    for out_row, (no, tokens) in enumerate(lines):
-        if len(tokens) != width:
-            raise RaggedRowsError(
-                f"{path}: line {no} has {len(tokens)} values, expected {width}"
-            )
-        for c, tok in enumerate(tokens):
-            data[out_row, c] = _parse_real(tok, no, c + 1)
+    lines = Path(path).read_text().splitlines()
+    try:
+        data = np.loadtxt(lines, comments=None, ndmin=2) if any(map(str.strip, lines)) else None
+    except ValueError:
+        data = None
+    if data is None or not np.isfinite(data).all():
+        data = _parse_dense(path, lines)
     sentinel = spec.missing_sentinel
     keep = data != sentinel
     if not keep.any():
@@ -103,20 +96,29 @@ def load_dense(
     return data, EntryObservations(data.shape, rows, cols, data[rows, cols])
 
 
+def _parse_dense(path, lines: list[str]) -> np.ndarray:
+    """Token-by-token parse of a dense file's lines, raising at the first bad one."""
+    numbered = [(no, ln.split()) for no, ln in enumerate(lines, start=1) if ln.strip()]
+    if not numbered:
+        raise EmptyFileError(f"{path}: no data lines")
+    width = len(numbered[0][1])
+    data = np.empty((len(numbered), width))
+    for out_row, (no, tokens) in enumerate(numbered):
+        if len(tokens) != width:
+            raise RaggedRowsError(
+                f"{path}: line {no} has {len(tokens)} values, expected {width}"
+            )
+        for c, tok in enumerate(tokens):
+            data[out_row, c] = _parse_real(tok, no, c + 1)
+    return data
+
+
 def write_dense(path, matrix, mask=None, sentinel: float = -1.0) -> None:
     """Write a dense matrix, replacing entries where mask is False by the sentinel."""
     matrix = np.asarray(matrix, dtype=np.float64)
-    if mask is None:
-        mask = np.ones(matrix.shape, dtype=bool)
-    out = []
-    for i in range(matrix.shape[0]):
-        out.append(
-            " ".join(
-                repr(float(matrix[i, j])) if mask[i, j] else repr(float(sentinel))
-                for j in range(matrix.shape[1])
-            )
-        )
-    Path(path).write_text("\n".join(out) + "\n")
+    if mask is not None:
+        matrix = np.where(mask, matrix, float(sentinel))
+    Path(path).write_text("\n".join(" ".join(map(repr, row)) for row in matrix.tolist()) + "\n")
 
 
 def load_triplets(path) -> EntryObservations:

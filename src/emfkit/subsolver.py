@@ -70,7 +70,8 @@ class SubproblemResult:
 
     sign_pattern marks nonnegative residuals at the solution (in observation
     order); inner_objective_trace holds the objective before the first and
-    after every sign-set round.
+    after every sign-set round; start_gradient is the objective's gradient
+    at the warm start, shaped like the solution.
     """
 
     solution: np.ndarray
@@ -79,6 +80,7 @@ class SubproblemResult:
     final_gradient_norm: float
     converged: bool
     inner_objective_trace: np.ndarray
+    start_gradient: np.ndarray
 
 
 def qr_orthonormalize(a) -> tuple[np.ndarray, np.ndarray]:
@@ -244,11 +246,11 @@ def _solve_blocks(x, obs, omega, ridge, y0, max_inner, tol_gradient):
             rs[i][sel], ws[i][sel] = r, w
         return w
 
-    def grad_norm_at(ws, rs, y):
+    def grad_at(ws, rs, y):
         g = 2.0 * ridge * y if ridge else np.zeros((n, d))
         for b, a, w, r in zip(buckets, xb, ws, rs):
             g[b.cols] -= 2.0 * np.matmul(a.transpose(0, 2, 1), (w * r)[:, :, None])[:, :, 0]
-        return float(np.linalg.norm(g))
+        return g
 
     y = y0
     rs, ws = [None] * len(buckets), [None] * len(buckets)
@@ -256,7 +258,8 @@ def _solve_blocks(x, obs, omega, ridge, y0, max_inner, tol_gradient):
     for i in range(len(buckets)):
         update(i, None, gather(i, None), y, obj_rows)
     trace = [float(obj_rows.sum()) + ridge_x]
-    grad0 = grad_norm_at(ws, rs, y)
+    g0 = grad_at(ws, rs, y)
+    grad0 = float(np.linalg.norm(g0))
 
     # per bucket, the positions of the columns still in the loop (None: all)
     active = [None] * len(buckets)
@@ -300,11 +303,11 @@ def _solve_blocks(x, obs, omega, ridge, y0, max_inner, tol_gradient):
         # signs of near-zero residuals can flap on rounding noise without the
         # point moving; once the objective stalls, certify by the gradient
         if (trace[-2] - trace[-1]) <= 1e-13 * max(trace[-2], 1e-300):
-            if grad_norm_at(ws, rs, y) <= tol_gradient * (1.0 + grad0):
+            if np.linalg.norm(grad_at(ws, rs, y)) <= tol_gradient * (1.0 + grad0):
                 converged = True
                 break
 
-    gnorm = grad_norm_at(ws, rs, y)
+    gnorm = float(np.linalg.norm(grad_at(ws, rs, y)))
     pattern = np.empty(obs.size, dtype=bool)
     for b, r in zip(buckets, rs):
         pattern[b.obs] = r[b.live] >= 0.0
@@ -315,6 +318,7 @@ def _solve_blocks(x, obs, omega, ridge, y0, max_inner, tol_gradient):
         final_gradient_norm=gnorm,
         converged=converged and gnorm <= tol_gradient * (1.0 + grad0),
         inner_objective_trace=np.asarray(trace),
+        start_gradient=g0.reshape(obs.shape[1], k),
     )
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from emfkit.core import EmfConfig, EntryObservations, FactorPair, StopReason
 from emfkit.emf import DegenerateInitError, fit, predict, reconstruct, svd_init
-from emfkit.loss import objective, residuals
+from emfkit.loss import gradient_y, objective, residuals
 from emfkit.synth import gen_low_rank, sample_mask
 
 
@@ -210,7 +210,7 @@ def test_uncertified_inner_solves_are_counted():
     assert full.uncertified_solves == 0
 
 
-def test_y_gradient_only_computed_when_x_gradient_passes(monkeypatch):
+def test_y_gradient_computed_only_after_the_last_allowed_sweep(monkeypatch):
     import emfkit.emf as emf
 
     calls = []
@@ -228,7 +228,72 @@ def test_y_gradient_only_computed_when_x_gradient_passes(monkeypatch):
     assert capped.stop_reason is StopReason.MAX_ITERATIONS
     assert capped.uncertified_solves > 0
     assert calls == []
+    # before max_outer the next y half-step's starting gradient decides
     _, clean = completion(30, 25, 2, 0.5, seed=17)
     rep = fit(clean, EmfConfig(omega=0.7, rank=2, max_outer=200, seed=3))
-    assert rep.stop_reason is StopReason.TOLERANCE_GRADIENT
-    assert calls
+    sweeps = len(rep.objective_trace) - 1
+    assert rep.stop_reason is StopReason.TOLERANCE_GRADIENT and sweeps < 200
+    assert calls == []
+    # after the last allowed sweep no next half-step does
+    last = fit(clean, EmfConfig(omega=0.7, rank=2, max_outer=sweeps, seed=3))
+    assert last.stop_reason is StopReason.TOLERANCE_GRADIENT
+    assert len(calls) == 1
+    assert np.array_equal(last.objective_trace, rep.objective_trace)
+    assert np.array_equal(last.factors.x, rep.factors.x)
+    assert last.inner_iters == rep.inner_iters
+
+
+def _fit_testing_gradient_every_sweep(obs, config):
+    """fit's loop with the y-gradient computed by loss.gradient_y after every
+    sweep whose x-gradient passed; returns (factors, trace, inner_iters, stop)."""
+    from emfkit.subsolver import qr_orthonormalize, solve_y
+
+    omega, ridge, tol = config.omega, config.ridge, config.tol_gradient
+    caps = dict(max_inner=config.max_inner, tol_gradient=tol)
+    tri = svd_init(obs, config.rank, config.seed)
+    x_bar, y_warm = tri.x0, tri.y0 * tri.d0
+    factors = FactorPair(x_bar, y_warm)
+    trace = [objective(obs, factors, omega, ridge)]
+    inner = []
+    for _ in range(config.max_outer):
+        res_y = solve_y(x_bar, obs, omega, ridge, warm_start=y_warm, **caps)
+        y_side, r_y = qr_orthonormalize(res_y.solution)
+        res_x = solve_y(y_side, obs.transposed, omega, ridge, warm_start=x_bar @ r_y.T, **caps)
+        inner += [res_y.inner_iterations, res_x.inner_iterations]
+        factors = FactorPair(res_x.solution, y_side)
+        trace.append(float(res_x.inner_objective_trace[-1]))
+        x_bar, r_x = qr_orthonormalize(res_x.solution)
+        y_warm = y_side @ r_x.T
+        if (trace[-2] - trace[-1]) / max(trace[-2], 1e-300) < config.tol_objective:
+            return factors, trace, inner, StopReason.TOLERANCE_OBJECTIVE
+        if res_x.final_gradient_norm < tol and (
+            np.linalg.norm(gradient_y(obs, factors, omega, ridge)) < tol
+        ):
+            return factors, trace, inner, StopReason.TOLERANCE_GRADIENT
+    return factors, trace, inner, StopReason.MAX_ITERATIONS
+
+
+@pytest.mark.parametrize(
+    "ridge, tol_gradient, stop",
+    [
+        (0.0, 1e-8, StopReason.TOLERANCE_GRADIENT),
+        (0.0, 1e-2, StopReason.TOLERANCE_GRADIENT),
+        (1e-3, 1.0, StopReason.TOLERANCE_GRADIENT),
+        # with ridge, the warm pair's ridge term differs from the sweep
+        # pair's; left in, it would stop these fits early by gradient
+        (1e-2, 1e-2, StopReason.TOLERANCE_OBJECTIVE),
+        (0.1, 0.1, StopReason.TOLERANCE_OBJECTIVE),
+    ],
+)
+def test_qr_fit_stops_where_a_per_sweep_gradient_test_stops(ridge, tol_gradient, stop):
+    for seed in (0, 1):
+        _, obs = completion(30, 25, 2, 0.5, seed=seed)
+        cfg = EmfConfig(omega=0.3, rank=2, max_outer=100, seed=seed, use_qr=True,
+                        ridge=ridge, tol_gradient=tol_gradient, tol_objective=0.0)
+        rep = fit(obs, cfg)
+        factors, trace, inner, ref_stop = _fit_testing_gradient_every_sweep(obs, cfg)
+        assert rep.stop_reason is ref_stop is stop
+        assert np.array_equal(rep.objective_trace, trace)
+        assert np.array_equal(rep.factors.x, factors.x)
+        assert np.array_equal(rep.factors.y, factors.y)
+        assert rep.inner_iters == inner

@@ -28,19 +28,8 @@ def test_load_dense_basic(tmp_path):
 
 
 def test_load_dense_errors(tmp_path):
+    # parse errors: test_load_dense_errors_keep_their_locations
     f = tmp_path / "m.txt"
-    f.write_text("")
-    with pytest.raises(EmptyFileError):
-        load_dense(f)
-    f.write_text("1 2\n3\n")
-    with pytest.raises(RaggedRowsError, match="line 2"):
-        load_dense(f)
-    f.write_text("1 x\n")
-    with pytest.raises(MatrixParseError, match="line 1, column 2"):
-        load_dense(f)
-    f.write_text("1 nan\n")
-    with pytest.raises(MatrixParseError):
-        load_dense(f)
     f.write_text("-1 -1\n-1 -1\n")
     with pytest.raises(EmptyObservationsError):
         load_dense(f)
@@ -61,6 +50,90 @@ def test_dense_roundtrip(tmp_path):
     got = np.zeros_like(mask)
     got[obs.row_idx, obs.col_idx] = True
     assert np.array_equal(got, mask)
+    # negative values and -0.0 come back exactly, holes as the sentinel
+    mat = rng.randn(12, 9) * 1e3
+    mat[0, 0] = -0.0
+    mask = rng.rand(12, 9) < 0.6
+    mask[0, 0] = True
+    write_dense(f, mat, mask, sentinel=-1e9)
+    data, obs = load_dense(f, MatrixFileSpec("dense", -1e9))
+    assert np.array_equal(data, np.where(mask, mat, -1e9))
+    assert np.signbit(data[0, 0])
+    assert np.array_equal(obs.values, mat[mask])
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("1 2\n3 nan\n", MatrixParseError, "line 2, column 2: non-finite value 'nan'"),
+        ("1 2\n-inf 4\n", MatrixParseError, "line 2, column 1: non-finite value '-inf'"),
+        ("1 1e999\n", MatrixParseError, "line 1, column 2: non-finite value '1e999'"),
+        ("1 #2\n3 4\n", MatrixParseError, "line 1, column 2: cannot parse '#2' as a real number"),
+        ("1 2\n3 4 # note\n", RaggedRowsError, "{path}: line 2 has 4 values, expected 2"),
+        ("1 2\n3 4x\n", MatrixParseError, "line 2, column 2: cannot parse '4x' as a real number"),
+        ("1 2 3\n4 5\n", RaggedRowsError, "{path}: line 2 has 2 values, expected 3"),
+        ("\n  \n1 2\n\n3 x\n", MatrixParseError, "line 5, column 2: cannot parse 'x' as a real number"),
+        ("\n \n\t\n", EmptyFileError, "{path}: no data lines"),
+        ("", EmptyFileError, "{path}: no data lines"),
+    ],
+    ids=["nan", "inf", "overflow", "hash", "hash-comment", "token", "ragged", "blank-lines",
+         "blank-only", "empty"],
+)
+def test_load_dense_errors_keep_their_locations(tmp_path, text, error, message):
+    f = tmp_path / "m.txt"
+    f.write_text(text)
+    with pytest.raises(error) as info:
+        load_dense(f)
+    assert str(info.value) == message.format(path=f)
+
+
+def test_load_dense_fast_path_matches_token_parse(tmp_path):
+    from emfkit.io import _parse_dense
+
+    f = tmp_path / "m.txt"
+    f.write_text("\n1_0 2.5\n\n-3e-7\t+4\n.5 5.\n")  # 1_0 only parses token by token
+    data, _ = load_dense(f, MatrixFileSpec("dense", -100.0))
+    assert np.array_equal(data, [[10.0, 2.5], [-3e-7, 4.0], [0.5, 5.0]])
+    rng = np.random.RandomState(6)
+    mat = rng.standard_t(3, (20, 30)) * 10.0 ** rng.randint(-20, 20, (20, 30))
+    texts = ["1 2 3\n", "1\n2\n", "\n".join(" ".join(map(str, r)) for r in mat.tolist())]
+    for text, shape in zip(texts, [(1, 3), (2, 1), mat.shape]):
+        f.write_text(text)
+        data, _ = load_dense(f, MatrixFileSpec("dense", -1e99))
+        assert data.shape == shape
+        assert np.array_equal(data, _parse_dense(f, text.splitlines()))
+
+
+def _write_dense_per_element(path, matrix, mask, sentinel):
+    """The element-by-element writer write_dense must match byte for byte."""
+    out = []
+    for i in range(matrix.shape[0]):
+        out.append(
+            " ".join(
+                repr(float(matrix[i, j])) if mask[i, j] else repr(float(sentinel))
+                for j in range(matrix.shape[1])
+            )
+        )
+    path.write_text("\n".join(out) + "\n")
+
+
+def test_write_dense_bytes_match_the_per_element_writer(tmp_path):
+    rng = np.random.RandomState(4)
+    mat = rng.randn(9, 7) * 10.0 ** rng.randint(-300, 300, (9, 7))
+    mat[0, :3] = [-0.0, 0.0, -1.5]
+    mat[1, 1] = -0.0
+    mask = rng.rand(9, 7) < 0.7
+    mask[0, :3] = True
+    mask[1, 1] = False
+    for sentinel in (-1.0, -0.0, 7):
+        fast, slow = tmp_path / "fast.txt", tmp_path / "slow.txt"
+        write_dense(fast, mat, mask, sentinel)
+        _write_dense_per_element(slow, mat, mask, sentinel)
+        assert fast.read_bytes() == slow.read_bytes()
+    write_dense(fast, mat)
+    _write_dense_per_element(slow, mat, np.ones(mat.shape, dtype=bool), -1.0)
+    assert fast.read_bytes() == slow.read_bytes()
+    assert b"-0.0" in fast.read_bytes()
 
 
 def test_load_triplets(tmp_path):

@@ -390,6 +390,19 @@ def test_general_certificate_is_the_loss_gradient():
         assert abs(res.final_gradient_norm - g) <= 1e-9 * g
 
 
+@pytest.mark.parametrize("ridge", [0.0, 0.3])
+@pytest.mark.parametrize("general", [False, True])
+def test_start_gradient_is_the_loss_gradient_at_the_warm_start(general, ridge):
+    rng = np.random.RandomState(63)
+    x = rng.randn(6 if not general else 4, 2)
+    obs = general_instance(rng, p=10) if general else entry_instance(rng)
+    warm = rng.randn(obs.shape[1], 2) * 3
+    res = solve_y(x, obs, 0.2, ridge, warm_start=warm)
+    g = gradient_y(obs, FactorPair(x, warm), 0.2, ridge)
+    assert res.start_gradient.shape == warm.shape
+    assert np.linalg.norm(res.start_gradient - g) <= 1e-9 * np.linalg.norm(g)
+
+
 def test_general_solve_certifies_near_its_optimum():
     # p = 500 measurements of a rank-3 20x20 matrix: far more rows than n*k = 60
     from emfkit import synth
