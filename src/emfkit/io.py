@@ -76,12 +76,24 @@ def load_dense(
     again token by token, to raise with the offending line and column.
     """
     lines = Path(path).read_text().splitlines()
+    # np.loadtxt only warns on a file without data; the token loop raises
     try:
         data = np.loadtxt(lines, comments=None, ndmin=2) if any(map(str.strip, lines)) else None
     except ValueError:
         data = None
     if data is None or not np.isfinite(data).all():
-        data = _parse_dense(path, lines)
+        numbered = [(no, ln.split()) for no, ln in enumerate(lines, start=1) if ln.strip()]
+        if not numbered:
+            raise EmptyFileError(f"{path}: no data lines")
+        width = len(numbered[0][1])
+        data = np.empty((len(numbered), width))
+        for out_row, (no, tokens) in enumerate(numbered):
+            if len(tokens) != width:
+                raise RaggedRowsError(
+                    f"{path}: line {no} has {len(tokens)} values, expected {width}"
+                )
+            for c, tok in enumerate(tokens):
+                data[out_row, c] = _parse_real(tok, no, c + 1)
     sentinel = spec.missing_sentinel
     keep = data != sentinel
     if not keep.any():
@@ -94,23 +106,6 @@ def load_dense(
         )
     rows, cols = np.nonzero(keep)
     return data, EntryObservations(data.shape, rows, cols, data[rows, cols])
-
-
-def _parse_dense(path, lines: list[str]) -> np.ndarray:
-    """Token-by-token parse of a dense file's lines, raising at the first bad one."""
-    numbered = [(no, ln.split()) for no, ln in enumerate(lines, start=1) if ln.strip()]
-    if not numbered:
-        raise EmptyFileError(f"{path}: no data lines")
-    width = len(numbered[0][1])
-    data = np.empty((len(numbered), width))
-    for out_row, (no, tokens) in enumerate(numbered):
-        if len(tokens) != width:
-            raise RaggedRowsError(
-                f"{path}: line {no} has {len(tokens)} values, expected {width}"
-            )
-        for c, tok in enumerate(tokens):
-            data[out_row, c] = _parse_real(tok, no, c + 1)
-    return data
 
 
 def write_dense(path, matrix, mask=None, sentinel: float = -1.0) -> None:

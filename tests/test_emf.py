@@ -56,24 +56,26 @@ def test_svd_init_zero_values_degenerate():
         fit(obs, EmfConfig(omega=0.5, rank=2))
 
 
-def test_svd_init_warns_at_its_iteration_cap(monkeypatch):
+def test_svd_init_runs_a_fixed_number_of_power_iterations(monkeypatch):
     import warnings
 
     import emfkit.emf as emf
 
     _, obs = completion(40, 30, 3, 0.5, seed=3, noise=np.random.RandomState(3).randn(40, 30))
+    calls = []
+    real = emf._orthonormalize
+
+    def counting(a):
+        calls.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(emf, "_orthonormalize", counting)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        settled = svd_init(obs, 3, seed=0)
-    monkeypatch.setattr(emf, "_MAX_POWER_ITERS", 1)
-    # one iteration has no earlier estimate to compare with
-    with pytest.warns(RuntimeWarning, match="cap of 1 power iterations.* was inf"):
-        capped = svd_init(obs, 3, seed=0)
-    assert capped.d0.shape == settled.d0.shape
-    # two iterations make one comparison, and stopping needs two stable ones
-    monkeypatch.setattr(emf, "_MAX_POWER_ITERS", 2)
-    with pytest.warns(RuntimeWarning, match=r"cap of 2 power iterations.* was \d.*tolerance 1e-09"):
-        svd_init(obs, 3, seed=0)
+        tri = svd_init(obs, 3, seed=0)
+    # one QR of the sketch, then two per power iteration
+    assert len(calls) == 1 + 2 * emf._POWER_ITERS
+    assert tri.d0.shape == (3,)
 
 
 def test_svd_init_rejects_oversized_rank():

@@ -87,9 +87,12 @@ def test_load_dense_errors_keep_their_locations(tmp_path, text, error, message):
     assert str(info.value) == message.format(path=f)
 
 
-def test_load_dense_fast_path_matches_token_parse(tmp_path):
-    from emfkit.io import _parse_dense
+def _parse_dense_per_token(text):
+    """The token-by-token parse load_dense must match."""
+    return np.array([[float(t) for t in ln.split()] for ln in text.splitlines() if ln.strip()])
 
+
+def test_load_dense_fast_path_matches_token_parse(tmp_path):
     f = tmp_path / "m.txt"
     f.write_text("\n1_0 2.5\n\n-3e-7\t+4\n.5 5.\n")  # 1_0 only parses token by token
     data, _ = load_dense(f, MatrixFileSpec("dense", -100.0))
@@ -101,7 +104,7 @@ def test_load_dense_fast_path_matches_token_parse(tmp_path):
         f.write_text(text)
         data, _ = load_dense(f, MatrixFileSpec("dense", -1e99))
         assert data.shape == shape
-        assert np.array_equal(data, _parse_dense(f, text.splitlines()))
+        assert np.array_equal(data, _parse_dense_per_token(text))
 
 
 def _write_dense_per_element(path, matrix, mask, sentinel):
