@@ -11,6 +11,7 @@ bounded process pool (``--workers``); outputs are deterministic either way.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import textwrap
 import traceback
@@ -21,6 +22,7 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .core import EmfConfig, EntryObservations
@@ -175,9 +177,22 @@ def _resolve_plan(args: argparse.Namespace) -> ExperimentPlan:
 
 
 def _write_provenance(plan: ExperimentPlan) -> None:
+    """Write plan.txt: the toolkit version, the numeric environment (numpy,
+    scipy, the BLAS numpy was built with, usable cores), then the plan."""
     out = Path(plan.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    lines = [f"toolkit_version = {__version__}"]
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count()
+    lines = [
+        f"toolkit_version = {__version__}",
+        f"numpy_version = {np.__version__}",
+        f"scipy_version = {scipy.__version__}",
+        f"blas = {blas.get('name', 'unknown')} {blas.get('version', 'unknown')}",
+        f"usable_cores = {cores}",
+    ]
     for key, value in sorted(asdict(plan).items()):
         if isinstance(value, tuple):
             value = ", ".join(repr(v) for v in value)
@@ -197,10 +212,10 @@ def _metric_rows_for(errors: np.ndarray) -> list:
     ]
 
 
-def _binned_rows(truth, factors, eval_set, bins: BinSpec, floor: float) -> list:
+def _binned_rows(errors: np.ndarray, values: np.ndarray, bins: BinSpec) -> list:
     rows = []
-    total = len(eval_set)
-    for entry in binned_summaries(truth, factors, eval_set, bins, floor):
+    total = errors.size
+    for entry in binned_summaries(errors, values, bins):
         label = "overflow" if entry.lower is None else f"{entry.lower:g}-{entry.upper:g}"
         rows.append(("bin_count", label, float(entry.count)))
         rows.append(("bin_fraction", label, entry.count / total if total else 0.0))
@@ -269,8 +284,8 @@ def _run_cell(plan: ExperimentPlan, name: str, provider, seed: int, omega: float
         errors = relative_errors(truth, report.factors, eval_set, plan.eval_floor)
         extra = []
         if binned:
-            bins = BinSpec(np.asarray(plan.bins))
-            extra = _binned_rows(truth, report.factors, eval_set, bins, plan.eval_floor)
+            values = truth[eval_set[:, 0], eval_set[:, 1]]
+            extra = _binned_rows(errors, values, BinSpec(np.asarray(plan.bins)))
         rows = _export(plan, report, errors, extra, run_id, omega, seed)
         return {"run_id": run_id, "seed": seed, "omega": omega, "rows": rows, "error": None}
     except Exception as exc:

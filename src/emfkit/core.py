@@ -303,7 +303,9 @@ class EmfConfig:
     omega is the expectile level in (0, 1); rank is the factorization rank.
     max_outer caps alternating sweeps (0 returns the initialization),
     max_inner caps sign-set rounds per subproblem.  ridge adds an optional
-    Tikhonov term guarding rank-deficient subproblems.
+    Tikhonov term guarding rank-deficient subproblems.  use_qr
+    re-orthonormalizes the factors between half-steps; it leaves the
+    iterate products unchanged only at ridge = 0 (see :mod:`emfkit.emf`).
     """
 
     omega: float

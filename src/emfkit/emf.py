@@ -7,8 +7,11 @@ the zero-filled matrix of observed values), approximated by seeded
 randomized subspace iteration with a fixed number of power iterations.  The
 outer gradient stop test needs no residual pass of its own: the next y
 half-step starts with that gradient.  QR re-orthonormalization between
-half-steps is off by default: the iterate products with and without it
-coincide, so it is kept only behind a flag for equivalence testing.
+half-steps is off by default and kept only behind a flag for equivalence
+testing.  At ridge = 0 the iterate products with and without it coincide
+(tested).  With ridge > 0 they do not: the ridge term |X|^2 + |Y|^2 changes
+under (X R^-1, Y R^T), so the fit reaches a different point, often one
+with a higher objective.
 """
 
 from __future__ import annotations

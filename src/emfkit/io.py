@@ -177,7 +177,10 @@ def export_results(
 ) -> list[Path]:
     """Export one run: scalar metric rows, the objective trace, CDF tables.
 
-    summaries is an iterable of (metric, bin_label, value) rows; cdf_tables
+    summaries is an iterable of (metric, bin_label, value) rows.  A report
+    adds its objective trace, ``converged``, a ``stop_reason`` row (value 1)
+    whose bin is the :class:`StopReason` name, ``uncertified_solves`` and
+    ``outer_iterations``.  cdf_tables
     maps a label to a (grid, fraction) pair.  Every row carries the config
     echo columns.  CSV mode writes the main table at `path` and one
     ``<stem>.cdf.<label>.csv`` per table; JSON mode writes a single mirror
@@ -191,6 +194,7 @@ def export_results(
         for t, v in enumerate(report.objective_trace):
             rows.append(("objective_trace", str(t), float(v)))
         rows.append(("converged", "", 1.0 if report.converged else 0.0))
+        rows.append(("stop_reason", report.stop_reason.name, 1.0))
         rows.append(("uncertified_solves", "", float(report.uncertified_solves)))
         rows.append(("outer_iterations", "", float(len(report.objective_trace) - 1)))
     cdf_tables = dict(cdf_tables or {})

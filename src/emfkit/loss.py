@@ -12,6 +12,10 @@ import numpy as np
 
 from .core import EntryObservations, FactorPair, ObservationSet
 
+# Entries per gather in product_at_entries: two 65536-by-k float64 blocks
+# (10.5 MB at k = 10) bound its temporaries.
+_PRODUCT_CHUNK = 65_536
+
 
 def _check_omega(omega: float):
     if not 0.0 < omega < 1.0:
@@ -43,8 +47,16 @@ def _check_dims(obs: ObservationSet, f: FactorPair):
 
 
 def product_at_entries(f: FactorPair, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Entries of f.x @ f.y.T gathered at (rows, cols), no m-by-n product formed."""
-    return np.einsum("pk,pk->p", f.x[rows], f.y[cols])
+    """Entries of f.x @ f.y.T gathered at (rows, cols), no m-by-n product formed.
+
+    Works through _PRODUCT_CHUNK entries at a time, so the gathered factor
+    rows take a bounded amount of memory whatever the number of entries.
+    """
+    out = np.empty(len(rows))
+    for start in range(0, out.size, _PRODUCT_CHUNK):
+        part = slice(start, start + _PRODUCT_CHUNK)
+        np.einsum("pk,pk->p", f.x[rows[part]], f.y[cols[part]], out=out[part])
+    return out
 
 
 def residuals(obs: ObservationSet, f: FactorPair) -> np.ndarray:

@@ -86,8 +86,11 @@ def relative_errors(truth, estimate: FactorPair, eval_set, floor: float = 1e-12)
         raise DenominatorTooSmallError(
             f"truth entry ({rows[t]}, {cols[t]}) = {denom[t]!r} is below the floor {floor!r}"
         )
-    pred = product_at_entries(estimate, rows, cols)
-    return np.abs(denom - pred) / np.abs(denom)
+    # in place, so two entry-sized arrays stay alive
+    err = product_at_entries(estimate, rows, cols)
+    np.subtract(denom, err, out=err)
+    np.abs(err, out=err)
+    return np.divide(err, np.abs(denom, out=denom), out=err)
 
 
 def empirical_cdf(values, grid) -> np.ndarray:
@@ -115,20 +118,19 @@ def summarize(values) -> ErrorSummary:
     )
 
 
-def binned_summaries(
-    truth, estimate: FactorPair, eval_set, bins: BinSpec, floor: float = 1e-12
-) -> list[BinnedSummary]:
-    """Per-bin summaries of relative errors, with entries bucketed by truth value.
+def binned_summaries(errors, values, bins: BinSpec) -> list[BinnedSummary]:
+    """Per-bin summaries of an error sample, entries bucketed by their truth
+    value (``values[i]`` belongs to ``errors[i]``).
 
     Returns one entry per bin plus a trailing overflow bucket for truth
     values outside [b0, b_last).
     """
-    truth = np.asarray(truth, dtype=np.float64)
-    rows, cols = _eval_indices(eval_set)
-    errors = relative_errors(truth, estimate, eval_set, floor)
-    ref = truth[rows, cols]
+    errors = np.asarray(errors, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
+    if errors.shape != values.shape or errors.ndim != 1:
+        raise ValueError("errors and values must be 1-D arrays of one length")
     b = bins.boundaries
-    which = np.searchsorted(b, ref, side="right") - 1
+    which = np.searchsorted(b, values, side="right") - 1
     out = []
     for i in range(bins.num_bins):
         sel = errors[which == i]

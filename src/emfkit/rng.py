@@ -22,6 +22,11 @@ Derived streams are layered on the raw 32-bit output and are equally pinned:
   second value.
 * ``below(bound)``: unbiased bounded integers by rejection (discard raw
   draws below ``2^32 mod bound``).
+* ``permutation_prefix(n, count)``: partial Fisher-Yates.  Step i = 0, 1,
+  ..., count - 1 takes ``j = i + below(n - i)`` and swaps positions i and j
+  of range(n); the prefix is the values left at positions 0..count-1.  The
+  draw order, one ``below`` per step in step order, is pinned with the
+  rest: sampling masks and train splits are built on it.
 """
 
 from __future__ import annotations
@@ -55,8 +60,8 @@ class Pcg32:
 
     def below(self, bound: int) -> int:
         """Uniform integer in [0, bound) without modulo bias."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
+        if not 0 < bound <= 1 << 32:
+            raise ValueError("bound must be in [1, 2**32]")
         threshold = (1 << 32) % bound
         while True:
             r = self.next_uint32()
@@ -108,17 +113,83 @@ class Pcg32:
     def permutation_prefix(self, n: int, count: int) -> np.ndarray:
         """First `count` elements of a Fisher-Yates shuffle of range(n).
 
-        Draws exactly `count` bounded integers; the untouched tail of the
-        virtual array is never materialized.
+        Step i swaps position i with j_i = i + below(n - i) and keeps the
+        value that lands at i.  The draws come in batches of `uint32_array`
+        as long as the steps still to do, which never asks for more raw
+        draws than `below` would consume, so the generator ends in the same
+        state; rejections leave later batches shorter.  The untouched tail
+        of the virtual array is never materialized.
         """
         if not 0 <= count <= n:
             raise ValueError("need 0 <= count <= n")
-        picked = np.empty(count, dtype=np.int64)
-        moved: dict[int, int] = {}
-        for i in range(count):
-            j = i + self.below(n - i)
-            vi = moved.get(i, i)
-            vj = moved.get(j, j)
-            picked[i] = vj
-            moved[j] = vi
-        return picked
+        if count and n > 1 << 32:
+            raise ValueError("n must be at most 2**32")
+        bounds = np.uint64(n) - np.arange(count, dtype=np.uint64)
+        thresholds = np.uint64(1 << 32) % bounds
+        j = np.empty(count, dtype=np.int64)
+        done = 0
+        while done < count:
+            raw = self.uint32_array(count - done).astype(np.uint64)
+            step, accepted = _assign_draws(raw, thresholds[done:])
+            i = done + step[accepted]
+            j[i] = i + (raw[accepted] % bounds[i]).astype(np.int64)
+            done += int(np.count_nonzero(accepted))
+        return _resolve_swaps(j)
+
+
+def _assign_draws(raw: np.ndarray, thresholds: np.ndarray):
+    """Pair raw draws with the steps that consume them, as repeated `below`
+    calls would: a draw below its step's threshold is rejected and the step
+    takes the next one.  Returns each draw's step and whether it was accepted.
+
+    A draw's step is its position minus the rejections before it.  Guessing
+    those counts and recomputing them from the rejections they imply fixes
+    at least one more draw per pass, and a fixed point is the sequential
+    answer.  A draw's verdict changes between passes only if it falls
+    between the thresholds of the steps it could belong to, which is rare,
+    so two passes are the rule.
+    """
+    pos = np.arange(raw.size)
+    skipped = np.zeros(raw.size, dtype=np.int64)
+    while True:
+        step = pos - skipped
+        rejected = raw < thresholds[step]
+        again = np.zeros_like(skipped)
+        np.cumsum(rejected[:-1], out=again[1:])
+        if np.array_equal(again, skipped):
+            return step, ~rejected
+        skipped = again
+
+
+def _resolve_swaps(j: np.ndarray) -> np.ndarray:
+    """Values picked by the swaps i <-> j[i], i = 0, 1, ..., of range(n).
+
+    Step i reads positions i and j[i] (both >= i), picks the value at j[i]
+    and writes the value at i there; position i is never read again.  So
+    before step i a position holds what the last earlier step writing there
+    wrote, else its own index.  Following last writers of position i back
+    leads to a position nobody wrote before its own step, whose index is
+    the value at i; pointer doubling finds these roots.
+    """
+    count = j.size
+    steps = np.arange(count)
+    order = np.argsort(j, kind="stable")  # by target, ties in step order
+    target = j[order]
+    # last writer of position i up to step i: the last step of group j == i.
+    # It is step i itself only when j[i] == i, and then nothing ever reads
+    # the value step i writes, so that root does not matter.
+    end = np.searchsorted(target, steps, side="right")
+    found = (end > 0) & (target[np.maximum(end - 1, 0)] == steps)
+    root = steps.copy()
+    root[found] = order[end[found] - 1]
+    # doubled until root[i] is the value at position i before step i
+    while True:
+        up = root[root]
+        if np.array_equal(up, root):
+            break
+        root = up
+    # last earlier step with the same target, whose value sits at j[i]
+    picked = j.copy()
+    same = target[1:] == target[:-1]
+    picked[order[1:][same]] = root[order[:-1][same]]
+    return picked

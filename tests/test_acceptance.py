@@ -344,7 +344,8 @@ def test_c9_latency_dataset():
     for omega in (0.1, 0.25, 0.5, 0.75, 0.9):
         cfg = EmfConfig(omega=omega, rank=10, max_outer=40, tol_objective=1e-7, seed=0)
         rep = fit(train, cfg)
-        out = binned_summaries(truth, rep.factors, eval_set, bins)
+        errors = relative_errors(truth, rep.factors, eval_set)
+        out = binned_summaries(errors, obs.values[~sel], bins)
         low_bin[omega] = out[0].summary.median
         high_bin[omega] = out[2].summary.median
     ordering_ok = (

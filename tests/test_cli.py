@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import emfkit.cli
+import emfkit.metrics
 from emfkit.cli import ExperimentPlan, _resolve_plan, build_parser, main
+from emfkit.core import StopReason
 from emfkit.io import read_results_csv, write_dense
 from emfkit.synth import gen_low_rank
 
@@ -117,6 +119,30 @@ def test_complete_parses_its_input_once_per_grid(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_complete_scores_each_cell_once(tmp_path, monkeypatch):
+    # every relative error goes through metrics.product_at_entries, the
+    # binned rows included
+    scored = []
+    product = emfkit.metrics.product_at_entries
+
+    def counting_product(f, rows, cols):
+        scored.append(len(rows))
+        return product(f, rows, cols)
+
+    monkeypatch.setattr(emfkit.metrics, "product_at_entries", counting_product)
+    out = tmp_path / "res"
+    code = run_cli(
+        "complete", "--input", _complete_input(tmp_path), "--sampling-rate", 0.4,
+        "--omega", 0.3, "--omega", 0.7, "--seed", 0, "--seed", 1, "--rank", 2,
+        "--max-outer", 5, "--bins", "0,0.5,1,5", "--cdf-points", 5, "--out-dir", out,
+    )
+    assert code == 0
+    counts = [r["value"] for r in read_results_csv(out / "summary.csv")
+              if r["metric"] == "re_count"]
+    assert len(counts) == 4
+    assert sorted(scored) == sorted(counts)
+
+
 def test_complete_mode_end_to_end(tmp_path):
     out = tmp_path / "res"
     code = run_cli(
@@ -131,6 +157,8 @@ def test_complete_mode_end_to_end(tmp_path):
     assert any(m == "bin_fraction" for m, _ in metrics)
     fractions = [r["value"] for r in rows if r["metric"] == "bin_fraction"]
     assert sum(fractions) == pytest.approx(1.0)
+    stops = [r["bin"] for r in rows if r["metric"] == "stop_reason"]
+    assert len(stops) == 1 and stops[0] in StopReason.__members__
 
 
 def test_complete_rejects_oversampling(tmp_path):
@@ -207,6 +235,24 @@ def test_config_file_with_flag_override(tmp_path):
     assert omegas == {"0.4"}  # flag overrides the file's omega list
     plan = (out / "plan.txt").read_text()
     assert "m = 30" in plan and "k_true = 2" in plan
+
+
+def test_plan_records_numeric_environment(tmp_path):
+    import scipy
+
+    out = tmp_path / "res"
+    assert run_cli("synth-exp", "--m", 20, "--n", 20, "--k-true", 2, "--rank", 2,
+                   "--sampling-rate", 0.5, "--omega", 0.5, "--seed", 1,
+                   "--max-outer", 3, "--cdf-points", 5, "--out-dir", out) == 0
+    lines = (out / "plan.txt").read_text().splitlines()
+    plan = dict(line.split(" = ", 1) for line in lines)
+    assert lines[0].startswith("toolkit_version = ")
+    assert plan["numpy_version"] == np.__version__
+    assert plan["scipy_version"] == scipy.__version__
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert plan["blas"].split()[0] == blas["name"]
+    assert int(plan["usable_cores"]) >= 1
+    assert plan["omega"] == "0.5"
 
 
 def test_unknown_config_key_fails(tmp_path):

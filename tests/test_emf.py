@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from emfkit.core import EmfConfig, EntryObservations, FactorPair, StopReason
+from emfkit.core import EmfConfig, EntryObservations, FactorPair, GeneralObservations, StopReason
 from emfkit.emf import DegenerateInitError, fit, predict, reconstruct, svd_init
 from emfkit.loss import gradient_y, objective, residuals
 from emfkit.synth import gen_low_rank, sample_mask
@@ -299,3 +301,69 @@ def test_qr_fit_stops_where_a_per_sweep_gradient_test_stops(ridge, tol_gradient,
         assert np.array_equal(rep.factors.x, factors.x)
         assert np.array_equal(rep.factors.y, factors.y)
         assert rep.inner_iters == inner
+
+
+def tiny_fit_instance(rng, general):
+    """A random entry or general instance; entry rows and columns hold at
+    least rank observations, so a ridge-free fit is well posed."""
+    k = rng.randint(1, 3)
+    m, n = rng.randint(k + 1, 7), rng.randint(k + 1, 7)
+    if general:
+        p = rng.randint(1, m * n + 1)
+        mats = [rng.randn(m, n) for _ in range(p)]
+        return k, GeneralObservations((m, n), mats, rng.randn(p) * 2)
+    keep = rng.rand(m, n) < 0.7
+    for i in range(m):
+        keep[i, rng.choice(n, k, replace=False)] = True
+    for j in range(n):
+        keep[rng.choice(m, k, replace=False), j] = True
+    rows, cols = np.nonzero(keep)
+    return k, EntryObservations((m, n), rows, cols, rng.randn(rows.size) * 2 + 1)
+
+
+def with_values(obs, values):
+    if isinstance(obs, EntryObservations):
+        return EntryObservations(obs.shape, obs.row_idx, obs.col_idx, values)
+    return GeneralObservations(obs.shape, obs.measurements, values)
+
+
+fit_seeds = st.integers(0, 2**32 - 1)
+# k/64: omega and 1 - omega are both exact, so reflection swaps the weights
+fit_omegas = st.integers(1, 63).map(lambda k: k / 64)
+
+
+def _tiny_config(k, omega, ridge, seed):
+    # tol_gradient 0 leaves only scale-free stop tests: relative objective
+    # decrease, sign changes, the sweep and round caps
+    return EmfConfig(omega=omega, rank=k, max_outer=6, tol_gradient=0.0, ridge=ridge,
+                     max_inner=20, seed=seed)
+
+
+@given(seed=fit_seeds, omega=fit_omegas, general=st.booleans(), power=st.integers(-4, 4))
+@settings(max_examples=30)
+def test_property_fit_scales_with_the_values(seed, omega, general, power):
+    # a power of two c scales every product and sum exactly: the SVD start,
+    # each half-step and the objective trace (by c^2); the ridge term would
+    # not scale with the data, so ridge is 0
+    rng = np.random.RandomState(seed)
+    k, obs = tiny_fit_instance(rng, general)
+    c = 2.0 ** power
+    cfg = _tiny_config(k, omega, 0.0, seed)
+    a = fit(obs, cfg)
+    b = fit(with_values(obs, c * obs.values), cfg)
+    assert np.array_equal(reconstruct(b.factors), c * reconstruct(a.factors))
+    assert np.array_equal(b.objective_trace, c * c * a.objective_trace)
+
+
+@given(seed=fit_seeds, omega=fit_omegas, general=st.booleans(), ridge=st.sampled_from([0.0, 0.3]))
+@settings(max_examples=30)
+def test_property_fit_reflected_values_negate_the_product(seed, omega, general, ridge):
+    # without ridge a general half-step can have a whole set of minimizers,
+    # and the weights of its zero residuals pick one; the ridge makes it unique
+    ridge = 0.3 if general else ridge
+    rng = np.random.RandomState(seed)
+    k, obs = tiny_fit_instance(rng, general)
+    a = fit(obs, _tiny_config(k, omega, ridge, seed))
+    b = fit(with_values(obs, -obs.values), _tiny_config(k, 1.0 - omega, ridge, seed))
+    pa, pb = reconstruct(a.factors), reconstruct(b.factors)
+    assert np.abs(pb + pa).max() <= 1e-9 * max(1.0, np.abs(pa).max())

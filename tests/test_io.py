@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from emfkit.core import DuplicateEntryError, FactorPair, SolveReport
+from emfkit.core import DuplicateEntryError, FactorPair, SolveReport, StopReason
 from emfkit.io import (
     EmptyFileError,
     EmptyObservationsError,
@@ -186,6 +186,7 @@ def _dummy_report():
         objective_trace=np.array([4.0, 1.0, 0.25]),
         inner_iters=[2, 2],
         converged=True,
+        stop_reason=StopReason.TOLERANCE_GRADIENT,
         uncertified_solves=3,
     )
 
@@ -205,6 +206,13 @@ def test_export_roundtrip_and_determinism(tmp_path):
     assert trace == [4.0, 1.0, 0.25]
     certs = [r["value"] for r in parsed if r["metric"] in ("converged", "uncertified_solves")]
     assert certs == [1.0, 3.0]
+    # the stop reason's name is the bin of a row right after `converged`
+    names = [r["metric"] for r in parsed]
+    stop = parsed[names.index("converged") + 1]
+    assert (stop["metric"], stop["bin"], stop["value"]) == (
+        "stop_reason", "TOLERANCE_GRADIENT", 1.0)
+    assert names.count("stop_reason") == 1
+    assert StopReason[stop["bin"]] is StopReason.TOLERANCE_GRADIENT
     med = [r for r in parsed if r["metric"] == "re_median"][0]
     assert med["value"] == 0.125
     assert med["omega"] == "0.1" and med["seed"] == "7"
@@ -243,6 +251,7 @@ def test_export_empty_cdf_and_json_mirror(tmp_path):
     metrics = {(m["metric"], m["bin"]): m["value"] for m in doc["metrics"]}
     assert metrics[("re_median", "")] == 0.125
     assert metrics[("objective_trace", "2")] == 0.25
+    assert metrics[("stop_reason", "TOLERANCE_GRADIENT")] == 1.0
 
 
 def test_export_rejects_unknown_format(tmp_path):

@@ -117,11 +117,12 @@ def test_binned_single_bin_reduces_to_summarize():
     f = FactorPair(rng.rand(5, 2), rng.rand(4, 2))
     pairs = [(i, j) for i in range(5) for j in range(4)]
     bins = BinSpec(np.array([0.0, 10.0]))
-    out = binned_summaries(truth, f, pairs, bins)
+    errors = relative_errors(truth, f, pairs)
+    out = binned_summaries(errors, truth.ravel(), bins)
     assert len(out) == 2  # one bin + overflow
     assert out[0].count == 20 and out[1].count == 0
     assert out[1].summary is None
-    whole = summarize(relative_errors(truth, f, pairs))
+    whole = summarize(errors)
     assert out[0].summary.median == whole.median
     assert out[0].summary.iqr == whole.iqr
 
@@ -131,11 +132,42 @@ def test_binned_partition_and_overflow():
     f = constant_estimate(2, 2, 1.0)
     pairs = [(0, 0), (0, 1), (1, 0), (1, 1)]
     bins = BinSpec(np.array([0.0, 0.3, 3.1, 20.0]))
-    out = binned_summaries(truth, f, pairs, bins)
+    errors = relative_errors(truth, f, pairs)
+    out = binned_summaries(errors, truth.ravel(), bins)
     assert [b.count for b in out] == [1, 2, 0, 1]
     assert out[2].summary is None
     assert sum(b.count for b in out) == len(pairs)
+    # each bin summarizes the errors of its own entries
+    assert out[0].summary.values.tolist() == [errors[0]]
+    assert out[1].summary.values.tolist() == sorted(errors[1:3])
+    assert out[3].summary.values.tolist() == [errors[3]]
     # boundaries are half-open: a truth value exactly at an inner edge
-    truth2 = np.array([[0.3, 20.0]])
-    out2 = binned_summaries(truth2, constant_estimate(1, 2, 1.0), [(0, 0), (0, 1)], bins)
+    out2 = binned_summaries(np.array([0.5, 0.25]), np.array([0.3, 20.0]), bins)
     assert [b.count for b in out2] == [0, 1, 0, 1]  # 0.3 in second bin, 20 overflows
+
+
+def test_binned_rejects_mismatched_inputs():
+    bins = BinSpec(np.array([0.0, 1.0]))
+    with pytest.raises(ValueError):
+        binned_summaries(np.zeros(3), np.zeros(2), bins)
+
+
+def test_relative_errors_memory_is_bounded():
+    import tracemalloc
+
+    # 1,000,000 entries at rank 10: gathering both factors at every entry
+    # at once would take 160 MB
+    rng = np.random.RandomState(5)
+    m = n = 1000
+    f = FactorPair(rng.rand(m, 10), rng.rand(n, 10))
+    truth = rng.rand(m, n) + 0.5
+    pairs = np.column_stack(np.divmod(np.arange(m * n), n))
+    tracemalloc.start()
+    try:
+        errs = relative_errors(truth, f, pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
+    ref = np.abs(truth.ravel() - (f.x @ f.y.T).ravel()) / truth.ravel()
+    assert np.allclose(errs, ref, rtol=0, atol=1e-12)

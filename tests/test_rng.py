@@ -61,3 +61,76 @@ def test_permutation_prefix_distinct_and_in_range():
     p = Pcg32(4).permutation_prefix(1000, 300)
     assert len(set(p.tolist())) == 300
     assert p.min() >= 0 and p.max() < 1000
+
+
+def scalar_permutation_prefix(g, n, count):
+    """The per-draw Fisher-Yates loop, the reference for the batched one."""
+    picked = np.empty(count, dtype=np.int64)
+    moved = {}
+    for i in range(count):
+        j = i + g.below(n - i)
+        vi = moved.get(i, i)
+        vj = moved.get(j, j)
+        picked[i] = vj
+        moved[j] = vi
+    return picked
+
+
+def _prefix_cases():
+    rng = np.random.RandomState(12)
+    cases = [(1, 0), (1, 1), (9, 0), (9, 9), (40, 40), (1000, 300), (1000, 1000),
+             (2**32, 400), (2**32 - 1, 400), (2**31 + 1, 400)]
+    cases += [(int(n), int(rng.randint(0, n + 1))) for n in rng.randint(1, 300, size=60)]
+    return cases
+
+
+@pytest.mark.parametrize("seed, seq", [(0, 0), (4, 4), (123456789, 3), (2**40, 7)])
+def test_permutation_prefix_matches_scalar_loop(seed, seq):
+    for n, count in _prefix_cases():
+        a, b = Pcg32(seed, seq), Pcg32(seed, seq)
+        got = a.permutation_prefix(n, count)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, scalar_permutation_prefix(b, n, count)), (n, count)
+        # both consumed the same raw draws
+        assert a.uint32_array(3).tolist() == [b.next_uint32() for _ in range(3)]
+
+
+def test_permutation_prefix_matches_scalar_loop_when_a_quarter_rejects():
+    # 2^32 mod 3*2^30 = 2^30: a quarter of the raw draws are rejected, so
+    # most batches end inside a chain of rejections
+    n = 3 * 2**30
+    for seed in range(3):
+        a, b = Pcg32(seed, 4), Pcg32(seed, 4)
+        got = a.permutation_prefix(n, 3000)
+        assert np.array_equal(got, scalar_permutation_prefix(b, n, 3000))
+        assert a.next_uint32() == b.next_uint32()
+
+
+def test_permutation_prefix_pinned_vectors():
+    g = Pcg32(7, 4)
+    assert g.permutation_prefix(1000, 12).tolist() == [
+        652, 853, 765, 831, 595, 291, 111, 339, 622, 795, 394, 898]
+    assert g.next_uint32() == 3956148511
+    g = Pcg32(2024, 4)
+    assert g.permutation_prefix(3 * 2**30, 8).tolist() == [
+        2200086862, 1820913087, 429879114, 1824622059,
+        2024895941, 507291812, 2714562660, 1521165534]
+    assert g.next_uint32() == 1981532404
+
+
+def test_sample_mask_pinned_vector():
+    from emfkit.synth import sample_mask
+
+    assert sample_mask(6, 5, 0.3, seed=9).tolist() == [
+        [2, 2], [3, 3], [0, 0], [5, 1], [1, 3], [3, 4], [0, 3], [4, 1], [0, 1]]
+
+
+def test_bounded_draws_reject_bounds_above_2_32():
+    # every raw draw would be rejected: the loop would never end
+    with pytest.raises(ValueError):
+        Pcg32(0).below(2**32 + 1)
+    with pytest.raises(ValueError):
+        Pcg32(0).permutation_prefix(2**32 + 1, 1)
+    with pytest.raises(ValueError):
+        Pcg32(0).permutation_prefix(5, 6)
+    assert Pcg32(0).below(2**32) == Pcg32(0).next_uint32()

@@ -591,3 +591,46 @@ def test_property_solution_ignores_observation_order(seed, omega, ridge, general
     r = residuals(obs, FactorPair(x, a.solution))
     sure = (np.abs(r) > 1e-9 * max(1.0, np.abs(obs.values).max()))[perm]
     assert np.array_equal(b.sign_pattern[sure], a.sign_pattern[perm][sure])
+
+
+def with_values(obs, values):
+    """The same observation operators carrying other values."""
+    if isinstance(obs, EntryObservations):
+        return EntryObservations(obs.shape, obs.row_idx, obs.col_idx, values)
+    return GeneralObservations(obs.shape, obs.measurements, values)
+
+
+# k/64: omega and 1 - omega are both exact, so reflection swaps the weights
+dyadic_omegas = st.integers(1, 63).map(lambda k: k / 64)
+
+
+@given(seed=seeds, omega=dyadic_omegas, ridge=ridges, general=st.booleans(),
+       power=st.integers(-4, 4))
+@settings(max_examples=60)
+def test_property_solution_scales_with_the_values(seed, omega, ridge, general, power):
+    # with c a power of two every product and sum scales exactly; tol_gradient
+    # 0 leaves only scale-free stop tests (sign changes, relative descent)
+    rng = np.random.RandomState(seed)
+    x, obs = tiny_instance(rng, general, ridge)
+    warm = rng.randn(obs.shape[1], x.shape[1]) * 3
+    c = 2.0 ** power
+    caps = dict(max_inner=30, tol_gradient=0.0)
+    a = solve_y(x, obs, omega, ridge, warm_start=warm, **caps)
+    b = solve_y(x, with_values(obs, c * obs.values), omega, ridge, warm_start=c * warm, **caps)
+    assert np.array_equal(b.solution, c * a.solution)
+    assert b.inner_iterations == a.inner_iterations
+
+
+@given(seed=seeds, omega=dyadic_omegas, ridge=ridges, general=st.booleans())
+@settings(max_examples=60)
+def test_property_reflected_values_negate_the_solution(seed, omega, ridge, general):
+    # residuals change sign and omega <-> 1 - omega swaps their weights; only
+    # an exactly zero residual, rounding noise at an interpolated
+    # observation, gets another weight, so the match is to rounding
+    rng = np.random.RandomState(seed)
+    x, obs = tiny_instance(rng, general, ridge)
+    warm = rng.randn(obs.shape[1], x.shape[1]) * 3
+    a = solve_y(x, obs, omega, ridge, warm_start=warm)
+    b = solve_y(x, with_values(obs, -obs.values), 1.0 - omega, ridge, warm_start=-warm)
+    assert a.converged and b.converged
+    assert np.abs(b.solution + a.solution).max() <= 1e-9 * max(1.0, np.abs(a.solution).max())
