@@ -42,10 +42,8 @@ from .metrics import (
 )
 from .rng import Pcg32
 from .subsolver import (
-    RankDeficientError,
     SingularDesignError,
     SubproblemResult,
-    qr_orthonormalize,
     reference_qp_solve,
     solve_x,
     solve_y,
@@ -83,10 +81,8 @@ __all__ = [
     "solve_x",
     "solve_y",
     "reference_qp_solve",
-    "qr_orthonormalize",
     "SubproblemResult",
     "SingularDesignError",
-    "RankDeficientError",
     "svd_init",
     "fit",
     "predict",

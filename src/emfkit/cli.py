@@ -51,7 +51,6 @@ class ExperimentPlan:
     tol_obj: float = 1e-10
     tol_grad: float = 1e-8
     ridge: float = 0.0
-    use_qr: bool = False
     workers: int = 1
     out_dir: str = "results"
     format: str = "csv"
@@ -90,7 +89,6 @@ class ExperimentPlan:
             tol_objective=self.tol_obj,
             tol_gradient=self.tol_grad,
             ridge=self.ridge,
-            use_qr=self.use_qr,
             seed=seed,
         )
 
@@ -122,12 +120,6 @@ def _coerce(key: str, text: str):
     if typing.get_origin(hint) is tuple:
         kind = typing.get_args(hint)[0]
         return tuple(kind(t) for t in text.replace(",", " ").split())
-    if hint is bool:
-        if text.lower() in ("1", "true", "yes", "on"):
-            return True
-        if text.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"cannot parse {text!r} as a boolean for {key!r}")
     kind = next((t for t in typing.get_args(hint) if t is not type(None)), hint)
     return kind(text)
 
@@ -157,9 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--config", help="key = value plan file; flags override it")
         for key in _KEYS:
             flag = "--" + key.replace("_", "-")
-            if _HINTS[key] is bool:
-                sub.add_argument(flag, dest=key, action=argparse.BooleanOptionalAction)
-            elif typing.get_origin(_HINTS[key]) is tuple:
+            if typing.get_origin(_HINTS[key]) is tuple:
                 sub.add_argument(flag, dest=key, action="append", type=_flag_type(key),
                                  help="repeatable; each value may be a comma list")
             else:

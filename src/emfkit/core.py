@@ -150,17 +150,6 @@ class EntryObservations:
     def size(self) -> int:
         return self.values.size
 
-    @classmethod
-    def from_entries(cls, shape, entries) -> "EntryObservations":
-        """Build from an iterable of (i, j, value) triplets."""
-        entries = list(entries)
-        if not entries:
-            raise ValueError("need at least one observation")
-        rows = [e[0] for e in entries]
-        cols = [e[1] for e in entries]
-        vals = [e[2] for e in entries]
-        return cls(shape, rows, cols, vals)
-
     @cached_property
     def by_col(self) -> sp.csr_matrix:
         """(by_col @ v)[j] sums v over column j's observations; built on first use."""
@@ -303,9 +292,7 @@ class EmfConfig:
     omega is the expectile level in (0, 1); rank is the factorization rank.
     max_outer caps alternating sweeps (0 returns the initialization),
     max_inner caps sign-set rounds per subproblem.  ridge adds an optional
-    Tikhonov term guarding rank-deficient subproblems.  use_qr
-    re-orthonormalizes the factors between half-steps; it leaves the
-    iterate products unchanged only at ridge = 0 (see :mod:`emfkit.emf`).
+    Tikhonov term guarding rank-deficient subproblems.
     """
 
     omega: float
@@ -314,7 +301,6 @@ class EmfConfig:
     tol_objective: float = 1e-10
     tol_gradient: float = 1e-8
     ridge: float = 0.0
-    use_qr: bool = False
     seed: int = 0
     max_inner: int = 100
 

@@ -6,12 +6,7 @@ is the top-k SVD of the weighted measurement sum (for entry observations,
 the zero-filled matrix of observed values), approximated by seeded
 randomized subspace iteration with a fixed number of power iterations.  The
 outer gradient stop test needs no residual pass of its own: the next y
-half-step starts with that gradient.  QR re-orthonormalization between
-half-steps is off by default and kept only behind a flag for equivalence
-testing.  At ridge = 0 the iterate products with and without it coincide
-(tested).  With ridge > 0 they do not: the ridge term |X|^2 + |Y|^2 changes
-under (X R^-1, Y R^T), so the fit reaches a different point, often one
-with a higher objective.
+half-step starts with that gradient.
 """
 
 from __future__ import annotations
@@ -32,7 +27,7 @@ from .core import (
 )
 from .loss import gradient_y, objective
 from .rng import Pcg32
-from .subsolver import qr_orthonormalize, solve_y
+from .subsolver import solve_y
 
 # Stream id of the initialization's random test matrix; other stream ids
 # live in emfkit.synth.  Any fixed distinct constants work.
@@ -124,9 +119,9 @@ def fit(obs: ObservationSet, config: EmfConfig) -> SolveReport:
     caps = dict(max_inner=config.max_inner, tol_gradient=config.tol_gradient)
     obs_t = obs.transposed
 
-    x_bar = init.x0
-    y_warm = init.y0 * init.d0
-    factors = FactorPair(x_bar, y_warm)
+    x = init.x0
+    y = init.y0 * init.d0
+    factors = FactorPair(x, y)
     trace = [objective(obs, factors, omega, ridge)]
     inner_iters: list[int] = []
     uncertified = 0
@@ -134,37 +129,19 @@ def fit(obs: ObservationSet, config: EmfConfig) -> SolveReport:
     x_passed = False
 
     for _ in range(config.max_outer):
-        res_y = solve_y(x_bar, obs, omega, ridge, warm_start=y_warm, **caps)
-        if x_passed:
-            g = res_y.start_gradient
-            if config.use_qr:
-                # the warm pair (X R^-1, Y R^T) has the sweep pair's product:
-                # the data part of its y-gradient times R is the sweep pair's,
-                # and only the ridge parts differ
-                g = (g - 2.0 * ridge * y_warm) @ r_x + 2.0 * ridge * y_side
-            if np.linalg.norm(g) < config.tol_gradient:
-                stop = StopReason.TOLERANCE_GRADIENT
-                break
-        y_half = res_y.solution
-        if config.use_qr:
-            y_side, r_y = qr_orthonormalize(y_half)
-            x_warm = x_bar @ r_y.T
-        else:
-            y_side, x_warm = y_half, x_bar
-        res_x = solve_y(y_side, obs_t, omega, ridge, warm_start=x_warm, **caps)
-        x_half = res_x.solution
+        res_y = solve_y(x, obs, omega, ridge, warm_start=y, **caps)
+        if x_passed and np.linalg.norm(res_y.start_gradient) < config.tol_gradient:
+            stop = StopReason.TOLERANCE_GRADIENT
+            break
+        y = res_y.solution
+        res_x = solve_y(y, obs_t, omega, ridge, warm_start=x, **caps)
+        x = res_x.solution
 
         inner_iters += [res_y.inner_iterations, res_x.inner_iterations]
         uncertified += (not res_y.converged) + (not res_x.converged)
-        factors = FactorPair(x_half, y_side)
+        factors = FactorPair(x, y)
         # the x-subproblem's final objective IS the full objective at this pair
         trace.append(float(res_x.inner_objective_trace[-1]))
-
-        if config.use_qr:
-            x_bar, r_x = qr_orthonormalize(x_half)
-            y_warm = y_side @ r_x.T
-        else:
-            x_bar, y_warm = x_half, y_side
 
         prev, cur = trace[-2], trace[-1]
         if (prev - cur) / max(prev, 1e-300) < config.tol_objective:

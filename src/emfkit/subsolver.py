@@ -21,7 +21,10 @@ layout (:attr:`~emfkit.core.EntryObservations.column_buckets`) with the
 fixed factor's rows as design.  General linear measurements couple all rows:
 they form one block whose single row is vec(Y), with one slot per
 measurement, and its normal equations are solved directly for the min-norm
-solution.
+solution.  At ridge = 0 with fewer measurements than n*k the half-step has
+a whole set of minimizers, and the min-norm solve picks one by the weights
+of the residuals that are zero or rounding noise; such a fit is not
+unique.  A ridge makes every half-step's minimizer unique.
 
 Rows of the unknown are independent subproblems, so each converges on its
 own: a row leaves the round loop once a round leaves its weights unchanged
@@ -57,11 +60,8 @@ _QP_MAX_PRODUCTS = 100_000
 
 
 class SingularDesignError(RuntimeError):
-    """A subproblem's weighted normal matrix is singular and ridge is zero."""
-
-
-class RankDeficientError(RuntimeError):
-    """QR orthonormalization of a (numerically) rank-deficient matrix."""
+    """A column's weighted normal matrix is singular and ridge is zero; the
+    message names the column."""
 
 
 @dataclass(frozen=True)
@@ -81,24 +81,6 @@ class SubproblemResult:
     converged: bool
     inner_objective_trace: np.ndarray
     start_gradient: np.ndarray
-
-
-def qr_orthonormalize(a) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced QR with nonnegative diagonal of r (deterministic signs)."""
-    a = as_matrix(a, "a")
-    q, r = np.linalg.qr(a)
-    d = np.abs(np.diag(r))
-    if d.max() == 0.0 or d.min() <= 1e-12 * d.max():
-        raise RankDeficientError(
-            f"matrix is numerically rank deficient (diagonal ratio "
-            f"{0.0 if d.max() == 0 else d.min() / d.max():.2e})"
-        )
-    flip = np.diag(r) < 0
-    q = q.copy()
-    r = r.copy()
-    q[:, flip] *= -1.0
-    r[flip, :] *= -1.0
-    return q, r
 
 
 def _validate_inputs(fixed, obs, omega, ridge, warm_start):
@@ -188,12 +170,49 @@ def _weighted_solve(part: _Part, w, ridge, min_norm):
     try:
         y = np.linalg.solve(normal, rhs)[:, :, 0]
     except np.linalg.LinAlgError as exc:
+        # only now find the column: the batched solve itself costs nothing more
+        for c in range(len(normal)):
+            try:
+                np.linalg.solve(normal[c], rhs[c])
+            except np.linalg.LinAlgError:
+                break
         raise SingularDesignError(
-            "a per-row weighted normal matrix is singular and ridge is zero"
+            f"column {part.cols[c]}: its weighted normal matrix is singular and ridge is zero"
         ) from exc
     if not np.isfinite(y).all():
-        raise SingularDesignError("a per-row weighted normal matrix is numerically singular")
+        c = np.nonzero(~np.isfinite(y).all(axis=1))[0][0]
+        raise SingularDesignError(
+            f"column {part.cols[c]}: its weighted normal matrix is numerically singular"
+        )
     return y
+
+
+def _evaluate(part: _Part, y, ridge):
+    """Residuals, weights and objectives of the part's columns at y, their rows."""
+    r = part.values - np.matmul(part.design, y[:, :, None])[:, :, 0]
+    w = np.where(r >= 0.0, part.w_pos, part.w_neg)
+    obj = (w * r * r).sum(axis=1)
+    if ridge:
+        obj += ridge * (y * y).sum(axis=1)
+    return r, w, obj
+
+
+def _damp(part: _Part, y_old, y_new, obj_old, ridge):
+    """Halve the step from y_old to y_new (the part's rows) per column until
+    it descends from obj_old; a column that never does keeps y_old."""
+    out = y_old.copy()
+    left = np.ones(len(out), dtype=bool)
+    t = 0.5
+    for _ in range(_MAX_HALVINGS):
+        trial = y_old + t * (y_new - y_old)
+        obj = _evaluate(part, trial, ridge)[2]
+        ok = left & (obj <= obj_old * (1.0 + _DESCENT_SLACK) + 1e-300)
+        out[ok] = trial[ok]
+        left &= ~ok
+        if not left.any():
+            break
+        t *= 0.5
+    return out
 
 
 def _solve_blocks(x, obs, omega, ridge, y0, max_inner, tol_gradient):
@@ -207,18 +226,17 @@ def _solve_blocks(x, obs, omega, ridge, y0, max_inner, tol_gradient):
                     f"column {short[0]} has {obs.col_counts[short[0]]} observations, "
                     f"fewer than rank {k}, and ridge is zero"
                 )
-        src, rows, cols = x, obs.row_idx, obs.col_idx
         buckets = obs.column_buckets
         # per half-step: the fixed factor's rows in every slot
         xb = [x[b.rows] for b in buckets]
     else:
         # one block: row 0 of y is vec(Y), and measurement i is slot i, with
-        # design row g_i = vec(A_i^T x) of the full design src
-        p = obs.size
-        src, rows, cols = _design_matrix(x, obs), np.arange(p), np.zeros(p, dtype=np.int64)
-        live = np.ones((1, p), dtype=bool)
-        buckets = (ColumnBucket(cols[:1], rows[None], obs.values[None], live, rows),)
-        xb = [src[None]]
+        # design row g_i = vec(A_i^T x)
+        slots = np.arange(obs.size)
+        live = np.ones((1, obs.size), dtype=bool)
+        col = np.zeros(1, dtype=np.int64)
+        buckets = (ColumnBucket(col, slots[None], obs.values[None], live, slots),)
+        xb = [_design_matrix(x, obs)[None]]
         y0 = y0.reshape(1, -1)
     n, d = y0.shape
     # the two weight levels, with padding slots held at weight zero
@@ -234,12 +252,7 @@ def _solve_blocks(x, obs, omega, ridge, y0, max_inner, tol_gradient):
     def update(i, sel, part, y, obj):
         """Store the residuals and weights at y of bucket i's columns sel
         (gathered in part), their objectives in obj; return the weights."""
-        r = part.values - np.matmul(part.design, y[part.cols, :, None])[:, :, 0]
-        w = np.where(r >= 0.0, part.w_pos, part.w_neg)
-        obj[part.cols] = (w * r * r).sum(axis=1)
-        if ridge:
-            yc = y[part.cols]
-            obj[part.cols] += ridge * (yc * yc).sum(axis=1)
+        r, w, obj[part.cols] = _evaluate(part, y[part.cols], ridge)
         if sel is None:
             rs[i], ws[i] = r, w
         else:
@@ -280,13 +293,13 @@ def _solve_blocks(x, obs, omega, ridge, y0, max_inner, tol_gradient):
 
         worse = obj_new > obj_rows * (1.0 + _DESCENT_SLACK) + 1e-300
         if worse.any():
-            y_new = _bisect_rows(
-                y, y_new, obj_rows, worse, src, rows, cols, obs.values, omega, ridge
-            )
             for i, b in enumerate(buckets):
                 sel = np.nonzero(worse[b.cols])[0]
                 if sel.size:
-                    update(i, sel, gather(i, sel), y_new, obj_new)
+                    part = gather(i, sel)
+                    c = part.cols
+                    y_new[c] = _damp(part, y[c], y_new[c], obj_rows[c], ridge)
+                    update(i, sel, part, y_new, obj_new)
 
         # a column whose weights held through an undamped step satisfies its
         # own signs, so it is its own global minimizer and every later round
@@ -320,40 +333,6 @@ def _solve_blocks(x, obs, omega, ridge, y0, max_inner, tol_gradient):
         inner_objective_trace=np.asarray(trace),
         start_gradient=g0.reshape(obs.shape[1], k),
     )
-
-
-def _bisect_rows(y_old, y_new, obj_old, worse, x, rows, cols, vals, omega, ridge):
-    """Per-row halving toward y_old until every flagged row descends."""
-    bad = np.nonzero(worse)[0]
-    local = -np.ones(len(y_old), dtype=np.int64)
-    local[bad] = np.arange(bad.size)
-    sub = local[cols] >= 0
-    xg_s, cols_s, vals_s = x[rows[sub]], local[cols[sub]], vals[sub]
-
-    y_out = y_new.copy()
-    base = y_old[bad]
-    step = y_new[bad] - base
-    t = np.full(bad.size, 0.5)
-    active = np.ones(bad.size, dtype=bool)
-    for _ in range(_MAX_HALVINGS):
-        trial = base + t[:, None] * step
-        r = vals_s - np.einsum("pk,pk->p", xg_s, trial[cols_s])
-        w = np.where(r >= 0.0, omega, 1.0 - omega)
-        obj_trial = np.zeros(bad.size)
-        np.add.at(obj_trial, cols_s, w * r * r)
-        if ridge:
-            obj_trial += ridge * (trial * trial).sum(axis=1)
-        ok = active & (obj_trial <= obj_old[bad] * (1.0 + _DESCENT_SLACK) + 1e-300)
-        if ok.any():
-            y_out[bad[ok]] = trial[ok]
-            active &= ~ok
-        if not active.any():
-            break
-        t[active] *= 0.5
-    if active.any():
-        # could not find a descent step: keep the previous iterate for those rows
-        y_out[bad[active]] = y_old[bad[active]]
-    return y_out
 
 
 def _design_matrix(x, obs) -> np.ndarray:

@@ -1,0 +1,55 @@
+"""Reference alternating loop the tests compare emfkit.emf.fit with."""
+
+import numpy as np
+
+from emfkit.core import FactorPair, StopReason
+from emfkit.emf import svd_init
+from emfkit.loss import gradient_y, objective
+from emfkit.subsolver import solve_y
+
+
+def _orthonormalize(a):
+    """Reduced QR of a with a nonnegative diagonal of r."""
+    q, r = np.linalg.qr(a)
+    sign = np.where(np.diag(r) < 0, -1.0, 1.0)
+    return q * sign, r * sign[:, None]
+
+
+def alternate(obs, config, qr=False):
+    """fit's loop written plainly, with the y-gradient computed by
+    loss.gradient_y after every sweep whose x-gradient passed.
+
+    With qr each half-step's solution is re-orthonormalized before the other
+    half-step, the warm start taking its R: the pair (X R^-1, Y R^T) has the
+    same product, as in the analysis of alternating minimization (Jain,
+    Netrapalli & Sanghavi, STOC 2013).  Returns (factors, objective trace,
+    inner_iters, stop reason).
+    """
+    omega, ridge, tol = config.omega, config.ridge, config.tol_gradient
+    caps = dict(max_inner=config.max_inner, tol_gradient=tol)
+    tri = svd_init(obs, config.rank, config.seed)
+    x, y = tri.x0, tri.y0 * tri.d0
+    factors = FactorPair(x, y)
+    trace = [objective(obs, factors, omega, ridge)]
+    inner = []
+    for _ in range(config.max_outer):
+        res_y = solve_y(x, obs, omega, ridge, warm_start=y, **caps)
+        y = res_y.solution
+        if qr:
+            y, r = _orthonormalize(y)
+            x = x @ r.T
+        res_x = solve_y(y, obs.transposed, omega, ridge, warm_start=x, **caps)
+        inner += [res_y.inner_iterations, res_x.inner_iterations]
+        factors = FactorPair(res_x.solution, y)
+        trace.append(float(res_x.inner_objective_trace[-1]))
+        x = res_x.solution
+        if qr:
+            x, r = _orthonormalize(x)
+            y = y @ r.T
+        if (trace[-2] - trace[-1]) / max(trace[-2], 1e-300) < config.tol_objective:
+            return factors, trace, inner, StopReason.TOLERANCE_OBJECTIVE
+        if res_x.final_gradient_norm < tol and (
+            np.linalg.norm(gradient_y(obs, factors, omega, ridge)) < tol
+        ):
+            return factors, trace, inner, StopReason.TOLERANCE_GRADIENT
+    return factors, trace, inner, StopReason.MAX_ITERATIONS

@@ -255,10 +255,17 @@ def test_plan_records_numeric_environment(tmp_path):
     assert plan["omega"] == "0.5"
 
 
-def test_unknown_config_key_fails(tmp_path):
+def test_unknown_config_key_fails(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("bogus = 1\n")
-    assert run_cli("synth-exp", "--config", cfg) == 1
+    out = tmp_path / "res"
+    for key in ("bogus", "use_qr"):
+        cfg.write_text(f"{key} = yes\n")
+        # a tiny grid, should the key be accepted
+        args = ["--m", 6, "--n", 6, "--k-true", 1, "--rank", 1, "--omega", 0.5, "--seed", 0]
+        assert run_cli("synth-exp", "--config", cfg, "--out-dir", out, *args) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1].startswith("error") and f"unknown option {key!r}" in err[-1]
+        assert not out.exists()
 
 
 def test_invalid_omega_rejected(tmp_path):
@@ -277,7 +284,7 @@ def _non_default_text(field):
     """Valid flag/config text for a plan field that differs from its default."""
     special = {"format": "json", "input_format": "triplets", "omega": "0.2,0.6"}
     by_type = {"tuple[int, ...]": "7,8", "tuple[float, ...]": "0.75,2.5",
-               "int": "7", "float": "0.7", "bool": "true"}  # annotations are strings
+               "int": "7", "float": "0.7"}  # annotations are strings
     return special.get(field.name) or by_type.get(field.type, "elsewhere")
 
 
@@ -294,7 +301,7 @@ def test_every_plan_field_is_a_flag_and_a_config_key(tmp_path, mode):
             continue
         text = _non_default_text(field)
         flag = "--" + field.name.replace("_", "-")
-        by_flag = _plan(mode, flag) if field.type == "bool" else _plan(mode, flag, text)
+        by_flag = _plan(mode, flag, text)
         cfg = tmp_path / f"{field.name}.cfg"
         cfg.write_text(f"{field.name} = {text}\n")
         by_config = _plan(mode, "--config", cfg)
@@ -307,8 +314,3 @@ def test_every_plan_field_is_a_flag_and_a_config_key(tmp_path, mode):
     bins = _plan(mode, "--bins", "0,0.3", "--bins", "3.1,20")
     assert bins.bins == (0.0, 0.3, 3.1, 20.0) and isinstance(bins.bins[0], float)
     assert _plan(mode, "--seed", 3, "--seed", "4,5").seed == (3, 4, 5)
-    # a flag overrides the config file, also for a boolean turned off
-    cfg = tmp_path / "qr.cfg"
-    cfg.write_text("use_qr = yes\nrank = 4\n")
-    assert _plan(mode, "--config", cfg).use_qr is True
-    assert _plan(mode, "--config", cfg, "--no-use-qr") == dataclasses.replace(default, rank=4)

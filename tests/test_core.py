@@ -136,7 +136,6 @@ def test_config_defaults_and_validation():
     assert cfg.tol_objective == 1e-10
     assert cfg.tol_gradient == 1e-8
     assert cfg.ridge == 0.0
-    assert cfg.use_qr is False
     assert cfg.max_inner == 100
     assert cfg.max_outer == 100
     assert cfg.seed == 0

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alternation import alternate
 from emfkit.core import EmfConfig, EntryObservations, FactorPair, GeneralObservations, StopReason
 from emfkit.emf import DegenerateInitError, fit, predict, reconstruct, svd_init
-from emfkit.loss import gradient_y, objective, residuals
+from emfkit.loss import objective, residuals
 from emfkit.synth import gen_low_rank, sample_mask
 
 
@@ -150,13 +151,13 @@ def _als_reference(obs, k, seed, iters=300):
 
 
 def test_qr_equivalence_single_iteration_and_full_fit():
+    # at ridge 0, re-orthonormalizing between half-steps leaves the products alone
     truth, obs = completion(20, 15, 2, 0.5, seed=9)
     for t in (1, 60):
-        recs = []
-        for use_qr in (False, True):
-            cfg = EmfConfig(omega=0.2, rank=2, max_outer=t, use_qr=use_qr, seed=4)
-            recs.append(reconstruct(fit(obs, cfg).factors))
-        assert np.linalg.norm(recs[0] - recs[1]) <= 1e-8 * max(1, t)
+        cfg = EmfConfig(omega=0.2, rank=2, max_outer=t, seed=4)
+        plain = reconstruct(fit(obs, cfg).factors)
+        qr = reconstruct(alternate(obs, cfg, qr=True)[0])
+        assert np.linalg.norm(plain - qr) <= 1e-8 * max(1, t)
 
 
 def test_mirror_symmetry():
@@ -247,55 +248,27 @@ def test_y_gradient_computed_only_after_the_last_allowed_sweep(monkeypatch):
     assert last.inner_iters == rep.inner_iters
 
 
-def _fit_testing_gradient_every_sweep(obs, config):
-    """fit's loop with the y-gradient computed by loss.gradient_y after every
-    sweep whose x-gradient passed; returns (factors, trace, inner_iters, stop)."""
-    from emfkit.subsolver import qr_orthonormalize, solve_y
-
-    omega, ridge, tol = config.omega, config.ridge, config.tol_gradient
-    caps = dict(max_inner=config.max_inner, tol_gradient=tol)
-    tri = svd_init(obs, config.rank, config.seed)
-    x_bar, y_warm = tri.x0, tri.y0 * tri.d0
-    factors = FactorPair(x_bar, y_warm)
-    trace = [objective(obs, factors, omega, ridge)]
-    inner = []
-    for _ in range(config.max_outer):
-        res_y = solve_y(x_bar, obs, omega, ridge, warm_start=y_warm, **caps)
-        y_side, r_y = qr_orthonormalize(res_y.solution)
-        res_x = solve_y(y_side, obs.transposed, omega, ridge, warm_start=x_bar @ r_y.T, **caps)
-        inner += [res_y.inner_iterations, res_x.inner_iterations]
-        factors = FactorPair(res_x.solution, y_side)
-        trace.append(float(res_x.inner_objective_trace[-1]))
-        x_bar, r_x = qr_orthonormalize(res_x.solution)
-        y_warm = y_side @ r_x.T
-        if (trace[-2] - trace[-1]) / max(trace[-2], 1e-300) < config.tol_objective:
-            return factors, trace, inner, StopReason.TOLERANCE_OBJECTIVE
-        if res_x.final_gradient_norm < tol and (
-            np.linalg.norm(gradient_y(obs, factors, omega, ridge)) < tol
-        ):
-            return factors, trace, inner, StopReason.TOLERANCE_GRADIENT
-    return factors, trace, inner, StopReason.MAX_ITERATIONS
-
-
 @pytest.mark.parametrize(
     "ridge, tol_gradient, stop",
     [
         (0.0, 1e-8, StopReason.TOLERANCE_GRADIENT),
         (0.0, 1e-2, StopReason.TOLERANCE_GRADIENT),
         (1e-3, 1.0, StopReason.TOLERANCE_GRADIENT),
-        # with ridge, the warm pair's ridge term differs from the sweep
-        # pair's; left in, it would stop these fits early by gradient
-        (1e-2, 1e-2, StopReason.TOLERANCE_OBJECTIVE),
-        (0.1, 0.1, StopReason.TOLERANCE_OBJECTIVE),
+        # the ridge balances the two factors' norms slowly: all 100 sweeps
+        # run, and the gradient test after the last one fails
+        (1e-2, 1e-2, StopReason.MAX_ITERATIONS),
+        (0.1, 0.1, StopReason.TOLERANCE_GRADIENT),
     ],
 )
 def test_qr_fit_stops_where_a_per_sweep_gradient_test_stops(ridge, tol_gradient, stop):
+    # fit reads a sweep's y-gradient from the next half-step's start; the
+    # reference loop computes it with loss.gradient_y
     for seed in (0, 1):
         _, obs = completion(30, 25, 2, 0.5, seed=seed)
-        cfg = EmfConfig(omega=0.3, rank=2, max_outer=100, seed=seed, use_qr=True,
+        cfg = EmfConfig(omega=0.3, rank=2, max_outer=100, seed=seed,
                         ridge=ridge, tol_gradient=tol_gradient, tol_objective=0.0)
         rep = fit(obs, cfg)
-        factors, trace, inner, ref_stop = _fit_testing_gradient_every_sweep(obs, cfg)
+        factors, trace, inner, ref_stop = alternate(obs, cfg)
         assert rep.stop_reason is ref_stop is stop
         assert np.array_equal(rep.objective_trace, trace)
         assert np.array_equal(rep.factors.x, factors.x)

@@ -7,9 +7,7 @@ import emfkit.core
 from emfkit.core import EntryObservations, FactorPair, GeneralObservations
 from emfkit.loss import gradient_y, objective, residuals
 from emfkit.subsolver import (
-    RankDeficientError,
     SingularDesignError,
-    qr_orthonormalize,
     reference_qp_solve,
     solve_x,
     solve_y,
@@ -189,6 +187,23 @@ def test_singular_design_raised_without_ridge():
     assert res.converged
 
 
+def test_singular_design_names_the_column():
+    # at omega 0.5 every weight is 1/2, so with unit design rows each normal
+    # entry is half a power-of-two degree and LU meets an exact zero pivot;
+    # np.linalg.solve accepts other exactly singular systems silently
+    rng = np.random.RandomState(15)
+    # columns 3, 1, 2, 0 sit in buckets of widths 2, 4, 8, 16, in that order
+    obs = column_degree_instance(rng, 20, [16, 4, 8, 2])
+    with pytest.raises(SingularDesignError, match=r"^column 3: "):
+        solve_y(np.ones((20, 2)), obs, 0.5)
+    # the factor's two columns agree only on the rows column 2 observes
+    x = rng.randn(20, 2)
+    x[obs.row_idx[obs.col_idx == 2]] = 1.0
+    with pytest.raises(SingularDesignError, match=r"^column 2: "):
+        solve_y(x, obs, 0.5)
+    assert solve_y(x, obs, 0.5, ridge=1e-3).converged
+
+
 def test_completion_decomposition_equals_coupled_oracle():
     # per-row solving (the fast path) equals the coupled QP on the same data
     rng = np.random.RandomState(10)
@@ -207,34 +222,6 @@ def test_reference_qp_caps():
     obs = EntryObservations((30, 1), rows[:25], np.zeros(25, dtype=int), rng.randn(25))
     with pytest.raises(ValueError, match="caps p"):
         reference_qp_solve(x, obs, 0.5)
-
-
-def test_qr_orthonormalize_properties():
-    # already orthonormal with positive diagonal: identity transformation
-    q0 = np.linalg.qr(np.random.RandomState(12).randn(5, 3))[0]
-    # force positive diagonal convention on the input
-    q0 = q0 * np.sign(np.diag(q0[:3]))
-    q, r = qr_orthonormalize(q0)
-    assert np.allclose(q, q0, atol=1e-12)
-    assert np.allclose(r, np.eye(3), atol=1e-12)
-
-    q, r = qr_orthonormalize(np.array([[2.0, 0.0], [0.0, 3.0]]))
-    assert np.allclose(q, np.eye(2), atol=1e-15)
-    assert np.allclose(r, np.diag([2.0, 3.0]), atol=1e-15)
-
-    rng = np.random.RandomState(13)
-    for _ in range(10):
-        a = rng.randn(8, 3)
-        q, r = qr_orthonormalize(a)
-        assert np.abs(q.T @ q - np.eye(3)).max() <= 1e-12
-        assert np.abs(q @ r - a).max() <= 1e-12 * max(1.0, np.abs(a).max())
-        assert (np.diag(r) >= 0).all()
-
-
-def test_qr_orthonormalize_rank_deficient():
-    a = np.ones((4, 2))
-    with pytest.raises(RankDeficientError):
-        qr_orthonormalize(a)
 
 
 def test_max_inner_returns_unconverged_flag():
@@ -263,13 +250,13 @@ def test_padded_layout_matches_reference_qp(omega, ridge, monkeypatch):
     import emfkit.subsolver as subsolver
 
     bisections = []
-    real_bisect = subsolver._bisect_rows
+    real_damp = subsolver._damp
 
-    def counting_bisect(*args):
+    def counting_damp(*args):
         bisections.append(1)
-        return real_bisect(*args)
+        return real_damp(*args)
 
-    monkeypatch.setattr(subsolver, "_bisect_rows", counting_bisect)
+    monkeypatch.setattr(subsolver, "_damp", counting_damp)
     rng = np.random.RandomState(40 + int(omega * 10) + int(ridge * 10))
     k = 2
     # column 0 has exactly k observations; with ridge a column stays empty
@@ -346,13 +333,14 @@ def test_one_driver_serves_both_observation_kinds(omega, monkeypatch):
     import emfkit.subsolver as subsolver
 
     damped = {"entry": 0, "general": 0}
-    real_bisect = subsolver._bisect_rows
+    real_damp = subsolver._damp
 
-    def counting_bisect(y_old, *args):
-        damped["general" if len(y_old) == 1 else "entry"] += 1
-        return real_bisect(y_old, *args)
+    def counting_damp(part, y_old, *args):
+        # the general block's one row is vec(Y), n * k wide
+        damped["entry" if y_old.shape[1] == k else "general"] += 1
+        return real_damp(part, y_old, *args)
 
-    monkeypatch.setattr(subsolver, "_bisect_rows", counting_bisect)
+    monkeypatch.setattr(subsolver, "_damp", counting_damp)
     rng = np.random.RandomState(60 + int(omega * 10))
     m, k = 8, 2
     for _ in range(3):
