@@ -27,7 +27,7 @@ import scipy
 from . import __version__
 from .core import EmfConfig, EntryObservations
 from .emf import fit
-from .io import MatrixFileSpec, export_results, load_dense, load_triplets
+from .io import export_results, load_dense, load_triplets
 from .loss import scalar_expectile
 from .metrics import BinSpec, binned_summaries, empirical_cdf, relative_errors, summarize
 from .rng import Pcg32
@@ -347,7 +347,7 @@ def _run_complete(plan: ExperimentPlan) -> int:
     if plan.input_format == "triplets":
         obs = load_triplets(plan.input)
     else:
-        obs = load_dense(plan.input, MatrixFileSpec("dense", plan.sentinel))[1]
+        obs = load_dense(plan.input, plan.sentinel)[1]
     truth = np.zeros(obs.shape)
     truth[obs.row_idx, obs.col_idx] = obs.values
     return _run_grid(plan, "complete", partial(_split_instance, obs, truth))
@@ -356,8 +356,8 @@ def _run_complete(plan: ExperimentPlan) -> int:
 def _run_evaluate(plan: ExperimentPlan) -> int:
     if plan.input is None or plan.estimate is None:
         raise ValueError("evaluate needs --input (truth) and --estimate files")
-    truth, obs = load_dense(plan.input, MatrixFileSpec("dense", plan.sentinel))
-    est, _ = load_dense(plan.estimate, MatrixFileSpec("dense", plan.sentinel))
+    truth, obs = load_dense(plan.input, plan.sentinel)
+    est, _ = load_dense(plan.estimate, plan.sentinel)
     if est.shape != truth.shape:
         raise ValueError(f"estimate shape {est.shape} != truth shape {truth.shape}")
     eval_set = np.column_stack([obs.row_idx, obs.col_idx])

@@ -3,7 +3,9 @@
 Dense matrices are plain float64 numpy arrays (row-major); :func:`as_matrix`
 is the single validation gate.  Observation sets come in two flavors:
 entry-level observations of individual matrix elements (the completion
-case) and general linear measurements ``b_i = <A_i, M>``.
+case) and general linear measurements ``b_i = <A_i, M>``, whose A_i are
+held as one (p, m, n) array.  Both answer :meth:`weighted_sum`, the
+matrix ``sum_i b_i A_i``.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -143,7 +145,6 @@ class EntryObservations:
         self.row_idx = rows
         self.col_idx = cols
         self.values = vals
-        self.row_counts = np.bincount(rows, minlength=m)
         self.col_counts = np.bincount(cols, minlength=n)
 
     @property
@@ -214,8 +215,8 @@ class EntryObservations:
         t.__dict__["transposed"] = self
         return t
 
-    def to_sparse(self) -> sp.csr_matrix:
-        """Zero-filled sparse matrix of the observed values."""
+    def weighted_sum(self) -> sp.csr_matrix:
+        """Zero-filled sparse matrix of the observed values: sum_i values[i] * E_ij."""
         return sp.csr_matrix(
             (self.values, (self.row_idx, self.col_idx)), shape=self.shape
         )
@@ -224,11 +225,13 @@ class EntryObservations:
 class GeneralObservations:
     """General linear measurements b_i = <A_i, M> of an m-by-n matrix.
 
-    Measurement matrices may be dense arrays or scipy sparse matrices;
-    they are kept as given.
+    The measurement matrices are one (p, m, n) float64 array,
+    ``measurements[i]`` = A_i.  A float64 ndarray of that shape is kept as
+    given, uncopied; a sequence of matrices is stacked once, scipy sparse
+    ones densified.
     """
 
-    def __init__(self, shape: tuple[int, int], measurements: Sequence, values):
+    def __init__(self, shape: tuple[int, int], measurements, values):
         m, n = int(shape[0]), int(shape[1])
         if m < 1 or n < 1:
             raise ValueError(f"invalid shape {shape}")
@@ -237,21 +240,19 @@ class GeneralObservations:
             raise ValueError("values must be a non-empty vector")
         if not np.isfinite(vals).all():
             raise ValueError("observation values must be finite")
-        measurements = list(measurements)
-        if len(measurements) != vals.size:
+        if not isinstance(measurements, np.ndarray):
+            measurements = [a.toarray() if sp.issparse(a) else a for a in measurements]
+        ops = np.asarray(measurements, dtype=np.float64)
+        if ops.shape != (vals.size, m, n):
             raise ValueError(
-                f"got {len(measurements)} measurement matrices for {vals.size} values"
+                f"measurements have shape {ops.shape}, expected {(vals.size, m, n)}"
             )
-        for idx, a in enumerate(measurements):
-            if a.shape != (m, n):
-                raise ValueError(
-                    f"measurement {idx} has shape {a.shape}, expected {(m, n)}"
-                )
-            data = a.data if sp.issparse(a) else np.asarray(a)
-            if not np.isfinite(data).all():
+        # one measurement at a time: no full-size temporary
+        for idx, a in enumerate(ops):
+            if not np.isfinite(a).all():
                 raise ValueError(f"measurement {idx} contains non-finite entries")
         self.shape = (m, n)
-        self.measurements = measurements
+        self.measurements = ops
         self.values = vals
 
     @property
@@ -260,9 +261,10 @@ class GeneralObservations:
 
     @cached_property
     def transposed(self) -> "GeneralObservations":
+        """The same measurements of the transposed matrix, A_i^T, as a view."""
         t = GeneralObservations(
             (self.shape[1], self.shape[0]),
-            [a.T for a in self.measurements],
+            self.measurements.transpose(0, 2, 1),
             self.values,
         )
         t.__dict__["transposed"] = self
@@ -270,10 +272,8 @@ class GeneralObservations:
 
     def weighted_sum(self) -> np.ndarray:
         """Dense sum_i values[i] * A_i (the initialization target)."""
-        out = np.zeros(self.shape)
-        for b, a in zip(self.values, self.measurements):
-            out += b * (a.toarray() if sp.issparse(a) else np.asarray(a))
-        return out
+        # einsum reads a transposed view in place; tensordot would copy it
+        return np.einsum("p,pmn->mn", self.values, self.measurements)
 
 
 ObservationSet = Union[EntryObservations, GeneralObservations]

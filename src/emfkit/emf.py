@@ -18,7 +18,6 @@ import numpy as np
 
 from .core import (
     EmfConfig,
-    EntryObservations,
     FactorPair,
     ObservationSet,
     SolveReport,
@@ -49,13 +48,6 @@ class InitTriple:
     y0: np.ndarray
 
 
-def measurement_sum(obs: ObservationSet):
-    """sum_i b_i A_i; sparse for entry observations, dense otherwise."""
-    if isinstance(obs, EntryObservations):
-        return obs.to_sparse()
-    return obs.weighted_sum()
-
-
 def _orthonormalize(a: np.ndarray) -> np.ndarray:
     q, _ = np.linalg.qr(a)
     return q
@@ -79,7 +71,7 @@ def svd_init(obs: ObservationSet, k: int, seed: int) -> InitTriple:
     m, n = obs.shape
     if not 1 <= k <= min(m, n):
         raise ValueError(f"rank k={k} must satisfy 1 <= k <= min{(m, n)}")
-    s = measurement_sum(obs)
+    s = obs.weighted_sum()
     st = s.T
     ell = min(min(m, n), k + 8)
     rng = Pcg32(seed, INIT_STREAM)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -41,18 +40,6 @@ class SentinelCollisionError(ValueError):
     """The missing sentinel lies inside the range of observed values."""
 
 
-@dataclass(frozen=True)
-class MatrixFileSpec:
-    """How to read a matrix file: dense grid or triplet list."""
-
-    format: str = "dense"
-    missing_sentinel: float = -1.0
-
-    def __post_init__(self):
-        if self.format not in ("dense", "triplets"):
-            raise ValueError(f"unknown format {self.format!r}")
-
-
 def _parse_real(token: str, lineno: int, col: int) -> float:
     try:
         value = float(token)
@@ -65,9 +52,7 @@ def _parse_real(token: str, lineno: int, col: int) -> float:
     return value
 
 
-def load_dense(
-    path, spec: MatrixFileSpec = MatrixFileSpec()
-) -> tuple[np.ndarray, EntryObservations]:
+def load_dense(path, sentinel: float = -1.0) -> tuple[np.ndarray, EntryObservations]:
     """Read a dense matrix with sentinel-marked holes.
 
     Returns the raw matrix (sentinel left in place) and the observation set
@@ -94,7 +79,6 @@ def load_dense(
                 )
             for c, tok in enumerate(tokens):
                 data[out_row, c] = _parse_real(tok, no, c + 1)
-    sentinel = spec.missing_sentinel
     keep = data != sentinel
     if not keep.any():
         raise EmptyObservationsError(f"{path}: every entry equals the sentinel {sentinel!r}")

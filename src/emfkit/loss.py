@@ -65,10 +65,7 @@ def residuals(obs: ObservationSet, f: FactorPair) -> np.ndarray:
     if isinstance(obs, EntryObservations):
         return obs.values - product_at_entries(f, obs.row_idx, obs.col_idx)
     # <A, X Y^T> = <A @ Y, X>; never materializes the m-by-n product
-    out = np.empty(obs.size)
-    for i, a in enumerate(obs.measurements):
-        out[i] = obs.values[i] - float(np.vdot(np.asarray(a @ f.y), f.x))
-    return out
+    return obs.values - np.einsum("pmk,mk->p", obs.measurements @ f.y, f.x)
 
 
 def objective(obs: ObservationSet, f: FactorPair, omega: float, ridge: float = 0.0) -> float:
@@ -98,9 +95,8 @@ def gradient_y(obs: ObservationSet, f: FactorPair, omega: float, ridge: float = 
     if isinstance(obs, EntryObservations):
         g = obs.by_col @ (coeff[:, None] * f.x[obs.row_idx])
     else:
-        g = np.zeros_like(f.y)
-        for c, a in zip(coeff, obs.measurements):
-            g += c * np.asarray(a.T @ f.x)
+        # sum_i c_i A_i^T x; einsum reads a transposed view uncopied
+        g = np.einsum("p,pmn->nm", coeff, obs.measurements) @ f.x
     if ridge:
         g = g + 2.0 * ridge * f.y
     return g

@@ -337,18 +337,12 @@ def _solve_blocks(x, obs, omega, ridge, y0, max_inner, tol_gradient):
 
 def _design_matrix(x, obs) -> np.ndarray:
     """Dense (p, n*k) design with r = b - design @ vec(Y), row-major vec."""
-    n = obs.shape[1]
-    k = x.shape[1]
+    p, n, k = obs.size, obs.shape[1], x.shape[1]
     if isinstance(obs, EntryObservations):
-        g = np.zeros((obs.size, n * k))
-        for t in range(obs.size):
-            j = obs.col_idx[t]
-            g[t, j * k : (j + 1) * k] = x[obs.row_idx[t]]
-        return g
-    g = np.empty((obs.size, n * k))
-    for i, a in enumerate(obs.measurements):
-        g[i] = np.asarray(a.T @ x).ravel()
-    return g
+        g = np.zeros((p, n, k))
+        g[np.arange(p), obs.col_idx] = x[obs.row_idx]
+        return g.reshape(p, n * k)
+    return (obs.measurements.transpose(0, 2, 1) @ x).reshape(p, n * k)
 
 
 def reference_qp_solve(x_fixed, obs: ObservationSet, omega: float, ridge: float = 0.0) -> np.ndarray:

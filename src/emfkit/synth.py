@@ -75,10 +75,11 @@ def sample_mask(m: int, n: int, rate: float, seed: int) -> np.ndarray:
 
 def gaussian_measurements(
     m: int, n: int, p: int, seed: int, max_elements: int = _MEASUREMENT_CAP
-) -> list[np.ndarray]:
-    """p dense m-by-n matrices with i.i.d. standard normal entries.
+) -> np.ndarray:
+    """p dense m-by-n matrices with i.i.d. standard normal entries, as one
+    (p, m, n) array.
 
-    Values are attached later via :func:`apply_measurements`; the raw list
+    Values are attached later via :func:`apply_measurements`; the raw array
     keeps the measurement ensemble reusable across truth matrices.
     """
     if p < 1:
@@ -86,14 +87,14 @@ def gaussian_measurements(
     if p * m * n > max_elements:
         raise ValueError(f"p*m*n = {p * m * n} exceeds the cap of {max_elements}")
     g = Pcg32(seed, MEASUREMENT_STREAM)
-    stack = g.normal(p * m * n).reshape(p, m, n)
-    return [stack[i] for i in range(p)]
+    return g.normal(p * m * n).reshape(p, m, n)
 
 
 def apply_measurements(measurements, truth, noise=None) -> GeneralObservations:
     """Pair measurement matrices with a truth matrix: b_i = <A_i, truth> (+ noise)."""
     truth = np.asarray(truth, dtype=np.float64)
-    values = np.array([float(np.vdot(a, truth)) for a in measurements])
+    measurements = np.asarray(measurements, dtype=np.float64)
+    values = np.tensordot(measurements, truth, 2)
     if noise is not None:
         values = values + np.asarray(noise, dtype=np.float64)
     return GeneralObservations(truth.shape, measurements, values)

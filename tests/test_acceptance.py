@@ -16,7 +16,7 @@ import pytest
 from alternation import alternate
 from emfkit.core import EmfConfig, EntryObservations, FactorPair, GeneralObservations
 from emfkit.emf import fit, reconstruct, svd_init
-from emfkit.io import MatrixFileSpec, load_dense
+from emfkit.io import load_dense
 from emfkit.loss import gradient_x, gradient_y, objective, scalar_expectile
 from emfkit.metrics import BinSpec, binned_summaries, relative_errors
 from emfkit.rng import Pcg32
@@ -315,7 +315,7 @@ def test_c9_latency_dataset():
     path = os.environ.get(LATENCY_ENV, "")
     if not path or not os.path.exists(path):
         pytest.skip(f"SKIPPED(dataset): set {LATENCY_ENV} to the dense latency matrix file")
-    data, obs = load_dense(path, MatrixFileSpec("dense", -1.0))
+    data, obs = load_dense(path, -1.0)
     values = obs.values
     mean, median = float(values.mean()), float(np.median(values))
     bins = BinSpec(np.array([0.0, 0.3, 3.1, 20.0]))

@@ -97,7 +97,7 @@ def test_entry_observations_grouping_views():
     obs = EntryObservations((3, 3), [0, 2, 2], [1, 0, 1], [5.0, 6.0, 7.0])
     v = np.array([1.0, 10.0, 100.0])
     assert (obs.by_col @ v).tolist() == [10.0, 101.0, 0.0]
-    assert obs.row_counts.tolist() == [1, 0, 2]
+    assert obs.transposed.col_counts.tolist() == [1, 0, 2]
     assert obs.col_counts.tolist() == [1, 2, 0]
     # one bucket per padded width: empty column 2, column 0, column 1
     empty, single, pair = obs.column_buckets
@@ -114,7 +114,7 @@ def test_entry_observations_transpose_roundtrip():
     assert t.shape == (2, 3)
     assert t.row_idx.tolist() == obs.col_idx.tolist()
     assert t.transposed is obs
-    dense = obs.to_sparse().toarray()
+    dense = obs.weighted_sum().toarray()
     assert dense[0, 1] == 5.0 and dense[2, 0] == 6.0 and dense.sum() == 11.0
 
 
@@ -129,6 +129,29 @@ def test_general_observations_validation():
     g = GeneralObservations((2, 2), [a, 2 * a], [1.0, 2.0])
     assert np.allclose(g.weighted_sum(), a + 2 * (2 * a))
     assert g.transposed.shape == (2, 2)
+
+
+def test_general_observations_keep_one_stack():
+    rng = np.random.RandomState(3)
+    stack = rng.randn(4, 2, 3)
+    g = GeneralObservations((2, 3), stack, rng.randn(4))
+    assert g.measurements is stack
+    t = g.transposed
+    assert t.shape == (3, 2) and t.transposed is g
+    assert np.shares_memory(t.measurements, g.measurements)
+    assert np.array_equal(t.measurements[1], stack[1].T)
+    assert np.allclose(t.weighted_sum(), g.weighted_sum().T, rtol=0, atol=1e-14)
+    # a sequence of matrices is stacked once
+    listed = GeneralObservations((2, 3), list(stack), g.values)
+    assert listed.measurements.shape == (4, 2, 3)
+    assert np.array_equal(listed.measurements, stack)
+
+
+def test_general_observations_name_the_non_finite_measurement():
+    stack = np.ones((3, 2, 2))
+    stack[2, 1, 0] = np.inf
+    with pytest.raises(ValueError, match="measurement 2 contains non-finite"):
+        GeneralObservations((2, 2), stack, [1.0, 2.0, 3.0])
 
 
 def test_config_defaults_and_validation():

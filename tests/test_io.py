@@ -5,7 +5,6 @@ from emfkit.core import DuplicateEntryError, FactorPair, SolveReport, StopReason
 from emfkit.io import (
     EmptyFileError,
     EmptyObservationsError,
-    MatrixFileSpec,
     MatrixParseError,
     RaggedRowsError,
     SentinelCollisionError,
@@ -45,7 +44,7 @@ def test_dense_roundtrip(tmp_path):
     mask[0, 0] = True  # keep at least one observation
     f = tmp_path / "round.txt"
     write_dense(f, mat, mask, sentinel=-1.0)
-    data, obs = load_dense(f, MatrixFileSpec("dense", -1.0))
+    data, obs = load_dense(f, -1.0)
     assert np.array_equal(data[mask], mat[mask])  # exact round-trip
     got = np.zeros_like(mask)
     got[obs.row_idx, obs.col_idx] = True
@@ -56,7 +55,7 @@ def test_dense_roundtrip(tmp_path):
     mask = rng.rand(12, 9) < 0.6
     mask[0, 0] = True
     write_dense(f, mat, mask, sentinel=-1e9)
-    data, obs = load_dense(f, MatrixFileSpec("dense", -1e9))
+    data, obs = load_dense(f, -1e9)
     assert np.array_equal(data, np.where(mask, mat, -1e9))
     assert np.signbit(data[0, 0])
     assert np.array_equal(obs.values, mat[mask])
@@ -95,14 +94,14 @@ def _parse_dense_per_token(text):
 def test_load_dense_fast_path_matches_token_parse(tmp_path):
     f = tmp_path / "m.txt"
     f.write_text("\n1_0 2.5\n\n-3e-7\t+4\n.5 5.\n")  # 1_0 only parses token by token
-    data, _ = load_dense(f, MatrixFileSpec("dense", -100.0))
+    data, _ = load_dense(f, -100.0)
     assert np.array_equal(data, [[10.0, 2.5], [-3e-7, 4.0], [0.5, 5.0]])
     rng = np.random.RandomState(6)
     mat = rng.standard_t(3, (20, 30)) * 10.0 ** rng.randint(-20, 20, (20, 30))
     texts = ["1 2 3\n", "1\n2\n", "\n".join(" ".join(map(str, r)) for r in mat.tolist())]
     for text, shape in zip(texts, [(1, 3), (2, 1), mat.shape]):
         f.write_text(text)
-        data, _ = load_dense(f, MatrixFileSpec("dense", -1e99))
+        data, _ = load_dense(f, -1e99)
         assert data.shape == shape
         assert np.array_equal(data, _parse_dense_per_token(text))
 

@@ -112,6 +112,25 @@ def test_residuals_and_gradient_with_sparse_measurements():
     assert np.allclose(gradient_x(gd, f, 0.2), gradient_x(gs, f, 0.2), atol=1e-14)
 
 
+def test_gaussian_measurements_match_a_per_measurement_loop():
+    rng = np.random.RandomState(37)
+    m, n, k, p = 5, 4, 2, 30
+    f = FactorPair(rng.randn(m, k), rng.randn(n, k))
+    mats = rng.randn(p, m, n)
+    gobs = GeneralObservations((m, n), mats, rng.randn(p))
+    r_loop = np.array([b - float(np.vdot(a @ f.y, f.x)) for b, a in zip(gobs.values, mats)])
+    coeff = -2.0 * np.where(r_loop >= 0.0, 0.3, 0.7) * r_loop
+    gy_loop = sum(c * (a.T @ f.x) for c, a in zip(coeff, mats)) + 2.0 * 0.1 * f.y
+    gx_loop = sum(c * (a @ f.y) for c, a in zip(coeff, mats)) + 2.0 * 0.1 * f.x
+
+    def close(a, b):
+        return np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+
+    assert close(residuals(gobs, f), r_loop)
+    assert close(gradient_y(gobs, f, 0.3, 0.1), gy_loop)
+    assert close(gradient_x(gobs, f, 0.3, 0.1), gx_loop)
+
+
 def test_residuals_dimension_mismatch():
     f = FactorPair(np.ones((2, 1)), np.ones((2, 1)))
     obs = EntryObservations((3, 2), [0], [0], [1.0])

@@ -122,7 +122,7 @@ def test_transpose_duality():
     for _ in range(4):
         obs = entry_instance(rng, m=5, n=4, k=2, per_col=3)
         # make rows well observed too so the transposed design is full rank
-        if (obs.row_counts < 2).any():
+        if (obs.transposed.col_counts < 2).any():
             continue
         y_fixed = rng.randn(4, 2)
         a = solve_x(y_fixed, obs, 0.3)

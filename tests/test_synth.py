@@ -84,7 +84,7 @@ def test_sample_mask_row_balance():
 
 def test_gaussian_measurements_moments_and_apply():
     mats = gaussian_measurements(6, 5, 40, seed=4)
-    assert len(mats) == 40
+    assert isinstance(mats, np.ndarray) and mats.shape == (40, 6, 5)
     pool = np.concatenate([a.ravel() for a in mats])
     assert abs(pool.mean()) < 0.05
     assert abs(pool.std() - 1.0) < 0.02
