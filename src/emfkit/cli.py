@@ -27,7 +27,7 @@ import scipy
 from . import __version__
 from .core import EmfConfig, EntryObservations
 from .emf import fit
-from .io import export_results, load_dense, load_triplets
+from .io import export_results, load_dense, load_triplets, read_dense
 from .loss import scalar_expectile
 from .metrics import BinSpec, binned_summaries, empirical_cdf, relative_errors, summarize
 from .rng import Pcg32
@@ -357,7 +357,8 @@ def _run_evaluate(plan: ExperimentPlan) -> int:
     if plan.input is None or plan.estimate is None:
         raise ValueError("evaluate needs --input (truth) and --estimate files")
     truth, obs = load_dense(plan.input, plan.sentinel)
-    est, _ = load_dense(plan.estimate, plan.sentinel)
+    # a full matrix: no holes, so it may span the sentinel
+    est = read_dense(plan.estimate)
     if est.shape != truth.shape:
         raise ValueError(f"estimate shape {est.shape} != truth shape {truth.shape}")
     eval_set = np.column_stack([obs.row_idx, obs.col_idx])

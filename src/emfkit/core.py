@@ -4,8 +4,9 @@ Dense matrices are plain float64 numpy arrays (row-major); :func:`as_matrix`
 is the single validation gate.  Observation sets come in two flavors:
 entry-level observations of individual matrix elements (the completion
 case) and general linear measurements ``b_i = <A_i, M>``, whose A_i are
-held as one (p, m, n) array.  Both answer :meth:`weighted_sum`, the
-matrix ``sum_i b_i A_i``.
+held as one (p, m, n) array.  Only this module reads their layouts: both
+answer :meth:`apply` (``<A_i, x y^T>`` per observation), :meth:`adjoint`
+(``sum_i c_i A_i``) and :meth:`design` (the rows ``A_i^T x``).
 """
 
 from __future__ import annotations
@@ -21,6 +22,10 @@ import scipy.sparse as sp
 
 # Most columns one ColumnBucket holds (see EntryObservations.column_buckets).
 BUCKET_COLUMNS = 256
+
+# Entries per gather in product_at_entries: two 65536-by-k float64 blocks
+# (10.5 MB at k = 10) bound its temporaries.
+_PRODUCT_CHUNK = 65_536
 
 
 class DuplicateEntryError(ValueError):
@@ -84,6 +89,26 @@ def product_entry(f: FactorPair, i: int, j: int) -> float:
     return float(f.x[i] @ f.y[j])
 
 
+def product_at_entries(f: FactorPair, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Entries of f.x @ f.y.T gathered at (rows, cols), no m-by-n product formed.
+
+    Works through _PRODUCT_CHUNK entries at a time, so the gathered factor
+    rows take a bounded amount of memory whatever the number of entries.
+    """
+    out = np.empty(len(rows))
+    for start in range(0, out.size, _PRODUCT_CHUNK):
+        part = slice(start, start + _PRODUCT_CHUNK)
+        np.einsum("pk,pk->p", f.x[rows[part]], f.y[cols[part]], out=out[part])
+    return out
+
+
+def _transposed_view(obs, **fields):
+    """obs as a set of the transposed matrix: its validated arrays, no constructor."""
+    t = object.__new__(type(obs))
+    t.__dict__.update(shape=obs.shape[::-1], values=obs.values, transposed=obs, **fields)
+    return t
+
+
 def _check_indices(idx: np.ndarray, bound: int, axis: str):
     if idx.size and (idx.min() < 0 or idx.max() >= bound):
         bad = idx[(idx < 0) | (idx >= bound)][0]
@@ -112,9 +137,9 @@ class EntryObservations:
 
     Duplicate (i, j) pairs are rejected: the completion model has one
     observation per element.  Instances are immutable and safe to share.
-    The column-grouped views (:attr:`by_col` for gradients and the padded
-    :attr:`column_buckets` layout the subproblem solver works on) are built
-    on first use and cached, so construction only validates and counts.
+    The per-column counts and the padded :attr:`column_buckets` layout the
+    subproblem solver works on are built on first use and cached, so
+    construction only validates.  :meth:`adjoint` stays sparse.
     """
 
     def __init__(self, shape: tuple[int, int], row_idx, col_idx, values):
@@ -145,19 +170,15 @@ class EntryObservations:
         self.row_idx = rows
         self.col_idx = cols
         self.values = vals
-        self.col_counts = np.bincount(cols, minlength=n)
 
     @property
     def size(self) -> int:
         return self.values.size
 
     @cached_property
-    def by_col(self) -> sp.csr_matrix:
-        """(by_col @ v)[j] sums v over column j's observations; built on first use."""
-        p = self.size
-        return sp.csr_matrix(
-            (np.ones(p), (self.col_idx, np.arange(p))), shape=(self.shape[1], p)
-        )
+    def col_counts(self) -> np.ndarray:
+        """Number of observations in each column."""
+        return np.bincount(self.col_idx, minlength=self.shape[1])
 
     @cached_property
     def column_buckets(self) -> tuple["ColumnBucket", ...]:
@@ -209,17 +230,22 @@ class EntryObservations:
         Observation order is preserved, so sign patterns and residual
         vectors line up between the two views.
         """
-        t = EntryObservations(
-            (self.shape[1], self.shape[0]), self.col_idx, self.row_idx, self.values
-        )
-        t.__dict__["transposed"] = self
-        return t
+        return _transposed_view(self, row_idx=self.col_idx, col_idx=self.row_idx)
 
-    def weighted_sum(self) -> sp.csr_matrix:
-        """Zero-filled sparse matrix of the observed values: sum_i values[i] * E_ij."""
-        return sp.csr_matrix(
-            (self.values, (self.row_idx, self.col_idx)), shape=self.shape
-        )
+    def apply(self, f: FactorPair) -> np.ndarray:
+        """The entries of f.x @ f.y.T at the observed cells, in observation order."""
+        return product_at_entries(f, self.row_idx, self.col_idx)
+
+    def adjoint(self, c) -> sp.csr_matrix:
+        """Zero-filled sparse matrix sum_i c[i] * E_ij of the observed cells."""
+        return sp.csr_matrix((c, (self.row_idx, self.col_idx)), shape=self.shape)
+
+    def design(self, x) -> np.ndarray:
+        """Dense (p, n, k) rows g_i = A_i^T x (x's row r at row c for cell (r, c)); oracle only."""
+        p = self.size
+        g = np.zeros((p, self.shape[1], x.shape[1]))
+        g[np.arange(p), self.col_idx] = x[self.row_idx]
+        return g
 
 
 class GeneralObservations:
@@ -262,18 +288,20 @@ class GeneralObservations:
     @cached_property
     def transposed(self) -> "GeneralObservations":
         """The same measurements of the transposed matrix, A_i^T, as a view."""
-        t = GeneralObservations(
-            (self.shape[1], self.shape[0]),
-            self.measurements.transpose(0, 2, 1),
-            self.values,
-        )
-        t.__dict__["transposed"] = self
-        return t
+        return _transposed_view(self, measurements=self.measurements.transpose(0, 2, 1))
 
-    def weighted_sum(self) -> np.ndarray:
-        """Dense sum_i values[i] * A_i (the initialization target)."""
+    def apply(self, f: FactorPair) -> np.ndarray:
+        """<A_i, f.x f.y^T> = <A_i f.y, f.x> per measurement; no m-by-n product."""
+        return np.einsum("pmk,mk->p", self.measurements @ f.y, f.x)
+
+    def adjoint(self, c) -> np.ndarray:
+        """Dense sum_i c[i] * A_i."""
         # einsum reads a transposed view in place; tensordot would copy it
-        return np.einsum("p,pmn->mn", self.values, self.measurements)
+        return np.einsum("p,pmn->mn", c, self.measurements)
+
+    def design(self, x) -> np.ndarray:
+        """The (p, n, k) rows g_i = A_i^T x, so <A_i, x y^T> = <g_i, y>."""
+        return self.measurements.transpose(0, 2, 1) @ x
 
 
 ObservationSet = Union[EntryObservations, GeneralObservations]

@@ -71,7 +71,7 @@ def svd_init(obs: ObservationSet, k: int, seed: int) -> InitTriple:
     m, n = obs.shape
     if not 1 <= k <= min(m, n):
         raise ValueError(f"rank k={k} must satisfy 1 <= k <= min{(m, n)}")
-    s = obs.weighted_sum()
+    s = obs.adjoint(obs.values)
     st = s.T
     ell = min(min(m, n), k + 8)
     rng = Pcg32(seed, INIT_STREAM)

@@ -52,13 +52,11 @@ def _parse_real(token: str, lineno: int, col: int) -> float:
     return value
 
 
-def load_dense(path, sentinel: float = -1.0) -> tuple[np.ndarray, EntryObservations]:
-    """Read a dense matrix with sentinel-marked holes.
+def read_dense(path) -> np.ndarray:
+    """Read a dense matrix file, every entry a finite real.
 
-    Returns the raw matrix (sentinel left in place) and the observation set
-    of all non-sentinel entries.  The file is parsed in one vectorized
-    call; only when that fails or reads a non-finite value is it parsed
-    again token by token, to raise with the offending line and column.
+    Parsed in one vectorized call; only when that fails or reads a
+    non-finite value is it parsed token by token, to locate the error.
     """
     lines = Path(path).read_text().splitlines()
     # np.loadtxt only warns on a file without data; the token loop raises
@@ -79,14 +77,20 @@ def load_dense(path, sentinel: float = -1.0) -> tuple[np.ndarray, EntryObservati
                 )
             for c, tok in enumerate(tokens):
                 data[out_row, c] = _parse_real(tok, no, c + 1)
+    return data
+
+
+def load_dense(path, sentinel: float = -1.0) -> tuple[np.ndarray, EntryObservations]:
+    """The matrix of :func:`read_dense`, sentinel-marked holes left in place,
+    and the observation set of its non-sentinel entries."""
+    data = read_dense(path)
     keep = data != sentinel
     if not keep.any():
         raise EmptyObservationsError(f"{path}: every entry equals the sentinel {sentinel!r}")
-    observed = data[keep]
-    if observed.min() <= sentinel <= observed.max():
+    lo, hi = float(data[keep].min()), float(data[keep].max())
+    if lo <= sentinel <= hi:
         raise SentinelCollisionError(
-            f"{path}: sentinel {sentinel!r} lies inside the observed value range "
-            f"[{observed.min()!r}, {observed.max()!r}]"
+            f"{path}: sentinel {sentinel!r} lies inside the observed value range [{lo!r}, {hi!r}]"
         )
     rows, cols = np.nonzero(keep)
     return data, EntryObservations(data.shape, rows, cols, data[rows, cols])

@@ -3,18 +3,16 @@
 The loss on a residual t is ``w(t) * t**2`` with ``w(t) = omega`` for
 ``t >= 0`` and ``1 - omega`` otherwise (ties at zero count as nonnegative).
 It is convex and continuously differentiable; omega = 0.5 recovers plain
-least squares up to the constant factor 1/2.
+least squares up to the constant factor 1/2.  The observation set answers
+for its layout: residuals read its :meth:`apply` and the gradient its
+:meth:`adjoint` (see :mod:`emfkit.core`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import EntryObservations, FactorPair, ObservationSet
-
-# Entries per gather in product_at_entries: two 65536-by-k float64 blocks
-# (10.5 MB at k = 10) bound its temporaries.
-_PRODUCT_CHUNK = 65_536
+from .core import FactorPair, ObservationSet
 
 
 def _check_omega(omega: float):
@@ -46,26 +44,10 @@ def _check_dims(obs: ObservationSet, f: FactorPair):
         )
 
 
-def product_at_entries(f: FactorPair, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Entries of f.x @ f.y.T gathered at (rows, cols), no m-by-n product formed.
-
-    Works through _PRODUCT_CHUNK entries at a time, so the gathered factor
-    rows take a bounded amount of memory whatever the number of entries.
-    """
-    out = np.empty(len(rows))
-    for start in range(0, out.size, _PRODUCT_CHUNK):
-        part = slice(start, start + _PRODUCT_CHUNK)
-        np.einsum("pk,pk->p", f.x[rows[part]], f.y[cols[part]], out=out[part])
-    return out
-
-
 def residuals(obs: ObservationSet, f: FactorPair) -> np.ndarray:
     """Residual vector r_i = b_i - <A_i, x y^T>."""
     _check_dims(obs, f)
-    if isinstance(obs, EntryObservations):
-        return obs.values - product_at_entries(f, obs.row_idx, obs.col_idx)
-    # <A, X Y^T> = <A @ Y, X>; never materializes the m-by-n product
-    return obs.values - np.einsum("pmk,mk->p", obs.measurements @ f.y, f.x)
+    return obs.values - obs.apply(f)
 
 
 def objective(obs: ObservationSet, f: FactorPair, omega: float, ridge: float = 0.0) -> float:
@@ -88,15 +70,9 @@ def gradient_y(obs: ObservationSet, f: FactorPair, omega: float, ridge: float = 
     Equals -2 * sum_i w_i r_i A_i^T x plus 2 * ridge * y; well defined
     everywhere since the loss is C^1.
     """
-    _check_dims(obs, f)
     r = residuals(obs, f)
     w = asymmetric_weights(r, omega)
-    coeff = -2.0 * w * r
-    if isinstance(obs, EntryObservations):
-        g = obs.by_col @ (coeff[:, None] * f.x[obs.row_idx])
-    else:
-        # sum_i c_i A_i^T x; einsum reads a transposed view uncopied
-        g = np.einsum("p,pmn->nm", coeff, obs.measurements) @ f.x
+    g = obs.adjoint(-2.0 * w * r).T @ f.x
     if ridge:
         g = g + 2.0 * ridge * f.y
     return g

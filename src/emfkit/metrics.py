@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FactorPair
-from .loss import product_at_entries
+from .core import FactorPair, product_at_entries
 
 
 class DenominatorTooSmallError(ValueError):

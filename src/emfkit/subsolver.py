@@ -236,7 +236,7 @@ def _solve_blocks(x, obs, omega, ridge, y0, max_inner, tol_gradient):
         live = np.ones((1, obs.size), dtype=bool)
         col = np.zeros(1, dtype=np.int64)
         buckets = (ColumnBucket(col, slots[None], obs.values[None], live, slots),)
-        xb = [_design_matrix(x, obs)[None]]
+        xb = [obs.design(x).reshape(1, obs.size, -1)]
         y0 = y0.reshape(1, -1)
     n, d = y0.shape
     # the two weight levels, with padding slots held at weight zero
@@ -335,16 +335,6 @@ def _solve_blocks(x, obs, omega, ridge, y0, max_inner, tol_gradient):
     )
 
 
-def _design_matrix(x, obs) -> np.ndarray:
-    """Dense (p, n*k) design with r = b - design @ vec(Y), row-major vec."""
-    p, n, k = obs.size, obs.shape[1], x.shape[1]
-    if isinstance(obs, EntryObservations):
-        g = np.zeros((p, n, k))
-        g[np.arange(p), obs.col_idx] = x[obs.row_idx]
-        return g.reshape(p, n * k)
-    return (obs.measurements.transpose(0, 2, 1) @ x).reshape(p, n * k)
-
-
 def reference_qp_solve(x_fixed, obs: ObservationSet, omega: float, ridge: float = 0.0) -> np.ndarray:
     """Test oracle: global minimizer by exhaustive sign-pattern enumeration.
 
@@ -364,7 +354,8 @@ def reference_qp_solve(x_fixed, obs: ObservationSet, omega: float, ridge: float 
         raise ValueError(
             f"instance size p*n*k = {p * n * k} exceeds cap {_QP_MAX_PRODUCTS}"
         )
-    g = _design_matrix(x, obs)
+    # r = b - g @ vec(Y), row-major vec
+    g = obs.design(x).reshape(p, n * k)
     b = obs.values
     ridge_x = ridge * float((x * x).sum()) if ridge else 0.0
 

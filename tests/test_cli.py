@@ -195,6 +195,19 @@ def test_evaluate_mode(tmp_path):
     assert med == pytest.approx(0.1, abs=1e-12)
 
 
+def test_evaluate_mode_estimate_spans_the_sentinel(tmp_path):
+    # an estimate is a full matrix: its values may lie on both sides of -1
+    tp, ep = tmp_path / "t.txt", tmp_path / "e.txt"
+    write_dense(tp, np.array([[1.0, 2.0], [4.0, 5.0]]))
+    write_dense(ep, np.array([[1.1, -2.0], [3.0, 0.5]]))
+    out = tmp_path / "res"
+    assert run_cli("evaluate", "--input", tp, "--estimate", ep, "--out-dir", out) == 0
+    rows = read_results_csv(out / "evaluate.csv")
+    med = [r["value"] for r in rows if r["metric"] == "re_median"][0]
+    # errors 0.1, 2, 0.25, 0.9
+    assert med == pytest.approx(0.575, abs=1e-12)
+
+
 def test_evaluate_mode_negative_truth(tmp_path):
     truth = np.array([[-2.0, -4.0], [-8.0, -2.0]])
     est = truth / 2

@@ -96,7 +96,8 @@ def test_entry_observations_rejects_bad_indices_and_values():
 def test_entry_observations_grouping_views():
     obs = EntryObservations((3, 3), [0, 2, 2], [1, 0, 1], [5.0, 6.0, 7.0])
     v = np.array([1.0, 10.0, 100.0])
-    assert (obs.by_col @ v).tolist() == [10.0, 101.0, 0.0]
+    # column sums of the adjoint sum v over each column's observations
+    assert obs.adjoint(v).sum(axis=0).tolist() == [[10.0, 101.0, 0.0]]
     assert obs.transposed.col_counts.tolist() == [1, 0, 2]
     assert obs.col_counts.tolist() == [1, 2, 0]
     # one bucket per padded width: empty column 2, column 0, column 1
@@ -114,7 +115,7 @@ def test_entry_observations_transpose_roundtrip():
     assert t.shape == (2, 3)
     assert t.row_idx.tolist() == obs.col_idx.tolist()
     assert t.transposed is obs
-    dense = obs.weighted_sum().toarray()
+    dense = obs.adjoint(obs.values).toarray()
     assert dense[0, 1] == 5.0 and dense[2, 0] == 6.0 and dense.sum() == 11.0
 
 
@@ -127,7 +128,7 @@ def test_general_observations_validation():
     with pytest.raises(ValueError):
         GeneralObservations((2, 2), [a], [np.nan])
     g = GeneralObservations((2, 2), [a, 2 * a], [1.0, 2.0])
-    assert np.allclose(g.weighted_sum(), a + 2 * (2 * a))
+    assert np.allclose(g.adjoint(g.values), a + 2 * (2 * a))
     assert g.transposed.shape == (2, 2)
 
 
@@ -140,7 +141,7 @@ def test_general_observations_keep_one_stack():
     assert t.shape == (3, 2) and t.transposed is g
     assert np.shares_memory(t.measurements, g.measurements)
     assert np.array_equal(t.measurements[1], stack[1].T)
-    assert np.allclose(t.weighted_sum(), g.weighted_sum().T, rtol=0, atol=1e-14)
+    assert np.allclose(t.adjoint(t.values), g.adjoint(g.values).T, rtol=0, atol=1e-14)
     # a sequence of matrices is stacked once
     listed = GeneralObservations((2, 3), list(stack), g.values)
     assert listed.measurements.shape == (4, 2, 3)
@@ -152,6 +153,61 @@ def test_general_observations_name_the_non_finite_measurement():
     stack[2, 1, 0] = np.inf
     with pytest.raises(ValueError, match="measurement 2 contains non-finite"):
         GeneralObservations((2, 2), stack, [1.0, 2.0, 3.0])
+
+
+def _entry_set(rng):
+    m, n = 7, 6
+    flat = rng.permutation(m * n)[:20]
+    return EntryObservations((m, n), flat // n, flat % n, rng.randn(20))
+
+
+def _gaussian_set(rng):
+    return GeneralObservations((7, 6), rng.randn(15, 7, 6), rng.randn(15))
+
+
+@pytest.mark.parametrize("make", [_entry_set, _gaussian_set])
+@pytest.mark.parametrize("view", [False, True], ids=["direct", "transposed"])
+def test_observation_operator_adjoint_and_design(make, view):
+    rng = np.random.RandomState(5)
+    obs = make(rng)
+    obs = obs.transposed if view else obs
+    (m, n), k = obs.shape, 3
+    f = FactorPair(rng.randn(m, k), rng.randn(n, k))
+    c = rng.randn(obs.size)
+    b = obs.apply(f)
+    assert b.shape == (obs.size,)
+    # <A(x y^T), c> = <A*(c), x y^T>
+    lhs = float(b @ c)
+    rhs = float(np.sum((obs.adjoint(c) @ f.y) * f.x))
+    assert lhs == pytest.approx(rhs, rel=1e-12)
+    # <A_i, x y^T> = <g_i, y> with g_i = A_i^T x
+    g = obs.design(f.x)
+    assert g.shape == (obs.size, n, k)
+    assert np.allclose(np.einsum("pnk,nk->p", g, f.y), b, rtol=1e-12, atol=1e-12)
+    # the transposed set measures the transposed product
+    assert np.allclose(obs.transposed.apply(FactorPair(f.y, f.x)), b, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("make", [_entry_set, _gaussian_set])
+def test_transposed_view_skips_the_constructor(make, monkeypatch):
+    obs = make(np.random.RandomState(6))
+    cls = type(obs)
+    init, calls = cls.__init__, []
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", counting_init)
+    t = obs.transposed
+    assert calls == []
+    assert type(t) is cls and t.transposed is obs and t.shape == obs.shape[::-1]
+    assert t.values is obs.values
+    if cls is EntryObservations:
+        assert t.row_idx is obs.col_idx and t.col_idx is obs.row_idx
+        assert t.col_counts.tolist() == np.bincount(obs.row_idx, minlength=obs.shape[0]).tolist()
+    else:
+        assert np.shares_memory(t.measurements, obs.measurements)
 
 
 def test_config_defaults_and_validation():

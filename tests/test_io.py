@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -33,7 +35,8 @@ def test_load_dense_errors(tmp_path):
     with pytest.raises(EmptyObservationsError):
         load_dense(f)
     f.write_text("0.5 -1\n-2.5 4\n")  # sentinel -1 inside [-2.5, 4]
-    with pytest.raises(SentinelCollisionError):
+    message = f"{f}: sentinel -1.0 lies inside the observed value range [-2.5, 4.0]"
+    with pytest.raises(SentinelCollisionError, match=f"^{re.escape(message)}$"):
         load_dense(f)
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import emfkit.loss
+import emfkit.core
 from emfkit.core import EntryObservations, FactorPair, GeneralObservations
 from emfkit.loss import (
     asymmetric_weight,
@@ -284,9 +284,9 @@ def test_scalar_expectile_rejects_empty():
 @pytest.mark.parametrize("count", [0, 1, 4095, 4096, 4097, 3 * 4096 + 5])
 def test_product_at_entries_chunks_match_one_gather(count, monkeypatch):
     # a small chunk puts chunk boundaries inside every tested size
-    monkeypatch.setattr(emfkit.loss, "_PRODUCT_CHUNK", 4096)
+    monkeypatch.setattr(emfkit.core, "_PRODUCT_CHUNK", 4096)
     rng = np.random.RandomState(count)
     f = FactorPair(rng.randn(30, 7), rng.randn(40, 7))
     rows, cols = rng.randint(0, 30, count), rng.randint(0, 40, count)
-    got = emfkit.loss.product_at_entries(f, rows, cols)
+    got = emfkit.core.product_at_entries(f, rows, cols)
     assert np.array_equal(got, np.einsum("pk,pk->p", f.x[rows], f.y[cols]))
