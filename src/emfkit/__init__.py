@@ -21,7 +21,7 @@ from .core import (
     frobenius_distance,
     product_entry,
 )
-from .emf import DegenerateInitError, InitTriple, fit, predict, reconstruct, svd_init
+from .emf import DegenerateInitError, fit, reconstruct, svd_init
 from .loss import (
     asymmetric_weight,
     expectile_loss,
@@ -41,13 +41,7 @@ from .metrics import (
     summarize,
 )
 from .rng import Pcg32
-from .subsolver import (
-    SingularDesignError,
-    SubproblemResult,
-    reference_qp_solve,
-    solve_x,
-    solve_y,
-)
+from .subsolver import SingularDesignError, SubproblemResult, solve_y
 from .synth import (
     SyntheticInstance,
     apply_measurements,
@@ -78,16 +72,12 @@ __all__ = [
     "gradient_x",
     "gradient_y",
     "scalar_expectile",
-    "solve_x",
     "solve_y",
-    "reference_qp_solve",
     "SubproblemResult",
     "SingularDesignError",
     "svd_init",
     "fit",
-    "predict",
     "reconstruct",
-    "InitTriple",
     "DegenerateInitError",
     "gen_low_rank",
     "chi_square_noise",

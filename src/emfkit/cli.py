@@ -27,7 +27,7 @@ import scipy
 from . import __version__
 from .core import EmfConfig, EntryObservations
 from .emf import fit
-from .io import export_results, load_dense, load_triplets, read_dense
+from .io import export_results, load_dense, load_triplets, read_dense, results_csv
 from .loss import scalar_expectile
 from .metrics import BinSpec, binned_summaries, empirical_cdf, relative_errors, summarize
 from .rng import Pcg32
@@ -315,18 +315,11 @@ def _run_grid(plan: ExperimentPlan, name: str, provider) -> int:
     results.sort(key=lambda r: (r["seed"], r["omega"]))
 
     out = Path(plan.out_dir)
-    lines = ["run_id,omega,rank,sampling_rate,seed,metric,bin,value"]
-    failures = []
-    for res in results:
-        if res["error"] is not None:
-            failures.append(res)
-            continue
-        echo = (
-            f"{res['run_id']},{float(res['omega'])!r},{plan.rank},"
-            f"{float(plan.sampling_rate)!r},{res['seed']}"
-        )
-        lines += [f"{echo},{metric},{label},{float(v)!r}" for metric, label, v in res["rows"]]
-    (out / "summary.csv").write_text("\n".join(lines) + "\n")
+    failures = [res for res in results if res["error"] is not None]
+    (out / "summary.csv").write_text(results_csv(
+        ((res["run_id"], res["omega"], plan.rank, plan.sampling_rate, res["seed"]), res["rows"])
+        for res in results if res["error"] is None
+    ))
 
     if failures:
         # one unindented "run_id<TAB>error" line per failed cell, its traceback indented below

@@ -120,9 +120,11 @@ class ColumnBucket:
     """Columns of equal padded width and their observations, one slot each.
 
     rows, values and live are (columns, width) arrays: the row index and
-    value of each slot, and whether the slot holds an observation (padding
-    slots have row 0 and value 0).  obs lists the observation index of every
-    live slot in row-major slot order, so ``v[live]`` lines up with ``obs``.
+    value of each slot, and whether the slot holds an observation.  Padding
+    slots have row -1 and value 0: gathered from a factor with a zero row
+    appended, they are zero design rows.  obs lists the observation index
+    of every live slot in row-major slot order, so ``v[live]`` lines up
+    with ``obs``.
     """
 
     cols: np.ndarray
@@ -214,7 +216,7 @@ class EntryObservations:
             obs = order[span]
             at = (obs_pos[span] - lo, slot[span])
             shape = (hi - lo, sorted_widths[lo])
-            rows = np.zeros(shape, dtype=np.int64)
+            rows = np.full(shape, -1, dtype=np.int64)
             values = np.zeros(shape)
             live = np.zeros(shape, dtype=bool)
             rows[at] = self.row_idx[obs]
@@ -335,17 +337,18 @@ class EmfConfig:
     def __post_init__(self):
         if not 0.0 < self.omega < 1.0:
             raise ValueError(f"omega must be in (0, 1), got {self.omega}")
-        if self.rank < 1:
+        # written as `not value >= bound`, so NaN fails every check
+        if not self.rank >= 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
-        if self.max_outer < 0:
+        if not self.max_outer >= 0:
             raise ValueError(f"max_outer must be >= 0, got {self.max_outer}")
-        if self.max_inner < 1:
+        if not self.max_inner >= 1:
             raise ValueError(f"max_inner must be >= 1, got {self.max_inner}")
-        if self.tol_objective < 0 or self.tol_gradient < 0:
+        if not (self.tol_objective >= 0 and self.tol_gradient >= 0):
             raise ValueError("tolerances must be nonnegative")
-        if self.ridge < 0:
+        if not self.ridge >= 0:
             raise ValueError(f"ridge must be >= 0, got {self.ridge}")
-        if self.seed < 0:
+        if not self.seed >= 0:
             raise ValueError("seed must be nonnegative")
 
 
@@ -357,13 +360,12 @@ class SolveReport:
     every completed outer iteration; inner_iters has one count per
     subproblem solve (two per outer iteration).  uncertified_solves counts
     the subproblem solves that stopped without their optimality certificate
-    (at max_inner); converged speaks only for the outer loop.
+    (at max_inner); :attr:`converged` speaks only for the outer loop.
     """
 
     factors: FactorPair
     objective_trace: np.ndarray
     inner_iters: list[int] = field(default_factory=list)
-    converged: bool = False
     stop_reason: StopReason = StopReason.MAX_ITERATIONS
     wall_seconds: float = 0.0
     uncertified_solves: int = 0
@@ -373,3 +375,8 @@ class SolveReport:
         if trace.size < 1 or not np.isfinite(trace).all() or (trace < 0).any():
             raise ValueError("objective_trace must be non-empty, finite and >= 0")
         object.__setattr__(self, "objective_trace", trace)
+
+    @property
+    def converged(self) -> bool:
+        """Whether a tolerance, not the sweep cap, stopped the outer loop."""
+        return self.stop_reason is not StopReason.MAX_ITERATIONS

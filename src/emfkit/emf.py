@@ -1,4 +1,4 @@
-"""End-to-end solver: SVD initialization, alternating outer loop, prediction.
+"""End-to-end solver: SVD initialization and the alternating outer loop.
 
 The outer loop alternates exact minimizations over the two factors, each an
 inner convex subproblem solved by :mod:`emfkit.subsolver`.  Initialization
@@ -22,7 +22,6 @@ from .core import (
     ObservationSet,
     SolveReport,
     StopReason,
-    product_entry,
 )
 from .loss import gradient_y, objective
 from .rng import Pcg32
@@ -152,16 +151,10 @@ def fit(obs: ObservationSet, config: EmfConfig) -> SolveReport:
         factors=factors,
         objective_trace=np.asarray(trace),
         inner_iters=inner_iters,
-        converged=stop is not StopReason.MAX_ITERATIONS,
         stop_reason=stop,
         wall_seconds=time.perf_counter() - t_start,
         uncertified_solves=uncertified,
     )
-
-
-def predict(f: FactorPair, i: int, j: int) -> float:
-    """Estimate of entry (i, j): the fitted conditional expectile at that cell."""
-    return product_entry(f, i, j)
 
 
 def reconstruct(f: FactorPair, max_elements: int = _RECONSTRUCT_CAP) -> np.ndarray:

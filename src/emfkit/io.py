@@ -150,6 +150,17 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
+def results_csv(runs) -> str:
+    """The results CSV text of runs, each a pair of its echo columns
+    (run_id, omega, rank, sampling_rate, seed) and its (metric, bin, value)
+    rows: the header, then one line per row."""
+    lines = [_CSV_HEADER]
+    for (run_id, omega, rank, sampling_rate, seed), rows in runs:
+        echo = f"{run_id},{_fmt(omega)},{rank},{_fmt(sampling_rate)},{seed}"
+        lines += [f"{echo},{metric},{binlabel},{_fmt(value)}" for metric, binlabel, value in rows]
+    return "\n".join(lines) + "\n"
+
+
 def export_results(
     report: SolveReport | None,
     summaries,
@@ -189,10 +200,7 @@ def export_results(
 
     written = []
     if fmt == "csv":
-        echo = f"{run_id},{_fmt(omega)},{rank},{_fmt(sampling_rate)},{seed}"
-        lines = [_CSV_HEADER]
-        lines += [f"{echo},{metric},{binlabel},{_fmt(value)}" for metric, binlabel, value in rows]
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text(results_csv([((run_id, omega, rank, sampling_rate, seed), rows)]))
         written.append(path)
         for label in sorted(cdf_tables):
             grid, frac = cdf_tables[label]

@@ -53,7 +53,7 @@ def residuals(obs: ObservationSet, f: FactorPair) -> np.ndarray:
 def objective(obs: ObservationSet, f: FactorPair, omega: float, ridge: float = 0.0) -> float:
     """Sum of asymmetric losses over residuals plus ridge * (|x|_F^2 + |y|_F^2)."""
     _check_omega(omega)
-    if ridge < 0:
+    if not ridge >= 0:
         raise ValueError(f"ridge must be >= 0, got {ridge}")
     r = residuals(obs, f)
     w = asymmetric_weights(r, omega)

@@ -12,7 +12,7 @@ strict descent direction, so a short enough step always descends).
 
 One driver serves both observation kinds.  It works on blocks of
 independent subproblems: per block a (rows, width, d) array of design rows,
-gathered once per solve, with padding slots at weight zero, so normal
+gathered once per solve, with zero design rows at padding slots, so normal
 matrices, right-hand sides, residuals, per-row objectives and the gradient
 are each one batched matmul or reduction per block.  For entry observations
 the problem decomposes into independent k-dim subproblems per row of the
@@ -36,11 +36,6 @@ rows are all still in the loop is used as it is, uncopied); the half-step
 ends when no row is left.  The general block is one row, in the loop or
 done.  Rounds and solutions are exactly those of re-solving every row in
 every round until all weights hold.
-
-:func:`reference_qp_solve` is the independent oracle: it enumerates all
-2^p residual sign patterns of the split-variable formulation (positive and
-negative residual parts) and keeps the candidate with the lowest true
-objective.  Intended for tests on tiny instances only.
 """
 
 from __future__ import annotations
@@ -51,12 +46,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import ColumnBucket, EntryObservations, ObservationSet, as_matrix
-from .loss import asymmetric_weights
 
 _DESCENT_SLACK = 1e-13
 _MAX_HALVINGS = 60
-_QP_MAX_P = 20
-_QP_MAX_PRODUCTS = 100_000
 
 
 class SingularDesignError(RuntimeError):
@@ -83,27 +75,6 @@ class SubproblemResult:
     start_gradient: np.ndarray
 
 
-def _validate_inputs(fixed, obs, omega, ridge, warm_start):
-    fixed = as_matrix(fixed, "fixed factor")
-    if not 0.0 < omega < 1.0:
-        raise ValueError(f"omega must be in (0, 1), got {omega}")
-    if ridge < 0:
-        raise ValueError(f"ridge must be >= 0, got {ridge}")
-    if obs.shape[0] != fixed.shape[0]:
-        raise ValueError(
-            f"fixed factor has {fixed.shape[0]} rows, observations expect {obs.shape[0]}"
-        )
-    k = fixed.shape[1]
-    n = obs.shape[1]
-    if warm_start is None:
-        y0 = np.zeros((n, k))
-    else:
-        y0 = as_matrix(warm_start, "warm_start").copy()
-        if y0.shape != (n, k):
-            raise ValueError(f"warm_start shape {y0.shape}, expected {(n, k)}")
-    return fixed, y0
-
-
 def solve_y(
     x_fixed,
     obs: ObservationSet,
@@ -114,42 +85,36 @@ def solve_y(
     max_inner: int = 100,
     tol_gradient: float = 1e-8,
 ) -> SubproblemResult:
-    """Globally minimize the objective over the right factor, left factor fixed."""
-    x, y0 = _validate_inputs(x_fixed, obs, omega, ridge, warm_start)
+    """Globally minimize the objective over the right factor, left factor fixed.
+
+    The left-factor half-step is ``solve_y(y_fixed, obs.transposed, ...)``.
+    """
+    x = as_matrix(x_fixed, "fixed factor")
+    if not 0.0 < omega < 1.0:
+        raise ValueError(f"omega must be in (0, 1), got {omega}")
+    if not ridge >= 0:
+        raise ValueError(f"ridge must be >= 0, got {ridge}")
+    if obs.shape[0] != x.shape[0]:
+        raise ValueError(
+            f"fixed factor has {x.shape[0]} rows, observations expect {obs.shape[0]}"
+        )
+    shape = (obs.shape[1], x.shape[1])
+    if warm_start is None:
+        y0 = np.zeros(shape)
+    else:
+        y0 = as_matrix(warm_start, "warm_start").copy()
+        if y0.shape != shape:
+            raise ValueError(f"warm_start shape {y0.shape}, expected {shape}")
     return _solve_blocks(x, obs, omega, ridge, y0, max_inner, tol_gradient)
 
 
-def solve_x(
-    y_fixed,
-    obs: ObservationSet,
-    omega: float,
-    ridge: float = 0.0,
-    warm_start=None,
-    *,
-    max_inner: int = 100,
-    tol_gradient: float = 1e-8,
-) -> SubproblemResult:
-    """Mirror of :func:`solve_y`: minimize over the left factor via transposition."""
-    return solve_y(
-        y_fixed,
-        obs.transposed,
-        omega,
-        ridge,
-        warm_start,
-        max_inner=max_inner,
-        tol_gradient=tol_gradient,
-    )
-
-
 class _Part(NamedTuple):
-    """Some columns of one block: their ids, design rows, values and the two
-    weight levels of their slots (zero at padding)."""
+    """Some columns of one block: their ids, design rows and values (both
+    zero at padding slots)."""
 
     cols: np.ndarray
     design: np.ndarray
     values: np.ndarray
-    w_pos: np.ndarray
-    w_neg: np.ndarray
 
 
 def _weighted_solve(part: _Part, w, ridge, min_norm):
@@ -187,17 +152,20 @@ def _weighted_solve(part: _Part, w, ridge, min_norm):
     return y
 
 
-def _evaluate(part: _Part, y, ridge):
-    """Residuals, weights and objectives of the part's columns at y, their rows."""
+def _evaluate(part: _Part, y, omega, ridge):
+    """Residuals, weights and objectives of the part's columns at y, their rows.
+
+    A padding slot's residual is exactly zero, so it adds nothing.
+    """
     r = part.values - np.matmul(part.design, y[:, :, None])[:, :, 0]
-    w = np.where(r >= 0.0, part.w_pos, part.w_neg)
+    w = np.where(r >= 0.0, omega, 1.0 - omega)
     obj = (w * r * r).sum(axis=1)
     if ridge:
         obj += ridge * (y * y).sum(axis=1)
     return r, w, obj
 
 
-def _damp(part: _Part, y_old, y_new, obj_old, ridge):
+def _damp(part: _Part, y_old, y_new, obj_old, omega, ridge):
     """Halve the step from y_old to y_new (the part's rows) per column until
     it descends from obj_old; a column that never does keeps y_old."""
     out = y_old.copy()
@@ -205,7 +173,7 @@ def _damp(part: _Part, y_old, y_new, obj_old, ridge):
     t = 0.5
     for _ in range(_MAX_HALVINGS):
         trial = y_old + t * (y_new - y_old)
-        obj = _evaluate(part, trial, ridge)[2]
+        obj = _evaluate(part, trial, omega, ridge)[2]
         ok = left & (obj <= obj_old * (1.0 + _DESCENT_SLACK) + 1e-300)
         out[ok] = trial[ok]
         left &= ~ok
@@ -227,8 +195,10 @@ def _solve_blocks(x, obs, omega, ridge, y0, max_inner, tol_gradient):
                     f"fewer than rank {k}, and ridge is zero"
                 )
         buckets = obs.column_buckets
-        # per half-step: the fixed factor's rows in every slot
-        xb = [x[b.rows] for b in buckets]
+        # per half-step: the fixed factor's rows in every slot; padding slots
+        # (row -1) gather the appended zero row
+        x_pad = np.concatenate([x, np.zeros((1, k))])
+        xb = [x_pad[b.rows] for b in buckets]
     else:
         # one block: row 0 of y is vec(Y), and measurement i is slot i, with
         # design row g_i = vec(A_i^T x)
@@ -239,20 +209,17 @@ def _solve_blocks(x, obs, omega, ridge, y0, max_inner, tol_gradient):
         xb = [obs.design(x).reshape(1, obs.size, -1)]
         y0 = y0.reshape(1, -1)
     n, d = y0.shape
-    # the two weight levels, with padding slots held at weight zero
-    w_pos = [np.where(b.live, omega, 0.0) for b in buckets]
-    w_neg = [np.where(b.live, 1.0 - omega, 0.0) for b in buckets]
     ridge_x = ridge * float((x * x).sum()) if ridge else 0.0
 
     def gather(i, sel):
         """Bucket i's columns at positions sel; all of them, uncopied, for None."""
-        part = _Part(buckets[i].cols, xb[i], buckets[i].values, w_pos[i], w_neg[i])
+        part = _Part(buckets[i].cols, xb[i], buckets[i].values)
         return part if sel is None else _Part(*(a[sel] for a in part))
 
     def update(i, sel, part, y, obj):
         """Store the residuals and weights at y of bucket i's columns sel
         (gathered in part), their objectives in obj; return the weights."""
-        r, w, obj[part.cols] = _evaluate(part, y[part.cols], ridge)
+        r, w, obj[part.cols] = _evaluate(part, y[part.cols], omega, ridge)
         if sel is None:
             rs[i], ws[i] = r, w
         else:
@@ -281,36 +248,31 @@ def _solve_blocks(x, obs, omega, ridge, y0, max_inner, tol_gradient):
     for iterations in range(1, max_inner + 1):
         y_new = y.copy()
         obj_new = obj_rows.copy()
-        changed = np.zeros(n, dtype=bool)
         for i, sel in enumerate(active):
             if sel is not None and not sel.size:
                 continue
             part = gather(i, sel)
+            c = part.cols
             w_old = ws[i] if sel is None else ws[i][sel]
-            y_new[part.cols] = _weighted_solve(part, w_old, ridge, not entry)
-            w = update(i, sel, part, y_new, obj_new)
-            changed[part.cols] = (w != w_old).any(axis=1)
+            y_new[c] = _weighted_solve(part, w_old, ridge, not entry)
+            changed = (update(i, sel, part, y_new, obj_new) != w_old).any(axis=1)
+            pos = np.arange(c.size) if sel is None else sel
+            worse = obj_new[c] > obj_rows[c] * (1.0 + _DESCENT_SLACK) + 1e-300
+            if worse.any():
+                bad = gather(i, pos[worse])
+                cb = bad.cols
+                y_new[cb] = _damp(bad, y[cb], y_new[cb], obj_rows[cb], omega, ridge)
+                update(i, pos[worse], bad, y_new, obj_new)
+            # a column whose weights held through an undamped step satisfies
+            # its own signs, so it is its own global minimizer and every later
+            # round would reproduce it bit for bit; at omega = 0.5 every column
+            # leaves after the first round whatever the signs do
+            stay = changed | worse
+            active[i] = None if sel is None and stay.all() else pos[stay]
 
-        worse = obj_new > obj_rows * (1.0 + _DESCENT_SLACK) + 1e-300
-        if worse.any():
-            for i, b in enumerate(buckets):
-                sel = np.nonzero(worse[b.cols])[0]
-                if sel.size:
-                    part = gather(i, sel)
-                    c = part.cols
-                    y_new[c] = _damp(part, y[c], y_new[c], obj_rows[c], ridge)
-                    update(i, sel, part, y_new, obj_new)
-
-        # a column whose weights held through an undamped step satisfies its
-        # own signs, so it is its own global minimizer and every later round
-        # would reproduce it bit for bit; at omega = 0.5 every column leaves
-        # after the first round whatever the signs do
-        stay = changed | worse
-        active = [np.nonzero(stay[b.cols])[0] for b in buckets]
-        active = [None if s.size == b.cols.size else s for s, b in zip(active, buckets)]
         y, obj_rows = y_new, obj_new
         trace.append(float(obj_rows.sum()) + ridge_x)
-        if not stay.any():
+        if not any(sel is None or sel.size for sel in active):
             converged = True
             break
         # signs of near-zero residuals can flap on rounding noise without the
@@ -333,50 +295,3 @@ def _solve_blocks(x, obs, omega, ridge, y0, max_inner, tol_gradient):
         inner_objective_trace=np.asarray(trace),
         start_gradient=g0.reshape(obs.shape[1], k),
     )
-
-
-def reference_qp_solve(x_fixed, obs: ObservationSet, omega: float, ridge: float = 0.0) -> np.ndarray:
-    """Test oracle: global minimizer by exhaustive sign-pattern enumeration.
-
-    Every pattern fixes the split of residuals into nonnegative and negative
-    parts, i.e. the weights of the equivalent weighted least-squares
-    problem; the optimum's own pattern reproduces the optimum exactly, so
-    the best candidate over all 2^p patterns is the global minimizer.
-    With zero ridge the minimum-norm solution is returned.
-    """
-    x, _ = _validate_inputs(x_fixed, obs, omega, ridge, None)
-    n = obs.shape[1]
-    k = x.shape[1]
-    p = obs.size
-    if p > _QP_MAX_P:
-        raise ValueError(f"reference_qp_solve caps p at {_QP_MAX_P}, got {p}")
-    if p * n * k > _QP_MAX_PRODUCTS:
-        raise ValueError(
-            f"instance size p*n*k = {p * n * k} exceeds cap {_QP_MAX_PRODUCTS}"
-        )
-    # r = b - g @ vec(Y), row-major vec
-    g = obs.design(x).reshape(p, n * k)
-    b = obs.values
-    ridge_x = ridge * float((x * x).sum()) if ridge else 0.0
-
-    best_val = np.inf
-    best = None
-    bits = (1 << np.arange(p)).astype(np.int64)
-    for code in range(1 << p):
-        nonneg = (code & bits) != 0
-        w = np.where(nonneg, omega, 1.0 - omega)
-        if ridge:
-            normal = g.T @ (w[:, None] * g)
-            normal[np.arange(n * k), np.arange(n * k)] += ridge
-            z = np.linalg.solve(normal, g.T @ (w * b))
-        else:
-            sw = np.sqrt(w)
-            z = np.linalg.lstsq(sw[:, None] * g, sw * b, rcond=None)[0]
-        r = b - g @ z
-        val = float(np.dot(asymmetric_weights(r, omega) * r, r))
-        if ridge:
-            val += ridge * float(z @ z) + ridge_x
-        if val < best_val:
-            best_val = val
-            best = z
-    return best.reshape(n, k)

@@ -1,0 +1,69 @@
+"""Exhaustive QP oracle the tests compare emfkit.subsolver.solve_y with.
+
+It enumerates all 2^p residual sign patterns of the split-variable
+formulation (positive and negative residual parts) and keeps the candidate
+with the lowest true objective.  Intended for tiny instances only.
+"""
+
+import numpy as np
+
+from emfkit.core import ObservationSet, as_matrix
+from emfkit.loss import asymmetric_weights
+
+_QP_MAX_P = 20
+_QP_MAX_PRODUCTS = 100_000
+
+
+def reference_qp_solve(x_fixed, obs: ObservationSet, omega: float, ridge: float = 0.0) -> np.ndarray:
+    """Global minimizer by exhaustive sign-pattern enumeration.
+
+    Every pattern fixes the split of residuals into nonnegative and negative
+    parts, i.e. the weights of the equivalent weighted least-squares
+    problem; the optimum's own pattern reproduces the optimum exactly, so
+    the best candidate over all 2^p patterns is the global minimizer.
+    With zero ridge the minimum-norm solution is returned.
+    """
+    x = as_matrix(x_fixed, "fixed factor")
+    if not 0.0 < omega < 1.0:
+        raise ValueError(f"omega must be in (0, 1), got {omega}")
+    if not ridge >= 0:
+        raise ValueError(f"ridge must be >= 0, got {ridge}")
+    if obs.shape[0] != x.shape[0]:
+        raise ValueError(
+            f"fixed factor has {x.shape[0]} rows, observations expect {obs.shape[0]}"
+        )
+    n = obs.shape[1]
+    k = x.shape[1]
+    p = obs.size
+    if p > _QP_MAX_P:
+        raise ValueError(f"reference_qp_solve caps p at {_QP_MAX_P}, got {p}")
+    if p * n * k > _QP_MAX_PRODUCTS:
+        raise ValueError(
+            f"instance size p*n*k = {p * n * k} exceeds cap {_QP_MAX_PRODUCTS}"
+        )
+    # r = b - g @ vec(Y), row-major vec
+    g = obs.design(x).reshape(p, n * k)
+    b = obs.values
+    ridge_x = ridge * float((x * x).sum()) if ridge else 0.0
+
+    best_val = np.inf
+    best = None
+    bits = (1 << np.arange(p)).astype(np.int64)
+    for code in range(1 << p):
+        nonneg = (code & bits) != 0
+        w = np.where(nonneg, omega, 1.0 - omega)
+        if ridge:
+            normal = g.T @ (w[:, None] * g)
+            normal[np.arange(n * k), np.arange(n * k)] += ridge
+            z = np.linalg.solve(normal, g.T @ (w * b))
+        else:
+            sw = np.sqrt(w)
+            z = np.linalg.lstsq(sw[:, None] * g, sw * b, rcond=None)[0]
+        r = b - g @ z
+        val = float(np.dot(asymmetric_weights(r, omega) * r, r))
+        if ridge:
+            val += ridge * float(z @ z) + ridge_x
+        if val < best_val:
+            best_val = val
+            best = z
+    return best.reshape(n, k)

@@ -20,8 +20,9 @@ from emfkit.io import load_dense
 from emfkit.loss import gradient_x, gradient_y, objective, scalar_expectile
 from emfkit.metrics import BinSpec, binned_summaries, relative_errors
 from emfkit.rng import Pcg32
-from emfkit.subsolver import reference_qp_solve, solve_y
+from emfkit.subsolver import solve_y
 from emfkit.synth import SPLIT_STREAM, make_completion_instance
+from oracle import reference_qp_solve
 
 
 def _report(criterion: str, ok: bool, detail: str):

@@ -119,6 +119,27 @@ def test_complete_parses_its_input_once_per_grid(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_summary_rows_are_verbatim_run_rows(tmp_path):
+    out = tmp_path / "res"
+    code = run_cli(
+        "complete", "--input", _complete_input(tmp_path), "--sampling-rate", 0.4,
+        "--omega", 0.3, "--omega", 0.7, "--seed", 0, "--seed", 1, "--rank", 2,
+        "--max-outer", 5, "--bins", "0,0.5,1,5", "--cdf-points", 5, "--out-dir", out,
+    )
+    assert code == 0
+    header, *lines = (out / "summary.csv").read_text().splitlines()
+    runs = {}
+    for line in lines:
+        runs.setdefault(line.split(",")[0], []).append(line)
+    assert len(runs) == 4
+    for run_id, summary in runs.items():
+        run_header, *run_lines = (out / f"{run_id}.csv").read_text().splitlines()
+        assert run_header == header
+        # the summary rows lead the run's rows, which add the report's
+        assert run_lines[:len(summary)] == summary
+        assert len(run_lines) > len(summary)
+
+
 def test_complete_scores_each_cell_once(tmp_path, monkeypatch):
     # every relative error goes through metrics.product_at_entries, the
     # binned rows included
@@ -193,6 +214,17 @@ def test_evaluate_mode(tmp_path):
     rows = read_results_csv(out / "evaluate.csv")
     med = [r["value"] for r in rows if r["metric"] == "re_median"][0]
     assert med == pytest.approx(0.1, abs=1e-12)
+
+
+def test_evaluate_mode_rejects_truth_below_the_floor(tmp_path, capsys):
+    tp, ep = tmp_path / "t.txt", tmp_path / "e.txt"
+    write_dense(tp, np.array([[1.0, 2.0], [0.0, 5.0]]))
+    write_dense(ep, np.ones((2, 2)))
+    out = tmp_path / "res"
+    assert run_cli("evaluate", "--input", tp, "--estimate", ep, "--out-dir", out) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error\tValueError\ttruth entry at [1 0] is below the evaluation floor"]
+    assert not (out / "evaluate.csv").exists()
 
 
 def test_evaluate_mode_estimate_spans_the_sentinel(tmp_path):

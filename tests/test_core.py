@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import emfkit
 from emfkit.core import (
     DuplicateEntryError,
     EmfConfig,
@@ -8,9 +11,12 @@ from emfkit.core import (
     FactorPair,
     GeneralObservations,
     SolveReport,
+    StopReason,
     frobenius_distance,
     product_entry,
 )
+from emfkit.loss import objective
+from emfkit.subsolver import solve_y
 
 
 def test_product_entry_orthogonal_rows():
@@ -224,6 +230,20 @@ def test_config_defaults_and_validation():
             EmfConfig(**{"omega": 0.5, "rank": 1, **bad})
 
 
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(EmfConfig)])
+def test_config_rejects_nan(name):
+    with pytest.raises(ValueError):
+        EmfConfig(**{"omega": 0.5, "rank": 1, name: float("nan")})
+
+
+def test_solver_and_objective_reject_nan_ridge():
+    obs = EntryObservations((2, 2), [0, 1], [0, 1], [1.0, 2.0])
+    with pytest.raises(ValueError, match="ridge"):
+        solve_y(np.ones((2, 1)), obs, 0.5, ridge=float("nan"))
+    with pytest.raises(ValueError, match="ridge"):
+        objective(obs, FactorPair(np.ones((2, 1)), np.ones((2, 1))), 0.5, ridge=float("nan"))
+
+
 def test_solve_report_trace_validation():
     f = FactorPair([[1.0]], [[1.0]])
     with pytest.raises(ValueError):
@@ -232,3 +252,24 @@ def test_solve_report_trace_validation():
         SolveReport(factors=f, objective_trace=np.array([-1.0]))
     rep = SolveReport(factors=f, objective_trace=[1.0, 0.5])
     assert rep.objective_trace.dtype == np.float64
+
+
+def test_solve_report_converged_follows_the_stop_reason():
+    f = FactorPair([[1.0]], [[1.0]])
+    for reason in StopReason:
+        rep = SolveReport(factors=f, objective_trace=[1.0], stop_reason=reason)
+        assert rep.converged == (reason is not StopReason.MAX_ITERATIONS)
+    with pytest.raises(TypeError):
+        SolveReport(factors=f, objective_trace=[1.0], converged=True)
+
+
+def test_public_surface():
+    names = emfkit.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert getattr(emfkit, name) is not None
+    for gone in ("solve_x", "predict", "reference_qp_solve", "InitTriple"):
+        assert gone not in names and not hasattr(emfkit, gone)
+    assert not hasattr(emfkit.subsolver, "solve_x")
+    assert not hasattr(emfkit.subsolver, "reference_qp_solve")
+    assert not hasattr(emfkit.emf, "predict")

@@ -4,8 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alternation import alternate
-from emfkit.core import EmfConfig, EntryObservations, FactorPair, GeneralObservations, StopReason
-from emfkit.emf import DegenerateInitError, fit, predict, reconstruct, svd_init
+from emfkit.core import (
+    EmfConfig,
+    EntryObservations,
+    FactorPair,
+    GeneralObservations,
+    StopReason,
+    product_entry,
+)
+from emfkit.emf import DegenerateInitError, fit, reconstruct, svd_init
 from emfkit.loss import objective, residuals
 from emfkit.synth import gen_low_rank, sample_mask
 
@@ -187,7 +194,7 @@ def test_predict_and_reconstruct_agree():
     full = reconstruct(f)
     for i in range(6):
         for j in range(5):
-            assert predict(f, i, j) == pytest.approx(full[i, j], abs=1e-14)
+            assert product_entry(f, i, j) == pytest.approx(full[i, j], abs=1e-14)
     ones = FactorPair(np.ones((3, 1)), np.ones((4, 1)))
     assert np.allclose(reconstruct(ones), 1.0)
 

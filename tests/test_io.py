@@ -187,7 +187,6 @@ def _dummy_report():
         factors=FactorPair([[1.0]], [[1.0]]),
         objective_trace=np.array([4.0, 1.0, 0.25]),
         inner_iters=[2, 2],
-        converged=True,
         stop_reason=StopReason.TOLERANCE_GRADIENT,
         uncertified_solves=3,
     )
