@@ -80,6 +80,19 @@ class ExperimentPlan:
             raise ValueError(f"input_format must be dense or triplets, got {self.input_format!r}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        # "not value >= bound" also rejects NaN
+        if not 0.0 < self.sampling_rate <= 1.0:
+            raise ValueError(f"sampling_rate must be in (0, 1], got {self.sampling_rate}")
+        if not self.eval_floor >= 0:
+            raise ValueError(f"eval_floor must be >= 0, got {self.eval_floor}")
+        if not self.cdf_max > 0:
+            raise ValueError(f"cdf_max must be > 0, got {self.cdf_max}")
+        if not self.cdf_points >= 1:
+            raise ValueError(f"cdf_points must be >= 1, got {self.cdf_points}")
+        try:
+            BinSpec(np.asarray(self.bins))
+        except ValueError as exc:
+            raise ValueError(f"bins: {exc}") from None
 
     def emf_config(self, omega: float, seed: int) -> EmfConfig:
         return EmfConfig(

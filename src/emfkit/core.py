@@ -119,18 +119,16 @@ def _check_indices(idx: np.ndarray, bound: int, axis: str):
 class ColumnBucket:
     """Columns of equal padded width and their observations, one slot each.
 
-    rows, values and live are (columns, width) arrays: the row index and
-    value of each slot, and whether the slot holds an observation.  Padding
-    slots have row -1 and value 0: gathered from a factor with a zero row
-    appended, they are zero design rows.  obs lists the observation index
-    of every live slot in row-major slot order, so ``v[live]`` lines up
-    with ``obs``.
+    rows and values are (columns, width) arrays: the row index and value
+    of each slot.  Padding slots have row -1 and value 0: gathered from a
+    factor with a zero row appended, they are zero design rows.  obs lists
+    the observation index of every slot that holds one, in row-major slot
+    order, so ``v[rows >= 0]`` lines up with ``obs``.
     """
 
     cols: np.ndarray
     rows: np.ndarray
     values: np.ndarray
-    live: np.ndarray
     obs: np.ndarray
 
 
@@ -218,11 +216,9 @@ class EntryObservations:
             shape = (hi - lo, sorted_widths[lo])
             rows = np.full(shape, -1, dtype=np.int64)
             values = np.zeros(shape)
-            live = np.zeros(shape, dtype=bool)
             rows[at] = self.row_idx[obs]
             values[at] = self.values[obs]
-            live[at] = True
-            buckets.append(ColumnBucket(cols, rows, values, live, obs))
+            buckets.append(ColumnBucket(cols, rows, values, obs))
         return tuple(buckets)
 
     @cached_property

@@ -106,14 +106,16 @@ def scalar_expectile(values, omega: float) -> float:
         if np.array_equal(new_above, above):
             return m
         above = new_above
-    # Degenerate tie structure: scan all p+1 split patterns and keep the
-    # self-consistent one (exists and is unique by strict convexity).
+    # The pattern flaps on ties or on rounding (omega * v / omega need not be
+    # v).  With the c smallest values below m the first-order condition is
+    # num[c] - denom[c] * m = 0; it falls through zero on the segment
+    # between the c-th and (c+1)-th smallest values, where c counts the
+    # sorted values at which it is still positive.  The expectile lies in
+    # [min, max], so the outer segments end there.
     s = np.sort(v)
-    low = np.concatenate([[0.0], np.cumsum(s)])       # sums of the i smallest
-    high = low[-1] - low
+    low = np.concatenate([[0.0], np.cumsum(s)])       # sums of the c smallest
     counts = np.arange(v.size + 1)
+    num = (1.0 - omega) * low + omega * (low[-1] - low)
     denom = (1.0 - omega) * counts + omega * (v.size - counts)
-    cand = ((1.0 - omega) * low + omega * high) / denom
-    below = np.searchsorted(s, cand, side="left")      # #{v_i < cand}
-    ok = np.nonzero(below == counts)[0]
-    return float(cand[ok[0]])
+    c = int(np.count_nonzero(num[:-1] - denom[:-1] * s > 0.0))
+    return float(np.clip(num[c] / denom[c], s[max(c - 1, 0)], s[min(c, v.size - 1)]))

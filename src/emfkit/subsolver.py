@@ -30,12 +30,13 @@ Rows of the unknown are independent subproblems, so each converges on its
 own: a row leaves the round loop once a round leaves its weights unchanged
 and does not damp it.  It then satisfies its own signs and is its own
 global minimizer, and every later round would reproduce it bit for bit.
-Each round solves, and recomputes residuals, weights and objectives for,
-only the rows still in the loop, gathered bucket by bucket (a bucket whose
-rows are all still in the loop is used as it is, uncopied); the half-step
-ends when no row is left.  The general block is one row, in the loop or
-done.  Rounds and solutions are exactly those of re-solving every row in
-every round until all weights hold.
+Each round solves only the rows still in the loop, bucket by bucket (a
+bucket whose rows are all still in it is used uncopied, any other is
+gathered by position), updates the solution and the per-row objectives in
+place and keeps only those rows' previous values, for the descent test
+and the step halving.  The half-step ends when no row is left; the general
+block is one row.  Rounds and solutions are exactly those of re-solving
+every row in every round until all weights hold.
 """
 
 from __future__ import annotations
@@ -98,14 +99,112 @@ def solve_y(
         raise ValueError(
             f"fixed factor has {x.shape[0]} rows, observations expect {obs.shape[0]}"
         )
-    shape = (obs.shape[1], x.shape[1])
+    k = x.shape[1]
     if warm_start is None:
-        y0 = np.zeros(shape)
+        y = np.zeros((obs.shape[1], k))
     else:
-        y0 = as_matrix(warm_start, "warm_start").copy()
-        if y0.shape != shape:
-            raise ValueError(f"warm_start shape {y0.shape}, expected {shape}")
-    return _solve_blocks(x, obs, omega, ridge, y0, max_inner, tol_gradient)
+        # solve_y's own copy: the rounds update it in place
+        y = as_matrix(warm_start, "warm_start").copy()
+        if y.shape != (obs.shape[1], k):
+            raise ValueError(f"warm_start shape {y.shape}, expected {(obs.shape[1], k)}")
+    entry = isinstance(obs, EntryObservations)
+    if entry:
+        if ridge == 0.0:
+            short = np.nonzero(obs.col_counts < k)[0]
+            if short.size:
+                raise SingularDesignError(
+                    f"column {short[0]} has {obs.col_counts[short[0]]} observations, "
+                    f"fewer than rank {k}, and ridge is zero"
+                )
+        buckets = obs.column_buckets
+        # per half-step: the fixed factor's rows in every slot; padding slots
+        # (row -1) gather the appended zero row
+        x_pad = np.concatenate([x, np.zeros((1, k))])
+        parts = [_Part(b.cols, x_pad[b.rows], b.values) for b in buckets]
+    else:
+        # one block: row 0 of y is vec(Y), and measurement i is slot i, with
+        # design row g_i = vec(A_i^T x)
+        slots = np.arange(obs.size)
+        col = np.zeros(1, dtype=np.int64)
+        buckets = (ColumnBucket(col, slots[None], obs.values[None], slots),)
+        parts = [_Part(col, obs.design(x).reshape(1, obs.size, -1), obs.values[None])]
+        y = y.reshape(1, -1)
+    n, d = y.shape
+    ridge_x = ridge * float((x * x).sum()) if ridge else 0.0
+
+    def grad_at(y):
+        g = 2.0 * ridge * y if ridge else np.zeros((n, d))
+        for part, w, r in zip(parts, ws, rs):
+            wr = (w * r)[:, :, None]
+            g[part.cols] -= 2.0 * np.matmul(part.design.transpose(0, 2, 1), wr)[:, :, 0]
+        return g
+
+    # per bucket, the residuals and weights of its columns at y; per column,
+    # its objective at y
+    rs, ws = [None] * len(parts), [None] * len(parts)
+    obj = np.empty(n)
+    for i, part in enumerate(parts):
+        rs[i], ws[i], obj[part.cols] = _evaluate(part, y[part.cols], omega, ridge)
+    trace = [float(obj.sum()) + ridge_x]
+    g0 = grad_at(y)
+    grad0 = float(np.linalg.norm(g0))
+
+    # per bucket, the positions of the columns still in the loop
+    active = [np.arange(len(b.cols)) for b in buckets]
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_inner + 1):
+        for i, sel in enumerate(active):
+            if not sel.size:
+                continue
+            whole = sel.size == len(buckets[i].cols)
+            part = parts[i] if whole else _Part(*(a[sel] for a in parts[i]))
+            c = part.cols
+            y_old, obj_old = y[c], obj[c]
+            w_old = ws[i] if whole else ws[i][sel]
+            y_c = _weighted_solve(part, w_old, ridge, not entry)
+            r, w, obj_c = _evaluate(part, y_c, omega, ridge)
+            changed = (w != w_old).any(axis=1)
+            worse = obj_c > obj_old * (1.0 + _DESCENT_SLACK) + 1e-300
+            if worse.any():
+                bad = _Part(*(a[worse] for a in part))
+                y_c[worse] = _damp(bad, y_old[worse], y_c[worse], obj_old[worse], omega, ridge)
+                r[worse], w[worse], obj_c[worse] = _evaluate(bad, y_c[worse], omega, ridge)
+            y[c], obj[c] = y_c, obj_c
+            if whole:
+                rs[i], ws[i] = r, w
+            else:
+                rs[i][sel], ws[i][sel] = r, w
+            # a column whose weights held through an undamped step satisfies
+            # its own signs, so it is its own global minimizer and every later
+            # round would reproduce it bit for bit; at omega = 0.5 every column
+            # leaves after the first round whatever the signs do
+            active[i] = sel[changed | worse]
+
+        trace.append(float(obj.sum()) + ridge_x)
+        if not any(sel.size for sel in active):
+            converged = True
+            break
+        # signs of near-zero residuals can flap on rounding noise without the
+        # point moving; once the objective stalls, certify by the gradient
+        if (trace[-2] - trace[-1]) <= 1e-13 * max(trace[-2], 1e-300):
+            if np.linalg.norm(grad_at(y)) <= tol_gradient * (1.0 + grad0):
+                converged = True
+                break
+
+    gnorm = float(np.linalg.norm(grad_at(y)))
+    pattern = np.empty(obs.size, dtype=bool)
+    for b, r in zip(buckets, rs):
+        pattern[b.obs] = r[b.rows >= 0] >= 0.0
+    return SubproblemResult(
+        solution=y.reshape(obs.shape[1], k),
+        sign_pattern=pattern,
+        inner_iterations=iterations,
+        final_gradient_norm=gnorm,
+        converged=converged and gnorm <= tol_gradient * (1.0 + grad0),
+        inner_objective_trace=np.asarray(trace),
+        start_gradient=g0.reshape(obs.shape[1], k),
+    )
 
 
 class _Part(NamedTuple):
@@ -181,117 +280,3 @@ def _damp(part: _Part, y_old, y_new, obj_old, omega, ridge):
             break
         t *= 0.5
     return out
-
-
-def _solve_blocks(x, obs, omega, ridge, y0, max_inner, tol_gradient):
-    k = x.shape[1]
-    entry = isinstance(obs, EntryObservations)
-    if entry:
-        if ridge == 0.0:
-            short = np.nonzero(obs.col_counts < k)[0]
-            if short.size:
-                raise SingularDesignError(
-                    f"column {short[0]} has {obs.col_counts[short[0]]} observations, "
-                    f"fewer than rank {k}, and ridge is zero"
-                )
-        buckets = obs.column_buckets
-        # per half-step: the fixed factor's rows in every slot; padding slots
-        # (row -1) gather the appended zero row
-        x_pad = np.concatenate([x, np.zeros((1, k))])
-        xb = [x_pad[b.rows] for b in buckets]
-    else:
-        # one block: row 0 of y is vec(Y), and measurement i is slot i, with
-        # design row g_i = vec(A_i^T x)
-        slots = np.arange(obs.size)
-        live = np.ones((1, obs.size), dtype=bool)
-        col = np.zeros(1, dtype=np.int64)
-        buckets = (ColumnBucket(col, slots[None], obs.values[None], live, slots),)
-        xb = [obs.design(x).reshape(1, obs.size, -1)]
-        y0 = y0.reshape(1, -1)
-    n, d = y0.shape
-    ridge_x = ridge * float((x * x).sum()) if ridge else 0.0
-
-    def gather(i, sel):
-        """Bucket i's columns at positions sel; all of them, uncopied, for None."""
-        part = _Part(buckets[i].cols, xb[i], buckets[i].values)
-        return part if sel is None else _Part(*(a[sel] for a in part))
-
-    def update(i, sel, part, y, obj):
-        """Store the residuals and weights at y of bucket i's columns sel
-        (gathered in part), their objectives in obj; return the weights."""
-        r, w, obj[part.cols] = _evaluate(part, y[part.cols], omega, ridge)
-        if sel is None:
-            rs[i], ws[i] = r, w
-        else:
-            rs[i][sel], ws[i][sel] = r, w
-        return w
-
-    def grad_at(ws, rs, y):
-        g = 2.0 * ridge * y if ridge else np.zeros((n, d))
-        for b, a, w, r in zip(buckets, xb, ws, rs):
-            g[b.cols] -= 2.0 * np.matmul(a.transpose(0, 2, 1), (w * r)[:, :, None])[:, :, 0]
-        return g
-
-    y = y0
-    rs, ws = [None] * len(buckets), [None] * len(buckets)
-    obj_rows = np.empty(n)
-    for i in range(len(buckets)):
-        update(i, None, gather(i, None), y, obj_rows)
-    trace = [float(obj_rows.sum()) + ridge_x]
-    g0 = grad_at(ws, rs, y)
-    grad0 = float(np.linalg.norm(g0))
-
-    # per bucket, the positions of the columns still in the loop (None: all)
-    active = [None] * len(buckets)
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_inner + 1):
-        y_new = y.copy()
-        obj_new = obj_rows.copy()
-        for i, sel in enumerate(active):
-            if sel is not None and not sel.size:
-                continue
-            part = gather(i, sel)
-            c = part.cols
-            w_old = ws[i] if sel is None else ws[i][sel]
-            y_new[c] = _weighted_solve(part, w_old, ridge, not entry)
-            changed = (update(i, sel, part, y_new, obj_new) != w_old).any(axis=1)
-            pos = np.arange(c.size) if sel is None else sel
-            worse = obj_new[c] > obj_rows[c] * (1.0 + _DESCENT_SLACK) + 1e-300
-            if worse.any():
-                bad = gather(i, pos[worse])
-                cb = bad.cols
-                y_new[cb] = _damp(bad, y[cb], y_new[cb], obj_rows[cb], omega, ridge)
-                update(i, pos[worse], bad, y_new, obj_new)
-            # a column whose weights held through an undamped step satisfies
-            # its own signs, so it is its own global minimizer and every later
-            # round would reproduce it bit for bit; at omega = 0.5 every column
-            # leaves after the first round whatever the signs do
-            stay = changed | worse
-            active[i] = None if sel is None and stay.all() else pos[stay]
-
-        y, obj_rows = y_new, obj_new
-        trace.append(float(obj_rows.sum()) + ridge_x)
-        if not any(sel is None or sel.size for sel in active):
-            converged = True
-            break
-        # signs of near-zero residuals can flap on rounding noise without the
-        # point moving; once the objective stalls, certify by the gradient
-        if (trace[-2] - trace[-1]) <= 1e-13 * max(trace[-2], 1e-300):
-            if np.linalg.norm(grad_at(ws, rs, y)) <= tol_gradient * (1.0 + grad0):
-                converged = True
-                break
-
-    gnorm = float(np.linalg.norm(grad_at(ws, rs, y)))
-    pattern = np.empty(obs.size, dtype=bool)
-    for b, r in zip(buckets, rs):
-        pattern[b.obs] = r[b.live] >= 0.0
-    return SubproblemResult(
-        solution=y.reshape(obs.shape[1], k),
-        sign_pattern=pattern,
-        inner_iterations=iterations,
-        final_gradient_norm=gnorm,
-        converged=converged and gnorm <= tol_gradient * (1.0 + grad0),
-        inner_objective_trace=np.asarray(trace),
-        start_gradient=g0.reshape(obs.shape[1], k),
-    )

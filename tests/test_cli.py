@@ -265,6 +265,14 @@ def test_expectile_mode(tmp_path, capsys):
     assert float(table["0.5"]) == pytest.approx(0.5)
 
 
+def test_expectile_mode_one_value(tmp_path, capsys):
+    vals = tmp_path / "v.txt"
+    vals.write_text("3.0\n")
+    assert run_cli("expectile", "--input", vals, "--omega", "0.1,0.5,0.9") == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines == ["omega\texpectile", "0.1\t3.0", "0.5\t3.0", "0.9\t3.0"]
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "plan.cfg"
     cfg.write_text(
@@ -315,6 +323,31 @@ def test_unknown_config_key_fails(tmp_path, capsys):
 
 def test_invalid_omega_rejected(tmp_path):
     assert run_cli("synth-exp", "--omega", 1.5, "--out-dir", tmp_path / "x") == 1
+
+
+@pytest.mark.parametrize("mode, flag, value, message", [
+    ("complete", "--sampling-rate", "nan", "sampling_rate must be in (0, 1], got nan"),
+    ("complete", "--sampling-rate", "1.5", "sampling_rate must be in (0, 1], got 1.5"),
+    ("evaluate", "--eval-floor", "nan", "eval_floor must be >= 0, got nan"),
+    ("evaluate", "--cdf-max", "nan", "cdf_max must be > 0, got nan"),
+    ("evaluate", "--cdf-points", "0", "cdf_points must be >= 1, got 0"),
+    ("complete", "--bins", "3,1", "bins: boundaries must be finite and strictly increasing"),
+])
+def test_invalid_plan_value_stops_before_writing(tmp_path, capsys, mode, flag, value, message):
+    src = _complete_input(tmp_path)
+    args = ["--input", src, "--omega", 0.5, "--seed", 0, "--rank", 2, "--max-outer", 2]
+    if mode == "evaluate":
+        # a zero truth entry: a NaN floor used to let it through as an inf error
+        truth = np.array([[1.0, 2.0], [0.0, 5.0]])
+        write_dense(src, truth)
+        est = tmp_path / "e.txt"
+        write_dense(est, truth + 0.5)
+        args = ["--input", src, "--estimate", est]
+    out = tmp_path / "res"
+    assert run_cli(mode, *args, flag, value, "--out-dir", out) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error\tValueError\t{message}"]
+    assert not out.exists()
 
 
 def test_config_input_format_typo_fails(tmp_path):

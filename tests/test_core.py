@@ -112,7 +112,7 @@ def test_entry_observations_grouping_views():
     assert single.cols.tolist() == [0] and single.rows.tolist() == [[2]]
     assert pair.cols.tolist() == [1] and pair.rows.tolist() == [[0, 2]]
     assert pair.values.tolist() == [[5.0, 7.0]] and pair.obs.tolist() == [0, 2]
-    assert all(b.live.all() for b in obs.column_buckets)
+    assert all((b.rows >= 0).all() for b in obs.column_buckets)
 
 
 def test_entry_observations_transpose_roundtrip():

@@ -177,6 +177,17 @@ def test_mirror_symmetry():
     assert np.linalg.norm(a + b) <= 1e-8 * max(1.0, np.linalg.norm(a))
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_transposed_fit_transposes_the_product(seed):
+    # noiseless only: on noisy data the two fits start from different points,
+    # take the half-steps in the other order and can end in different minima
+    truth, obs = completion(30, 25, 2, 0.5, seed)
+    cfg = EmfConfig(omega=0.3, rank=2, seed=seed)
+    a = reconstruct(fit(obs, cfg).factors)
+    b = reconstruct(fit(obs.transposed, cfg).factors)
+    assert rel_err(b.T, a) <= 1e-7
+
+
 def test_geometric_early_decrease_noiseless():
     truth, obs = completion(60, 60, 3, 0.35, seed=21)
     rep = fit(obs, EmfConfig(omega=0.3, rank=3, max_outer=200, seed=21))

@@ -276,6 +276,23 @@ def test_scalar_expectile_skewed_sample():
     assert abs(e - 1.0) < abs(v.mean() - 1.0)
 
 
+def test_scalar_expectile_constant_and_tied_samples():
+    # omega * v / omega need not round back to v, so on a constant sample the
+    # sign-set loop can flap and the tie scan answers
+    assert scalar_expectile([3.0], 0.1) == 3.0
+    rng = np.random.RandomState(31)
+    for size in range(1, 11):
+        for w in (0.1, 0.3, 0.7, 0.9):
+            for c in rng.randn(15) * 10.0 ** rng.randint(-3, 4, size=15):
+                e = scalar_expectile(np.full(size, c), w)
+                assert abs(e - c) <= 4 * np.spacing(abs(c))
+    # samples of one to three distinct values
+    for _ in range(300):
+        v = rng.choice(rng.randn(rng.randint(1, 4)), rng.randint(1, 12))
+        w = rng.uniform(0.01, 0.99)
+        assert scalar_expectile(v, w) == pytest.approx(_bisect_expectile(v, w), abs=1e-12)
+
+
 def test_scalar_expectile_rejects_empty():
     with pytest.raises(ValueError):
         scalar_expectile([], 0.5)

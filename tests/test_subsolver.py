@@ -279,7 +279,7 @@ def test_padded_layout_power_law_degrees_match_weighted_lstsq():
     m, k, omega = 400, 3, 0.2
     degrees = np.maximum(k + 1, (300 / np.arange(1, 81) ** 1.2).astype(int))
     obs = column_degree_instance(rng, m, degrees)
-    slots = sum(b.live.size for b in obs.column_buckets)
+    slots = sum(b.rows.size for b in obs.column_buckets)
     assert obs.size <= slots <= 2 * obs.size
     assert len(obs.column_buckets) >= 5
     x = rng.randn(m, k)
@@ -327,6 +327,21 @@ def one_hot_measurements(obs):
     return GeneralObservations(obs.shape, mats, obs.values)
 
 
+def overshooting_warm_start(x, obs, omega):
+    """A warm start whose first round overshoots, for entry observations and
+    an x whose first column is all ones (so y[:, 0] shifts a whole column)."""
+    y_ls = solve_y(x, obs, 0.5).solution
+    r = residuals(obs, FactorPair(x, y_ls))
+    # shift each column until all residuals sit on the low-weight side:
+    # the first round then solves plain least squares and overshoots
+    side = 1.0 if omega < 0.5 else -1.0
+    reach = np.zeros(obs.shape[1])
+    np.maximum.at(reach, obs.col_idx, -side * r)
+    shifted = y_ls.copy()
+    shifted[:, 0] -= side * (reach + 0.1)
+    return shifted
+
+
 @pytest.mark.parametrize("omega", (0.1, 0.5, 0.9))
 def test_one_driver_serves_both_observation_kinds(omega, monkeypatch):
     import emfkit.subsolver as subsolver
@@ -347,16 +362,7 @@ def test_one_driver_serves_both_observation_kinds(omega, monkeypatch):
         gobs = one_hot_measurements(obs)
         # a column of ones lets y[:, 0] shift every fitted value of a column
         x = np.column_stack([np.ones(m), rng.randn(m, k - 1)])
-        y_ls = solve_y(x, obs, 0.5).solution
-        r = residuals(obs, FactorPair(x, y_ls))
-        # shift each column until all residuals sit on the low-weight side:
-        # the first round then solves plain least squares and overshoots
-        side = 1.0 if omega < 0.5 else -1.0
-        reach = np.zeros(obs.shape[1])
-        np.maximum.at(reach, obs.col_idx, -side * r)
-        shifted = y_ls.copy()
-        shifted[:, 0] -= side * (reach + 0.1)
-        for warm in (rng.randn(obs.shape[1], k) * 10, shifted):
+        for warm in (rng.randn(obs.shape[1], k) * 10, overshooting_warm_start(x, obs, omega)):
             a = solve_y(x, obs, omega, warm_start=warm)
             b = solve_y(x, gobs, omega, warm_start=warm)
             assert a.converged and b.converged
@@ -364,6 +370,35 @@ def test_one_driver_serves_both_observation_kinds(omega, monkeypatch):
             assert np.array_equal(a.sign_pattern, b.sign_pattern)
     if omega != 0.5:
         assert damped["entry"] and damped["general"]
+
+
+@pytest.mark.parametrize("general", [False, True])
+@pytest.mark.parametrize("ridge", [0.0, 0.3])
+def test_solve_leaves_fixed_factor_and_warm_start_untouched(general, ridge, monkeypatch):
+    # the rounds update solve_y's own copy of the warm start in place
+    import emfkit.subsolver as subsolver
+
+    damped = []
+    real_damp = subsolver._damp
+
+    def counting_damp(*args):
+        damped.append(1)
+        return real_damp(*args)
+
+    monkeypatch.setattr(subsolver, "_damp", counting_damp)
+    rng = np.random.RandomState(90 + general + int(ridge * 10))
+    m, k = 8, 2
+    for _ in range(3):
+        entries = column_degree_instance(rng, m, [5, 4, 6, 5])
+        obs = one_hot_measurements(entries) if general else entries
+        x = np.column_stack([np.ones(m), rng.randn(m, k - 1)])
+        for warm in (rng.randn(4, k) * 10, overshooting_warm_start(x, entries, 0.1)):
+            x_before, warm_before = x.copy(), warm.copy()
+            res = solve_y(x, obs, 0.1, ridge, warm_start=warm)
+            assert res.converged
+            assert np.array_equal(x, x_before) and np.array_equal(warm, warm_before)
+            assert not np.shares_memory(res.solution, warm)
+    assert damped, "far warm starts should exercise the damped step"
 
 
 def test_general_certificate_is_the_loss_gradient():
