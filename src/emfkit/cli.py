@@ -11,6 +11,7 @@ bounded process pool (``--workers``); outputs are deterministic either way.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import textwrap
@@ -83,12 +84,16 @@ class ExperimentPlan:
         # "not value >= bound" also rejects NaN
         if not 0.0 < self.sampling_rate <= 1.0:
             raise ValueError(f"sampling_rate must be in (0, 1], got {self.sampling_rate}")
-        if not self.eval_floor >= 0:
-            raise ValueError(f"eval_floor must be >= 0, got {self.eval_floor}")
+        for key, low in (("rank", 1), ("k_true", 1), ("m", 1), ("n", 1), ("dof", 1),
+                         ("max_outer", 0), ("noise_scale", 0), ("tol_obj", 0),
+                         ("tol_grad", 0), ("ridge", 0), ("eval_floor", 0), ("cdf_points", 1)):
+            value = getattr(self, key)
+            if not value >= low:
+                raise ValueError(f"{key} must be >= {low}, got {value}")
         if not self.cdf_max > 0:
             raise ValueError(f"cdf_max must be > 0, got {self.cdf_max}")
-        if not self.cdf_points >= 1:
-            raise ValueError(f"cdf_points must be >= 1, got {self.cdf_points}")
+        if not math.isfinite(self.sentinel):
+            raise ValueError(f"sentinel must be finite, got {self.sentinel}")
         try:
             BinSpec(np.asarray(self.bins))
         except ValueError as exc:

@@ -27,6 +27,15 @@ Derived streams are layered on the raw 32-bit output and are equally pinned:
   of range(n); the prefix is the values left at positions 0..count-1.  The
   draw order, one ``below`` per step in step order, is pinned with the
   rest: sampling masks and train splits are built on it.
+
+The batched streams (``uint32_array``, ``uniform``, ``normal``) work through
+blocks of at most ``_BLOCK`` raw draws.  A block's states are computed from
+its first one by LCG jump-ahead (Brown, "Random number generation with
+arbitrary strides", 1994) with two tables built once at import, ``a^i`` and
+``sum_{j<i} a^j`` for ``i < _BLOCK``; the output function is applied to
+them and the result written into the request's output.  Temporaries are
+O(block), so a request takes about its output's memory, and the values are
+the same as ``count`` scalar steps.
 """
 
 from __future__ import annotations
@@ -37,6 +46,26 @@ import numpy as np
 
 _MULT = 6364136223846793005
 _MASK64 = (1 << 64) - 1
+
+# Raw draws per block of the batched streams; the jump-ahead tables are this
+# long.  A block's temporaries (at most 128 KiB each) stay in cache, and
+# glibc's malloc reuses them: at 2^15 and 2^16, normal() spent a quarter to
+# a third of its time in page faults on memory handed back and taken again.
+_BLOCK = 1 << 14
+
+
+def _jump_tables():
+    """a^i and sum_{j<i} a^j (mod 2^64) for i < _BLOCK, a the multiplier."""
+    powers = np.full(_BLOCK, _MULT, dtype=np.uint64)
+    powers[0] = 1
+    np.multiply.accumulate(powers, out=powers)
+    geo = np.zeros(_BLOCK, dtype=np.uint64)
+    np.cumsum(powers[:-1], out=geo[1:])
+    powers.flags.writeable = geo.flags.writeable = False
+    return powers, geo
+
+
+_POW, _GEO = _jump_tables()
 
 
 class Pcg32:
@@ -71,44 +100,62 @@ class Pcg32:
     def uint32_array(self, count: int) -> np.ndarray:
         """Vectorized batch of raw draws, identical to `count` scalar calls.
 
-        Uses the LCG jump-ahead identity s_i = a^i s_0 + c * sum_{j<i} a^j,
-        with all arithmetic wrapping mod 2^64 in uint64 arrays.
+        Works through blocks of at most ``_BLOCK`` draws.  A block's states
+        follow from its first one by the LCG jump-ahead identity
+        s_i = a^i s_0 + c * sum_{j<i} a^j, with both coefficients read from
+        tables built at import and all arithmetic wrapping mod 2^64, so the
+        uint64 temporaries are O(block) whatever `count` is.
         """
-        if count < 0:
-            raise ValueError("count must be nonnegative")
-        if count == 0:
-            return np.empty(0, dtype=np.uint32)
-        mult = np.uint64(_MULT)
-        powers = np.full(count, mult, dtype=np.uint64)
-        powers[0] = 1
-        np.multiply.accumulate(powers, out=powers)  # a^0 .. a^(count-1)
-        geo = np.zeros(count, dtype=np.uint64)      # sum_{j<i} a^j
-        np.cumsum(powers[:-1], out=geo[1:])
-        olds = powers * np.uint64(self._state) + geo * np.uint64(self._inc)
-        # advance the scalar state past the batch
-        last = int(olds[-1])
-        self._state = (last * _MULT + self._inc) & _MASK64
-        xorshifted = (((olds >> np.uint64(18)) ^ olds) >> np.uint64(27)).astype(np.uint32)
-        rot = (olds >> np.uint64(59)).astype(np.uint32)
-        return (xorshifted >> rot) | (xorshifted << ((np.uint32(32) - rot) & np.uint32(31)))
+        _check_count(count)
+        out = np.empty(count, dtype=np.uint32)
+        for start in range(0, count, _BLOCK):
+            self._fill_raw(out[start:start + _BLOCK])
+        return out
 
     def uniform(self, count: int) -> np.ndarray:
         """i.i.d. doubles in [0, 1), 53-bit resolution."""
-        raw = self.uint32_array(2 * count).astype(np.uint64)
-        hi, lo = raw[0::2], raw[1::2]
-        bits = (hi << np.uint64(32)) | lo
-        return (bits >> np.uint64(11)) * (2.0 ** -53)
+        _check_count(count)
+        out = np.empty(count)
+        for start in range(0, count, _BLOCK // 2):
+            self._fill_uniform(out[start:start + _BLOCK // 2])
+        return out
 
     def normal(self, count: int) -> np.ndarray:
         """i.i.d. standard normals via Box-Muller."""
+        _check_count(count)
         pairs = (count + 1) // 2
-        u = self.uniform(2 * pairs)
-        r = np.sqrt(-2.0 * np.log1p(-u[0::2]))
-        theta = (2.0 * math.pi) * u[1::2]
         out = np.empty(2 * pairs)
-        out[0::2] = r * np.cos(theta)
-        out[1::2] = r * np.sin(theta)
+        # each block is filled with uniforms, then overwritten by its normals
+        for start in range(0, 2 * pairs, _BLOCK // 2):
+            u = out[start:start + _BLOCK // 2]
+            self._fill_uniform(u)
+            r = np.sqrt(-2.0 * np.log1p(-u[0::2]))
+            theta = (2.0 * math.pi) * u[1::2]
+            u[0::2] = r * np.cos(theta)
+            u[1::2] = r * np.sin(theta)
         return out[:count]
+
+    def _fill_raw(self, out: np.ndarray) -> None:
+        """Write the next ``out.size`` (1 to ``_BLOCK``) raw draws into the
+        uint32 array `out` and advance the state past them."""
+        c = out.size
+        olds = _POW[:c] * np.uint64(self._state)
+        olds += _GEO[:c] * np.uint64(self._inc)
+        self._state = (int(olds[-1]) * _MULT + self._inc) & _MASK64
+        rot = (olds >> np.uint64(59)).astype(np.uint32)
+        olds ^= olds >> np.uint64(18)
+        olds >>= np.uint64(27)
+        xorshifted = olds.astype(np.uint32)
+        np.bitwise_or(xorshifted >> rot, xorshifted << (-rot & np.uint32(31)), out=out)
+
+    def _fill_uniform(self, out: np.ndarray) -> None:
+        """Write the next ``out.size`` (1 to ``_BLOCK // 2``) uniforms into
+        the float64 array `out`, two raw draws each."""
+        raw = np.empty(2 * out.size, dtype=np.uint32)
+        self._fill_raw(raw)
+        raw = raw.astype(np.uint64)
+        bits = (raw[0::2] << np.uint64(32)) | raw[1::2]
+        out[:] = (bits >> np.uint64(11)) * (2.0 ** -53)
 
     def permutation_prefix(self, n: int, count: int) -> np.ndarray:
         """First `count` elements of a Fisher-Yates shuffle of range(n).
@@ -135,6 +182,11 @@ class Pcg32:
             j[i] = i + (raw[accepted] % bounds[i]).astype(np.int64)
             done += int(np.count_nonzero(accepted))
         return _resolve_swaps(j)
+
+
+def _check_count(count: int) -> None:
+    if count < 0:
+        raise ValueError("count must be nonnegative")
 
 
 def _assign_draws(raw: np.ndarray, thresholds: np.ndarray):

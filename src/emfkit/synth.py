@@ -80,7 +80,10 @@ def gaussian_measurements(
     (p, m, n) array.
 
     Values are attached later via :func:`apply_measurements`; the raw array
-    keeps the measurement ensemble reusable across truth matrices.
+    keeps the measurement ensemble reusable across truth matrices.  The
+    normals are drawn block by block into the result, so a draw at the
+    ``max_elements`` cap (400 MB of output by default) needs little memory
+    beyond the result itself.
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")

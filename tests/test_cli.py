@@ -332,6 +332,18 @@ def test_invalid_omega_rejected(tmp_path):
     ("evaluate", "--cdf-max", "nan", "cdf_max must be > 0, got nan"),
     ("evaluate", "--cdf-points", "0", "cdf_points must be >= 1, got 0"),
     ("complete", "--bins", "3,1", "bins: boundaries must be finite and strictly increasing"),
+    ("synth-exp", "--rank", "0", "rank must be >= 1, got 0"),
+    ("synth-exp", "--k-true", "0", "k_true must be >= 1, got 0"),
+    ("synth-exp", "--m", "0", "m must be >= 1, got 0"),
+    ("synth-exp", "--n", "-3", "n must be >= 1, got -3"),
+    ("synth-exp", "--dof", "0", "dof must be >= 1, got 0"),
+    ("synth-exp", "--max-outer", "-1", "max_outer must be >= 0, got -1"),
+    ("synth-exp", "--noise-scale", "nan", "noise_scale must be >= 0, got nan"),
+    ("synth-exp", "--tol-obj", "nan", "tol_obj must be >= 0, got nan"),
+    ("complete", "--tol-grad", "nan", "tol_grad must be >= 0, got nan"),
+    ("complete", "--ridge", "nan", "ridge must be >= 0, got nan"),
+    ("complete", "--sentinel", "nan", "sentinel must be finite, got nan"),
+    ("evaluate", "--sentinel", "inf", "sentinel must be finite, got inf"),
 ])
 def test_invalid_plan_value_stops_before_writing(tmp_path, capsys, mode, flag, value, message):
     src = _complete_input(tmp_path)

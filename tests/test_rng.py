@@ -1,7 +1,11 @@
+import hashlib
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from emfkit.rng import Pcg32
+from emfkit.rng import _BLOCK, Pcg32
 
 # First six outputs of the reference pcg32 demo stream (seed 42, seq 54).
 REFERENCE_STREAM = [0xA15C02B7, 0x7B47F409, 0xBA1D3330, 0x83D2F293, 0xBFA4784B, 0xCBED606E]
@@ -19,6 +23,72 @@ def test_batch_matches_scalar_and_continues():
     assert np.array_equal(batch, scalar)
     # state advanced identically
     assert a.next_uint32() == b.next_uint32()
+
+
+@pytest.mark.parametrize("count", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+def test_batch_matches_scalar_across_block_boundaries(count):
+    a, b = Pcg32(2**40 + 3, 9), Pcg32(2**40 + 3, 9)
+    batch = a.uint32_array(count)
+    assert batch.dtype == np.uint32
+    assert batch.tolist() == [b.next_uint32() for _ in range(count)]
+    assert a.next_uint32() == b.next_uint32()
+
+
+def box_muller(u, count):
+    """Box-Muller over all uniform pairs at once, the reference for the blocked
+    `normal`."""
+    r = np.sqrt(-2.0 * np.log1p(-u[0::2]))
+    theta = (2.0 * math.pi) * u[1::2]
+    out = np.empty(u.size)
+    out[0::2] = r * np.cos(theta)
+    out[1::2] = r * np.sin(theta)
+    return out[:count]
+
+
+_BLOCK_NORMALS = _BLOCK // 2  # two uniforms, four raw draws, per pair
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, _BLOCK_NORMALS - 1, _BLOCK_NORMALS,
+                                   _BLOCK_NORMALS + 1, _BLOCK_NORMALS + 2,
+                                   2 * _BLOCK_NORMALS + 3])
+def test_normal_matches_one_shot_box_muller(count):
+    a, b = Pcg32(31, 6), Pcg32(31, 6)
+    pairs = (count + 1) // 2
+    got = a.normal(count)
+    assert got.shape == (count,)
+    assert np.array_equal(got, box_muller(b.uniform(2 * pairs), count))
+    assert a.next_uint32() == b.next_uint32()
+
+
+def test_multi_block_pinned_vectors():
+    # values of the unblocked whole-length jump-ahead, at fixed counts (three
+    # blocks and a part at 2^14), so no block size may move the stream
+    raw = Pcg32(2024, 5).uint32_array(3 * 2**14 + 5)
+    assert raw[:4].tolist() == [0x5BC0064E, 0xC7D0DBF4, 0xCD7E0F8E, 0xCD8F795B]
+    assert raw[-4:].tolist() == [0xF4297141, 0x21ACC182, 0x4DBFB404, 0x6F6811E3]
+    assert hashlib.sha256(raw.tobytes()).hexdigest() == (
+        "f05ac6783eb857aafe82f28864fad549e13eed308ae91e9d24373c93d5a97bab")
+    u = Pcg32(2024, 5).uniform(2**14 + 7)
+    assert hashlib.sha256(u.tobytes()).hexdigest() == (
+        "95db52ef054a097aa89602c67409068c99b9152fd4b9d0cbe1ebb9075d5555ef")
+
+
+def test_normal_takes_about_its_output_memory():
+    g = Pcg32(0, 5)
+    tracemalloc.start()
+    try:
+        z = g.normal(2_000_001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * z.nbytes, peak / z.nbytes
+
+
+@pytest.mark.parametrize("method", ["uint32_array", "uniform", "normal"])
+def test_batched_streams_reject_negative_counts(method):
+    # without the check, normal(-1) would round up to zero pairs and return []
+    with pytest.raises(ValueError, match="count must be nonnegative"):
+        getattr(Pcg32(0), method)(-1)
 
 
 def test_streams_differ_by_seed_and_seq():
