@@ -28,7 +28,7 @@ import scipy
 from . import __version__
 from .core import EmfConfig, EntryObservations
 from .emf import fit
-from .io import export_results, load_dense, load_triplets, read_dense, results_csv
+from .io import _parse_real, export_results, load_dense, load_triplets, read_dense, results_csv
 from .loss import scalar_expectile
 from .metrics import BinSpec, binned_summaries, empirical_cdf, relative_errors, summarize
 from .rng import Pcg32
@@ -75,6 +75,8 @@ class ExperimentPlan:
         for w in self.omega:
             if not 0.0 < w < 1.0:
                 raise ValueError(f"omega values must be in (0, 1), got {w}")
+        if min(self.seed, default=0) < 0:
+            raise ValueError(f"seed values must be >= 0, got {min(self.seed)}")
         if self.format not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.format!r}")
         if self.input_format not in ("dense", "triplets"):
@@ -90,6 +92,11 @@ class ExperimentPlan:
             value = getattr(self, key)
             if not value >= low:
                 raise ValueError(f"{key} must be >= {low}, got {value}")
+        if self.mode == "synth-exp":
+            for key in ("rank", "k_true"):
+                if getattr(self, key) > min(self.m, self.n):
+                    raise ValueError(f"{key} must be <= min(m, n) = {min(self.m, self.n)}, "
+                                     f"got {getattr(self, key)}")
         if not self.cdf_max > 0:
             raise ValueError(f"cdf_max must be > 0, got {self.cdf_max}")
         if not math.isfinite(self.sentinel):
@@ -355,12 +362,13 @@ def _run_grid(plan: ExperimentPlan, name: str, provider) -> int:
 def _run_complete(plan: ExperimentPlan) -> int:
     if plan.input is None:
         raise ValueError("--input is required for this mode")
+    # only observed cells of the truth are read
     if plan.input_format == "triplets":
         obs = load_triplets(plan.input)
+        truth = np.zeros(obs.shape)
+        truth[obs.row_idx, obs.col_idx] = obs.values
     else:
-        obs = load_dense(plan.input, plan.sentinel)[1]
-    truth = np.zeros(obs.shape)
-    truth[obs.row_idx, obs.col_idx] = obs.values
+        truth, obs = load_dense(plan.input, plan.sentinel)
     return _run_grid(plan, "complete", partial(_split_instance, obs, truth))
 
 
@@ -385,14 +393,15 @@ def _run_evaluate(plan: ExperimentPlan) -> int:
 def _run_expectile(plan: ExperimentPlan) -> int:
     if plan.input is None:
         raise ValueError("expectile needs --input (numeric text file)")
-    tokens = Path(plan.input).read_text().split()
-    values = np.array([float(t) for t in tokens])
+    lines = Path(plan.input).read_text().splitlines()
+    values = np.array([_parse_real(tok, no, col)
+                       for no, line in enumerate(lines, start=1)
+                       for col, tok in enumerate(line.split(), start=1)])
     values = values[values != plan.sentinel]
     if values.size == 0:
         raise ValueError("no values left after dropping the sentinel")
-    print("omega\texpectile")
-    for w in plan.omega:
-        print(f"{w:g}\t{scalar_expectile(values, w)!r}")
+    table = [f"{w:g}\t{scalar_expectile(values, w)!r}" for w in plan.omega]
+    print("omega\texpectile", *table, sep="\n")
     return 0
 
 

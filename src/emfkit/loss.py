@@ -20,16 +20,15 @@ def _check_omega(omega: float):
         raise ValueError(f"omega must be in (0, 1), got {omega}")
 
 
-def asymmetric_weight(t: float, omega: float) -> float:
-    """Weight applied to the squared residual t: omega if t >= 0 else 1 - omega."""
-    _check_omega(omega)
-    return omega if t >= 0.0 else 1.0 - omega
-
-
 def asymmetric_weights(t: np.ndarray, omega: float) -> np.ndarray:
-    """Vectorized :func:`asymmetric_weight`."""
+    """Weights applied to the squared residuals t: omega where t >= 0, else 1 - omega."""
     _check_omega(omega)
     return np.where(np.asarray(t) >= 0.0, omega, 1.0 - omega)
+
+
+def asymmetric_weight(t: float, omega: float) -> float:
+    """Scalar :func:`asymmetric_weights`."""
+    return float(asymmetric_weights(t, omega))
 
 
 def expectile_loss(t: float, omega: float) -> float:
@@ -57,11 +56,8 @@ def objective(obs: ObservationSet, f: FactorPair, omega: float, ridge: float = 0
         raise ValueError(f"ridge must be >= 0, got {ridge}")
     r = residuals(obs, f)
     w = asymmetric_weights(r, omega)
-    val = float(np.dot(w * r, r))
-    if ridge:
-        val += ridge * (float(np.dot(f.x.ravel(), f.x.ravel()))
-                        + float(np.dot(f.y.ravel(), f.y.ravel())))
-    return val
+    return float(np.dot(w * r, r)) + ridge * (float(np.dot(f.x.ravel(), f.x.ravel()))
+                                              + float(np.dot(f.y.ravel(), f.y.ravel())))
 
 
 def gradient_y(obs: ObservationSet, f: FactorPair, omega: float, ridge: float = 0.0) -> np.ndarray:
@@ -72,10 +68,7 @@ def gradient_y(obs: ObservationSet, f: FactorPair, omega: float, ridge: float = 
     """
     r = residuals(obs, f)
     w = asymmetric_weights(r, omega)
-    g = obs.adjoint(-2.0 * w * r).T @ f.x
-    if ridge:
-        g = g + 2.0 * ridge * f.y
-    return g
+    return obs.adjoint(-2.0 * w * r).T @ f.x + 2.0 * ridge * f.y
 
 
 def gradient_x(obs: ObservationSet, f: FactorPair, omega: float, ridge: float = 0.0) -> np.ndarray:

@@ -30,13 +30,14 @@ Rows of the unknown are independent subproblems, so each converges on its
 own: a row leaves the round loop once a round leaves its weights unchanged
 and does not damp it.  It then satisfies its own signs and is its own
 global minimizer, and every later round would reproduce it bit for bit.
-Each round solves only the rows still in the loop, bucket by bucket (a
-bucket whose rows are all still in it is used uncopied, any other is
-gathered by position), updates the solution and the per-row objectives in
-place and keeps only those rows' previous values, for the descent test
-and the step halving.  The half-step ends when no row is left; the general
-block is one row.  Rounds and solutions are exactly those of re-solving
-every row in every round until all weights hold.
+Each bucket keeps a live part: the positions, design rows, values and
+weights of its rows still in the loop, compacted at the start of a round
+after some of them left.  A round solves each live part, updates the
+solution and the per-row objectives in place, keeps only the live rows'
+previous values, for the descent test and the step halving, and writes
+their residuals and weights back.  The half-step ends when no row is left;
+the general block is one row.  Rounds and solutions are exactly those of
+re-solving every row in every round until all weights hold.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import ColumnBucket, EntryObservations, ObservationSet, as_matrix
+from .loss import asymmetric_weights
 
 _DESCENT_SLACK = 1e-13
 _MAX_HALVINGS = 60
@@ -130,10 +132,10 @@ def solve_y(
         parts = [_Part(col, obs.design(x).reshape(1, obs.size, -1), obs.values[None])]
         y = y.reshape(1, -1)
     n, d = y.shape
-    ridge_x = ridge * float((x * x).sum()) if ridge else 0.0
+    ridge_x = ridge * float((x * x).sum())
 
     def grad_at(y):
-        g = 2.0 * ridge * y if ridge else np.zeros((n, d))
+        g = np.zeros((n, d)) + 2.0 * ridge * y  # zeros: no -0.0 from 0 * y
         for part, w, r in zip(parts, ws, rs):
             wr = (w * r)[:, :, None]
             g[part.cols] -= 2.0 * np.matmul(part.design.transpose(0, 2, 1), wr)[:, :, 0]
@@ -149,19 +151,20 @@ def solve_y(
     g0 = grad_at(y)
     grad0 = float(np.linalg.norm(g0))
 
-    # per bucket, the positions of the columns still in the loop
-    active = [np.arange(len(b.cols)) for b in buckets]
+    # per bucket, over its live columns: which stay in the loop, positions, part, weights
+    live = [(np.ones(len(p.cols), dtype=bool), np.arange(len(p.cols)), p, w)
+            for p, w in zip(parts, ws)]
     converged = False
     iterations = 0
     for iterations in range(1, max_inner + 1):
-        for i, sel in enumerate(active):
-            if not sel.size:
+        for i, (keep, pos, part, w_old) in enumerate(live):
+            if not keep.any():
                 continue
-            whole = sel.size == len(buckets[i].cols)
-            part = parts[i] if whole else _Part(*(a[sel] for a in parts[i]))
+            # compact right before use, while the copy is still in cache
+            if not keep.all():
+                pos, part, w_old = pos[keep], _Part(*(a[keep] for a in part)), w_old[keep]
             c = part.cols
             y_old, obj_old = y[c], obj[c]
-            w_old = ws[i] if whole else ws[i][sel]
             y_c = _weighted_solve(part, w_old, ridge, not entry)
             r, w, obj_c = _evaluate(part, y_c, omega, ridge)
             changed = (w != w_old).any(axis=1)
@@ -171,18 +174,15 @@ def solve_y(
                 y_c[worse] = _damp(bad, y_old[worse], y_c[worse], obj_old[worse], omega, ridge)
                 r[worse], w[worse], obj_c[worse] = _evaluate(bad, y_c[worse], omega, ridge)
             y[c], obj[c] = y_c, obj_c
-            if whole:
-                rs[i], ws[i] = r, w
-            else:
-                rs[i][sel], ws[i][sel] = r, w
+            rs[i][pos], ws[i][pos] = r, w
             # a column whose weights held through an undamped step satisfies
             # its own signs, so it is its own global minimizer and every later
             # round would reproduce it bit for bit; at omega = 0.5 every column
             # leaves after the first round whatever the signs do
-            active[i] = sel[changed | worse]
+            live[i] = changed | worse, pos, part, w
 
         trace.append(float(obj.sum()) + ridge_x)
-        if not any(sel.size for sel in active):
+        if not any(keep.any() for keep, *_ in live):
             converged = True
             break
         # signs of near-zero residuals can flap on rounding noise without the
@@ -220,15 +220,13 @@ def _weighted_solve(part: _Part, w, ridge, min_norm):
     """Solve the part's weighted ridge normal equations: one row per column.
 
     With min_norm (the general block) the min-norm solution is returned:
-    without ridge fewer measurements than n*k leave the normal matrix
-    singular.
+    at ridge 0 fewer measurements than n*k leave the normal matrix singular.
     """
     a = part.design
     xw = a * w[:, :, None]
     normal = np.matmul(a.transpose(0, 2, 1), xw)
     rhs = np.matmul(xw.transpose(0, 2, 1), part.values[:, :, None])
-    if ridge:
-        normal += ridge * np.eye(a.shape[2])
+    normal.reshape(len(normal), -1)[:, :: a.shape[2] + 1] += ridge  # its diagonals
     if min_norm:
         return np.linalg.lstsq(normal[0], rhs[0, :, 0], rcond=None)[0][None]
     try:
@@ -257,10 +255,9 @@ def _evaluate(part: _Part, y, omega, ridge):
     A padding slot's residual is exactly zero, so it adds nothing.
     """
     r = part.values - np.matmul(part.design, y[:, :, None])[:, :, 0]
-    w = np.where(r >= 0.0, omega, 1.0 - omega)
+    w = asymmetric_weights(r, omega)
     obj = (w * r * r).sum(axis=1)
-    if ridge:
-        obj += ridge * (y * y).sum(axis=1)
+    obj += ridge * (y * y).sum(axis=1)
     return r, w, obj
 
 

@@ -7,7 +7,7 @@ import emfkit.cli
 import emfkit.metrics
 from emfkit.cli import ExperimentPlan, _resolve_plan, build_parser, main
 from emfkit.core import StopReason
-from emfkit.io import read_results_csv, write_dense
+from emfkit.io import load_dense, read_results_csv, write_dense, write_triplets
 from emfkit.synth import gen_low_rank
 
 
@@ -182,6 +182,26 @@ def test_complete_mode_end_to_end(tmp_path):
     assert len(stops) == 1 and stops[0] in StopReason.__members__
 
 
+def test_complete_dense_and_triplet_inputs_agree(tmp_path):
+    # a dense file scores against its parsed matrix, a triplet file against
+    # a matrix rebuilt from its entries; only observed cells are read
+    mat = np.loadtxt(_complete_input(tmp_path))
+    mat[::3, 1::4] = -1.0
+    dense, triplets = tmp_path / "m.txt", tmp_path / "m.trip"
+    write_dense(dense, mat)
+    write_triplets(triplets, load_dense(dense)[1])
+    args = ["--sampling-rate", 0.4, "--omega", 0.3, "--seed", 0, "--seed", 1, "--rank", 2,
+            "--max-outer", 5, "--bins", "0,0.5,1,5", "--cdf-points", 5]
+    outs = []
+    for src, kind in ((dense, "dense"), (triplets, "triplets")):
+        out = tmp_path / kind
+        assert run_cli("complete", "--input", src, "--input-format", kind, *args,
+                       "--out-dir", out) == 0
+        outs.append({k: v for k, v in _dir_bytes(out).items() if k != "plan.txt"})
+    assert {"summary.csv", "complete_s1_w0.3.csv", "complete_s1_w0.3.cdf.re.csv"} <= set(outs[0])
+    assert outs[0] == outs[1]
+
+
 def test_complete_rejects_oversampling(tmp_path):
     mat = np.full((4, 4), 2.0)
     mat[0, 0] = -1.0  # one missing entry
@@ -273,6 +293,26 @@ def test_expectile_mode_one_value(tmp_path, capsys):
     assert lines == ["omega\texpectile", "0.1\t3.0", "0.5\t3.0", "0.9\t3.0"]
 
 
+@pytest.mark.parametrize("text, message", [
+    ("1 2\n3 abc 5\n", "line 2, column 2: cannot parse 'abc' as a real number"),
+    ("1\n\n2 inf\n", "line 3, column 2: non-finite value 'inf'"),
+], ids=["unparseable", "non-finite"])
+def test_expectile_mode_bad_token(tmp_path, capsys, text, message):
+    vals = tmp_path / "v.txt"
+    vals.write_text(text)
+    assert run_cli("expectile", "--input", vals, "--omega", 0.5) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error\tMatrixParseError\t{message}"]
+
+
+def test_expectile_mode_ragged_lines(tmp_path, capsys):
+    vals = tmp_path / "v.txt"
+    vals.write_text("0\n1 0 1\n\n")
+    assert run_cli("expectile", "--input", vals, "--omega", 0.5) == 0
+    assert capsys.readouterr().out == "omega\texpectile\n0.5\t0.5\n"
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "plan.cfg"
     cfg.write_text(
@@ -344,6 +384,10 @@ def test_invalid_omega_rejected(tmp_path):
     ("complete", "--ridge", "nan", "ridge must be >= 0, got nan"),
     ("complete", "--sentinel", "nan", "sentinel must be finite, got nan"),
     ("evaluate", "--sentinel", "inf", "sentinel must be finite, got inf"),
+    ("synth-exp", "--seed", "-1", "seed values must be >= 0, got -1"),
+    ("complete", "--seed", "-2", "seed values must be >= 0, got -2"),
+    ("synth-exp", "--m", "1", "rank must be <= min(m, n) = 1, got 2"),
+    ("synth-exp", "--k-true", "1001", "k_true must be <= min(m, n) = 1000, got 1001"),
 ])
 def test_invalid_plan_value_stops_before_writing(tmp_path, capsys, mode, flag, value, message):
     src = _complete_input(tmp_path)
@@ -373,8 +417,9 @@ def test_config_input_format_typo_fails(tmp_path):
 def _non_default_text(field):
     """Valid flag/config text for a plan field that differs from its default."""
     special = {"format": "json", "input_format": "triplets", "omega": "0.2,0.6"}
+    # an int of 17 keeps m and n above the default rank and k_true of 10
     by_type = {"tuple[int, ...]": "7,8", "tuple[float, ...]": "0.75,2.5",
-               "int": "7", "float": "0.7"}  # annotations are strings
+               "int": "17", "float": "0.7"}  # annotations are strings
     return special.get(field.name) or by_type.get(field.type, "elsewhere")
 
 
