@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 import textwrap
 import traceback
@@ -25,7 +24,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from . import __version__
+from . import __version__, subsolver
 from .core import EmfConfig, EntryObservations
 from .emf import fit
 from .io import _parse_real, export_results, load_dense, load_triplets, read_dense, results_csv
@@ -197,16 +196,12 @@ def _write_provenance(plan: ExperimentPlan) -> None:
     out = Path(plan.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    if hasattr(os, "sched_getaffinity"):
-        cores = len(os.sched_getaffinity(0))
-    else:
-        cores = os.cpu_count()
     lines = [
         f"toolkit_version = {__version__}",
         f"numpy_version = {np.__version__}",
         f"scipy_version = {scipy.__version__}",
         f"blas = {blas.get('name', 'unknown')} {blas.get('version', 'unknown')}",
-        f"usable_cores = {cores}",
+        f"usable_cores = {subsolver.usable_cores()}",
     ]
     for key, value in sorted(asdict(plan).items()):
         if isinstance(value, tuple):
@@ -320,6 +315,8 @@ _worker_provider = None
 def _set_worker_provider(provider) -> None:
     global _worker_provider
     _worker_provider = provider
+    # the grid's workers already use the cores: each solves its rounds serially
+    subsolver.ROUND_THREADS = 1
 
 
 def _run_worker_cell(plan: ExperimentPlan, name: str, seed: int, omega: float) -> dict:

@@ -11,20 +11,23 @@ objective, the step is bisected toward the previous iterate (the step is a
 strict descent direction, so a short enough step always descends).
 
 One driver serves both observation kinds.  It works on blocks of
-independent subproblems: per block a (rows, width, d) array of design rows,
-gathered once per solve, with zero design rows at padding slots, so normal
-matrices, right-hand sides, residuals, per-row objectives and the gradient
-are each one batched matmul or reduction per block.  For entry observations
-the problem decomposes into independent k-dim subproblems per row of the
-unknown factor, and the blocks are the observation set's cached column
-layout (:attr:`~emfkit.core.EntryObservations.column_buckets`) with the
-fixed factor's rows as design.  General linear measurements couple all rows:
-they form one block whose single row is vec(Y), with one slot per
-measurement, and its normal equations are solved directly for the min-norm
-solution.  At ridge = 0 with fewer measurements than n*k the half-step has
-a whole set of minimizers, and the min-norm solve picks one by the weights
-of the residuals that are zero or rounding noise; such a fit is not
-unique.  A ridge makes every half-step's minimizer unique.
+independent subproblems: per block a slot-major (rows, d, width) array of
+design rows, gathered once per solve, with zero design rows at padding
+slots.  Normal matrices, right-hand sides, residuals, per-row objectives
+and the gradient are each one batched matmul or reduction per block.  For
+entry observations the problem decomposes into independent k-dim
+subproblems per row of the unknown factor, and the blocks are the
+observation set's cached column layout
+(:attr:`~emfkit.core.EntryObservations.column_buckets`) with the fixed
+factor's rows as design, gathered with one take per factor column; each
+factor column is one plane in memory, so the weighting and the products
+run along contiguous slots.  General linear measurements couple all rows:
+they form one (1, n*k, p) block, a view of the measurements' design rows,
+whose single row is vec(Y), with one slot per measurement, and its normal
+equations are solved directly for the min-norm solution.  At ridge = 0 with fewer measurements than n*k the
+half-step has a whole set of minimizers, and the min-norm solve picks one
+by the weights of the residuals that are zero or rounding noise; such a
+fit is not unique.  A ridge makes every half-step's minimizer unique.
 
 Rows of the unknown are independent subproblems, so each converges on its
 own: a row leaves the round loop once a round leaves its weights unchanged
@@ -38,10 +41,24 @@ previous values, for the descent test and the step halving, and writes
 their residuals and weights back.  The half-step ends when no row is left;
 the general block is one row.  Rounds and solutions are exactly those of
 re-solving every row in every round until all weights hold.
+
+Buckets write disjoint rows, so a round solves its live buckets
+concurrently: the calling thread and a pool's threads, one thread per core
+this process may run on (:data:`ROUND_THREADS` caps that) and at most one
+per bucket, each take the next live bucket when free; numpy releases the
+interpreter lock in the heavy calls.  Each bucket's arithmetic is the same
+on any thread, so results are bit-identical to solving the buckets one
+after another.  A round with one live bucket, such as the general block,
+or with few live design numbers runs inline, and the pool lives only as
+long as one call.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -52,6 +69,16 @@ from .loss import asymmetric_weights
 
 _DESCENT_SLACK = 1e-13
 _MAX_HALVINGS = 60
+
+# Most threads one round solves buckets on; None means one per core this
+# process may run on.  CLI grid workers set 1: the grid already uses the cores.
+ROUND_THREADS = None
+# A round over fewer live design numbers than this (2 MiB of them) runs on
+# the calling thread: there the hand-offs between threads cost more than
+# the other cores save, and numpy holds the interpreter lock on small arrays
+_THREADED_NUMBERS = 1 << 18
+# Design numbers weighted at a time in a normal-matrix assembly (512 KiB)
+_WEIGHTED_NUMBERS = 1 << 16
 
 
 class SingularDesignError(RuntimeError):
@@ -119,17 +146,18 @@ def solve_y(
                     f"fewer than rank {k}, and ridge is zero"
                 )
         buckets = obs.column_buckets
-        # per half-step: the fixed factor's rows in every slot; padding slots
-        # (row -1) gather the appended zero row
-        x_pad = np.concatenate([x, np.zeros((1, k))])
-        parts = [_Part(b.cols, x_pad[b.rows], b.values) for b in buckets]
+        # per half-step: the fixed factor's columns, each with a zero
+        # appended, which padding slots (row -1) gather
+        xt = np.zeros((k, x.shape[0] + 1))
+        xt[:, :-1] = x.T
+        parts = [_Part(b.cols, _gather(xt, b.rows), b.values) for b in buckets]
     else:
         # one block: row 0 of y is vec(Y), and measurement i is slot i, with
         # design row g_i = vec(A_i^T x)
         slots = np.arange(obs.size)
         col = np.zeros(1, dtype=np.int64)
         buckets = (ColumnBucket(col, slots[None], obs.values[None], slots),)
-        parts = [_Part(col, obs.design(x).reshape(1, obs.size, -1), obs.values[None])]
+        parts = [_Part(col, obs.design(x).reshape(obs.size, -1).T[None], obs.values[None])]
         y = y.reshape(1, -1)
     n, d = y.shape
     ridge_x = ridge * float((x * x).sum())
@@ -137,8 +165,7 @@ def solve_y(
     def grad_at(y):
         g = np.zeros((n, d)) + 2.0 * ridge * y  # zeros: no -0.0 from 0 * y
         for part, w, r in zip(parts, ws, rs):
-            wr = (w * r)[:, :, None]
-            g[part.cols] -= 2.0 * np.matmul(part.design.transpose(0, 2, 1), wr)[:, :, 0]
+            g[part.cols] -= 2.0 * np.matmul(part.design, (w * r)[:, :, None])[:, :, 0]
         return g
 
     # per bucket, the residuals and weights of its columns at y; per column,
@@ -154,43 +181,60 @@ def solve_y(
     # per bucket, over its live columns: which stay in the loop, positions, part, weights
     live = [(np.ones(len(p.cols), dtype=bool), np.arange(len(p.cols)), p, w)
             for p, w in zip(parts, ws)]
+
+    def solve_bucket(i):
+        # one bucket's share of a round, on its compacted live part; it reads
+        # and writes only its own columns, so buckets may run on different threads
+        _, pos, part, w_old = live[i]
+        c = part.cols
+        y_old, obj_old = y[c], obj[c]
+        y_c = _weighted_solve(part, w_old, ridge, not entry)
+        r, w, obj_c = _evaluate(part, y_c, omega, ridge)
+        changed = (w != w_old).any(axis=1)
+        worse = obj_c > obj_old * (1.0 + _DESCENT_SLACK) + 1e-300
+        if worse.any():
+            bad = _Part(*(a[worse] for a in part))
+            y_c[worse] = _damp(bad, y_old[worse], y_c[worse], obj_old[worse], omega, ridge)
+            r[worse], w[worse], obj_c[worse] = _evaluate(bad, y_c[worse], omega, ridge)
+        y[c], obj[c] = y_c, obj_c
+        rs[i][pos], ws[i][pos] = r, w
+        # a column whose weights held through an undamped step satisfies
+        # its own signs, so it is its own global minimizer and every later
+        # round would reproduce it bit for bit; at omega = 0.5 every column
+        # leaves after the first round whatever the signs do
+        live[i] = changed | worse, pos, part, w
+
     converged = False
     iterations = 0
-    for iterations in range(1, max_inner + 1):
-        for i, (keep, pos, part, w_old) in enumerate(live):
-            if not keep.any():
-                continue
-            # compact right before use, while the copy is still in cache
-            if not keep.all():
-                pos, part, w_old = pos[keep], _Part(*(a[keep] for a in part)), w_old[keep]
-            c = part.cols
-            y_old, obj_old = y[c], obj[c]
-            y_c = _weighted_solve(part, w_old, ridge, not entry)
-            r, w, obj_c = _evaluate(part, y_c, omega, ridge)
-            changed = (w != w_old).any(axis=1)
-            worse = obj_c > obj_old * (1.0 + _DESCENT_SLACK) + 1e-300
-            if worse.any():
-                bad = _Part(*(a[worse] for a in part))
-                y_c[worse] = _damp(bad, y_old[worse], y_c[worse], obj_old[worse], omega, ridge)
-                r[worse], w[worse], obj_c[worse] = _evaluate(bad, y_c[worse], omega, ridge)
-            y[c], obj[c] = y_c, obj_c
-            rs[i][pos], ws[i][pos] = r, w
-            # a column whose weights held through an undamped step satisfies
-            # its own signs, so it is its own global minimizer and every later
-            # round would reproduce it bit for bit; at omega = 0.5 every column
-            # leaves after the first round whatever the signs do
-            live[i] = changed | worse, pos, part, w
-
-        trace.append(float(obj.sum()) + ridge_x)
-        if not any(keep.any() for keep, *_ in live):
-            converged = True
-            break
-        # signs of near-zero residuals can flap on rounding noise without the
-        # point moving; once the objective stalls, certify by the gradient
-        if (trace[-2] - trace[-1]) <= 1e-13 * max(trace[-2], 1e-300):
-            if np.linalg.norm(grad_at(y)) <= tol_gradient * (1.0 + grad0):
+    threads = 1
+    if d * sum(p.values.size for p in parts) >= _THREADED_NUMBERS:
+        threads = min(ROUND_THREADS or usable_cores(), len(parts))
+    # this thread solves buckets too, beside threads - 1 of the pool's
+    with ThreadPoolExecutor(threads - 1) if threads > 1 else nullcontext() as pool:
+        for iterations in range(1, max_inner + 1):
+            todo = [i for i, (keep, *_) in enumerate(live) if keep.any()]
+            for i in todo:
+                keep, pos, part, w_old = live[i]
+                if not keep.all():
+                    # compacted on this thread, so that the copies, which
+                    # outlive the round, stay out of the bucket threads' heaps
+                    live[i] = keep[keep], pos[keep], _Part(*(a[keep] for a in part)), w_old[keep]
+            numbers = d * sum(live[i][2].values.size for i in todo)
+            if pool is None or len(todo) < 2 or numbers < _THREADED_NUMBERS:
+                for i in todo:
+                    solve_bucket(i)
+            else:
+                _spread(pool, threads, solve_bucket, todo)
+            trace.append(float(obj.sum()) + ridge_x)
+            if not any(keep.any() for keep, *_ in live):
                 converged = True
                 break
+            # signs of near-zero residuals can flap on rounding noise without
+            # the point moving; once the objective stalls, certify by the gradient
+            if (trace[-2] - trace[-1]) <= 1e-13 * max(trace[-2], 1e-300):
+                if np.linalg.norm(grad_at(y)) <= tol_gradient * (1.0 + grad0):
+                    converged = True
+                    break
 
     gnorm = float(np.linalg.norm(grad_at(y)))
     pattern = np.empty(obs.size, dtype=bool)
@@ -208,12 +252,57 @@ def solve_y(
 
 
 class _Part(NamedTuple):
-    """Some columns of one block: their ids, design rows and values (both
-    zero at padding slots)."""
+    """Some columns of one block: their ids, their slot-major (columns, d,
+    width) design rows and their (columns, width) values, both zero at
+    padding slots."""
 
     cols: np.ndarray
     design: np.ndarray
     values: np.ndarray
+
+
+def _spread(pool, threads, step, ids):
+    """Call step(i) for every i in ids, on this thread and on threads - 1 of
+    the pool's, each taking the next id when it is free.  A failure raised is
+    that of the first failing id in ids, the one a serial loop meets."""
+    queue, lock = iter(ids), threading.Lock()
+    failed = {}
+
+    def drain():
+        while True:
+            with lock:
+                i = next(queue, None)
+            if i is None:
+                return
+            try:
+                step(i)
+            except Exception as exc:  # raised below, once every id has run
+                failed[i] = exc
+
+    helpers = [pool.submit(drain) for _ in range(threads - 1)]
+    drain()
+    for helper in helpers:
+        helper.result()
+    if failed:
+        raise failed[min(failed)]
+
+
+def _gather(xt, rows):
+    """The (columns, k, width) design block whose slot (c, s) holds column
+    rows[c, s] of xt: one take per factor column, each written straight
+    into its own contiguous (columns, width) plane."""
+    a = np.empty((len(xt),) + rows.shape)
+    for j, xj in enumerate(xt):
+        xj.take(rows, out=a[j], mode="wrap")  # row -1 wraps to the zero column
+    return a.transpose(1, 0, 2)
+
+
+def usable_cores() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
 
 
 def _weighted_solve(part: _Part, w, ridge, min_norm):
@@ -223,10 +312,16 @@ def _weighted_solve(part: _Part, w, ridge, min_norm):
     at ridge 0 fewer measurements than n*k leave the normal matrix singular.
     """
     a = part.design
-    xw = a * w[:, :, None]
-    normal = np.matmul(a.transpose(0, 2, 1), xw)
-    rhs = np.matmul(xw.transpose(0, 2, 1), part.values[:, :, None])
-    normal.reshape(len(normal), -1)[:, :: a.shape[2] + 1] += ridge  # its diagonals
+    cols, d, width = a.shape
+    normal, rhs = np.empty((cols, d, d)), np.empty((cols, d, 1))
+    # weight a few columns at a time: the weighted copy stays in cache, and
+    # the bucket threads' heaps stay small
+    step = max(1, _WEIGHTED_NUMBERS // max(d * width, 1))  # width 0: empty columns
+    for lo in range(0, cols, step):
+        xw = a[lo:lo + step] * w[lo:lo + step, None, :]
+        np.matmul(xw, a[lo:lo + step].transpose(0, 2, 1), out=normal[lo:lo + step])
+        np.matmul(xw, part.values[lo:lo + step, :, None], out=rhs[lo:lo + step])
+    normal.reshape(cols, -1)[:, :: d + 1] += ridge  # its diagonals
     if min_norm:
         return np.linalg.lstsq(normal[0], rhs[0, :, 0], rcond=None)[0][None]
     try:
@@ -254,10 +349,10 @@ def _evaluate(part: _Part, y, omega, ridge):
 
     A padding slot's residual is exactly zero, so it adds nothing.
     """
-    r = part.values - np.matmul(part.design, y[:, :, None])[:, :, 0]
+    r = part.values - np.matmul(y[:, None, :], part.design)[:, 0, :]
     w = asymmetric_weights(r, omega)
     obj = (w * r * r).sum(axis=1)
-    obj += ridge * (y * y).sum(axis=1)
+    obj += ridge * np.einsum("ij,ij->i", y, y)
     return r, w, obj
 
 

@@ -1,14 +1,18 @@
 import dataclasses
+import multiprocessing
+import sys
 
 import numpy as np
 import pytest
 
 import emfkit.cli
 import emfkit.metrics
+import emfkit.subsolver
 from emfkit.cli import ExperimentPlan, _resolve_plan, build_parser, main
-from emfkit.core import StopReason
+from emfkit.core import EmfConfig, StopReason
+from emfkit.emf import fit
 from emfkit.io import load_dense, read_results_csv, write_dense, write_triplets
-from emfkit.synth import gen_low_rank
+from emfkit.synth import gen_low_rank, make_completion_instance
 
 
 def _dir_bytes(path):
@@ -99,6 +103,51 @@ def test_grid_workers_get_the_provider_once(tmp_path, monkeypatch):
     # once per worker at most (zero under fork), not once per each of the 6 cells
     assert CountingProvider.pickles <= plan.workers
     assert len(list(tmp_path.glob("synth_s*_w*.cdf.re.csv"))) == 6
+
+
+def test_grid_workers_solve_rounds_serially(monkeypatch):
+    # the grid already uses the cores, so a worker's fits use one thread each
+    monkeypatch.setattr(emfkit.subsolver, "ROUND_THREADS", None)
+    monkeypatch.setattr(emfkit.cli, "_worker_provider", None)
+    emfkit.cli._set_worker_provider(CountingProvider())
+    assert emfkit.subsolver.ROUND_THREADS == 1
+
+
+def _exit_with_cli(args):
+    sys.exit(run_cli(*args))
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the grid's pool forks only where fork exists")
+def test_grid_forked_after_a_threaded_fit_finishes(tmp_path, monkeypatch):
+    # a fit in this process solves its rounds on a thread pool; a grid forked
+    # from it afterwards, whose own pool forks again, must not inherit that
+    # pool: it finishes and writes what a serial grid writes
+    monkeypatch.setattr(emfkit.subsolver, "ROUND_THREADS", 2)
+    monkeypatch.setattr(emfkit.subsolver, "_THREADED_NUMBERS", 0)
+    inst = make_completion_instance(60, 60, 3, noise_scale=0.5, dof=3, rate=0.3, seed=0)
+    assert len(inst.observed.column_buckets) > 1
+    fit(inst.observed, EmfConfig(omega=0.2, rank=3, max_outer=3, seed=0))
+    base = [
+        "synth-exp", "--m", 20, "--n", 20, "--k-true", 2, "--rank", 2,
+        "--sampling-rate", 0.5, "--omega", 0.3, "--omega", 0.7, "--seed", 0, "--seed", 1,
+        "--max-outer", 5, "--cdf-points", 5,
+    ]
+    context = multiprocessing.get_context("fork")
+    for workers in (1, 2):
+        args = base + ["--out-dir", tmp_path / str(workers), "--workers", workers]
+        grid = context.Process(target=_exit_with_cli, args=(args,))
+        grid.start()
+        grid.join(timeout=120)
+        hung = grid.is_alive()
+        if hung:
+            grid.kill()
+            grid.join()
+        assert not hung, f"the --workers {workers} grid did not finish in 120 s"
+        assert grid.exitcode == 0
+    a = {k: v for k, v in _dir_bytes(tmp_path / "1").items() if k != "plan.txt"}
+    b = {k: v for k, v in _dir_bytes(tmp_path / "2").items() if k != "plan.txt"}
+    assert len(a) == 9 and a == b
 
 
 def test_complete_parses_its_input_once_per_grid(tmp_path, monkeypatch):

@@ -7,6 +7,7 @@ import emfkit.core
 from emfkit.core import EntryObservations, FactorPair, GeneralObservations
 from emfkit.loss import (
     asymmetric_weight,
+    asymmetric_weights,
     expectile_loss,
     gradient_x,
     gradient_y,
@@ -42,6 +43,30 @@ def test_asymmetric_weight_cases():
     assert asymmetric_weight(2.0, 0.1) == 0.1
     assert asymmetric_weight(-2.0, 0.1) == pytest.approx(0.9)
     assert asymmetric_weight(0.0, 0.3) == 0.3
+
+
+@pytest.mark.parametrize("omega", [0.1, 0.3, 0.5, 0.77, 1e-3])
+def test_asymmetric_weights_match_the_where_reference(omega):
+    # the table lookup gives np.where's values, dtype and shape bit for bit:
+    # -0.0 counts as nonnegative, NaN as negative
+    cases = [
+        np.array([[0.0, -0.0, 1e-300, -1e-300], [np.nan, np.inf, -np.inf, 5.0]]),
+        np.random.RandomState(3).randn(256, 128),
+        np.float64(-0.0),
+        np.array(np.nan),
+        np.array(2.5),
+        [1, -2, 0, 3],
+        -7,
+    ]
+    for t in cases:
+        got = asymmetric_weights(t, omega)
+        ref = np.where(np.asarray(t) >= 0.0, omega, 1.0 - omega)
+        assert np.shape(got) == ref.shape and np.asarray(got).dtype == ref.dtype
+        assert np.array_equal(got, ref)
+    for t in (0.0, -0.0, np.nan, 1.5, -1.5, 3, -3):
+        ref = float(np.where(t >= 0.0, omega, 1.0 - omega))
+        assert asymmetric_weight(t, omega) == ref
+        assert type(asymmetric_weight(t, omega)) is float
 
 
 def test_asymmetric_weight_rejects_bad_omega():

@@ -1,3 +1,7 @@
+import dataclasses
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -494,34 +498,41 @@ def solved_columns_per_round(monkeypatch, obs):
     bucket_of = np.empty(obs.shape[1], dtype=int)
     for i, b in enumerate(obs.column_buckets):
         bucket_of[b.cols] = i
-    per_round, last = [], [np.inf]
+    per_round, seen, lock = [], set(), threading.Lock()
     real_solve = subsolver._weighted_solve
 
     def recording_solve(part, *args):
-        # a round visits its buckets in increasing order, and a round solves
-        # only buckets the round before solved: a bucket at or before the last
-        # one visited starts a new round
+        # a round solves each live bucket once, in any order and on any
+        # thread, and the next round starts only when it is done: a bucket
+        # the current round already solved starts a new round
         i = bucket_of[part.cols[0]]
-        if i <= last[0]:
-            per_round.append([])
-        last[0] = i
-        per_round[-1].extend(part.cols.tolist())
+        with lock:
+            if not per_round or i in seen:
+                per_round.append([])
+                seen.clear()
+            seen.add(i)
+            per_round[-1].extend(part.cols.tolist())
         return real_solve(part, *args)
 
     monkeypatch.setattr(subsolver, "_weighted_solve", recording_solve)
     return per_round
 
 
-@pytest.mark.parametrize("case", ["damped", "ridge", "split buckets"])
+@pytest.mark.parametrize("case", ["damped", "ridge", "split buckets", "threaded buckets"])
 def test_converged_columns_leave_the_round_loop(case, monkeypatch):
+    import emfkit.subsolver as subsolver
+
     rng = np.random.RandomState(74)
     m, k, omega, ridge = 40, 3, 0.1, 0.0
     degrees = rng.randint(6, 30, size=12)
     if case == "ridge":
         ridge = 0.3
-    if case == "split buckets":
+    if case.endswith("buckets"):
         monkeypatch.setattr(emfkit.core, "BUCKET_COLUMNS", 2)
         degrees = rng.randint(9, 17, size=12)  # one width, six buckets
+    if case == "threaded buckets":
+        monkeypatch.setattr(subsolver, "ROUND_THREADS", 4)
+        monkeypatch.setattr(subsolver, "_THREADED_NUMBERS", 0)
     obs = column_degree_instance(rng, m, degrees)
     x = rng.randn(m, k)
     warm = rng.randn(obs.shape[1], k) * (10.0 if case == "damped" else 0.5)
@@ -541,7 +552,7 @@ def test_converged_columns_leave_the_round_loop(case, monkeypatch):
     assert len(set(rounds)) > 2  # columns leave in different rounds
     if case == "damped":
         assert damped
-    if case == "split buckets":
+    if case.endswith("buckets"):
         assert len(obs.column_buckets) == 6
 
 
@@ -656,3 +667,68 @@ def test_property_reflected_values_negate_the_solution(seed, omega, ridge, gener
     b = solve_y(x, with_values(obs, -obs.values), 1.0 - omega, ridge, warm_start=-warm)
     assert a.converged and b.converged
     assert np.abs(b.solution + a.solution).max() <= 1e-9 * max(1.0, np.abs(a.solution).max())
+
+
+def solve_with_threads(threads, *args, **kwargs):
+    """solve_y with every round of more than one live bucket on at most
+    `threads` threads, and a short switch interval so that bucket threads
+    interleave often."""
+    import emfkit.subsolver as subsolver
+
+    interval = sys.getswitchinterval()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(subsolver, "ROUND_THREADS", threads)
+        mp.setattr(subsolver, "_THREADED_NUMBERS", 0)
+        sys.setswitchinterval(1e-6)
+        try:
+            return solve_y(*args, **kwargs)
+        finally:
+            sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("ridge", [0.0, 0.3])
+@pytest.mark.parametrize("omega", [0.1, 0.5, 0.9])
+def test_threaded_rounds_equal_serial_rounds(omega, ridge, monkeypatch):
+    # each bucket's arithmetic is the same on any thread, so more threads
+    # than cores and buckets of two columns change no bit of the result
+    import emfkit.subsolver as subsolver
+
+    monkeypatch.setattr(emfkit.core, "BUCKET_COLUMNS", 2)
+    rng = np.random.RandomState(80 + int(omega * 10) + int(ridge * 10))
+    m, k = 40, 3
+    obs = column_degree_instance(rng, m, rng.randint(6, 30, size=15))
+    assert len(obs.column_buckets) >= 5
+    x = rng.randn(m, k)
+    warm = rng.randn(obs.shape[1], k) * 10
+    solved_on = []
+    real_solve = subsolver._weighted_solve
+
+    def recording_solve(*args):
+        solved_on.append(threading.get_ident())
+        return real_solve(*args)
+
+    monkeypatch.setattr(subsolver, "_weighted_solve", recording_solve)
+    serial = solve_with_threads(1, x, obs, omega, ridge, warm_start=warm)
+    assert set(solved_on) == {threading.get_ident()}
+    solved_on.clear()
+    threaded = solve_with_threads(8, x, obs, omega, ridge, warm_start=warm)
+    # the calling thread solves buckets too, but not all of them
+    assert set(solved_on) - {threading.get_ident()}
+    assert serial.inner_iterations >= (1 if omega == 0.5 else 3)
+    for field in dataclasses.fields(serial):
+        a, b = getattr(serial, field.name), getattr(threaded, field.name)
+        assert np.array_equal(a, b), field.name
+
+
+def test_threaded_rounds_name_the_serial_singular_column(monkeypatch):
+    # columns 3, 1, 2, 0 sit in buckets of widths 2, 4, 8, 16; the factor's
+    # two columns agree on the rows columns 2 and 0 observe, so both their
+    # buckets are singular and the serial loop meets column 2 first
+    monkeypatch.setattr(emfkit.core, "BUCKET_COLUMNS", 2)
+    rng = np.random.RandomState(16)
+    obs = column_degree_instance(rng, 60, [16, 4, 8, 2])
+    x = rng.randn(60, 2)
+    x[obs.row_idx[np.isin(obs.col_idx, [0, 2])]] = 1.0
+    for threads in (1, 8):
+        with pytest.raises(SingularDesignError, match=r"^column 2: "):
+            solve_with_threads(threads, x, obs, 0.5)
