@@ -98,8 +98,8 @@ def fit(obs: ObservationSet, config: EmfConfig) -> SolveReport:
     iteration; stops early once the relative objective decrease falls below
     tol_objective or both partial gradient norms fall below tol_gradient.
     A sweep's y-gradient is read from the start of the next y half-step,
-    which is then discarded if the sweep's pair is returned; only after the
-    last allowed sweep is it computed on its own.
+    which runs no round and is discarded if the sweep's pair is returned;
+    only after the last allowed sweep is it computed on its own.
     """
     t_start = time.perf_counter()
     init = svd_init(obs, config.rank, config.seed)
@@ -120,7 +120,8 @@ def fit(obs: ObservationSet, config: EmfConfig) -> SolveReport:
     x_passed = False
 
     for _ in range(config.max_outer):
-        res_y = solve_y(x, obs, omega, ridge, warm_start=y, **caps)
+        res_y = solve_y(x, obs, omega, ridge, warm_start=y,
+                        tol_start=config.tol_gradient if x_passed else 0.0, **caps)
         if x_passed and np.linalg.norm(res_y.start_gradient) < config.tol_gradient:
             stop = StopReason.TOLERANCE_GRADIENT
             break

@@ -13,44 +13,49 @@ strict descent direction, so a short enough step always descends).
 One driver serves both observation kinds.  It works on blocks of
 independent subproblems: per block a slot-major (rows, d, width) array of
 design rows, gathered once per solve, with zero design rows at padding
-slots.  Normal matrices, right-hand sides, residuals, per-row objectives
-and the gradient are each one batched matmul or reduction per block.  For
-entry observations the problem decomposes into independent k-dim
-subproblems per row of the unknown factor, and the blocks are the
-observation set's cached column layout
-(:attr:`~emfkit.core.EntryObservations.column_buckets`) with the fixed
-factor's rows as design, gathered with one take per factor column; each
-factor column is one plane in memory, so the weighting and the products
-run along contiguous slots.  General linear measurements couple all rows:
-they form one (1, n*k, p) block, a view of the measurements' design rows,
-whose single row is vec(Y), with one slot per measurement, and its normal
-equations are solved directly for the min-norm solution.  At ridge = 0 with fewer measurements than n*k the
-half-step has a whole set of minimizers, and the min-norm solve picks one
-by the weights of the residuals that are zero or rounding noise; such a
-fit is not unique.  A ridge makes every half-step's minimizer unique.
+slots.  Normal matrices, right-hand sides, residuals and per-row objectives
+are each one batched matmul or reduction per block.  For entry
+observations the problem decomposes into independent k-dim subproblems per
+row of the unknown factor, and the blocks are the observation set's cached
+column layout (:attr:`~emfkit.core.EntryObservations.column_buckets`) with
+the fixed factor's rows as design, gathered with one take per factor
+column; each factor column is one plane in memory, so the weighting and
+the products run along contiguous slots.  General linear measurements
+couple all rows: they form one (1, n*k, p) block, a view of the
+measurements' design rows, whose single row is vec(Y), with one slot per
+measurement, and its normal equations are solved directly for the min-norm
+solution.  At ridge = 0 with fewer measurements than n*k the half-step has
+a whole set of minimizers, and the min-norm solve picks one by the weights
+of the residuals that are zero or rounding noise; such a fit is not
+unique.  A ridge makes every half-step's minimizer unique.
 
 Rows of the unknown are independent subproblems, so each converges on its
 own: a row leaves the round loop once a round leaves its weights unchanged
 and does not damp it.  It then satisfies its own signs and is its own
 global minimizer, and every later round would reproduce it bit for bit.
-Each bucket keeps a live part: the positions, design rows, values and
-weights of its rows still in the loop, compacted at the start of a round
-after some of them left.  A round solves each live part, updates the
-solution and the per-row objectives in place, keeps only the live rows'
-previous values, for the descent test and the step halving, and writes
-their residuals and weights back.  The half-step ends when no row is left;
-the general block is one row.  Rounds and solutions are exactly those of
-re-solving every row in every round until all weights hold.
+Each block holds, for one half-step, every row's residuals and, compacted
+in place as rows leave, the design rows, values, weights, normal matrix N
+and right-hand side q of each row still in the loop.  (N, q) is at the
+row's current weights: assembled at the opening and, after a round,
+re-assembled for the rows that stay; a row leaves with its weights.  So
+the start gradient, the stall check and the final certificate read the
+gradient 2 (N y - q), with no pass over the design.  The half-step ends
+when no row is left; the general block is one row.  Rounds and solutions
+are exactly those of re-solving every row in every round until all
+weights hold.
 
-Buckets write disjoint rows, so a round solves its live buckets
-concurrently: the calling thread and a pool's threads, one thread per core
-this process may run on (:data:`ROUND_THREADS` caps that) and at most one
-per bucket, each take the next live bucket when free; numpy releases the
-interpreter lock in the heavy calls.  Each bucket's arithmetic is the same
-on any thread, so results are bit-identical to solving the buckets one
-after another.  A round with one live bucket, such as the general block,
-or with few live design numbers runs inline, and the pool lives only as
-long as one call.
+Blocks write disjoint rows, so each block's whole share of a half-step,
+from its design gather to its last round, is one task: on the calling
+thread or a pool's threads, one per core this process may run on
+(:data:`ROUND_THREADS` caps that) and at most one per block, each taking
+the next block when free.  numpy releases the interpreter lock in the
+heavy calls; a task's temporaries stay within :data:`_WEIGHTED_NUMBERS`
+numbers.  The calling thread allocates the arrays, sums the objective,
+reads gradient norms and writes the sign pattern.  A block's arithmetic
+is the same on any thread, so results are bit-identical to running the
+blocks one after another.  A step with one live block, such as the
+general block, or with few live design numbers runs inline, and the pool
+lives only as long as one call.
 """
 
 from __future__ import annotations
@@ -60,7 +65,6 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -70,14 +74,14 @@ from .loss import asymmetric_weights
 _DESCENT_SLACK = 1e-13
 _MAX_HALVINGS = 60
 
-# Most threads one round solves buckets on; None means one per core this
+# Most threads a half-step runs bucket tasks on; None means one per core this
 # process may run on.  CLI grid workers set 1: the grid already uses the cores.
 ROUND_THREADS = None
-# A round over fewer live design numbers than this (2 MiB of them) runs on
+# An opening or round over fewer live design numbers than this (2 MiB) runs on
 # the calling thread: there the hand-offs between threads cost more than
 # the other cores save, and numpy holds the interpreter lock on small arrays
 _THREADED_NUMBERS = 1 << 18
-# Design numbers weighted at a time in a normal-matrix assembly (512 KiB)
+# Most numbers one copy or temporary of a bucket task holds (512 KiB)
 _WEIGHTED_NUMBERS = 1 << 16
 
 
@@ -114,10 +118,12 @@ def solve_y(
     *,
     max_inner: int = 100,
     tol_gradient: float = 1e-8,
+    tol_start: float = 0.0,
 ) -> SubproblemResult:
     """Globally minimize the objective over the right factor, left factor fixed.
 
     The left-factor half-step is ``solve_y(y_fixed, obs.transposed, ...)``.
+    A start gradient below tol_start in norm returns the warm start, with no round.
     """
     x = as_matrix(x_fixed, "fixed factor")
     if not 0.0 < omega < 1.0:
@@ -150,96 +156,96 @@ def solve_y(
         # appended, which padding slots (row -1) gather
         xt = np.zeros((k, x.shape[0] + 1))
         xt[:, :-1] = x.T
-        parts = [_Part(b.cols, _gather(xt, b.rows), b.values) for b in buckets]
+        # design blocks k-major in memory, gathered by the bucket tasks
+        blocks = [_Block(b.cols, np.empty((k,) + b.rows.shape).transpose(1, 0, 2),
+                         b.values.copy()) for b in buckets]
     else:
         # one block: row 0 of y is vec(Y), and measurement i is slot i, with
         # design row g_i = vec(A_i^T x)
         slots = np.arange(obs.size)
         col = np.zeros(1, dtype=np.int64)
         buckets = (ColumnBucket(col, slots[None], obs.values[None], slots),)
-        parts = [_Part(col, obs.design(x).reshape(obs.size, -1).T[None], obs.values[None])]
+        blocks = [_Block(col, obs.design(x).reshape(obs.size, -1).T[None], obs.values[None])]
         y = y.reshape(1, -1)
     n, d = y.shape
     ridge_x = ridge * float((x * x).sum())
+    # per column: its objective and its gradient 2 (N y - q) at y
+    obj, g = np.empty(n), np.empty((n, d))
 
-    def grad_at(y):
-        g = np.zeros((n, d)) + 2.0 * ridge * y  # zeros: no -0.0 from 0 * y
-        for part, w, r in zip(parts, ws, rs):
-            g[part.cols] -= 2.0 * np.matmul(part.design, (w * r)[:, :, None])[:, :, 0]
-        return g
+    def open_block(i):
+        # one bucket's opening: its design, and all else at the warm start
+        s = blocks[i]
+        if entry:
+            _gather(xt, buckets[i].rows, s.design)
+        for sl in s.chunks():
+            c = s.cols[sl]
+            s.r[sl], s.w[sl], obj[c] = _evaluate((s.design[sl], s.values[sl]), y[c], omega, ridge)
+        assemble(s)
 
-    # per bucket, the residuals and weights of its columns at y; per column,
-    # its objective at y
-    rs, ws = [None] * len(parts), [None] * len(parts)
-    obj = np.empty(n)
-    for i, part in enumerate(parts):
-        rs[i], ws[i], obj[part.cols] = _evaluate(part, y[part.cols], omega, ridge)
-    trace = [float(obj.sum()) + ridge_x]
-    g0 = grad_at(y)
-    grad0 = float(np.linalg.norm(g0))
+    def assemble(s):
+        # the live columns' normal equations at their weights, and gradients
+        n, c = s.n, s.cols[:s.n]
+        _assemble(s.design[:n], s.w[:n], s.values[:n], ridge, s.normal[:n], s.rhs[:n])
+        g[c] = 2.0 * (np.matmul(s.normal[:n], y[c][:, :, None]) - s.rhs[:n])[:, :, 0]
 
-    # per bucket, over its live columns: which stay in the loop, positions, part, weights
-    live = [(np.ones(len(p.cols), dtype=bool), np.arange(len(p.cols)), p, w)
-            for p, w in zip(parts, ws)]
-
-    def solve_bucket(i):
-        # one bucket's share of a round, on its compacted live part; it reads
-        # and writes only its own columns, so buckets may run on different threads
-        _, pos, part, w_old = live[i]
-        c = part.cols
+    def round_block(i):
+        # one bucket's share of a round, on its live columns; it reads and
+        # writes only its own columns, so buckets may run on different threads
+        s = blocks[i]
+        n, c = s.n, s.cols[:s.n]
         y_old, obj_old = y[c], obj[c]
-        y_c = _weighted_solve(part, w_old, ridge, not entry)
-        r, w, obj_c = _evaluate(part, y_c, omega, ridge)
-        changed = (w != w_old).any(axis=1)
-        worse = obj_c > obj_old * (1.0 + _DESCENT_SLACK) + 1e-300
-        if worse.any():
-            bad = _Part(*(a[worse] for a in part))
-            y_c[worse] = _damp(bad, y_old[worse], y_c[worse], obj_old[worse], omega, ridge)
-            r[worse], w[worse], obj_c[worse] = _evaluate(bad, y_c[worse], omega, ridge)
+        y_c = _solve(s.normal[:n], s.rhs[:n], c, not entry)
+        obj_c, keep = np.empty(n), np.empty(n, dtype=bool)
+        for sl in s.chunks():
+            part, yc, oc = (s.design[sl], s.values[sl]), y_c[sl], obj_c[sl]
+            r, w, oc[:] = _evaluate(part, yc, omega, ridge)
+            worse = oc > obj_old[sl] * (1.0 + _DESCENT_SLACK) + 1e-300
+            if worse.any():
+                bad = tuple(a[worse] for a in part)
+                yc[worse] = _damp(bad, y_old[sl][worse], yc[worse], obj_old[sl][worse],
+                                  omega, ridge)
+                r[worse], w[worse], oc[worse] = _evaluate(bad, yc[worse], omega, ridge)
+            keep[sl] = worse | (w != s.w[sl]).any(axis=1)
+            s.r[s.pos[sl]], s.w[sl] = r, w
         y[c], obj[c] = y_c, obj_c
-        rs[i][pos], ws[i][pos] = r, w
         # a column whose weights held through an undamped step satisfies
         # its own signs, so it is its own global minimizer and every later
         # round would reproduce it bit for bit; at omega = 0.5 every column
-        # leaves after the first round whatever the signs do
-        live[i] = changed | worse, pos, part, w
+        # leaves after the first round whatever the signs do.  Its normal
+        # equations are already at its weights; the others' are re-assembled
+        g[c] = 2.0 * (np.matmul(s.normal[:n], y_c[:, :, None]) - s.rhs[:n])[:, :, 0]
+        s.compact(keep)
+        assemble(s)
 
-    converged = False
-    iterations = 0
-    threads = 1
-    if d * sum(p.values.size for p in parts) >= _THREADED_NUMBERS:
-        threads = min(ROUND_THREADS or usable_cores(), len(parts))
+    threads = 1 if d * sum(s.values.size for s in blocks) < _THREADED_NUMBERS else (
+        min(ROUND_THREADS or usable_cores(), len(blocks)))
     # this thread solves buckets too, beside threads - 1 of the pool's
     with ThreadPoolExecutor(threads - 1) if threads > 1 else nullcontext() as pool:
-        for iterations in range(1, max_inner + 1):
-            todo = [i for i, (keep, *_) in enumerate(live) if keep.any()]
-            for i in todo:
-                keep, pos, part, w_old = live[i]
-                if not keep.all():
-                    # compacted on this thread, so that the copies, which
-                    # outlive the round, stay out of the bucket threads' heaps
-                    live[i] = keep[keep], pos[keep], _Part(*(a[keep] for a in part)), w_old[keep]
-            numbers = d * sum(live[i][2].values.size for i in todo)
-            if pool is None or len(todo) < 2 or numbers < _THREADED_NUMBERS:
-                for i in todo:
-                    solve_bucket(i)
-            else:
-                _spread(pool, threads, solve_bucket, todo)
+
+        def run(step, ids):
+            # inline for one live bucket or few live design numbers
+            numbers = d * sum(blocks[i].n * blocks[i].values.shape[1] for i in ids)
+            _spread(pool, min(threads, len(ids)) if numbers >= _THREADED_NUMBERS else 1, step, ids)
+
+        run(open_block, range(len(blocks)))
+        trace = [float(obj.sum()) + ridge_x]
+        g0 = g.copy()
+        grad0 = float(np.linalg.norm(g0))
+        converged, iterations = grad0 < tol_start, 0  # a caller's stop: no round
+        while not converged and iterations < max_inner:
+            iterations += 1
+            run(round_block, [i for i, s in enumerate(blocks) if s.n])
             trace.append(float(obj.sum()) + ridge_x)
-            if not any(keep.any() for keep, *_ in live):
-                converged = True
-                break
             # signs of near-zero residuals can flap on rounding noise without
             # the point moving; once the objective stalls, certify by the gradient
-            if (trace[-2] - trace[-1]) <= 1e-13 * max(trace[-2], 1e-300):
-                if np.linalg.norm(grad_at(y)) <= tol_gradient * (1.0 + grad0):
-                    converged = True
-                    break
+            stalled = (trace[-2] - trace[-1]) <= 1e-13 * max(trace[-2], 1e-300)
+            converged = not any(s.n for s in blocks) or (
+                stalled and np.linalg.norm(g) <= tol_gradient * (1.0 + grad0))
 
-    gnorm = float(np.linalg.norm(grad_at(y)))
+    gnorm = float(np.linalg.norm(g))
     pattern = np.empty(obs.size, dtype=bool)
-    for b, r in zip(buckets, rs):
-        pattern[b.obs] = r[b.rows >= 0] >= 0.0
+    for b, s in zip(buckets, blocks):
+        pattern[b.obs] = s.r[b.rows >= 0] >= 0.0
     return SubproblemResult(
         solution=y.reshape(obs.shape[1], k),
         sign_pattern=pattern,
@@ -251,14 +257,33 @@ def solve_y(
     )
 
 
-class _Part(NamedTuple):
-    """Some columns of one block: their ids, their slot-major (columns, d,
-    width) design rows and their (columns, width) values, both zero at
-    padding slots."""
+class _Block:
+    """A block's arrays for one half-step: r holds every column's residuals;
+    the ids, positions, (columns, d, width) design rows, values, weights and
+    normal equations of the n live columns lead their arrays."""
 
-    cols: np.ndarray
-    design: np.ndarray
-    values: np.ndarray
+    def __init__(self, cols, design, values):
+        self.n, d = design.shape[:2]
+        self.cols, self.pos = cols.copy(), np.arange(self.n)
+        self.design, self.values = design, values
+        self.r, self.w = np.empty(values.shape), np.empty(values.shape)
+        self.normal, self.rhs = np.empty((self.n, d, d)), np.empty((self.n, d, 1))
+
+    def chunks(self):
+        """Slices of the live columns whose values make one chunk."""
+        step = max(1, _WEIGHTED_NUMBERS // max(self.values.shape[1], 1))  # width 0: no slots
+        return [slice(lo, min(lo + step, self.n)) for lo in range(0, self.n, step)]
+
+    def compact(self, keep):
+        """Keep the live columns that keep marks: the last ones fill the
+        places of those that left, a chunk at a time."""
+        m = int(keep.sum())
+        holes, movers = np.flatnonzero(~keep[:m]), m + np.flatnonzero(keep[m:])
+        for a in (self.cols, self.pos, self.values, self.w, self.design):
+            step = max(1, _WEIGHTED_NUMBERS // max(a[:1].size, 1))
+            for lo in range(0, holes.size, step):
+                a[holes[lo:lo + step]] = a[movers[lo:lo + step]]
+        self.n = m
 
 
 def _spread(pool, threads, step, ids):
@@ -287,14 +312,12 @@ def _spread(pool, threads, step, ids):
         raise failed[min(failed)]
 
 
-def _gather(xt, rows):
-    """The (columns, k, width) design block whose slot (c, s) holds column
-    rows[c, s] of xt: one take per factor column, each written straight
-    into its own contiguous (columns, width) plane."""
-    a = np.empty((len(xt),) + rows.shape)
+def _gather(xt, rows, out):
+    """Fill the k-major (columns, k, width) design block out: slot (c, s)
+    holds column rows[c, s] of xt, one take per factor column, each written
+    straight into its own contiguous (columns, width) plane."""
     for j, xj in enumerate(xt):
-        xj.take(rows, out=a[j], mode="wrap")  # row -1 wraps to the zero column
-    return a.transpose(1, 0, 2)
+        xj.take(rows, out=out[:, j], mode="wrap")  # row -1 wraps to the zero column
 
 
 def usable_cores() -> int:
@@ -305,58 +328,64 @@ def usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _weighted_solve(part: _Part, w, ridge, min_norm):
-    """Solve the part's weighted ridge normal equations: one row per column.
-
-    With min_norm (the general block) the min-norm solution is returned:
-    at ridge 0 fewer measurements than n*k leave the normal matrix singular.
-    """
-    a = part.design
+def _assemble(a, w, values, ridge, normal, rhs):
+    """Write the weighted ridge normal equations of design block a's columns,
+    with weights w, into normal and rhs: one system per column."""
     cols, d, width = a.shape
-    normal, rhs = np.empty((cols, d, d)), np.empty((cols, d, 1))
     # weight a few columns at a time: the weighted copy stays in cache, and
     # the bucket threads' heaps stay small
     step = max(1, _WEIGHTED_NUMBERS // max(d * width, 1))  # width 0: empty columns
     for lo in range(0, cols, step):
         xw = a[lo:lo + step] * w[lo:lo + step, None, :]
         np.matmul(xw, a[lo:lo + step].transpose(0, 2, 1), out=normal[lo:lo + step])
-        np.matmul(xw, part.values[lo:lo + step, :, None], out=rhs[lo:lo + step])
-    normal.reshape(cols, -1)[:, :: d + 1] += ridge  # its diagonals
+        np.matmul(xw, values[lo:lo + step, :, None], out=rhs[lo:lo + step])
+    normal.reshape(cols, d * d)[:, :: d + 1] += ridge  # its diagonals
+
+
+def _solve(normal, rhs, cols, min_norm):
+    """Solve the normal equations of the columns cols: one row per column.
+
+    With min_norm (the general block) the min-norm solution is returned:
+    at ridge 0 fewer measurements than n*k leave the normal matrix singular.
+    """
     if min_norm:
         return np.linalg.lstsq(normal[0], rhs[0, :, 0], rcond=None)[0][None]
     try:
         y = np.linalg.solve(normal, rhs)[:, :, 0]
     except np.linalg.LinAlgError as exc:
-        # only now find the column: the batched solve itself costs nothing more
-        for c in range(len(normal)):
+        # only now find the lowest such column, the first of the block's own
+        # order: the batched solve itself costs nothing more
+        for c in np.argsort(cols):
             try:
                 np.linalg.solve(normal[c], rhs[c])
             except np.linalg.LinAlgError:
                 break
         raise SingularDesignError(
-            f"column {part.cols[c]}: its weighted normal matrix is singular and ridge is zero"
+            f"column {cols[c]}: its weighted normal matrix is singular and ridge is zero"
         ) from exc
     if not np.isfinite(y).all():
-        c = np.nonzero(~np.isfinite(y).all(axis=1))[0][0]
         raise SingularDesignError(
-            f"column {part.cols[c]}: its weighted normal matrix is numerically singular"
+            f"column {cols[~np.isfinite(y).all(axis=1)].min()}: its weighted normal "
+            "matrix is numerically singular"
         )
     return y
 
 
-def _evaluate(part: _Part, y, omega, ridge):
-    """Residuals, weights and objectives of the part's columns at y, their rows.
+def _evaluate(part, y, omega, ridge):
+    """Residuals, weights and objectives at y, its rows, of the columns whose
+    (design rows, values) part holds.
 
     A padding slot's residual is exactly zero, so it adds nothing.
     """
-    r = part.values - np.matmul(y[:, None, :], part.design)[:, 0, :]
+    design, values = part
+    r = values - np.matmul(y[:, None, :], design)[:, 0, :]
     w = asymmetric_weights(r, omega)
     obj = (w * r * r).sum(axis=1)
     obj += ridge * np.einsum("ij,ij->i", y, y)
     return r, w, obj
 
 
-def _damp(part: _Part, y_old, y_new, obj_old, omega, ridge):
+def _damp(part, y_old, y_new, obj_old, omega, ridge):
     """Halve the step from y_old to y_new (the part's rows) per column until
     it descends from obj_old; a column that never does keeps y_old."""
     out = y_old.copy()

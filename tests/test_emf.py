@@ -266,6 +266,25 @@ def test_y_gradient_computed_only_after_the_last_allowed_sweep(monkeypatch):
     assert last.inner_iters == rep.inner_iters
 
 
+def test_gradient_stop_reads_a_y_half_step_that_ran_no_round(monkeypatch):
+    import emfkit.emf as emf
+
+    rounds = []
+    real = emf.solve_y
+
+    def recording(*args, **kwargs):
+        res = real(*args, **kwargs)
+        rounds.append(res.inner_iterations)
+        return res
+
+    monkeypatch.setattr(emf, "solve_y", recording)
+    _, clean = completion(30, 25, 2, 0.5, seed=17)
+    rep = fit(clean, EmfConfig(omega=0.7, rank=2, max_outer=200, seed=3))
+    assert rep.stop_reason is StopReason.TOLERANCE_GRADIENT
+    # the discarded y half-step only opened and read its start gradient
+    assert rounds[-1] == 0 and rounds[:-1] == rep.inner_iters
+
+
 @pytest.mark.parametrize(
     "ridge, tol_gradient, stop",
     [

@@ -429,6 +429,22 @@ def test_start_gradient_is_the_loss_gradient_at_the_warm_start(general, ridge):
     assert np.linalg.norm(res.start_gradient - g) <= 1e-9 * np.linalg.norm(g)
 
 
+def test_start_gradient_below_tol_start_runs_no_round():
+    rng = np.random.RandomState(64)
+    x = rng.randn(6, 2)
+    obs = entry_instance(rng)
+    warm = rng.randn(obs.shape[1], 2) * 3
+    full = solve_y(x, obs, 0.2, warm_start=warm)
+    g0 = np.linalg.norm(full.start_gradient)
+    stop = solve_y(x, obs, 0.2, warm_start=warm, tol_start=1.01 * g0)
+    assert stop.inner_iterations == 0 and np.array_equal(stop.solution, warm)
+    assert np.array_equal(stop.start_gradient, full.start_gradient)
+    assert np.array_equal(stop.inner_objective_trace, full.inner_objective_trace[:1])
+    # the test is strict, as fit's gradient stop is
+    again = solve_y(x, obs, 0.2, warm_start=warm, tol_start=g0)
+    assert again.inner_iterations == full.inner_iterations >= 1
+
+
 def test_general_solve_certifies_near_its_optimum():
     # p = 500 measurements of a rank-3 20x20 matrix: far more rows than n*k = 60
     from emfkit import synth
@@ -491,30 +507,30 @@ def per_column_sign_set(x, obs, omega, ridge, warm):
 
 
 def solved_columns_per_round(monkeypatch, obs):
-    """Wrap the batched solve; the returned list gets the ids of the columns
-    each round solves."""
+    """Wrap the batched solve of the carried normal equations; the returned
+    list gets the ids of the columns each round solves."""
     import emfkit.subsolver as subsolver
 
     bucket_of = np.empty(obs.shape[1], dtype=int)
     for i, b in enumerate(obs.column_buckets):
         bucket_of[b.cols] = i
     per_round, seen, lock = [], set(), threading.Lock()
-    real_solve = subsolver._weighted_solve
+    real_solve = subsolver._solve
 
-    def recording_solve(part, *args):
+    def recording_solve(normal, rhs, cols, *args):
         # a round solves each live bucket once, in any order and on any
         # thread, and the next round starts only when it is done: a bucket
         # the current round already solved starts a new round
-        i = bucket_of[part.cols[0]]
+        i = bucket_of[cols[0]]
         with lock:
             if not per_round or i in seen:
                 per_round.append([])
                 seen.clear()
             seen.add(i)
-            per_round[-1].extend(part.cols.tolist())
-        return real_solve(part, *args)
+            per_round[-1].extend(cols.tolist())
+        return real_solve(normal, rhs, cols, *args)
 
-    monkeypatch.setattr(subsolver, "_weighted_solve", recording_solve)
+    monkeypatch.setattr(subsolver, "_solve", recording_solve)
     return per_round
 
 
@@ -686,13 +702,28 @@ def solve_with_threads(threads, *args, **kwargs):
             sys.setswitchinterval(interval)
 
 
+def record_threads(monkeypatch, name):
+    """Wrap the subsolver's kernel `name`; the returned list gets the thread
+    of every call."""
+    import emfkit.subsolver as subsolver
+
+    called_on = []
+    real = getattr(subsolver, name)
+
+    def recording(*args):
+        called_on.append(threading.get_ident())
+        return real(*args)
+
+    monkeypatch.setattr(subsolver, name, recording)
+    return called_on
+
+
 @pytest.mark.parametrize("ridge", [0.0, 0.3])
 @pytest.mark.parametrize("omega", [0.1, 0.5, 0.9])
 def test_threaded_rounds_equal_serial_rounds(omega, ridge, monkeypatch):
-    # each bucket's arithmetic is the same on any thread, so more threads
-    # than cores and buckets of two columns change no bit of the result
-    import emfkit.subsolver as subsolver
-
+    # each bucket's arithmetic, in its opening and in every round, is the
+    # same on any thread, so more threads than cores and buckets of two
+    # columns change no bit of the result
     monkeypatch.setattr(emfkit.core, "BUCKET_COLUMNS", 2)
     rng = np.random.RandomState(80 + int(omega * 10) + int(ridge * 10))
     m, k = 40, 3
@@ -700,19 +731,16 @@ def test_threaded_rounds_equal_serial_rounds(omega, ridge, monkeypatch):
     assert len(obs.column_buckets) >= 5
     x = rng.randn(m, k)
     warm = rng.randn(obs.shape[1], k) * 10
-    solved_on = []
-    real_solve = subsolver._weighted_solve
-
-    def recording_solve(*args):
-        solved_on.append(threading.get_ident())
-        return real_solve(*args)
-
-    monkeypatch.setattr(subsolver, "_weighted_solve", recording_solve)
+    gathered_on = record_threads(monkeypatch, "_gather")
+    solved_on = record_threads(monkeypatch, "_solve")
     serial = solve_with_threads(1, x, obs, omega, ridge, warm_start=warm)
-    assert set(solved_on) == {threading.get_ident()}
+    assert set(gathered_on) == set(solved_on) == {threading.get_ident()}
+    gathered_on.clear()
     solved_on.clear()
     threaded = solve_with_threads(8, x, obs, omega, ridge, warm_start=warm)
-    # the calling thread solves buckets too, but not all of them
+    # the calling thread opens and solves buckets too, but not all of them
+    assert len(gathered_on) == len(obs.column_buckets)
+    assert set(gathered_on) - {threading.get_ident()}
     assert set(solved_on) - {threading.get_ident()}
     assert serial.inner_iterations >= (1 if omega == 0.5 else 3)
     for field in dataclasses.fields(serial):
@@ -723,12 +751,64 @@ def test_threaded_rounds_equal_serial_rounds(omega, ridge, monkeypatch):
 def test_threaded_rounds_name_the_serial_singular_column(monkeypatch):
     # columns 3, 1, 2, 0 sit in buckets of widths 2, 4, 8, 16; the factor's
     # two columns agree on the rows columns 2 and 0 observe, so both their
-    # buckets are singular and the serial loop meets column 2 first
+    # buckets are singular at the opening and the serial loop meets column 2
+    # first; the threaded run opens them on the pool's threads
     monkeypatch.setattr(emfkit.core, "BUCKET_COLUMNS", 2)
     rng = np.random.RandomState(16)
     obs = column_degree_instance(rng, 60, [16, 4, 8, 2])
     x = rng.randn(60, 2)
     x[obs.row_idx[np.isin(obs.col_idx, [0, 2])]] = 1.0
+    gathered_on = record_threads(monkeypatch, "_gather")
     for threads in (1, 8):
+        gathered_on.clear()
         with pytest.raises(SingularDesignError, match=r"^column 2: "):
             solve_with_threads(threads, x, obs, 0.5)
+        assert len(gathered_on) == 4
+        assert (set(gathered_on) == {threading.get_ident()}) is (threads == 1)
+
+
+@pytest.mark.parametrize("threads", [1, 8])
+def test_entry_certificate_is_the_loss_gradient(threads, monkeypatch):
+    # after one round, in buckets of two columns, some columns left, some
+    # stay live and some were damped, and the half-step stops uncertified;
+    # the gradients read from the carried normal equations are those of
+    # loss.gradient_y
+    import emfkit.subsolver as subsolver
+
+    monkeypatch.setattr(emfkit.core, "BUCKET_COLUMNS", 2)
+    damped, assembled = [], []
+    real_damp, real_assemble = subsolver._damp, subsolver._assemble
+
+    def counting_damp(*args):
+        damped.append(1)
+        return real_damp(*args)
+
+    def counting_assemble(a, *args):
+        assembled.append(len(a))
+        return real_assemble(a, *args)
+
+    monkeypatch.setattr(subsolver, "_damp", counting_damp)
+    monkeypatch.setattr(subsolver, "_assemble", counting_assemble)
+    rng = np.random.RandomState(90)
+    m, k, omega = 40, 3, 0.1
+    obs = column_degree_instance(rng, m, rng.randint(6, 30, size=15))
+    n, buckets = obs.shape[1], len(obs.column_buckets)
+    assert buckets >= 5
+    # a column of ones lets the warm start overshoot in its first round
+    x = np.column_stack([np.ones(m), rng.randn(m, k - 1)])
+    for ridge in (0.0, 0.3):
+        # columns at their optimum leave after one round, far ones stay
+        warm = overshooting_warm_start(x, obs, omega)
+        warm[::3] = rng.randn(len(warm[::3]), k) * 10
+        warm[1::3] = solve_y(x, obs, omega, ridge).solution[1::3]
+        damped.clear()
+        assembled.clear()
+        res = solve_with_threads(threads, x, obs, omega, ridge, warm_start=warm, max_inner=1)
+        assert res.inner_iterations == 1 and not res.converged and damped
+        # the opening assembles every bucket, the round's end the live columns
+        assert sum(assembled[:buckets]) == n and 0 < sum(assembled[buckets:]) < n
+        g = np.linalg.norm(gradient_y(obs, FactorPair(x, res.solution), omega, ridge))
+        assert g > 1e-3
+        assert abs(res.final_gradient_norm - g) <= 1e-9 * g
+        g0 = gradient_y(obs, FactorPair(x, warm), omega, ridge)
+        assert np.linalg.norm(res.start_gradient - g0) <= 1e-9 * np.linalg.norm(g0)
