@@ -357,8 +357,6 @@ def _run_grid(plan: ExperimentPlan, name: str, provider) -> int:
 
 
 def _run_complete(plan: ExperimentPlan) -> int:
-    if plan.input is None:
-        raise ValueError("--input is required for this mode")
     # only observed cells of the truth are read
     if plan.input_format == "triplets":
         obs = load_triplets(plan.input)
@@ -370,8 +368,6 @@ def _run_complete(plan: ExperimentPlan) -> int:
 
 
 def _run_evaluate(plan: ExperimentPlan) -> int:
-    if plan.input is None or plan.estimate is None:
-        raise ValueError("evaluate needs --input (truth) and --estimate files")
     truth, obs = load_dense(plan.input, plan.sentinel)
     # a full matrix: no holes, so it may span the sentinel
     est = read_dense(plan.estimate)
@@ -388,8 +384,6 @@ def _run_evaluate(plan: ExperimentPlan) -> int:
 
 
 def _run_expectile(plan: ExperimentPlan) -> int:
-    if plan.input is None:
-        raise ValueError("expectile needs --input (numeric text file)")
     lines = Path(plan.input).read_text().splitlines()
     values = np.array([_parse_real(tok, no, col)
                        for no, line in enumerate(lines, start=1)
@@ -406,6 +400,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         plan = _resolve_plan(args)
+        # the files a mode reads, checked before anything is written
+        needed = {"synth-exp": (), "evaluate": ("input", "estimate")}.get(plan.mode, ("input",))
+        missing = [f"--{key}" for key in needed if getattr(plan, key) is None]
+        if missing:
+            raise ValueError(f"{plan.mode} needs {' and '.join(missing)}")
         if plan.mode == "expectile":
             return _run_expectile(plan)
         _write_provenance(plan)

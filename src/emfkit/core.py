@@ -121,15 +121,12 @@ class ColumnBucket:
 
     rows and values are (columns, width) arrays: the row index and value
     of each slot.  Padding slots have row -1 and value 0: gathered from a
-    factor with a zero row appended, they are zero design rows.  obs lists
-    the observation index of every slot that holds one, in row-major slot
-    order, so ``v[rows >= 0]`` lines up with ``obs``.
+    factor with a zero row appended, they are zero design rows.
     """
 
     cols: np.ndarray
     rows: np.ndarray
     values: np.ndarray
-    obs: np.ndarray
 
 
 class EntryObservations:
@@ -218,7 +215,7 @@ class EntryObservations:
             values = np.zeros(shape)
             rows[at] = self.row_idx[obs]
             values[at] = self.values[obs]
-            buckets.append(ColumnBucket(cols, rows, values, obs))
+            buckets.append(ColumnBucket(cols, rows, values))
         return tuple(buckets)
 
     @cached_property

@@ -33,16 +33,15 @@ Rows of the unknown are independent subproblems, so each converges on its
 own: a row leaves the round loop once a round leaves its weights unchanged
 and does not damp it.  It then satisfies its own signs and is its own
 global minimizer, and every later round would reproduce it bit for bit.
-Each block holds, for one half-step, every row's residuals and, compacted
-in place as rows leave, the design rows, values, weights, normal matrix N
-and right-hand side q of each row still in the loop.  (N, q) is at the
-row's current weights: assembled at the opening and, after a round,
-re-assembled for the rows that stay; a row leaves with its weights.  So
-the start gradient, the stall check and the final certificate read the
-gradient 2 (N y - q), with no pass over the design.  The half-step ends
-when no row is left; the general block is one row.  Rounds and solutions
-are exactly those of re-solving every row in every round until all
-weights hold.
+Each block holds, for one half-step and compacted in place as rows leave,
+the design rows, values, weights, normal matrix N and right-hand side q of
+each row still in the loop.  (N, q) is at the row's current weights:
+assembled at the opening and, after a round, re-assembled for the rows
+that stay; a row leaves with its weights.  So the start gradient, the
+stall check and the final certificate read the gradient 2 (N y - q), with
+no pass over the design.  The half-step ends when no row is left; the
+general block is one row.  Rounds and solutions are exactly those of
+re-solving every row in every round until all weights hold.
 
 Blocks write disjoint rows, so each block's whole share of a half-step,
 from its design gather to its last round, is one task: on the calling
@@ -50,12 +49,12 @@ thread or a pool's threads, one per core this process may run on
 (:data:`ROUND_THREADS` caps that) and at most one per block, each taking
 the next block when free.  numpy releases the interpreter lock in the
 heavy calls; a task's temporaries stay within :data:`_WEIGHTED_NUMBERS`
-numbers.  The calling thread allocates the arrays, sums the objective,
-reads gradient norms and writes the sign pattern.  A block's arithmetic
-is the same on any thread, so results are bit-identical to running the
-blocks one after another.  A step with one live block, such as the
-general block, or with few live design numbers runs inline, and the pool
-lives only as long as one call.
+numbers.  The calling thread allocates the arrays, sums the objective and
+reads gradient norms; the sign pattern is computed on its first read.  A
+block's arithmetic is the same on any thread, so results are bit-identical
+to running the blocks one after another.  A step with one live block, such
+as the general block, or with few live design numbers runs inline, and the
+pool lives only as long as one call.
 """
 
 from __future__ import annotations
@@ -65,11 +64,12 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .core import ColumnBucket, EntryObservations, ObservationSet, as_matrix
-from .loss import asymmetric_weights
+from .core import EntryObservations, FactorPair, ObservationSet, as_matrix
+from .loss import asymmetric_weights, residuals
 
 _DESCENT_SLACK = 1e-13
 _MAX_HALVINGS = 60
@@ -94,19 +94,26 @@ class SingularDesignError(RuntimeError):
 class SubproblemResult:
     """Solution of one inner subproblem plus its optimality certificate.
 
-    sign_pattern marks nonnegative residuals at the solution (in observation
-    order); inner_objective_trace holds the objective before the first and
-    after every sign-set round; start_gradient is the objective's gradient
-    at the warm start, shaped like the solution.
+    inner_objective_trace holds the objective before the first and after
+    every sign-set round; start_gradient is the objective's gradient at the
+    warm start, shaped like the solution.
     """
 
     solution: np.ndarray
-    sign_pattern: np.ndarray
     inner_iterations: int
     final_gradient_norm: float
     converged: bool
     inner_objective_trace: np.ndarray
     start_gradient: np.ndarray
+    # what sign_pattern reads: the solve's own copy of the fixed factor
+    _x_fixed: np.ndarray
+    _obs: ObservationSet
+
+    @cached_property
+    def sign_pattern(self) -> np.ndarray:
+        """Marks nonnegative residuals at the solution, in observation order;
+        computed on first read, then kept."""
+        return residuals(self._obs, FactorPair(self._x_fixed, self.solution)) >= 0.0
 
 
 def solve_y(
@@ -162,9 +169,7 @@ def solve_y(
     else:
         # one block: row 0 of y is vec(Y), and measurement i is slot i, with
         # design row g_i = vec(A_i^T x)
-        slots = np.arange(obs.size)
         col = np.zeros(1, dtype=np.int64)
-        buckets = (ColumnBucket(col, slots[None], obs.values[None], slots),)
         blocks = [_Block(col, obs.design(x).reshape(obs.size, -1).T[None], obs.values[None])]
         y = y.reshape(1, -1)
     n, d = y.shape
@@ -179,7 +184,7 @@ def solve_y(
             _gather(xt, buckets[i].rows, s.design)
         for sl in s.chunks():
             c = s.cols[sl]
-            s.r[sl], s.w[sl], obj[c] = _evaluate((s.design[sl], s.values[sl]), y[c], omega, ridge)
+            s.w[sl], obj[c] = _evaluate((s.design[sl], s.values[sl]), y[c], omega, ridge)
         assemble(s)
 
     def assemble(s):
@@ -198,15 +203,15 @@ def solve_y(
         obj_c, keep = np.empty(n), np.empty(n, dtype=bool)
         for sl in s.chunks():
             part, yc, oc = (s.design[sl], s.values[sl]), y_c[sl], obj_c[sl]
-            r, w, oc[:] = _evaluate(part, yc, omega, ridge)
+            w, oc[:] = _evaluate(part, yc, omega, ridge)
             worse = oc > obj_old[sl] * (1.0 + _DESCENT_SLACK) + 1e-300
             if worse.any():
                 bad = tuple(a[worse] for a in part)
                 yc[worse] = _damp(bad, y_old[sl][worse], yc[worse], obj_old[sl][worse],
                                   omega, ridge)
-                r[worse], w[worse], oc[worse] = _evaluate(bad, yc[worse], omega, ridge)
+                w[worse], oc[worse] = _evaluate(bad, yc[worse], omega, ridge)
             keep[sl] = worse | (w != s.w[sl]).any(axis=1)
-            s.r[s.pos[sl]], s.w[sl] = r, w
+            s.w[sl] = w
         y[c], obj[c] = y_c, obj_c
         # a column whose weights held through an undamped step satisfies
         # its own signs, so it is its own global minimizer and every later
@@ -243,30 +248,27 @@ def solve_y(
                 stalled and np.linalg.norm(g) <= tol_gradient * (1.0 + grad0))
 
     gnorm = float(np.linalg.norm(g))
-    pattern = np.empty(obs.size, dtype=bool)
-    for b, s in zip(buckets, blocks):
-        pattern[b.obs] = s.r[b.rows >= 0] >= 0.0
     return SubproblemResult(
         solution=y.reshape(obs.shape[1], k),
-        sign_pattern=pattern,
         inner_iterations=iterations,
         final_gradient_norm=gnorm,
         converged=converged and gnorm <= tol_gradient * (1.0 + grad0),
         inner_objective_trace=np.asarray(trace),
         start_gradient=g0.reshape(obs.shape[1], k),
+        _x_fixed=x.copy(),
+        _obs=obs,
     )
 
 
 class _Block:
-    """A block's arrays for one half-step: r holds every column's residuals;
-    the ids, positions, (columns, d, width) design rows, values, weights and
-    normal equations of the n live columns lead their arrays."""
+    """A block's arrays for one half-step: the ids, (columns, d, width)
+    design rows, values, weights and normal equations of the n live columns
+    lead their arrays."""
 
     def __init__(self, cols, design, values):
         self.n, d = design.shape[:2]
-        self.cols, self.pos = cols.copy(), np.arange(self.n)
-        self.design, self.values = design, values
-        self.r, self.w = np.empty(values.shape), np.empty(values.shape)
+        self.cols, self.design, self.values = cols.copy(), design, values
+        self.w = np.empty(values.shape)
         self.normal, self.rhs = np.empty((self.n, d, d)), np.empty((self.n, d, 1))
 
     def chunks(self):
@@ -279,7 +281,7 @@ class _Block:
         places of those that left, a chunk at a time."""
         m = int(keep.sum())
         holes, movers = np.flatnonzero(~keep[:m]), m + np.flatnonzero(keep[m:])
-        for a in (self.cols, self.pos, self.values, self.w, self.design):
+        for a in (self.cols, self.values, self.w, self.design):
             step = max(1, _WEIGHTED_NUMBERS // max(a[:1].size, 1))
             for lo in range(0, holes.size, step):
                 a[holes[lo:lo + step]] = a[movers[lo:lo + step]]
@@ -372,8 +374,8 @@ def _solve(normal, rhs, cols, min_norm):
 
 
 def _evaluate(part, y, omega, ridge):
-    """Residuals, weights and objectives at y, its rows, of the columns whose
-    (design rows, values) part holds.
+    """Weights and objectives at y, its rows, of the columns whose (design
+    rows, values) part holds.
 
     A padding slot's residual is exactly zero, so it adds nothing.
     """
@@ -382,7 +384,7 @@ def _evaluate(part, y, omega, ridge):
     w = asymmetric_weights(r, omega)
     obj = (w * r * r).sum(axis=1)
     obj += ridge * np.einsum("ij,ij->i", y, y)
-    return r, w, obj
+    return w, obj
 
 
 def _damp(part, y_old, y_new, obj_old, omega, ridge):
@@ -393,7 +395,7 @@ def _damp(part, y_old, y_new, obj_old, omega, ridge):
     t = 0.5
     for _ in range(_MAX_HALVINGS):
         trial = y_old + t * (y_new - y_old)
-        obj = _evaluate(part, trial, omega, ridge)[2]
+        obj = _evaluate(part, trial, omega, ridge)[1]
         ok = left & (obj <= obj_old * (1.0 + _DESCENT_SLACK) + 1e-300)
         out[ok] = trial[ok]
         left &= ~ok

@@ -455,6 +455,23 @@ def test_invalid_plan_value_stops_before_writing(tmp_path, capsys, mode, flag, v
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode, given, message", [
+    ("complete", [], "complete needs --input"),
+    ("evaluate", [], "evaluate needs --input and --estimate"),
+    ("evaluate", ["--input"], "evaluate needs --estimate"),
+    ("evaluate", ["--estimate"], "evaluate needs --input"),
+    ("expectile", [], "expectile needs --input"),
+])
+def test_missing_input_file_stops_before_writing(tmp_path, capsys, mode, given, message):
+    src = _complete_input(tmp_path)
+    out = tmp_path / "res"
+    files = [a for flag in given for a in (flag, src)]
+    assert run_cli(mode, *files, "--omega", 0.5, "--seed", 0, "--out-dir", out) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error\tValueError\t{message}"]
+    assert not out.exists()
+
+
 def test_config_input_format_typo_fails(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"input = {_complete_input(tmp_path)}\ninput_format = triplet\n")

@@ -111,7 +111,7 @@ def test_entry_observations_grouping_views():
     assert empty.cols.tolist() == [2] and empty.rows.shape == (1, 0)
     assert single.cols.tolist() == [0] and single.rows.tolist() == [[2]]
     assert pair.cols.tolist() == [1] and pair.rows.tolist() == [[0, 2]]
-    assert pair.values.tolist() == [[5.0, 7.0]] and pair.obs.tolist() == [0, 2]
+    assert pair.values.tolist() == [[5.0, 7.0]]
     assert all((b.rows >= 0).all() for b in obs.column_buckets)
 
 

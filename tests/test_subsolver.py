@@ -311,6 +311,37 @@ def test_sign_pattern_in_observation_order():
         assert np.array_equal(t.sign_pattern, r >= 0.0)
 
 
+def test_sign_pattern_is_computed_once_on_first_read(monkeypatch):
+    import emfkit.subsolver as subsolver
+    from emfkit.core import EmfConfig
+    from emfkit.emf import fit
+
+    calls = []
+    real_residuals = subsolver.residuals
+
+    def counting_residuals(*args):
+        calls.append(1)
+        return real_residuals(*args)
+
+    monkeypatch.setattr(subsolver, "residuals", counting_residuals)
+    rng = np.random.RandomState(53)
+    obs = column_degree_instance(rng, 12, [8] * 8)
+    fit(obs, EmfConfig(omega=0.2, rank=2, max_outer=5, ridge=0.1))
+    assert not calls, "a fit reads no sign pattern"
+    for obs in (obs, general_instance(rng, 12, 8, p=40)):
+        x = rng.randn(12, 2)
+        res = solve_y(x, obs, 0.2, warm_start=rng.randn(8, 2))
+        assert not calls
+        x_at_solve = x.copy()
+        x *= -1.0  # the caller reuses its array
+        pattern = res.sign_pattern
+        assert len(calls) == 1
+        assert res.sign_pattern is pattern and len(calls) == 1
+        assert np.array_equal(pattern, residuals(obs, FactorPair(x_at_solve, res.solution)) >= 0)
+        assert not np.array_equal(pattern, residuals(obs, FactorPair(x, res.solution)) >= 0)
+        calls.clear()
+
+
 def test_half_omega_stops_after_one_round():
     # at omega = 0.5 the weights never change, so the first solve is final
     rng = np.random.RandomState(52)
@@ -743,9 +774,12 @@ def test_threaded_rounds_equal_serial_rounds(omega, ridge, monkeypatch):
     assert set(gathered_on) - {threading.get_ident()}
     assert set(solved_on) - {threading.get_ident()}
     assert serial.inner_iterations >= (1 if omega == 0.5 else 3)
-    for field in dataclasses.fields(serial):
-        a, b = getattr(serial, field.name), getattr(threaded, field.name)
-        assert np.array_equal(a, b), field.name
+    for name in [f.name for f in dataclasses.fields(serial)] + ["sign_pattern"]:
+        a, b = getattr(serial, name), getattr(threaded, name)
+        if name.startswith("_") and not isinstance(a, np.ndarray):
+            assert a is b, name  # the observation set
+        else:
+            assert np.array_equal(a, b), name
 
 
 def test_threaded_rounds_name_the_serial_singular_column(monkeypatch):
