@@ -38,6 +38,7 @@ from .metrics import (
     binned_summaries,
     empirical_cdf,
     relative_errors,
+    relative_errors_at,
     summarize,
 )
 from .rng import Pcg32
@@ -87,6 +88,7 @@ __all__ = [
     "make_completion_instance",
     "SyntheticInstance",
     "relative_errors",
+    "relative_errors_at",
     "empirical_cdf",
     "summarize",
     "binned_summaries",

@@ -25,11 +25,12 @@ import numpy as np
 import scipy
 
 from . import __version__, subsolver
-from .core import EmfConfig, EntryObservations
+from .core import EmfConfig, EntryObservations, product_at_entries
 from .emf import fit
 from .io import _parse_real, export_results, load_dense, load_triplets, read_dense, results_csv
 from .loss import scalar_expectile
-from .metrics import BinSpec, binned_summaries, empirical_cdf, relative_errors, summarize
+from .metrics import (BinSpec, ErrorSummary, binned_summaries, empirical_cdf,
+                      relative_errors_at, summarize)
 from .rng import Pcg32
 from .synth import SPLIT_STREAM, make_completion_instance
 
@@ -96,6 +97,15 @@ class ExperimentPlan:
                 if getattr(self, key) > min(self.m, self.n):
                     raise ValueError(f"{key} must be <= min(m, n) = {min(self.m, self.n)}, "
                                      f"got {getattr(self, key)}")
+            train = int(self.sampling_rate * (self.m * self.n))  # as synth.sample_mask counts
+            if train == self.m * self.n:
+                raise ValueError(f"sampling_rate {self.sampling_rate} leaves no held-out entry "
+                                 f"of a {self.m}x{self.n} matrix")
+        cells = [_cell_id(s, w) for s in self.seed for w in self.omega]
+        if self.mode in ("synth-exp", "complete") and len(set(cells)) < len(cells):
+            dup = next(c for c in cells if cells.count(c) > 1)
+            raise ValueError(f"two grid cells share the run id suffix {dup}: seeds must "
+                             "differ, and omegas in their first 6 significant digits")
         if not self.cdf_max > 0:
             raise ValueError(f"cdf_max must be > 0, got {self.cdf_max}")
         if not math.isfinite(self.sentinel):
@@ -115,6 +125,11 @@ class ExperimentPlan:
             ridge=self.ridge,
             seed=seed,
         )
+
+
+def _cell_id(seed: int, omega: float) -> str:
+    """The seed-and-omega suffix of a grid cell's run id (and file names)."""
+    return f"s{seed}_w{omega:g}"
 
 
 _HINTS = typing.get_type_hints(ExperimentPlan)
@@ -210,16 +225,14 @@ def _write_provenance(plan: ExperimentPlan) -> None:
     (out / "plan.txt").write_text("\n".join(lines) + "\n")
 
 
+def _quartile_rows(s: ErrorSummary, label: str) -> list:
+    return [(f"re_{key}", label, getattr(s, key)) for key in ("median", "q1", "q3", "iqr")]
+
+
 def _metric_rows_for(errors: np.ndarray) -> list:
     s = summarize(errors)
-    return [
-        ("re_median", "", s.median),
-        ("re_q1", "", s.q1),
-        ("re_q3", "", s.q3),
-        ("re_iqr", "", s.iqr),
-        ("re_mean", "", float(errors.mean())),
-        ("re_count", "", float(s.count)),
-    ]
+    return _quartile_rows(s, "") + [("re_mean", "", float(errors.mean())),
+                                    ("re_count", "", float(s.count))]
 
 
 def _binned_rows(errors: np.ndarray, values: np.ndarray, bins: BinSpec) -> list:
@@ -230,12 +243,9 @@ def _binned_rows(errors: np.ndarray, values: np.ndarray, bins: BinSpec) -> list:
         rows.append(("bin_count", label, float(entry.count)))
         rows.append(("bin_fraction", label, entry.count / total if total else 0.0))
         if entry.summary is not None:
-            rows.append(("re_median", label, entry.summary.median))
-            rows.append(("re_q1", label, entry.summary.q1))
-            rows.append(("re_q3", label, entry.summary.q3))
-            rows.append(("re_iqr", label, entry.summary.iqr))
-            rows.append(("re_min", label, float(entry.summary.values[0])))
-            rows.append(("re_max", label, float(entry.summary.values[-1])))
+            v = entry.summary.values
+            rows += _quartile_rows(entry.summary, label) + [("re_min", label, float(v[0])),
+                                                            ("re_max", label, float(v[-1]))]
     return rows
 
 
@@ -259,10 +269,11 @@ def _synth_instance(plan: ExperimentPlan, seed: int):
     inst = make_completion_instance(
         plan.m, plan.n, plan.k_true, plan.noise_scale, plan.dof, plan.sampling_rate, seed
     )
-    return inst.observed, inst.truth, inst.heldout, False
+    rows, cols = inst.heldout[:, 0], inst.heldout[:, 1]
+    return inst.observed, (rows, cols, inst.truth[rows, cols]), False
 
 
-def _split_instance(obs: EntryObservations, truth: np.ndarray, plan: ExperimentPlan, seed: int):
+def _split_instance(obs: EntryObservations, plan: ExperimentPlan, seed: int):
     """Instance provider of ``complete``: the seeded train split of the observed
     entries of a parsed file, scored on the held-back ones with value bins."""
     train_count = int(plan.sampling_rate * obs.shape[0] * obs.shape[1])
@@ -276,28 +287,28 @@ def _split_instance(obs: EntryObservations, truth: np.ndarray, plan: ExperimentP
     picked = Pcg32(seed, SPLIT_STREAM).permutation_prefix(obs.size, train_count)
     train_sel = np.zeros(obs.size, dtype=bool)
     train_sel[picked] = True
-    train = EntryObservations(
-        obs.shape, obs.row_idx[train_sel], obs.col_idx[train_sel], obs.values[train_sel]
-    )
-    eval_set = np.column_stack([obs.row_idx[~train_sel], obs.col_idx[~train_sel]])
-    if eval_set.shape[0] == 0:
+    train, held = ((obs.row_idx[s], obs.col_idx[s], obs.values[s])
+                   for s in (train_sel, ~train_sel))
+    if held[0].size == 0:
         raise ValueError("no held-back entries left to evaluate on")
-    return train, truth, eval_set, True
+    return EntryObservations(obs.shape, *train), held, True
 
 
 def _run_cell(plan: ExperimentPlan, name: str, provider, seed: int, omega: float) -> dict:
-    """Fit and export one grid cell; a failure is reported, not fatal to the grid."""
-    run_id = f"{name}_s{seed}_w{omega:g}"
+    """Fit and export one grid cell; a failure is reported, not fatal to the grid.
+
+    ``provider(plan, seed)`` gives the train set, the held-out entries as
+    aligned (rows, cols, truth values), and whether to add value-bin rows.
+    """
+    run_id = f"{name}_{_cell_id(seed, omega)}"
     try:
-        train, truth, eval_set, binned = provider(plan, seed)
+        train, (rows, cols, truth), binned = provider(plan, seed)
         report = fit(train, plan.emf_config(omega, seed))
-        errors = relative_errors(truth, report.factors, eval_set, plan.eval_floor)
-        extra = []
-        if binned:
-            values = truth[eval_set[:, 0], eval_set[:, 1]]
-            extra = _binned_rows(errors, values, BinSpec(np.asarray(plan.bins)))
-        rows = _export(plan, report, errors, extra, run_id, omega, seed)
-        return {"run_id": run_id, "seed": seed, "omega": omega, "rows": rows, "error": None}
+        estimate = product_at_entries(report.factors, rows, cols)
+        errors = relative_errors_at(rows, cols, truth, estimate, plan.eval_floor)
+        extra = _binned_rows(errors, truth, BinSpec(np.asarray(plan.bins))) if binned else []
+        exported = _export(plan, report, errors, extra, run_id, omega, seed)
+        return {"run_id": run_id, "seed": seed, "omega": omega, "rows": exported, "error": None}
     except Exception as exc:
         return {
             "run_id": run_id, "seed": seed, "omega": omega, "rows": [],
@@ -357,28 +368,22 @@ def _run_grid(plan: ExperimentPlan, name: str, provider) -> int:
 
 
 def _run_complete(plan: ExperimentPlan) -> int:
-    # only observed cells of the truth are read
+    # cells read only the observed entries, so the parsed matrix is dropped
     if plan.input_format == "triplets":
         obs = load_triplets(plan.input)
-        truth = np.zeros(obs.shape)
-        truth[obs.row_idx, obs.col_idx] = obs.values
     else:
-        truth, obs = load_dense(plan.input, plan.sentinel)
-    return _run_grid(plan, "complete", partial(_split_instance, obs, truth))
+        obs = load_dense(plan.input, plan.sentinel)[1]
+    return _run_grid(plan, "complete", partial(_split_instance, obs))
 
 
 def _run_evaluate(plan: ExperimentPlan) -> int:
-    truth, obs = load_dense(plan.input, plan.sentinel)
+    obs = load_dense(plan.input, plan.sentinel)[1]
     # a full matrix: no holes, so it may span the sentinel
     est = read_dense(plan.estimate)
-    if est.shape != truth.shape:
-        raise ValueError(f"estimate shape {est.shape} != truth shape {truth.shape}")
-    eval_set = np.column_stack([obs.row_idx, obs.col_idx])
-    denom = obs.values
-    bad = np.nonzero(np.abs(denom) < plan.eval_floor)[0]
-    if bad.size:
-        raise ValueError(f"truth entry at {eval_set[bad[0]]} is below the evaluation floor")
-    errors = np.abs(denom - est[obs.row_idx, obs.col_idx]) / np.abs(denom)
+    if est.shape != obs.shape:
+        raise ValueError(f"estimate shape {est.shape} != truth shape {obs.shape}")
+    rows, cols = obs.row_idx, obs.col_idx
+    errors = relative_errors_at(rows, cols, obs.values, est[rows, cols], plan.eval_floor)
     _export(plan, None, errors, [], "evaluate", plan.omega[0], plan.seed[0])
     return 0
 

@@ -63,33 +63,35 @@ class BinnedSummary:
     summary: ErrorSummary | None
 
 
-def _eval_indices(eval_set) -> tuple[np.ndarray, np.ndarray]:
+def relative_errors(truth, estimate: FactorPair, eval_set, floor: float = 1e-12) -> np.ndarray:
+    """:func:`relative_errors_at` of the dense ``truth`` and the product of
+    ``estimate`` at the (i, j) pairs of eval_set, in order."""
     idx = np.asarray(eval_set, dtype=np.int64)
     if idx.ndim != 2 or idx.shape[1] != 2:
         raise ValueError("eval_set must be a sequence of (i, j) pairs")
-    return idx[:, 0], idx[:, 1]
+    rows, cols = idx[:, 0], idx[:, 1]
+    values = np.asarray(truth, dtype=np.float64)[rows, cols]
+    return relative_errors_at(rows, cols, values, product_at_entries(estimate, rows, cols), floor)
 
 
-def relative_errors(truth, estimate: FactorPair, eval_set, floor: float = 1e-12) -> np.ndarray:
-    """|truth_ij - estimate_ij| / |truth_ij| over eval_set, in order.
+def relative_errors_at(rows, cols, truth, estimate, floor: float = 1e-12) -> np.ndarray:
+    """|truth[t] - estimate[t]| / |truth[t]| for aligned values of the
+    entries (rows[t], cols[t]); the indices only name an entry in the error.
 
-    Raises if any |truth_ij| is below the floor: silently skipping
+    Raises if any |truth[t]| is below the floor: silently skipping
     near-zero denominators would bias downstream CDFs.
     """
     truth = np.asarray(truth, dtype=np.float64)
-    rows, cols = _eval_indices(eval_set)
-    denom = truth[rows, cols]
-    bad = np.nonzero(np.abs(denom) < floor)[0]
+    bad = np.flatnonzero(np.abs(truth) < floor)
     if bad.size:
         t = bad[0]
-        raise DenominatorTooSmallError(
-            f"truth entry ({rows[t]}, {cols[t]}) = {denom[t]!r} is below the floor {floor!r}"
-        )
-    # in place, so two entry-sized arrays stay alive
-    err = product_at_entries(estimate, rows, cols)
-    np.subtract(denom, err, out=err)
-    np.abs(err, out=err)
-    return np.divide(err, np.abs(denom, out=denom), out=err)
+        raise DenominatorTooSmallError(f"truth entry ({rows[t]}, {cols[t]}) = "
+                                       f"{float(truth[t])!r} is below the floor {float(floor)!r}")
+    # one new array; division rounds alike for either sign, so this is
+    # |truth - estimate| / |truth| bit for bit
+    err = np.subtract(truth, estimate)
+    np.divide(err, truth, out=err)
+    return np.abs(err, out=err)
 
 
 def empirical_cdf(values, grid) -> np.ndarray:
@@ -130,24 +132,9 @@ def binned_summaries(errors, values, bins: BinSpec) -> list[BinnedSummary]:
         raise ValueError("errors and values must be 1-D arrays of one length")
     b = bins.boundaries
     which = np.searchsorted(b, values, side="right") - 1
+    which[(which < 0) | (which >= bins.num_bins)] = bins.num_bins  # the overflow bucket
     out = []
-    for i in range(bins.num_bins):
+    for i, (lower, upper) in enumerate([*zip(b[:-1].tolist(), b[1:].tolist()), (None, None)]):
         sel = errors[which == i]
-        out.append(
-            BinnedSummary(
-                lower=float(b[i]),
-                upper=float(b[i + 1]),
-                count=sel.size,
-                summary=summarize(sel) if sel.size else None,
-            )
-        )
-    overflow = errors[(which < 0) | (which >= bins.num_bins)]
-    out.append(
-        BinnedSummary(
-            lower=None,
-            upper=None,
-            count=overflow.size,
-            summary=summarize(overflow) if overflow.size else None,
-        )
-    )
+        out.append(BinnedSummary(lower, upper, sel.size, summarize(sel) if sel.size else None))
     return out

@@ -1,7 +1,7 @@
 """Exact solvers for the convex inner subproblems of the alternating loop.
 
 With one factor fixed the objective is a convex, C^1, piecewise-quadratic
-function of the other factor.  The fast path is sign-set iteration
+function of the other factor.  It is solved by sign-set iteration
 (reweighted least squares with the two-valued asymmetric weights): fix the
 weights implied by the current residual signs, solve the weighted ridge
 normal equations, recompute signs, repeat.  Once a round leaves the weights

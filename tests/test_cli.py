@@ -190,16 +190,16 @@ def test_summary_rows_are_verbatim_run_rows(tmp_path):
 
 
 def test_complete_scores_each_cell_once(tmp_path, monkeypatch):
-    # every relative error goes through metrics.product_at_entries, the
+    # every relative error reads estimates from cli.product_at_entries, the
     # binned rows included
     scored = []
-    product = emfkit.metrics.product_at_entries
+    product = emfkit.cli.product_at_entries
 
     def counting_product(f, rows, cols):
         scored.append(len(rows))
         return product(f, rows, cols)
 
-    monkeypatch.setattr(emfkit.metrics, "product_at_entries", counting_product)
+    monkeypatch.setattr(emfkit.cli, "product_at_entries", counting_product)
     out = tmp_path / "res"
     code = run_cli(
         "complete", "--input", _complete_input(tmp_path), "--sampling-rate", 0.4,
@@ -232,8 +232,8 @@ def test_complete_mode_end_to_end(tmp_path):
 
 
 def test_complete_dense_and_triplet_inputs_agree(tmp_path):
-    # a dense file scores against its parsed matrix, a triplet file against
-    # a matrix rebuilt from its entries; only observed cells are read
+    # both formats give the same observed entries, so the same held-back
+    # entries are scored by value
     mat = np.loadtxt(_complete_input(tmp_path))
     mat[::3, 1::4] = -1.0
     dense, triplets = tmp_path / "m.txt", tmp_path / "m.trip"
@@ -292,8 +292,49 @@ def test_evaluate_mode_rejects_truth_below_the_floor(tmp_path, capsys):
     out = tmp_path / "res"
     assert run_cli("evaluate", "--input", tp, "--estimate", ep, "--out-dir", out) == 1
     err = capsys.readouterr().err.splitlines()
-    assert err == ["error\tValueError\ttruth entry at [1 0] is below the evaluation floor"]
+    assert err == ["error\tDenominatorTooSmallError\ttruth entry (1, 0) = 0.0 "
+                   "is below the floor 1e-12"]
     assert not (out / "evaluate.csv").exists()
+
+
+def test_complete_and_evaluate_report_a_truth_below_the_floor_alike(tmp_path, capsys):
+    # one entry below the floor, placed where seed 0's split holds it back
+    src = _complete_input(tmp_path)
+    mat = np.loadtxt(src) + 1.0
+    plan = ExperimentPlan("complete", sampling_rate=0.4)
+    rows, cols, _ = emfkit.cli._split_instance(load_dense(src)[1], plan, 0)[1]
+    i, j = rows[0], cols[0]
+    mat[i, j] = 0.25
+    write_dense(src, mat)
+    message = f"DenominatorTooSmallError: truth entry ({i}, {j}) = 0.25 is below the floor 0.5"
+    out = tmp_path / "res"
+    assert run_cli("complete", "--input", src, "--sampling-rate", 0.4, "--omega", 0.5,
+                   "--seed", 0, "--rank", 2, "--max-outer", 3, "--eval-floor", 0.5,
+                   "--out-dir", out) == 1
+    assert (out / "failures.txt").read_text().startswith(f"complete_s0_w0.5\t{message}\n")
+    capsys.readouterr()
+    assert run_cli("evaluate", "--input", src, "--estimate", src, "--eval-floor", 0.5,
+                   "--out-dir", tmp_path / "eval") == 1
+    assert capsys.readouterr().err.splitlines() == ["error\t" + message.replace(": ", "\t", 1)]
+
+
+@pytest.mark.parametrize("input_format", ["dense", "triplets"])
+def test_complete_provider_holds_no_matrix_of_the_input_shape(tmp_path, monkeypatch,
+                                                                input_format):
+    # cells read only observed entries: after parsing, nothing of m x n is kept
+    src = _complete_input(tmp_path)
+    if input_format == "triplets":
+        write_triplets(src, load_dense(src)[1])
+    providers = []
+    monkeypatch.setattr(emfkit.cli, "_run_grid",
+                        lambda plan, name, provider: providers.append(provider) or 0)
+    assert run_cli("complete", "--input", src, "--input-format", input_format,
+                   "--out-dir", tmp_path / "res") == 0
+    [provider] = providers
+    held = list(provider.args) + list(provider.keywords.values())
+    held += [v for obj in held if hasattr(obj, "__dict__") for v in vars(obj).values()]
+    shapes = [a.shape for a in held if isinstance(a, np.ndarray)]
+    assert shapes and (40, 30) not in shapes
 
 
 def test_evaluate_mode_estimate_spans_the_sentinel(tmp_path):
@@ -437,6 +478,14 @@ def test_invalid_omega_rejected(tmp_path):
     ("complete", "--seed", "-2", "seed values must be >= 0, got -2"),
     ("synth-exp", "--m", "1", "rank must be <= min(m, n) = 1, got 2"),
     ("synth-exp", "--k-true", "1001", "k_true must be <= min(m, n) = 1000, got 1001"),
+    ("synth-exp", "--sampling-rate", "1",
+     "sampling_rate 1.0 leaves no held-out entry of a 1000x1000 matrix"),
+    ("synth-exp", "--omega", "0.1234561,0.1234562", "two grid cells share the run id suffix "
+     "s0_w0.123456: seeds must differ, and omegas in their first 6 significant digits"),
+    ("complete", "--seed", "0", "two grid cells share the run id suffix s0_w0.5: seeds must "
+     "differ, and omegas in their first 6 significant digits"),
+    ("complete", "--omega", "0.5", "two grid cells share the run id suffix s0_w0.5: seeds must "
+     "differ, and omegas in their first 6 significant digits"),
 ])
 def test_invalid_plan_value_stops_before_writing(tmp_path, capsys, mode, flag, value, message):
     src = _complete_input(tmp_path)
