@@ -237,15 +237,14 @@ def _metric_rows_for(errors: np.ndarray) -> list:
 
 def _binned_rows(errors: np.ndarray, values: np.ndarray, bins: BinSpec) -> list:
     rows = []
-    total = errors.size
     for entry in binned_summaries(errors, values, bins):
         label = "overflow" if entry.lower is None else f"{entry.lower:g}-{entry.upper:g}"
         rows.append(("bin_count", label, float(entry.count)))
-        rows.append(("bin_fraction", label, entry.count / total if total else 0.0))
+        rows.append(("bin_fraction", label, entry.count / errors.size))  # a cell holds back entries
         if entry.summary is not None:
-            v = entry.summary.values
-            rows += _quartile_rows(entry.summary, label) + [("re_min", label, float(v[0])),
-                                                            ("re_max", label, float(v[-1]))]
+            s = entry.summary
+            rows += _quartile_rows(s, label) + [("re_min", label, s.minimum),
+                                                ("re_max", label, s.maximum)]
     return rows
 
 
@@ -339,9 +338,9 @@ def _run_grid(plan: ExperimentPlan, name: str, provider) -> int:
     is handed to each worker once, so it must pickle."""
     cells = [(s, w) for s in plan.seed for w in plan.omega]
     if plan.workers > 1:
-        with ProcessPoolExecutor(
-            max_workers=plan.workers, initializer=_set_worker_provider, initargs=(provider,)
-        ) as pool:
+        # a forking pool starts every worker at once: no more than there are cells
+        with ProcessPoolExecutor(max_workers=min(plan.workers, len(cells)),
+                                 initializer=_set_worker_provider, initargs=(provider,)) as pool:
             results = list(pool.map(partial(_run_worker_cell, plan, name), *zip(*cells)))
     else:
         results = [_run_cell(plan, name, provider, s, w) for s, w in cells]

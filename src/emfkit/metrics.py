@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FactorPair, product_at_entries
+from .core import FactorPair, _check_indices, product_at_entries
 
 
 class DenominatorTooSmallError(ValueError):
@@ -20,9 +20,10 @@ class DenominatorTooSmallError(ValueError):
 
 @dataclass(frozen=True)
 class ErrorSummary:
-    """Sorted error sample with median, quartiles and interquartile range."""
+    """Extremes, median, quartiles and interquartile range of an error sample."""
 
-    values: np.ndarray
+    minimum: float
+    maximum: float
     median: float
     q1: float
     q3: float
@@ -43,10 +44,6 @@ class BinSpec:
         if not np.isfinite(b).all() or not (np.diff(b) > 0).all():
             raise ValueError("boundaries must be finite and strictly increasing")
         object.__setattr__(self, "boundaries", b)
-
-    @property
-    def num_bins(self) -> int:
-        return self.boundaries.size - 1
 
 
 @dataclass(frozen=True)
@@ -69,9 +66,12 @@ def relative_errors(truth, estimate: FactorPair, eval_set, floor: float = 1e-12)
     idx = np.asarray(eval_set, dtype=np.int64)
     if idx.ndim != 2 or idx.shape[1] != 2:
         raise ValueError("eval_set must be a sequence of (i, j) pairs")
+    truth = np.asarray(truth, dtype=np.float64)
     rows, cols = idx[:, 0], idx[:, 1]
-    values = np.asarray(truth, dtype=np.float64)[rows, cols]
-    return relative_errors_at(rows, cols, values, product_at_entries(estimate, rows, cols), floor)
+    _check_indices(rows, truth.shape[0], "row")
+    _check_indices(cols, truth.shape[1], "column")
+    estimate = product_at_entries(estimate, rows, cols)
+    return relative_errors_at(rows, cols, truth[rows, cols], estimate, floor)
 
 
 def relative_errors_at(rows, cols, truth, estimate, floor: float = 1e-12) -> np.ndarray:
@@ -82,7 +82,7 @@ def relative_errors_at(rows, cols, truth, estimate, floor: float = 1e-12) -> np.
     near-zero denominators would bias downstream CDFs.
     """
     truth = np.asarray(truth, dtype=np.float64)
-    bad = np.flatnonzero(np.abs(truth) < floor)
+    bad = np.flatnonzero(~(np.abs(truth) >= floor))  # also a NaN truth
     if bad.size:
         t = bad[0]
         raise DenominatorTooSmallError(f"truth entry ({rows[t]}, {cols[t]}) = "
@@ -104,13 +104,15 @@ def empirical_cdf(values, grid) -> np.ndarray:
 
 
 def summarize(values) -> ErrorSummary:
-    """Five-number-style summary (q1, median, q3) of an error sample."""
-    v = np.sort(np.asarray(values, dtype=np.float64))
+    """Five-number summary of an error sample, read without sorting it; like
+    the ends of a sorted sample, the minimum skips NaN and the maximum does not."""
+    v = np.asarray(values, dtype=np.float64)
     if v.size == 0:
         raise ValueError("summarize needs a non-empty sample")
     q1, med, q3 = np.percentile(v, [25.0, 50.0, 75.0], method="linear")
     return ErrorSummary(
-        values=v,
+        minimum=float(np.fmin.reduce(v)),
+        maximum=float(v.max()),
         median=float(med),
         q1=float(q1),
         q3=float(q3),
@@ -124,17 +126,17 @@ def binned_summaries(errors, values, bins: BinSpec) -> list[BinnedSummary]:
     value (``values[i]`` belongs to ``errors[i]``).
 
     Returns one entry per bin plus a trailing overflow bucket for truth
-    values outside [b0, b_last).
+    values outside [b0, b_last), NaN values included.
     """
     errors = np.asarray(errors, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
     if errors.shape != values.shape or errors.ndim != 1:
         raise ValueError("errors and values must be 1-D arrays of one length")
-    b = bins.boundaries
-    which = np.searchsorted(b, values, side="right") - 1
-    which[(which < 0) | (which >= bins.num_bins)] = bins.num_bins  # the overflow bucket
+    b = bins.boundaries.tolist()
     out = []
-    for i, (lower, upper) in enumerate([*zip(b[:-1].tolist(), b[1:].tolist()), (None, None)]):
-        sel = errors[which == i]
-        out.append(BinnedSummary(lower, upper, sel.size, summarize(sel) if sel.size else None))
+    for lower, upper in [*zip(b[:-1], b[1:]), (None, None)]:
+        sel = (~((values >= b[0]) & (values < b[-1])) if lower is None
+               else (values >= lower) & (values < upper))
+        part = errors[sel]
+        out.append(BinnedSummary(lower, upper, part.size, summarize(part) if part.size else None))
     return out

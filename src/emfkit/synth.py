@@ -27,15 +27,13 @@ _MEASUREMENT_CAP = 50_000_000
 class SyntheticInstance:
     """A completion experiment: low-rank truth, skewed noise, sampled entries.
 
-    observed and heldout partition the index grid; observed values come
-    from the noisy matrix while evaluation compares against truth.
+    observed and heldout partition the index grid; observed values are
+    truth plus noise while evaluation compares against truth.
     """
 
     truth: np.ndarray
-    noisy: np.ndarray
     observed: EntryObservations
     heldout: np.ndarray  # (q, 2) int indices
-    seed: int
 
 
 def gen_low_rank(m: int, n: int, k: int, seed: int) -> FactorPair:
@@ -118,6 +116,4 @@ def make_completion_instance(
     taken[rows * n + cols] = True
     rest = np.nonzero(~taken)[0]
     heldout = np.column_stack([rest // n, rest % n])
-    return SyntheticInstance(
-        truth=truth, noisy=noisy, observed=observed, heldout=heldout, seed=seed
-    )
+    return SyntheticInstance(truth=truth, observed=observed, heldout=heldout)

@@ -105,6 +105,43 @@ def test_grid_workers_get_the_provider_once(tmp_path, monkeypatch):
     assert len(list(tmp_path.glob("synth_s*_w*.cdf.re.csv"))) == 6
 
 
+class InlinePool:
+    """Stands in for ProcessPoolExecutor: records its size, runs cells in-process."""
+
+    sizes = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        InlinePool.sizes.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_grid_pool_starts_no_more_workers_than_cells(tmp_path, monkeypatch):
+    # a forking pool starts all max_workers processes at the first submit
+    monkeypatch.setattr(emfkit.cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(InlinePool, "sizes", [])
+    monkeypatch.setattr(emfkit.subsolver, "ROUND_THREADS", None)
+    monkeypatch.setattr(emfkit.cli, "_worker_provider", None)
+    for workers, omegas, size in ((8, (0.3, 0.7), 2), (2, (0.2, 0.4, 0.6), 2)):
+        plan = ExperimentPlan(
+            "synth-exp", omega=omegas, seed=(0,), m=12, n=10, k_true=2, rank=2,
+            sampling_rate=0.5, max_outer=2, cdf_points=5, workers=workers,
+            out_dir=str(tmp_path / str(workers)),
+        )
+        (tmp_path / str(workers)).mkdir()
+        assert emfkit.cli._run_grid(plan, "synth", emfkit.cli._synth_instance) == 0
+        assert InlinePool.sizes[-1] == size
+        assert len(list((tmp_path / str(workers)).glob("synth_s0_w*.cdf.re.csv"))) == len(omegas)
+
+
 def test_grid_workers_solve_rounds_serially(monkeypatch):
     # the grid already uses the cores, so a worker's fits use one thread each
     monkeypatch.setattr(emfkit.subsolver, "ROUND_THREADS", None)

@@ -118,7 +118,8 @@ def test_summarize_matches_percentile_oracle_and_order_invariance():
     rng.shuffle(shuffled)
     s2 = summarize(shuffled)
     assert (s.median, s.q1, s.q3) == (s2.median, s2.q1, s2.q3)
-    assert np.array_equal(s.values, s2.values)
+    assert (s.minimum, s.maximum, s.count) == (s2.minimum, s2.maximum, s2.count)
+    assert (s.minimum, s.maximum) == (sv[0], sv[-1])
 
 
 def test_binspec_validation():
@@ -126,8 +127,8 @@ def test_binspec_validation():
         BinSpec(np.array([1.0]))
     with pytest.raises(ValueError):
         BinSpec(np.array([1.0, 1.0]))
-    spec = BinSpec(np.array([0.0, 0.3, 3.1, 20.0]))
-    assert spec.num_bins == 3
+    spec = BinSpec([0, 0.3, 3.1, 20])
+    assert spec.boundaries.dtype == np.float64 and spec.boundaries.tolist() == [0, 0.3, 3.1, 20]
 
 
 def test_binned_single_bin_reduces_to_summarize():
@@ -157,9 +158,9 @@ def test_binned_partition_and_overflow():
     assert out[2].summary is None
     assert sum(b.count for b in out) == len(pairs)
     # each bin summarizes the errors of its own entries
-    assert out[0].summary.values.tolist() == [errors[0]]
-    assert out[1].summary.values.tolist() == sorted(errors[1:3])
-    assert out[3].summary.values.tolist() == [errors[3]]
+    ends = [(b.summary.minimum, b.summary.maximum, b.summary.count) for b in out if b.summary]
+    assert ends == [(errors[0], errors[0], 1), (min(errors[1:3]), max(errors[1:3]), 2),
+                    (errors[3], errors[3], 1)]
     # boundaries are half-open: a truth value exactly at an inner edge
     out2 = binned_summaries(np.array([0.5, 0.25]), np.array([0.3, 20.0]), bins)
     assert [b.count for b in out2] == [0, 1, 0, 1]  # 0.3 in second bin, 20 overflows
@@ -190,3 +191,51 @@ def test_relative_errors_memory_is_bounded():
     assert peak < 40e6
     ref = np.abs(truth.ravel() - (f.x @ f.y.T).ravel()) / truth.ravel()
     assert np.allclose(errs, ref, rtol=0, atol=1e-12)
+
+
+def test_relative_errors_checks_eval_indices_against_the_truth():
+    truth = np.arange(1.0, 7.0).reshape(2, 3)
+    f = constant_estimate(2, 3, 1.0)
+    with pytest.raises(ValueError, match=r"row index -1 out of range \[0, 2\)"):
+        relative_errors(truth, f, [(0, 0), (-1, 0)])
+    with pytest.raises(ValueError, match=r"column index 3 out of range \[0, 3\)"):
+        relative_errors(truth, f, [(1, 3)])
+
+
+def test_relative_errors_at_rejects_a_nan_truth():
+    with pytest.raises(DenominatorTooSmallError) as info:
+        relative_errors_at(np.array([0, 1]), np.array([0, 2]), np.array([1.0, np.nan]),
+                           np.zeros(2))
+    assert str(info.value) == "truth entry (1, 2) = nan is below the floor 1e-12"
+
+
+def test_summaries_of_nan_entries_match_the_ends_of_a_sorted_sample():
+    errors = np.array([0.5, np.nan, 0.25, 2.0])
+    s = summarize(errors)
+    v = np.sort(errors)  # NaN sorts last
+    assert s.minimum == v[0] == 0.25 and np.isnan(s.maximum) and np.isnan(v[-1])
+    # a NaN truth value lies in no bin: it lands in the overflow bucket
+    out = binned_summaries(np.array([0.1, 0.2, 0.3]), np.array([0.5, np.nan, 30.0]),
+                           BinSpec(np.array([0.0, 1.0, 20.0])))
+    assert [b.count for b in out] == [1, 0, 2]
+    assert (out[2].summary.minimum, out[2].summary.maximum) == (0.2, 0.3)
+
+
+def test_summaries_hold_no_copy_of_the_sample():
+    import tracemalloc
+
+    # about 1M errors, most in the top bin and some in the overflow bucket;
+    # sorting copies or a per-entry bin index would each add one more sample
+    rng = np.random.RandomState(6)
+    errors = rng.rand(1 << 20)
+    values = rng.rand(errors.size) * 25.0 - 1.0
+    bins = BinSpec(np.array([0.0, 0.3, 3.1, 20.0]))
+    tracemalloc.start()
+    try:
+        whole = summarize(errors)
+        binned = binned_summaries(errors, values, bins)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * errors.nbytes
+    assert whole.count == sum(b.count for b in binned) == errors.size

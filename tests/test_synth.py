@@ -109,17 +109,18 @@ def test_make_completion_instance_partition_and_noise_sign():
     flat = set((inst.observed.row_idx * 20 + inst.observed.col_idx).tolist())
     flat |= set((inst.heldout[:, 0] * 20 + inst.heldout[:, 1]).tolist())
     assert flat == set(range(600))
-    assert np.all(inst.noisy - inst.truth >= 0.0)  # chi-square noise is nonnegative
-    assert np.array_equal(
-        inst.observed.values, inst.noisy[inst.observed.row_idx, inst.observed.col_idx]
-    )
+    rows, cols = inst.observed.row_idx, inst.observed.col_idx
+    noisy = inst.truth + chi_square_noise(30, 20, 3, 0.5, seed=6)
+    assert np.array_equal(inst.observed.values, noisy[rows, cols])
+    assert np.all(inst.observed.values >= inst.truth[rows, cols])  # chi-square noise is >= 0
 
 
 def test_make_completion_instance_noiseless_full():
     inst = make_completion_instance(8, 6, 2, 0.0, 3, 1.0, seed=7)
     assert inst.observed.size == 48
     assert len(inst.heldout) == 0
-    assert np.array_equal(inst.noisy, inst.truth)
+    rows, cols = inst.observed.row_idx, inst.observed.col_idx
+    assert np.array_equal(inst.observed.values, inst.truth[rows, cols])
     f = FactorPair(np.zeros((8, 2)), np.zeros((6, 2)))
     r = residuals(inst.observed, f)
     assert np.allclose(r, inst.truth[inst.observed.row_idx, inst.observed.col_idx])
@@ -128,6 +129,6 @@ def test_make_completion_instance_noiseless_full():
 def test_instances_are_reproducible():
     a = make_completion_instance(15, 12, 2, 0.5, 3, 0.4, seed=9)
     b = make_completion_instance(15, 12, 2, 0.5, 3, 0.4, seed=9)
-    assert np.array_equal(a.noisy, b.noisy)
+    assert np.array_equal(a.truth, b.truth)
     assert np.array_equal(a.observed.values, b.observed.values)
     assert np.array_equal(a.heldout, b.heldout)
