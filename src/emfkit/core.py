@@ -4,14 +4,15 @@ Dense matrices are plain float64 numpy arrays (row-major); :func:`as_matrix`
 is the single validation gate.  Observation sets come in two flavors:
 entry-level observations of individual matrix elements (the completion
 case) and general linear measurements ``b_i = <A_i, M>``, whose A_i are
-held as one (p, m, n) array.  Only this module reads their layouts: both
-answer :meth:`apply` (``<A_i, x y^T>`` per observation), :meth:`adjoint`
-(``sum_i c_i A_i``) and :meth:`design` (the rows ``A_i^T x``).
+held as one (p, m, n) array.  Both answer :meth:`apply` (``<A_i, x y^T>``
+per observation), :meth:`adjoint` (``sum_i c_i A_i``) and :meth:`design`
+(the rows ``A_i^T x``); the solver also reads an entry set's column layout.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Union
@@ -75,10 +76,6 @@ class FactorPair:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.x.shape[0], self.y.shape[0])
-
-    @property
-    def rank(self) -> int:
-        return self.x.shape[1]
 
 
 def product_entry(f: FactorPair, i: int, j: int) -> float:
@@ -330,19 +327,19 @@ class EmfConfig:
     def __post_init__(self):
         if not 0.0 < self.omega < 1.0:
             raise ValueError(f"omega must be in (0, 1), got {self.omega}")
+        for name, low in (("rank", 1), ("max_outer", 0), ("max_inner", 1), ("seed", 0)):
+            value = getattr(self, name)
+            try:  # kept as a Python int
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
         # written as `not value >= bound`, so NaN fails every check
-        if not self.rank >= 1:
-            raise ValueError(f"rank must be >= 1, got {self.rank}")
-        if not self.max_outer >= 0:
-            raise ValueError(f"max_outer must be >= 0, got {self.max_outer}")
-        if not self.max_inner >= 1:
-            raise ValueError(f"max_inner must be >= 1, got {self.max_inner}")
         if not (self.tol_objective >= 0 and self.tol_gradient >= 0):
             raise ValueError("tolerances must be nonnegative")
         if not self.ridge >= 0:
             raise ValueError(f"ridge must be >= 0, got {self.ridge}")
-        if not self.seed >= 0:
-            raise ValueError("seed must be nonnegative")
 
 
 @dataclass(frozen=True)

@@ -120,9 +120,8 @@ def fit(obs: ObservationSet, config: EmfConfig) -> SolveReport:
     x_passed = False
 
     for _ in range(config.max_outer):
-        res_y = solve_y(x, obs, omega, ridge, warm_start=y,
-                        tol_start=config.tol_gradient if x_passed else 0.0, **caps)
-        if x_passed and np.linalg.norm(res_y.start_gradient) < config.tol_gradient:
+        res_y = solve_y(x, obs, omega, ridge, warm_start=y, **caps)
+        if x_passed and res_y.start_gradient_norm < config.tol_gradient:
             stop = StopReason.TOLERANCE_GRADIENT
             break
         y = res_y.solution

@@ -85,21 +85,28 @@ def load_dense(path, sentinel: float = -1.0) -> tuple[np.ndarray, EntryObservati
     and the observation set of its non-sentinel entries."""
     data = read_dense(path)
     keep = data != sentinel
-    if not keep.any():
+    values = data[keep]  # row-major, the order of np.nonzero
+    _check_observed(path, values, sentinel)
+    rows, cols = np.nonzero(keep)
+    return data, EntryObservations(data.shape, rows, cols, values)
+
+
+def _check_observed(path, values, sentinel) -> None:
+    """Raise unless there are observed values and the sentinel is outside their range."""
+    if not values.size:
         raise EmptyObservationsError(f"{path}: every entry equals the sentinel {sentinel!r}")
-    lo, hi = float(data[keep].min()), float(data[keep].max())
+    lo, hi = float(values.min()), float(values.max())
     if lo <= sentinel <= hi:
         raise SentinelCollisionError(
             f"{path}: sentinel {sentinel!r} lies inside the observed value range [{lo!r}, {hi!r}]"
         )
-    rows, cols = np.nonzero(keep)
-    return data, EntryObservations(data.shape, rows, cols, data[rows, cols])
 
 
 def write_dense(path, matrix, mask=None, sentinel: float = -1.0) -> None:
-    """Write a dense matrix, replacing entries where mask is False by the sentinel."""
+    """Write a dense matrix, the sentinel where mask is False; refuses what load_dense would."""
     matrix = np.asarray(matrix, dtype=np.float64)
     if mask is not None:
+        _check_observed(path, matrix[np.asarray(mask, dtype=bool)], sentinel)
         matrix = np.where(mask, matrix, float(sentinel))
     Path(path).write_text("\n".join(" ".join(map(repr, row)) for row in matrix.tolist()) + "\n")
 

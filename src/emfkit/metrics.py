@@ -106,12 +106,16 @@ def empirical_cdf(values, grid) -> np.ndarray:
 def summarize(values) -> ErrorSummary:
     """Five-number summary of an error sample, read without sorting it; like
     the ends of a sorted sample, the minimum skips NaN and the maximum does not."""
-    v = np.asarray(values, dtype=np.float64)
+    return _summary(np.array(values, dtype=np.float64))  # a copy: the quartiles reorder it
+
+
+def _summary(v: np.ndarray) -> ErrorSummary:
+    """:func:`summarize` of the float64 array v, which it reorders."""
     if v.size == 0:
         raise ValueError("summarize needs a non-empty sample")
-    q1, med, q3 = np.percentile(v, [25.0, 50.0, 75.0], method="linear")
+    q1, med, q3 = np.percentile(v, [25.0, 50.0, 75.0], method="linear", overwrite_input=True)
     return ErrorSummary(
-        minimum=float(np.fmin.reduce(v)),
+        minimum=float(np.fmin.reduce(v)),  # the extremes do not depend on the order
         maximum=float(v.max()),
         median=float(med),
         q1=float(q1),
@@ -137,6 +141,6 @@ def binned_summaries(errors, values, bins: BinSpec) -> list[BinnedSummary]:
     for lower, upper in [*zip(b[:-1], b[1:]), (None, None)]:
         sel = (~((values >= b[0]) & (values < b[-1])) if lower is None
                else (values >= lower) & (values < upper))
-        part = errors[sel]
-        out.append(BinnedSummary(lower, upper, part.size, summarize(part) if part.size else None))
+        part = errors[sel]  # a fresh copy, so its summary may reorder it
+        out.append(BinnedSummary(lower, upper, part.size, _summary(part) if part.size else None))
     return out

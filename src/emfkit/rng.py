@@ -41,6 +41,7 @@ the same as ``count`` scalar steps.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -72,6 +73,7 @@ class Pcg32:
     """PCG-XSH-RR 64/32 stream identified by (seed, seq)."""
 
     def __init__(self, seed: int, seq: int = 0):
+        seed, seq = operator.index(seed), operator.index(seq)  # numpy ints overflow below
         if seed < 0 or seq < 0:
             raise ValueError("seed and seq must be nonnegative integers")
         self._inc = (((seq << 1) | 1)) & _MASK64

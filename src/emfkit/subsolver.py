@@ -95,16 +95,16 @@ class SubproblemResult:
     """Solution of one inner subproblem plus its optimality certificate.
 
     inner_objective_trace holds the objective before the first and after
-    every sign-set round; start_gradient is the objective's gradient at the
-    warm start, shaped like the solution.
+    every sign-set round; start_gradient_norm is the norm of the objective's
+    gradient at the warm start.
     """
 
     solution: np.ndarray
     inner_iterations: int
+    start_gradient_norm: float
     final_gradient_norm: float
     converged: bool
     inner_objective_trace: np.ndarray
-    start_gradient: np.ndarray
     # what sign_pattern reads: the solve's own copy of the fixed factor
     _x_fixed: np.ndarray
     _obs: ObservationSet
@@ -125,12 +125,11 @@ def solve_y(
     *,
     max_inner: int = 100,
     tol_gradient: float = 1e-8,
-    tol_start: float = 0.0,
 ) -> SubproblemResult:
     """Globally minimize the objective over the right factor, left factor fixed.
 
     The left-factor half-step is ``solve_y(y_fixed, obs.transposed, ...)``.
-    A start gradient below tol_start in norm returns the warm start, with no round.
+    A start gradient below tol_gradient in norm returns the warm start, with no round.
     """
     x = as_matrix(x_fixed, "fixed factor")
     if not 0.0 < omega < 1.0:
@@ -234,9 +233,8 @@ def solve_y(
 
         run(open_block, range(len(blocks)))
         trace = [float(obj.sum()) + ridge_x]
-        g0 = g.copy()
-        grad0 = float(np.linalg.norm(g0))
-        converged, iterations = grad0 < tol_start, 0  # a caller's stop: no round
+        grad0 = float(np.linalg.norm(g))
+        converged, iterations = grad0 < tol_gradient, 0  # fit's gradient stop: no round
         while not converged and iterations < max_inner:
             iterations += 1
             run(round_block, [i for i, s in enumerate(blocks) if s.n])
@@ -251,10 +249,10 @@ def solve_y(
     return SubproblemResult(
         solution=y.reshape(obs.shape[1], k),
         inner_iterations=iterations,
+        start_gradient_norm=grad0,
         final_gradient_norm=gnorm,
         converged=converged and gnorm <= tol_gradient * (1.0 + grad0),
         inner_objective_trace=np.asarray(trace),
-        start_gradient=g0.reshape(obs.shape[1], k),
         _x_fixed=x.copy(),
         _obs=obs,
     )

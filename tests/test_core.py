@@ -230,6 +230,14 @@ def test_config_defaults_and_validation():
             EmfConfig(**{"omega": 0.5, "rank": 1, **bad})
 
 
+@pytest.mark.parametrize("name", ["rank", "max_outer", "max_inner", "seed"])
+def test_config_integer_fields(name):
+    cfg = EmfConfig(**{"omega": 0.5, "rank": 1, name: np.int64(2)})
+    assert type(getattr(cfg, name)) is int and getattr(cfg, name) == 2
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        EmfConfig(**{"omega": 0.5, "rank": 1, name: 2.5})
+
+
 @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(EmfConfig)])
 def test_config_rejects_nan(name):
     with pytest.raises(ValueError):

@@ -188,6 +188,14 @@ def test_transposed_fit_transposes_the_product(seed):
     assert rel_err(b.T, a) <= 1e-7
 
 
+def test_numpy_integer_settings_fit_as_python_ints():
+    truth, obs = completion(12, 10, 2, 0.5, seed=3)
+    a = fit(obs, EmfConfig(omega=0.3, rank=2, max_outer=4, seed=1))
+    b = fit(obs, EmfConfig(omega=0.3, rank=np.int64(2), max_outer=np.int32(4), seed=np.int64(1)))
+    assert np.array_equal(a.factors.x, b.factors.x) and np.array_equal(a.factors.y, b.factors.y)
+    assert np.array_equal(a.objective_trace, b.objective_trace)
+
+
 def test_geometric_early_decrease_noiseless():
     truth, obs = completion(60, 60, 3, 0.35, seed=21)
     rep = fit(obs, EmfConfig(omega=0.3, rank=3, max_outer=200, seed=21))

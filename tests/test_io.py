@@ -109,6 +109,24 @@ def test_load_dense_fast_path_matches_token_parse(tmp_path):
         assert np.array_equal(data, _parse_dense_per_token(text))
 
 
+def test_write_dense_refuses_kept_values_around_the_sentinel(tmp_path):
+    # a kept -1.0 would read back as a hole, and -2.0 and 0.5 make load_dense
+    # refuse the file: neither is written
+    f = tmp_path / "m.txt"
+    mat = np.array([[-2.0, 3.0], [0.5, -1.0]])
+    mask = np.array([[True, False], [True, True]])
+    message = f"{f}: sentinel -1.0 lies inside the observed value range [-2.0, 0.5]"
+    with pytest.raises(SentinelCollisionError, match=f"^{re.escape(message)}$"):
+        write_dense(f, mat, mask)
+    with pytest.raises(SentinelCollisionError):
+        write_dense(f, np.array([[0.5, -1.0]]), np.array([[True, True]]))
+    assert not f.exists()
+    write_dense(f, mat, mat > 0)  # only 3.0 and 0.5 kept
+    data, obs = load_dense(f)
+    assert np.array_equal(obs.values, [3.0, 0.5])
+    assert np.array_equal(data, [[-1.0, 3.0], [0.5, -1.0]])
+
+
 def _write_dense_per_element(path, matrix, mask, sentinel):
     """The element-by-element writer write_dense must match byte for byte."""
     out = []
@@ -130,10 +148,13 @@ def test_write_dense_bytes_match_the_per_element_writer(tmp_path):
     mask = rng.rand(9, 7) < 0.7
     mask[0, :3] = True
     mask[1, 1] = False
-    for sentinel in (-1.0, -0.0, 7):
-        fast, slow = tmp_path / "fast.txt", tmp_path / "slow.txt"
-        write_dense(fast, mat, mask, sentinel)
-        _write_dense_per_element(slow, mat, mask, sentinel)
+    # kept values on one side of the sentinel, as write_dense requires:
+    # zeros of either sign, negatives and subnormals among them
+    fast, slow = tmp_path / "fast.txt", tmp_path / "slow.txt"
+    for sentinel, kept in ((-1.0, np.abs(mat)), (-0.0, np.maximum(np.abs(mat), 5e-324)),
+                           (7, -np.abs(mat))):
+        write_dense(fast, kept, mask, sentinel)
+        _write_dense_per_element(slow, kept, mask, sentinel)
         assert fast.read_bytes() == slow.read_bytes()
     write_dense(fast, mat)
     _write_dense_per_element(slow, mat, np.ones(mat.shape, dtype=bool), -1.0)

@@ -98,6 +98,19 @@ def test_summarize_values():
     assert c.median == 7.0 and c.iqr == 0.0
 
 
+def test_summarize_leaves_its_input_in_order():
+    rng = np.random.RandomState(8)
+    for vals in (rng.rand(1001), np.array([3.0, np.nan, 1.0, 2.0])):
+        before = vals.copy()
+        summarize(vals)
+        assert np.array_equal(vals, before, equal_nan=True)
+    errors, values = rng.rand(500), rng.rand(500) * 4.0
+    before = errors.copy()
+    binned = binned_summaries(errors, values, BinSpec(np.array([0.0, 1.0, 3.0])))
+    assert np.array_equal(errors, before)
+    assert binned[1].summary == summarize(errors[(values >= 1.0) & (values < 3.0)])
+
+
 def test_summarize_matches_percentile_oracle_and_order_invariance():
     rng = np.random.RandomState(2)
     vals = rng.rand(101) * 10

@@ -96,6 +96,15 @@ def test_streams_differ_by_seed_and_seq():
     assert Pcg32(1, 0).uint32_array(8).tolist() != Pcg32(1, 1).uint32_array(8).tolist()
 
 
+def test_numpy_integer_seeds_give_the_python_int_stream():
+    # a state above 2^63 plus a numpy int64 seed overflowed
+    for seed, seq in ((5, 0), (2**40, 7)):
+        expected = Pcg32(seed, seq).uint32_array(8)
+        assert np.array_equal(Pcg32(np.int64(seed), np.uint32(seq)).uint32_array(8), expected)
+    with pytest.raises(TypeError):
+        Pcg32(2.0)
+
+
 def test_uniform_range_and_determinism():
     u = Pcg32(5).uniform(50_000)
     assert u.min() >= 0.0 and u.max() < 1.0

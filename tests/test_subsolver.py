@@ -455,25 +455,41 @@ def test_start_gradient_is_the_loss_gradient_at_the_warm_start(general, ridge):
     obs = general_instance(rng, p=10) if general else entry_instance(rng)
     warm = rng.randn(obs.shape[1], 2) * 3
     res = solve_y(x, obs, 0.2, ridge, warm_start=warm)
-    g = gradient_y(obs, FactorPair(x, warm), 0.2, ridge)
-    assert res.start_gradient.shape == warm.shape
-    assert np.linalg.norm(res.start_gradient - g) <= 1e-9 * np.linalg.norm(g)
+    g = np.linalg.norm(gradient_y(obs, FactorPair(x, warm), 0.2, ridge))
+    assert g > 1e-3
+    assert abs(res.start_gradient_norm - g) <= 1e-9 * g
 
 
-def test_start_gradient_below_tol_start_runs_no_round():
+def test_start_gradient_below_tol_gradient_runs_no_round():
     rng = np.random.RandomState(64)
     x = rng.randn(6, 2)
     obs = entry_instance(rng)
     warm = rng.randn(obs.shape[1], 2) * 3
     full = solve_y(x, obs, 0.2, warm_start=warm)
-    g0 = np.linalg.norm(full.start_gradient)
-    stop = solve_y(x, obs, 0.2, warm_start=warm, tol_start=1.01 * g0)
+    g0 = full.start_gradient_norm
+    stop = solve_y(x, obs, 0.2, warm_start=warm, tol_gradient=1.01 * g0)
     assert stop.inner_iterations == 0 and np.array_equal(stop.solution, warm)
-    assert np.array_equal(stop.start_gradient, full.start_gradient)
+    assert stop.converged and stop.start_gradient_norm == stop.final_gradient_norm == g0
     assert np.array_equal(stop.inner_objective_trace, full.inner_objective_trace[:1])
     # the test is strict, as fit's gradient stop is
-    again = solve_y(x, obs, 0.2, warm_start=warm, tol_start=g0)
-    assert again.inner_iterations == full.inner_iterations >= 1
+    again = solve_y(x, obs, 0.2, warm_start=warm, tol_gradient=g0)
+    assert again.inner_iterations >= 1
+
+
+@pytest.mark.parametrize("general", [False, True])
+def test_warm_start_at_its_optimum_runs_no_round(general):
+    # a solved half-step, started again from its solution, is already
+    # solved on either side of the observation set
+    rng = np.random.RandomState(65)
+    obs = general_instance(rng, p=30) if general else entry_instance(rng, m=8, n=6, per_col=5)
+    for side in (obs, obs.transposed):
+        x = rng.randn(side.shape[0], 2)
+        opt = solve_y(x, side, 0.2, 0.1).solution
+        res = solve_y(x, side, 0.2, 0.1, warm_start=opt)
+        assert res.start_gradient_norm < 1e-8
+        assert res.inner_iterations == 0 and res.converged
+        assert np.array_equal(res.solution, opt)
+        assert res.inner_objective_trace.size == 1
 
 
 def test_general_solve_certifies_near_its_optimum():
@@ -844,5 +860,5 @@ def test_entry_certificate_is_the_loss_gradient(threads, monkeypatch):
         g = np.linalg.norm(gradient_y(obs, FactorPair(x, res.solution), omega, ridge))
         assert g > 1e-3
         assert abs(res.final_gradient_norm - g) <= 1e-9 * g
-        g0 = gradient_y(obs, FactorPair(x, warm), omega, ridge)
-        assert np.linalg.norm(res.start_gradient - g0) <= 1e-9 * np.linalg.norm(g0)
+        g0 = np.linalg.norm(gradient_y(obs, FactorPair(x, warm), omega, ridge))
+        assert abs(res.start_gradient_norm - g0) <= 1e-9 * g0

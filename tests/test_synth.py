@@ -132,3 +132,6 @@ def test_instances_are_reproducible():
     assert np.array_equal(a.truth, b.truth)
     assert np.array_equal(a.observed.values, b.observed.values)
     assert np.array_equal(a.heldout, b.heldout)
+    c = make_completion_instance(15, 12, 2, 0.5, 3, 0.4, seed=np.int64(9))
+    assert np.array_equal(a.observed.values, c.observed.values)
+    assert np.array_equal(a.heldout, c.heldout)
