@@ -18,14 +18,9 @@ from .core import (
     SolveReport,
     StopReason,
     as_matrix,
-    frobenius_distance,
-    product_entry,
 )
 from .emf import DegenerateInitError, fit, reconstruct, svd_init
 from .loss import (
-    asymmetric_weight,
-    expectile_loss,
-    gradient_x,
     gradient_y,
     objective,
     residuals,
@@ -56,8 +51,6 @@ from .synth import (
 __all__ = [
     "__version__",
     "as_matrix",
-    "frobenius_distance",
-    "product_entry",
     "FactorPair",
     "EntryObservations",
     "GeneralObservations",
@@ -66,11 +59,8 @@ __all__ = [
     "SolveReport",
     "StopReason",
     "DuplicateEntryError",
-    "asymmetric_weight",
-    "expectile_loss",
     "residuals",
     "objective",
-    "gradient_x",
     "gradient_y",
     "scalar_expectile",
     "solve_y",

@@ -5,8 +5,9 @@ is the single validation gate.  Observation sets come in two flavors:
 entry-level observations of individual matrix elements (the completion
 case) and general linear measurements ``b_i = <A_i, M>``, whose A_i are
 held as one (p, m, n) array.  Both answer :meth:`apply` (``<A_i, x y^T>``
-per observation), :meth:`adjoint` (``sum_i c_i A_i``) and :meth:`design`
-(the rows ``A_i^T x``); the solver also reads an entry set's column layout.
+per observation) and :meth:`adjoint` (``sum_i c_i A_i``).  The solver
+reads an entry set's column layout and a general set's :meth:`design`
+(the rows ``A_i^T x``); only general sets answer ``design``.
 """
 
 from __future__ import annotations
@@ -48,15 +49,6 @@ def as_matrix(data, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def frobenius_distance(a, b) -> float:
-    """Frobenius norm of the difference of two equally shaped matrices."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
-
-
 @dataclass(frozen=True)
 class FactorPair:
     """Rank-k factorization (x: m-by-k, y: n-by-k) of the matrix x @ y.T."""
@@ -78,14 +70,6 @@ class FactorPair:
         return (self.x.shape[0], self.y.shape[0])
 
 
-def product_entry(f: FactorPair, i: int, j: int) -> float:
-    """Entry (i, j) of the product f.x @ f.y.T."""
-    m, n = f.shape
-    if not (0 <= i < m and 0 <= j < n):
-        raise IndexError(f"entry ({i}, {j}) out of range for {m}x{n} product")
-    return float(f.x[i] @ f.y[j])
-
-
 def product_at_entries(f: FactorPair, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Entries of f.x @ f.y.T gathered at (rows, cols), no m-by-n product formed.
 
@@ -104,6 +88,17 @@ def _transposed_view(obs, **fields):
     t = object.__new__(type(obs))
     t.__dict__.update(shape=obs.shape[::-1], values=obs.values, transposed=obs, **fields)
     return t
+
+
+def _check_shape(shape) -> tuple[int, int]:
+    """shape as two Python ints >= 1; numpy integers pass, other numbers do not."""
+    try:
+        m, n = operator.index(shape[0]), operator.index(shape[1])
+    except TypeError:
+        raise ValueError(f"shape must be two integers, got {shape!r}") from None
+    if m < 1 or n < 1:
+        raise ValueError(f"invalid shape {shape}")
+    return m, n
 
 
 def _check_indices(idx: np.ndarray, bound: int, axis: str):
@@ -137,9 +132,7 @@ class EntryObservations:
     """
 
     def __init__(self, shape: tuple[int, int], row_idx, col_idx, values):
-        m, n = int(shape[0]), int(shape[1])
-        if m < 1 or n < 1:
-            raise ValueError(f"invalid shape {shape}")
+        m, n = _check_shape(shape)
         rows = np.ascontiguousarray(row_idx, dtype=np.int64)
         cols = np.ascontiguousarray(col_idx, dtype=np.int64)
         vals = np.ascontiguousarray(values, dtype=np.float64)
@@ -232,13 +225,6 @@ class EntryObservations:
         """Zero-filled sparse matrix sum_i c[i] * E_ij of the observed cells."""
         return sp.csr_matrix((c, (self.row_idx, self.col_idx)), shape=self.shape)
 
-    def design(self, x) -> np.ndarray:
-        """Dense (p, n, k) rows g_i = A_i^T x (x's row r at row c for cell (r, c)); oracle only."""
-        p = self.size
-        g = np.zeros((p, self.shape[1], x.shape[1]))
-        g[np.arange(p), self.col_idx] = x[self.row_idx]
-        return g
-
 
 class GeneralObservations:
     """General linear measurements b_i = <A_i, M> of an m-by-n matrix.
@@ -250,9 +236,7 @@ class GeneralObservations:
     """
 
     def __init__(self, shape: tuple[int, int], measurements, values):
-        m, n = int(shape[0]), int(shape[1])
-        if m < 1 or n < 1:
-            raise ValueError(f"invalid shape {shape}")
+        m, n = _check_shape(shape)
         vals = np.ascontiguousarray(values, dtype=np.float64)
         if vals.ndim != 1 or vals.size < 1:
             raise ValueError("values must be a non-empty vector")
@@ -357,7 +341,6 @@ class SolveReport:
     objective_trace: np.ndarray
     inner_iters: list[int] = field(default_factory=list)
     stop_reason: StopReason = StopReason.MAX_ITERATIONS
-    wall_seconds: float = 0.0
     uncertified_solves: int = 0
 
     def __post_init__(self):

@@ -11,7 +11,6 @@ half-step starts with that gradient.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,7 +100,6 @@ def fit(obs: ObservationSet, config: EmfConfig) -> SolveReport:
     which runs no round and is discarded if the sweep's pair is returned;
     only after the last allowed sweep is it computed on its own.
     """
-    t_start = time.perf_counter()
     init = svd_init(obs, config.rank, config.seed)
     if init.d0[0] <= 1e-300:
         raise DegenerateInitError("all-zero measurement sum; nothing to initialize from")
@@ -152,16 +150,15 @@ def fit(obs: ObservationSet, config: EmfConfig) -> SolveReport:
         objective_trace=np.asarray(trace),
         inner_iters=inner_iters,
         stop_reason=stop,
-        wall_seconds=time.perf_counter() - t_start,
         uncertified_solves=uncertified,
     )
 
 
-def reconstruct(f: FactorPair, max_elements: int = _RECONSTRUCT_CAP) -> np.ndarray:
-    """Materialize the full product x @ y.T (guarded by an element cap)."""
+def reconstruct(f: FactorPair) -> np.ndarray:
+    """Materialize the full product x @ y.T (at most _RECONSTRUCT_CAP elements)."""
     m, n = f.shape
-    if m * n > max_elements:
+    if m * n > _RECONSTRUCT_CAP:
         raise ValueError(
-            f"reconstruction of a {m}x{n} matrix exceeds the cap of {max_elements} elements"
+            f"reconstruction of a {m}x{n} matrix exceeds the cap of {_RECONSTRUCT_CAP} elements"
         )
     return f.x @ f.y.T

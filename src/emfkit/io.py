@@ -106,8 +106,13 @@ def write_dense(path, matrix, mask=None, sentinel: float = -1.0) -> None:
     """Write a dense matrix, the sentinel where mask is False; refuses what load_dense would."""
     matrix = np.asarray(matrix, dtype=np.float64)
     if mask is not None:
-        _check_observed(path, matrix[np.asarray(mask, dtype=bool)], sentinel)
         matrix = np.where(mask, matrix, float(sentinel))
+    finite = np.isfinite(matrix)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise ValueError(f"{path}: non-finite value {float(matrix[i, j])!r} at ({i}, {j})")
+    if mask is not None:
+        _check_observed(path, matrix[np.asarray(mask, dtype=bool)], sentinel)
     Path(path).write_text("\n".join(" ".join(map(repr, row)) for row in matrix.tolist()) + "\n")
 
 
@@ -143,13 +148,6 @@ def load_triplets(path) -> EntryObservations:
     return EntryObservations((m, n), rows, cols, vals)
 
 
-def write_triplets(path, obs: EntryObservations) -> None:
-    out = [f"{obs.shape[0]} {obs.shape[1]}"]
-    for i, j, v in zip(obs.row_idx, obs.col_idx, obs.values):
-        out.append(f"{i} {j} {repr(float(v))}")
-    Path(path).write_text("\n".join(out) + "\n")
-
-
 _CSV_HEADER = "run_id,omega,rank,sampling_rate,seed,metric,bin,value"
 
 
@@ -180,7 +178,7 @@ def export_results(
     rank: int,
     sampling_rate: float,
     seed: int,
-) -> list[Path]:
+) -> None:
     """Export one run: scalar metric rows, the objective trace, CDF tables.
 
     summaries is an iterable of (metric, bin_label, value) rows.  A report
@@ -205,17 +203,14 @@ def export_results(
         rows.append(("outer_iterations", "", float(len(report.objective_trace) - 1)))
     cdf_tables = dict(cdf_tables or {})
 
-    written = []
     if fmt == "csv":
         path.write_text(results_csv([((run_id, omega, rank, sampling_rate, seed), rows)]))
-        written.append(path)
         for label in sorted(cdf_tables):
             grid, frac = cdf_tables[label]
             cdf_path = path.with_name(f"{path.stem}.cdf.{label}.csv")
             body = ["grid,fraction"]
             body += [f"{_fmt(g)},{_fmt(fv)}" for g, fv in zip(grid, frac)]
             cdf_path.write_text("\n".join(body) + "\n")
-            written.append(cdf_path)
     else:
         doc = {
             "run_id": run_id,
@@ -236,8 +231,6 @@ def export_results(
             },
         }
         path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        written.append(path)
-    return written
 
 
 def read_results_csv(path) -> list[dict]:

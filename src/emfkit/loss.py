@@ -27,16 +27,6 @@ def asymmetric_weights(t: np.ndarray, omega: float) -> np.ndarray:
     return np.array([1.0 - omega, omega]).take((np.asarray(t) >= 0.0).view(np.uint8))
 
 
-def asymmetric_weight(t: float, omega: float) -> float:
-    """Scalar :func:`asymmetric_weights`."""
-    return float(asymmetric_weights(t, omega))
-
-
-def expectile_loss(t: float, omega: float) -> float:
-    """Loss value w(t) * t**2."""
-    return asymmetric_weight(t, omega) * t * t
-
-
 def _check_dims(obs: ObservationSet, f: FactorPair):
     if obs.shape != f.shape:
         raise ValueError(
@@ -65,16 +55,12 @@ def gradient_y(obs: ObservationSet, f: FactorPair, omega: float, ridge: float = 
     """Gradient of :func:`objective` with respect to the y factor (n-by-k).
 
     Equals -2 * sum_i w_i r_i A_i^T x plus 2 * ridge * y; well defined
-    everywhere since the loss is C^1.
+    everywhere since the loss is C^1.  The x gradient is
+    ``gradient_y(obs.transposed, FactorPair(f.y, f.x), omega, ridge)``.
     """
     r = residuals(obs, f)
     w = asymmetric_weights(r, omega)
     return obs.adjoint(-2.0 * w * r).T @ f.x + 2.0 * ridge * f.y
-
-
-def gradient_x(obs: ObservationSet, f: FactorPair, omega: float, ridge: float = 0.0) -> np.ndarray:
-    """Gradient with respect to the x factor (m-by-k); mirror of :func:`gradient_y`."""
-    return gradient_y(obs.transposed, FactorPair(f.y, f.x), omega, ridge)
 
 
 def scalar_expectile(values, omega: float) -> float:

@@ -71,22 +71,20 @@ def sample_mask(m: int, n: int, rate: float, seed: int) -> np.ndarray:
     return np.column_stack([flat // n, flat % n])
 
 
-def gaussian_measurements(
-    m: int, n: int, p: int, seed: int, max_elements: int = _MEASUREMENT_CAP
-) -> np.ndarray:
+def gaussian_measurements(m: int, n: int, p: int, seed: int) -> np.ndarray:
     """p dense m-by-n matrices with i.i.d. standard normal entries, as one
     (p, m, n) array.
 
     Values are attached later via :func:`apply_measurements`; the raw array
     keeps the measurement ensemble reusable across truth matrices.  The
     normals are drawn block by block into the result, so a draw at the
-    ``max_elements`` cap (400 MB of output by default) needs little memory
+    ``_MEASUREMENT_CAP`` element cap (400 MB of output) needs little memory
     beyond the result itself.
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    if p * m * n > max_elements:
-        raise ValueError(f"p*m*n = {p * m * n} exceeds the cap of {max_elements}")
+    if p * m * n > _MEASUREMENT_CAP:
+        raise ValueError(f"p*m*n = {p * m * n} exceeds the cap of {_MEASUREMENT_CAP}")
     g = Pcg32(seed, MEASUREMENT_STREAM)
     return g.normal(p * m * n).reshape(p, m, n)
 

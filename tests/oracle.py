@@ -7,11 +7,23 @@ with the lowest true objective.  Intended for tiny instances only.
 
 import numpy as np
 
-from emfkit.core import ObservationSet, as_matrix
+from emfkit.core import EntryObservations, ObservationSet, as_matrix
 from emfkit.loss import asymmetric_weights
 
 _QP_MAX_P = 20
 _QP_MAX_PRODUCTS = 100_000
+
+
+def design(obs: ObservationSet, x) -> np.ndarray:
+    """The (p, n, k) rows g_i = A_i^T x, so <A_i, x y^T> = <g_i, y>.
+
+    An entry set's row for cell (r, c) is x's row r at row c, zero elsewhere.
+    """
+    if not isinstance(obs, EntryObservations):
+        return obs.design(x)
+    g = np.zeros((obs.size, obs.shape[1], x.shape[1]))
+    g[np.arange(obs.size), obs.col_idx] = x[obs.row_idx]
+    return g
 
 
 def reference_qp_solve(x_fixed, obs: ObservationSet, omega: float, ridge: float = 0.0) -> np.ndarray:
@@ -42,7 +54,7 @@ def reference_qp_solve(x_fixed, obs: ObservationSet, omega: float, ridge: float 
             f"instance size p*n*k = {p * n * k} exceeds cap {_QP_MAX_PRODUCTS}"
         )
     # r = b - g @ vec(Y), row-major vec
-    g = obs.design(x).reshape(p, n * k)
+    g = design(obs, x).reshape(p, n * k)
     b = obs.values
     ridge_x = ridge * float((x * x).sum()) if ridge else 0.0
 

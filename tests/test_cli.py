@@ -11,7 +11,7 @@ import emfkit.subsolver
 from emfkit.cli import ExperimentPlan, _resolve_plan, build_parser, main
 from emfkit.core import EmfConfig, StopReason
 from emfkit.emf import fit
-from emfkit.io import load_dense, read_results_csv, write_dense, write_triplets
+from emfkit.io import load_dense, read_results_csv, write_dense
 from emfkit.synth import gen_low_rank, make_completion_instance
 
 
@@ -268,6 +268,13 @@ def test_complete_mode_end_to_end(tmp_path):
     assert len(stops) == 1 and stops[0] in StopReason.__members__
 
 
+def _write_triplets(path, obs):
+    """The triplet file of an entry set: header ``m n``, then ``i j value`` lines."""
+    triples = zip(obs.row_idx.tolist(), obs.col_idx.tolist(), obs.values.tolist())
+    header = "{} {}\n".format(*obs.shape)
+    path.write_text(header + "".join(f"{i} {j} {v!r}\n" for i, j, v in triples))
+
+
 def test_complete_dense_and_triplet_inputs_agree(tmp_path):
     # both formats give the same observed entries, so the same held-back
     # entries are scored by value
@@ -275,7 +282,7 @@ def test_complete_dense_and_triplet_inputs_agree(tmp_path):
     mat[::3, 1::4] = -1.0
     dense, triplets = tmp_path / "m.txt", tmp_path / "m.trip"
     write_dense(dense, mat)
-    write_triplets(triplets, load_dense(dense)[1])
+    _write_triplets(triplets, load_dense(dense)[1])
     args = ["--sampling-rate", 0.4, "--omega", 0.3, "--seed", 0, "--seed", 1, "--rank", 2,
             "--max-outer", 5, "--bins", "0,0.5,1,5", "--cdf-points", 5]
     outs = []
@@ -361,7 +368,7 @@ def test_complete_provider_holds_no_matrix_of_the_input_shape(tmp_path, monkeypa
     # cells read only observed entries: after parsing, nothing of m x n is kept
     src = _complete_input(tmp_path)
     if input_format == "triplets":
-        write_triplets(src, load_dense(src)[1])
+        _write_triplets(src, load_dense(src)[1])
     providers = []
     monkeypatch.setattr(emfkit.cli, "_run_grid",
                         lambda plan, name, provider: providers.append(provider) or 0)

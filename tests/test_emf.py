@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import emfkit.emf
 from alternation import alternate
 from emfkit.core import (
     EmfConfig,
@@ -10,7 +11,7 @@ from emfkit.core import (
     FactorPair,
     GeneralObservations,
     StopReason,
-    product_entry,
+    product_at_entries,
 )
 from emfkit.emf import DegenerateInitError, fit, reconstruct, svd_init
 from emfkit.loss import objective, residuals
@@ -211,17 +212,19 @@ def test_predict_and_reconstruct_agree():
     rng = np.random.RandomState(2)
     f = FactorPair(rng.rand(6, 2), rng.rand(5, 2))
     full = reconstruct(f)
-    for i in range(6):
-        for j in range(5):
-            assert product_entry(f, i, j) == pytest.approx(full[i, j], abs=1e-14)
+    rows, cols = np.indices(full.shape).reshape(2, -1)
+    assert np.allclose(product_at_entries(f, rows, cols), full.ravel(), rtol=0, atol=1e-14)
     ones = FactorPair(np.ones((3, 1)), np.ones((4, 1)))
     assert np.allclose(reconstruct(ones), 1.0)
 
 
-def test_reconstruct_cap():
+def test_reconstruct_cap(monkeypatch):
     f = FactorPair(np.ones((3, 1)), np.ones((4, 1)))
-    with pytest.raises(ValueError):
-        reconstruct(f, max_elements=11)
+    monkeypatch.setattr(emfkit.emf, "_RECONSTRUCT_CAP", 11)
+    with pytest.raises(ValueError, match="cap of 11 elements"):
+        reconstruct(f)
+    monkeypatch.setattr(emfkit.emf, "_RECONSTRUCT_CAP", 12)
+    assert reconstruct(f).shape == (3, 4)
 
 
 def test_converged_fit_residuals_vanish():

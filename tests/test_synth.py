@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import emfkit.synth
 from emfkit.core import FactorPair
 from emfkit.loss import residuals
 from emfkit.synth import (
@@ -97,9 +98,11 @@ def test_gaussian_measurements_moments_and_apply():
     assert gobs.values[0] == pytest.approx(brute, rel=1e-12)
 
 
-def test_gaussian_measurements_cap():
-    with pytest.raises(ValueError):
-        gaussian_measurements(100, 100, 10, seed=0, max_elements=10_000)
+def test_gaussian_measurements_cap(monkeypatch):
+    monkeypatch.setattr(emfkit.synth, "_MEASUREMENT_CAP", 10_000)
+    with pytest.raises(ValueError, match="exceeds the cap of 10000"):
+        gaussian_measurements(100, 100, 10, seed=0)
+    assert gaussian_measurements(10, 10, 100, seed=0).shape == (100, 10, 10)
 
 
 def test_make_completion_instance_partition_and_noise_sign():
