@@ -147,12 +147,14 @@ class EntryObservations:
         _check_indices(rows, m, "row")
         _check_indices(cols, n, "column")
         flat = rows * n + cols
-        uniq, counts = np.unique(flat, return_counts=True)
-        if uniq.size != flat.size:
-            dup = uniq[counts > 1][0]
-            raise DuplicateEntryError(
-                f"duplicate observation of entry ({dup // n}, {dup % n})"
-            )
+        # strictly increasing entries, such as np.nonzero's, cannot repeat
+        if not (flat[1:] > flat[:-1]).all():
+            uniq, counts = np.unique(flat, return_counts=True)
+            if uniq.size != flat.size:
+                dup = uniq[counts > 1][0]
+                raise DuplicateEntryError(
+                    f"duplicate observation of entry ({dup // n}, {dup % n})"
+                )
         self.shape = (m, n)
         self.row_idx = rows
         self.col_idx = cols

@@ -22,12 +22,17 @@ the fixed factor's rows as design, gathered with one take per factor
 column; each factor column is one plane in memory, so the weighting and
 the products run along contiguous slots.  General linear measurements
 couple all rows: they form one (1, n*k, p) block, a view of the
-measurements' design rows, whose single row is vec(Y), with one slot per
-measurement, and its normal equations are solved directly for the min-norm
-solution.  At ridge = 0 with fewer measurements than n*k the half-step has
-a whole set of minimizers, and the min-norm solve picks one by the weights
-of the residuals that are zero or rounding noise; such a fit is not
-unique.  A ridge makes every half-step's minimizer unique.
+measurements' design rows G, whose single row is vec(Y), with one slot per
+measurement.  The weights take two values, so its normal matrix is
+min(omega, 1 - omega) G G^T, with G G^T formed once per half-step, plus
+|2 omega - 1| times the product over the slots of the larger weight.  Its
+normal equations are solved directly: by LU once a Cholesky factorization
+with no tiny pivot shows the matrix nonsingular, else for the min-norm
+solution by lstsq.  At ridge = 0 with fewer measurements than n*k the
+normal matrix is singular and the half-step has a whole set of
+minimizers, and the min-norm solve picks one by the weights of the
+residuals that are zero or rounding noise; such a fit is not unique.  A
+ridge makes every half-step's minimizer unique.
 
 Rows of the unknown are independent subproblems, so each converges on its
 own: a row leaves the round loop once a round leaves its weights unchanged
@@ -73,6 +78,10 @@ from .loss import asymmetric_weights, residuals
 
 _DESCENT_SLACK = 1e-13
 _MAX_HALVINGS = 60
+# Smallest Cholesky pivot, relative to the largest, at which the general
+# block's normal matrix counts as nonsingular.  Singular ridge-0 matrices
+# factored with ratios up to about 1e-6, and well-posed ones at 1e-4 and up
+_PIVOT_RATIO = 1e-5
 
 # Most threads a half-step runs bucket tasks on; None means one per core this
 # process may run on.  CLI grid workers set 1: the grid already uses the cores.
@@ -171,6 +180,8 @@ def solve_y(
         col = np.zeros(1, dtype=np.int64)
         blocks = [_Block(col, obs.design(x).reshape(obs.size, -1).T[None], obs.values[None])]
         y = y.reshape(1, -1)
+        # G G^T of the design rows G: every assembly of the half-step starts from it
+        gram = blocks[0].design[0] @ blocks[0].design[0].T
     n, d = y.shape
     ridge_x = ridge * float((x * x).sum())
     # per column: its objective and its gradient 2 (N y - q) at y
@@ -189,7 +200,11 @@ def solve_y(
     def assemble(s):
         # the live columns' normal equations at their weights, and gradients
         n, c = s.n, s.cols[:s.n]
-        _assemble(s.design[:n], s.w[:n], s.values[:n], ridge, s.normal[:n], s.rhs[:n])
+        if entry:
+            _assemble(s.design[:n], s.w[:n], s.values[:n], ridge, s.normal[:n], s.rhs[:n])
+        elif n:
+            _assemble_general(s.design[0], gram, s.w[0], s.values[0], omega, ridge,
+                              s.normal[0], s.rhs[0])
         g[c] = 2.0 * (np.matmul(s.normal[:n], y[c][:, :, None]) - s.rhs[:n])[:, :, 0]
 
     def round_block(i):
@@ -342,14 +357,38 @@ def _assemble(a, w, values, ridge, normal, rhs):
     normal.reshape(cols, d * d)[:, :: d + 1] += ridge  # its diagonals
 
 
+def _assemble_general(a, gram, w, values, omega, ridge, normal, rhs):
+    """Write the general block's weighted ridge normal equations, with design
+    rows a (d, slots), gram = a a^T and weights w, into normal and rhs:
+    N = min(omega, 1 - omega) a a^T + |2 omega - 1| a_H a_H^T + ridge I,
+    H the slots weighted max(omega, 1 - omega), a sum of two PSD terms."""
+    low, high = sorted((omega, 1.0 - omega))
+    np.multiply(gram, low, out=normal)
+    if high > low:
+        heavy = a.T[w == high]  # (|H|, d) rows, copied contiguous
+        normal += abs(2.0 * omega - 1.0) * (heavy.T @ heavy)
+    normal.reshape(-1)[:: normal.shape[0] + 1] += ridge  # its diagonal
+    np.matmul(a, w * values, out=rhs[:, 0])
+
+
 def _solve(normal, rhs, cols, min_norm):
     """Solve the normal equations of the columns cols: one row per column.
 
     With min_norm (the general block) the min-norm solution is returned:
     at ridge 0 fewer measurements than n*k leave the normal matrix singular.
+    A Cholesky factorization whose smallest pivot is above _PIVOT_RATIO
+    times its largest shows the matrix nonsingular, and the system's one
+    solution is taken from an LU solve; any other goes to the SVD of lstsq.
     """
     if min_norm:
-        return np.linalg.lstsq(normal[0], rhs[0, :, 0], rcond=None)[0][None]
+        n0, q0 = normal[0], rhs[0, :, 0]
+        try:
+            pivots = np.linalg.cholesky(n0).diagonal()
+        except np.linalg.LinAlgError:  # not numerically positive definite
+            pivots = np.zeros(1)
+        if pivots.min() > _PIVOT_RATIO * pivots.max():
+            return np.linalg.solve(n0, q0)[None]
+        return np.linalg.lstsq(n0, q0, rcond=None)[0][None]
     try:
         y = np.linalg.solve(normal, rhs)[:, :, 0]
     except np.linalg.LinAlgError as exc:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import emfkit
+import emfkit.io
 from emfkit.core import (
     DuplicateEntryError,
     EmfConfig,
@@ -42,6 +43,30 @@ def test_observation_sets_refuse_non_integer_shapes(cls):
 def test_entry_observations_rejects_duplicates():
     with pytest.raises(DuplicateEntryError, match=r"\(1, 2\)"):
         EntryObservations((3, 3), [0, 1, 1], [0, 2, 2], [1.0, 2.0, 3.0])
+
+
+def test_entry_observations_take_sorted_entries_without_unique(monkeypatch):
+    # np.nonzero order is strictly increasing, so no duplicate search runs
+    def no_unique(*args, **kwargs):
+        raise AssertionError("np.unique called on strictly increasing entries")
+
+    monkeypatch.setattr(np, "unique", no_unique)
+    rows, cols = np.nonzero(np.arange(12).reshape(3, 4) % 3 != 1)
+    obs = EntryObservations((3, 4), rows, cols, np.ones(rows.size))
+    assert obs.size == 8
+
+
+def test_entry_observations_take_unsorted_distinct_entries():
+    obs = EntryObservations((3, 3), [2, 0, 1, 0], [1, 2, 0, 0], [1.0, 2.0, 3.0, 4.0])
+    assert obs.size == 4 and obs.col_counts.tolist() == [2, 1, 1]
+
+
+def test_entry_observations_reject_unsorted_duplicates():
+    # the duplicate is not adjacent, and the message names the lowest repeat
+    with pytest.raises(DuplicateEntryError,
+                       match=r"^duplicate observation of entry \(0, 2\)$"):
+        EntryObservations((3, 3), [2, 0, 1, 1, 0, 2], [1, 2, 0, 2, 2, 1],
+                          [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
 
 
 def test_entry_observations_rejects_bad_indices_and_values():

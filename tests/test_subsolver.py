@@ -4,12 +4,12 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import emfkit.core
 from emfkit.core import EntryObservations, FactorPair, GeneralObservations
-from emfkit.loss import gradient_y, objective, residuals
+from emfkit.loss import asymmetric_weights, gradient_y, objective, residuals
 from emfkit.subsolver import SingularDesignError, solve_y
 from oracle import reference_qp_solve
 
@@ -512,6 +512,67 @@ def test_general_solve_certifies_near_its_optimum():
         assert np.abs(res.solution - opt.solution).max() <= 1e-8
 
 
+@pytest.mark.parametrize("ridge", [0.0, 0.3])
+@pytest.mark.parametrize("omega", [0.02, 0.1, 0.5, 0.9, 0.98])
+def test_two_valued_general_assembly_matches_the_weighted_products(omega, ridge):
+    import emfkit.subsolver as subsolver
+
+    rng = np.random.RandomState(66)
+    gobs = general_instance(rng, m=7, n=6, p=300)
+    a = gobs.design(rng.randn(7, 3)).reshape(gobs.size, -1).T  # (18, 300)
+    w = asymmetric_weights(rng.randn(gobs.size), omega)
+    d = a.shape[0]
+    normal, rhs = np.empty((1, d, d)), np.empty((1, d, 1))
+    subsolver._assemble(a[None], w[None], gobs.values[None], ridge, normal, rhs)
+    two_normal, two_rhs = np.empty((d, d)), np.empty((d, 1))
+    subsolver._assemble_general(a, a @ a.T, w, gobs.values, omega, ridge, two_normal, two_rhs)
+    assert np.linalg.norm(two_normal - normal[0]) <= 1e-12 * np.linalg.norm(normal[0])
+    assert np.linalg.norm(two_rhs - rhs[0]) <= 1e-12 * np.linalg.norm(rhs[0])
+
+
+def test_accepted_cholesky_solve_is_the_lstsq_solution(monkeypatch):
+    import emfkit.subsolver as subsolver
+
+    rng = np.random.RandomState(67)
+    a = rng.randn(12, 40)
+    normal = (a * asymmetric_weights(rng.randn(40), 0.1)) @ a.T
+    rhs = rng.randn(12, 1)
+    lstsq = np.linalg.lstsq
+    expected = lstsq(normal, rhs[:, 0], rcond=None)[0]
+
+    def no_lstsq(*args, **kwargs):
+        raise AssertionError("a nonsingular general system fell back to lstsq")
+
+    monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
+    y = subsolver._solve(normal[None], rhs[None], np.zeros(1, dtype=np.int64), True)
+    assert y.shape == (1, 12)
+    assert np.abs(y[0] - expected).max() <= 1e-10 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("seed", range(70, 80))
+def test_general_half_step_with_fewer_measurements_than_unknowns_is_min_norm(seed, monkeypatch):
+    # p = 5 < n*k = 8 at ridge 0: every half-step minimizer interpolates,
+    # and the min-norm one is pinv(G^T) b whatever the weights.  The
+    # singular normal matrices go to lstsq; on seed 77 one of them factors,
+    # with a tiny pivot
+    rng = np.random.RandomState(seed)
+    gobs = general_instance(rng, m=4, n=4, p=5)
+    x = rng.randn(4, 2)
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counting_lstsq(*args, **kwargs):
+        calls.append(1)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+    res = solve_y(x, gobs, 0.2, warm_start=rng.randn(4, 2) * 3)
+    assert res.converged and len(calls) == res.inner_iterations
+    g = gobs.design(x).reshape(gobs.size, -1)
+    min_norm = np.linalg.pinv(g) @ gobs.values
+    assert np.abs(res.solution.ravel() - min_norm).max() <= 1e-9 * np.abs(min_norm).max()
+
+
 def per_column_sign_set(x, obs, omega, ridge, warm):
     """Plain sign-set iteration, one column at a time, with step halving when
     a full step raises the column's objective.  Returns the solution, the
@@ -718,6 +779,10 @@ def test_property_solution_scales_with_the_values(seed, omega, ridge, general, p
 
 
 @given(seed=seeds, omega=dyadic_omegas, ridge=ridges, general=st.booleans())
+# a normal matrix carried across rounds by rank updates drifts off the
+# weights and flaps at interpolation on these two
+@example(seed=876, omega=62 / 64, ridge=0.0, general=True)
+@example(seed=877, omega=62 / 64, ridge=0.0, general=True)
 @settings(max_examples=60)
 def test_property_reflected_values_negate_the_solution(seed, omega, ridge, general):
     # residuals change sign and omega <-> 1 - omega swaps their weights; only
