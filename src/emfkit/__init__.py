@@ -20,12 +20,7 @@ from .core import (
     as_matrix,
 )
 from .emf import DegenerateInitError, fit, reconstruct, svd_init
-from .loss import (
-    gradient_y,
-    objective,
-    residuals,
-    scalar_expectile,
-)
+from .loss import residuals, scalar_expectile
 from .metrics import (
     BinSpec,
     DenominatorTooSmallError,
@@ -60,8 +55,6 @@ __all__ = [
     "StopReason",
     "DuplicateEntryError",
     "residuals",
-    "objective",
-    "gradient_y",
     "scalar_expectile",
     "solve_y",
     "SubproblemResult",

@@ -27,7 +27,8 @@ import scipy
 from . import __version__, subsolver
 from .core import EmfConfig, EntryObservations, product_at_entries
 from .emf import fit
-from .io import _parse_real, export_results, load_dense, load_triplets, read_dense, results_csv
+from .io import (EmptyFileError, _check_observed, _parse_real, export_results, load_dense,
+                 load_triplets, read_dense, results_csv)
 from .loss import scalar_expectile
 from .metrics import (BinSpec, ErrorSummary, binned_summaries, empirical_cdf,
                       relative_errors_at, summarize)
@@ -392,9 +393,11 @@ def _run_expectile(plan: ExperimentPlan) -> int:
     values = np.array([_parse_real(tok, no, col)
                        for no, line in enumerate(lines, start=1)
                        for col, tok in enumerate(line.split(), start=1)])
+    if not values.size:
+        raise EmptyFileError(f"{plan.input}: no data lines")
+    # refused as load_dense refuses it: all sentinel, or a sentinel in range
     values = values[values != plan.sentinel]
-    if values.size == 0:
-        raise ValueError("no values left after dropping the sentinel")
+    _check_observed(plan.input, values, plan.sentinel)
     table = [f"{w:g}\t{scalar_expectile(values, w)!r}" for w in plan.omega]
     print("omega\texpectile", *table, sep="\n")
     return 0

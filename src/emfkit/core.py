@@ -5,9 +5,10 @@ is the single validation gate.  Observation sets come in two flavors:
 entry-level observations of individual matrix elements (the completion
 case) and general linear measurements ``b_i = <A_i, M>``, whose A_i are
 held as one (p, m, n) array.  Both answer :meth:`apply` (``<A_i, x y^T>``
-per observation) and :meth:`adjoint` (``sum_i c_i A_i``).  The solver
-reads an entry set's column layout and a general set's :meth:`design`
-(the rows ``A_i^T x``); only general sets answer ``design``.
+per observation), which residuals read, and :meth:`adjoint`
+(``sum_i c_i A_i``), which the initialization reads.  The solver reads an
+entry set's column layout and a general set's :meth:`design` (the rows
+``A_i^T x``); only general sets answer ``design``.
 """
 
 from __future__ import annotations

@@ -5,8 +5,10 @@ inner convex subproblem solved by :mod:`emfkit.subsolver`.  Initialization
 is the top-k SVD of the weighted measurement sum (for entry observations,
 the zero-filled matrix of observed values), approximated by seeded
 randomized subspace iteration with a fixed number of power iterations.  The
-outer gradient stop test needs no residual pass of its own: the next y
-half-step starts with that gradient.
+outer loop computes no objective or gradient of its own: the first y
+half-step opens with the objective at the initialization, each x half-step
+ends with the objective at its pair and certifies the x-gradient there, and
+the next y half-step starts with the y-gradient.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .core import (
     SolveReport,
     StopReason,
 )
-from .loss import gradient_y, objective
 from .rng import Pcg32
 from .subsolver import solve_y
 
@@ -96,39 +97,49 @@ def fit(obs: ObservationSet, config: EmfConfig) -> SolveReport:
     Records the objective at the initialization and after every outer
     iteration; stops early once the relative objective decrease falls below
     tol_objective or both partial gradient norms fall below tol_gradient.
-    A sweep's y-gradient is read from the start of the next y half-step,
-    which runs no round and is discarded if the sweep's pair is returned;
-    only after the last allowed sweep is it computed on its own.
+    The objective at the initialization is the first y half-step's opening
+    objective.  A sweep's y-gradient is read from the start of the next y
+    half-step, which runs no round and is discarded if the sweep's pair is
+    returned; after the last allowed sweep that half-step only opens
+    (max_inner = 0), and only if the x-gradient passed.
     """
     init = svd_init(obs, config.rank, config.seed)
     if init.d0[0] <= 1e-300:
         raise DegenerateInitError("all-zero measurement sum; nothing to initialize from")
 
-    omega, ridge = config.omega, config.ridge
-    caps = dict(max_inner=config.max_inner, tol_gradient=config.tol_gradient)
+    omega, ridge, tol = config.omega, config.ridge, config.tol_gradient
     obs_t = obs.transposed
 
     x = init.x0
     y = init.y0 * init.d0
-    factors = FactorPair(x, y)
-    trace = [objective(obs, factors, omega, ridge)]
+    trace: list[float] = []
     inner_iters: list[int] = []
     uncertified = 0
     stop = StopReason.MAX_ITERATIONS
     x_passed = False
 
-    for _ in range(config.max_outer):
-        res_y = solve_y(x, obs, omega, ridge, warm_start=y, **caps)
-        if x_passed and res_y.start_gradient_norm < config.tol_gradient:
+    for sweep in range(config.max_outer + 1):
+        # after the last allowed sweep the y half-step only opens, for the
+        # start that the gradient test (or, at max_outer = 0, trace[0]) reads
+        last = sweep == config.max_outer
+        if last and sweep and not x_passed:
+            break
+        res_y = solve_y(x, obs, omega, ridge, warm_start=y,
+                        max_inner=0 if last else config.max_inner, tol_gradient=tol)
+        if not sweep:
+            trace.append(float(res_y.inner_objective_trace[0]))
+        if x_passed and res_y.start_gradient_norm < tol:
             stop = StopReason.TOLERANCE_GRADIENT
             break
+        if last:
+            break
         y = res_y.solution
-        res_x = solve_y(y, obs_t, omega, ridge, warm_start=x, **caps)
+        res_x = solve_y(y, obs_t, omega, ridge, warm_start=x,
+                        max_inner=config.max_inner, tol_gradient=tol)
         x = res_x.solution
 
         inner_iters += [res_y.inner_iterations, res_x.inner_iterations]
         uncertified += (not res_y.converged) + (not res_x.converged)
-        factors = FactorPair(x, y)
         # the x-subproblem's final objective IS the full objective at this pair
         trace.append(float(res_x.inner_objective_trace[-1]))
 
@@ -137,16 +148,10 @@ def fit(obs: ObservationSet, config: EmfConfig) -> SolveReport:
             stop = StopReason.TOLERANCE_OBJECTIVE
             break
         # res_x certifies the x-gradient at exactly this pair
-        x_passed = res_x.final_gradient_norm < config.tol_gradient
-    else:
-        # no next y half-step reads the last sweep's y-gradient
-        if x_passed and (
-            np.linalg.norm(gradient_y(obs, factors, omega, ridge)) < config.tol_gradient
-        ):
-            stop = StopReason.TOLERANCE_GRADIENT
+        x_passed = res_x.final_gradient_norm < tol
 
     return SolveReport(
-        factors=factors,
+        factors=FactorPair(x, y),
         objective_trace=np.asarray(trace),
         inner_iters=inner_iters,
         stop_reason=stop,

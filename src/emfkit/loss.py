@@ -1,11 +1,12 @@
-"""Asymmetric least-squares loss, residuals, objective and gradients.
+"""Asymmetric least-squares weights, residuals and the 1-D expectile.
 
 The loss on a residual t is ``w(t) * t**2`` with ``w(t) = omega`` for
 ``t >= 0`` and ``1 - omega`` otherwise (ties at zero count as nonnegative).
 It is convex and continuously differentiable; omega = 0.5 recovers plain
-least squares up to the constant factor 1/2.  The observation set answers
-for its layout: residuals read its :meth:`apply` and the gradient its
-:meth:`adjoint` (see :mod:`emfkit.core`).
+least squares up to the constant factor 1/2.  The objective and its
+gradient are evaluated by the half-steps of :mod:`emfkit.subsolver`;
+residuals read the observation set's :meth:`apply` (see
+:mod:`emfkit.core`).
 """
 
 from __future__ import annotations
@@ -38,29 +39,6 @@ def residuals(obs: ObservationSet, f: FactorPair) -> np.ndarray:
     """Residual vector r_i = b_i - <A_i, x y^T>."""
     _check_dims(obs, f)
     return obs.values - obs.apply(f)
-
-
-def objective(obs: ObservationSet, f: FactorPair, omega: float, ridge: float = 0.0) -> float:
-    """Sum of asymmetric losses over residuals plus ridge * (|x|_F^2 + |y|_F^2)."""
-    _check_omega(omega)
-    if not ridge >= 0:
-        raise ValueError(f"ridge must be >= 0, got {ridge}")
-    r = residuals(obs, f)
-    w = asymmetric_weights(r, omega)
-    return float(np.dot(w * r, r)) + ridge * (float(np.dot(f.x.ravel(), f.x.ravel()))
-                                              + float(np.dot(f.y.ravel(), f.y.ravel())))
-
-
-def gradient_y(obs: ObservationSet, f: FactorPair, omega: float, ridge: float = 0.0) -> np.ndarray:
-    """Gradient of :func:`objective` with respect to the y factor (n-by-k).
-
-    Equals -2 * sum_i w_i r_i A_i^T x plus 2 * ridge * y; well defined
-    everywhere since the loss is C^1.  The x gradient is
-    ``gradient_y(obs.transposed, FactorPair(f.y, f.x), omega, ridge)``.
-    """
-    r = residuals(obs, f)
-    w = asymmetric_weights(r, omega)
-    return obs.adjoint(-2.0 * w * r).T @ f.x + 2.0 * ridge * f.y
 
 
 def scalar_expectile(values, omega: float) -> float:

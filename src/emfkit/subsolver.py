@@ -26,13 +26,13 @@ measurements' design rows G, whose single row is vec(Y), with one slot per
 measurement.  The weights take two values, so its normal matrix is
 min(omega, 1 - omega) G G^T, with G G^T formed once per half-step, plus
 |2 omega - 1| times the product over the slots of the larger weight.  Its
-normal equations are solved directly: by LU once a Cholesky factorization
-with no tiny pivot shows the matrix nonsingular, else for the min-norm
-solution by lstsq.  At ridge = 0 with fewer measurements than n*k the
-normal matrix is singular and the half-step has a whole set of
-minimizers, and the min-norm solve picks one by the weights of the
-residuals that are zero or rounding noise; such a fit is not unique.  A
-ridge makes every half-step's minimizer unique.
+normal equations are solved directly: with the matrix's Cholesky factor
+once that factor has no tiny pivot and so shows the matrix nonsingular,
+else for the min-norm solution by lstsq.  At ridge = 0 with fewer
+measurements than n*k the normal matrix is singular and the half-step has
+a whole set of minimizers, and the min-norm solve picks one by the weights
+of the residuals that are zero or rounding noise; such a fit is not
+unique.  A ridge makes every half-step's minimizer unique.
 
 Rows of the unknown are independent subproblems, so each converges on its
 own: a row leaves the round loop once a round leaves its weights unchanged
@@ -55,11 +55,12 @@ thread or a pool's threads, one per core this process may run on
 the next block when free.  numpy releases the interpreter lock in the
 heavy calls; a task's temporaries stay within :data:`_WEIGHTED_NUMBERS`
 numbers.  The calling thread allocates the arrays, sums the objective and
-reads gradient norms; the sign pattern is computed on its first read.  A
-block's arithmetic is the same on any thread, so results are bit-identical
-to running the blocks one after another.  A step with one live block, such
-as the general block, or with few live design numbers runs inline, and the
-pool lives only as long as one call.
+reads gradient norms, each by numpy's own summation, not BLAS, so that
+they do not depend on the BLAS thread count; the sign pattern is computed
+on its first read.  A block's arithmetic is the same on any thread, so
+results are bit-identical to running the blocks one after another.  A
+step with one live block, such as the general block, or with few live
+design numbers runs inline, and the pool lives only as long as one call.
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -236,10 +236,10 @@ def solve_y(
         s.compact(keep)
         assemble(s)
 
-    threads = 1 if d * sum(s.values.size for s in blocks) < _THREADED_NUMBERS else (
-        min(ROUND_THREADS or usable_cores(), len(blocks)))
-    # this thread solves buckets too, beside threads - 1 of the pool's
-    with ThreadPoolExecutor(threads - 1) if threads > 1 else nullcontext() as pool:
+    threads = min(ROUND_THREADS or usable_cores(), len(blocks))
+    # this thread solves buckets too, beside threads - 1 of the pool's; the
+    # pool starts a thread only when a step hands it a bucket
+    with ThreadPoolExecutor(max(threads - 1, 1)) as pool:
 
         def run(step, ids):
             # inline for one live bucket or few live design numbers
@@ -248,7 +248,7 @@ def solve_y(
 
         run(open_block, range(len(blocks)))
         trace = [float(obj.sum()) + ridge_x]
-        grad0 = float(np.linalg.norm(g))
+        grad0 = _norm(g)
         converged, iterations = grad0 < tol_gradient, 0  # fit's gradient stop: no round
         while not converged and iterations < max_inner:
             iterations += 1
@@ -258,9 +258,9 @@ def solve_y(
             # the point moving; once the objective stalls, certify by the gradient
             stalled = (trace[-2] - trace[-1]) <= 1e-13 * max(trace[-2], 1e-300)
             converged = not any(s.n for s in blocks) or (
-                stalled and np.linalg.norm(g) <= tol_gradient * (1.0 + grad0))
+                stalled and _norm(g) <= tol_gradient * (1.0 + grad0))
 
-    gnorm = float(np.linalg.norm(g))
+    gnorm = _norm(g)
     return SubproblemResult(
         solution=y.reshape(obs.shape[1], k),
         inner_iterations=iterations,
@@ -378,29 +378,30 @@ def _solve(normal, rhs, cols, min_norm):
     at ridge 0 fewer measurements than n*k leave the normal matrix singular.
     A Cholesky factorization whose smallest pivot is above _PIVOT_RATIO
     times its largest shows the matrix nonsingular, and the system's one
-    solution is taken from an LU solve; any other goes to the SVD of lstsq.
+    solution is taken from that factor; any other goes to the SVD of lstsq.
     """
     if min_norm:
         n0, q0 = normal[0], rhs[0, :, 0]
         try:
-            pivots = np.linalg.cholesky(n0).diagonal()
+            low = np.linalg.cholesky(n0)
         except np.linalg.LinAlgError:  # not numerically positive definite
-            pivots = np.zeros(1)
+            low = np.zeros((1, 1))
+        pivots = low.diagonal()
         if pivots.min() > _PIVOT_RATIO * pivots.max():
-            return np.linalg.solve(n0, q0)[None]
+            # imported here: scipy.linalg adds about 8 MB resident to a
+            # process, and only general measurements use it
+            from scipy.linalg import cho_solve
+
+            return cho_solve((low, True), q0, check_finite=False)[None]
         return np.linalg.lstsq(n0, q0, rcond=None)[0][None]
     try:
         y = np.linalg.solve(normal, rhs)[:, :, 0]
     except np.linalg.LinAlgError as exc:
-        # only now find the lowest such column, the first of the block's own
-        # order: the batched solve itself costs nothing more
-        for c in np.argsort(cols):
-            try:
-                np.linalg.solve(normal[c], rhs[c])
-            except np.linalg.LinAlgError:
-                break
+        # only now find the lowest such column: the batched solve itself costs
+        # nothing more.  slogdet's LU meets the zero pivot that solve's did
         raise SingularDesignError(
-            f"column {cols[c]}: its weighted normal matrix is singular and ridge is zero"
+            f"column {cols[np.linalg.slogdet(normal)[0] == 0].min()}: its weighted "
+            "normal matrix is singular and ridge is zero"
         ) from exc
     if not np.isfinite(y).all():
         raise SingularDesignError(
@@ -408,6 +409,13 @@ def _solve(normal, rhs, cols, min_norm):
             "matrix is numerically singular"
         )
     return y
+
+
+def _norm(a):
+    """Euclidean norm of a, by numpy's own pairwise sum.  np.linalg.norm goes
+    through BLAS ddot, which splits a long sum across threads and rounds it
+    by their count."""
+    return float(np.sqrt((a * a).sum()))
 
 
 def _evaluate(part, y, omega, ridge):

@@ -4,8 +4,8 @@ import numpy as np
 
 from emfkit.core import FactorPair, StopReason
 from emfkit.emf import svd_init
-from emfkit.loss import gradient_y, objective
 from emfkit.subsolver import solve_y
+from oracle import gradient_y
 
 
 def _orthonormalize(a):
@@ -17,7 +17,8 @@ def _orthonormalize(a):
 
 def alternate(obs, config, qr=False):
     """fit's loop written plainly, with the y-gradient computed by
-    loss.gradient_y after every sweep whose x-gradient passed.
+    oracle.gradient_y after every sweep whose x-gradient passed.  As in fit,
+    trace[0] is the first y half-step's opening objective.
 
     With qr each half-step's solution is re-orthonormalized before the other
     half-step, the warm start taking its R: the pair (X R^-1, Y R^T) has the
@@ -30,10 +31,10 @@ def alternate(obs, config, qr=False):
     tri = svd_init(obs, config.rank, config.seed)
     x, y = tri.x0, tri.y0 * tri.d0
     factors = FactorPair(x, y)
-    trace = [objective(obs, factors, omega, ridge)]
-    inner = []
+    trace, inner = [], []
     for _ in range(config.max_outer):
         res_y = solve_y(x, obs, omega, ridge, warm_start=y, **caps)
+        trace = trace or [float(res_y.inner_objective_trace[0])]
         y = res_y.solution
         if qr:
             y, r = _orthonormalize(y)

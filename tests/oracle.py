@@ -1,18 +1,42 @@
-"""Exhaustive QP oracle the tests compare emfkit.subsolver.solve_y with.
+"""References the tests check emfkit's solver against.
 
-It enumerates all 2^p residual sign patterns of the split-variable
-formulation (positive and negative residual parts) and keeps the candidate
-with the lowest true objective.  Intended for tiny instances only.
+The objective and its y-gradient, written plainly through the observation
+set's apply and adjoint, and an exhaustive QP oracle for
+emfkit.subsolver.solve_y.  The oracle enumerates all 2^p residual sign
+patterns of the split-variable formulation (positive and negative residual
+parts) and keeps the candidate with the lowest true objective.  Intended
+for tiny instances only.
 """
 
 import numpy as np
 
-from emfkit.core import EntryObservations, ObservationSet, as_matrix
-from emfkit.loss import asymmetric_weights
+from emfkit.core import EntryObservations, FactorPair, ObservationSet, as_matrix
+from emfkit.loss import asymmetric_weights, residuals
 
 _QP_MAX_P = 20
 _QP_MAX_PRODUCTS = 100_000
 
+
+def objective(obs: ObservationSet, f: FactorPair, omega: float, ridge: float = 0.0) -> float:
+    """Sum of asymmetric losses over residuals plus ridge * (|x|_F^2 + |y|_F^2)."""
+    if not ridge >= 0:
+        raise ValueError(f"ridge must be >= 0, got {ridge}")
+    r = residuals(obs, f)
+    w = asymmetric_weights(r, omega)
+    return float(np.dot(w * r, r)) + ridge * (float(np.dot(f.x.ravel(), f.x.ravel()))
+                                              + float(np.dot(f.y.ravel(), f.y.ravel())))
+
+
+def gradient_y(obs: ObservationSet, f: FactorPair, omega: float, ridge: float = 0.0) -> np.ndarray:
+    """Gradient of :func:`objective` with respect to the y factor (n-by-k).
+
+    Equals -2 * sum_i w_i r_i A_i^T x plus 2 * ridge * y; well defined
+    everywhere since the loss is C^1.  The x gradient is
+    ``gradient_y(obs.transposed, FactorPair(f.y, f.x), omega, ridge)``.
+    """
+    r = residuals(obs, f)
+    w = asymmetric_weights(r, omega)
+    return obs.adjoint(-2.0 * w * r).T @ f.x + 2.0 * ridge * f.y
 
 def design(obs: ObservationSet, x) -> np.ndarray:
     """The (p, n, k) rows g_i = A_i^T x, so <A_i, x y^T> = <g_i, y>.

@@ -17,12 +17,12 @@ from alternation import alternate
 from emfkit.core import EmfConfig, EntryObservations, FactorPair, GeneralObservations
 from emfkit.emf import fit, reconstruct, svd_init
 from emfkit.io import load_dense
-from emfkit.loss import gradient_y, objective, scalar_expectile
+from emfkit.loss import scalar_expectile
 from emfkit.metrics import BinSpec, binned_summaries, relative_errors
 from emfkit.rng import Pcg32
 from emfkit.subsolver import solve_y
 from emfkit.synth import SPLIT_STREAM, make_completion_instance
-from oracle import reference_qp_solve
+from oracle import gradient_y, objective, reference_qp_solve
 
 
 def _report(criterion: str, ok: bool, detail: str):

@@ -410,7 +410,7 @@ def test_evaluate_mode_negative_truth(tmp_path):
 
 def test_expectile_mode(tmp_path, capsys):
     vals = tmp_path / "v.txt"
-    vals.write_text("0 1\n")
+    vals.write_text("0 -1 1\n")  # the sentinel -1 lies outside [0, 1]: dropped
     assert run_cli("expectile", "--input", vals, "--omega", 0.25, "--omega", 0.5) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "omega\texpectile"
@@ -445,6 +445,21 @@ def test_expectile_mode_ragged_lines(tmp_path, capsys):
     vals.write_text("0\n1 0 1\n\n")
     assert run_cli("expectile", "--input", vals, "--omega", 0.5) == 0
     assert capsys.readouterr().out == "omega\texpectile\n0.5\t0.5\n"
+
+
+
+@pytest.mark.parametrize("text", ["-2 -1 0\n", "-1 -1\n-1 -1\n", "\n \n"],
+                         ids=["sentinel-in-range", "all-sentinel", "empty"])
+def test_expectile_mode_refuses_what_load_dense_refuses(tmp_path, capsys, text):
+    vals = tmp_path / "v.txt"
+    vals.write_text(text)
+    with pytest.raises(ValueError) as refused:
+        load_dense(vals)
+    assert run_cli("expectile", "--input", vals, "--omega", 0.5) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error\t{type(refused.value).__name__}\t{refused.value}"]
 
 
 def test_config_file_with_flag_override(tmp_path):

@@ -14,9 +14,8 @@ from emfkit.core import (
     SolveReport,
     StopReason,
 )
-from emfkit.loss import objective
 from emfkit.subsolver import solve_y
-from oracle import design
+from oracle import design, objective
 
 
 def test_factor_pair_validation():
@@ -262,10 +261,13 @@ def test_public_surface():
     assert not hasattr(emfkit.subsolver, "solve_x")
     assert not hasattr(emfkit.subsolver, "reference_qp_solve")
     assert not hasattr(emfkit.emf, "predict")
+    # fit reads the objective and the y-gradient from its half-steps
+    assert not hasattr(emfkit.emf, "objective") and not hasattr(emfkit.emf, "gradient_y")
     # test-only code: the tests hold what they need of it
     for module, gone in ((emfkit.core, "frobenius_distance"), (emfkit.core, "product_entry"),
                          (emfkit.loss, "asymmetric_weight"), (emfkit.loss, "expectile_loss"),
-                         (emfkit.loss, "gradient_x"), (emfkit.io, "write_triplets")):
+                         (emfkit.loss, "gradient_x"), (emfkit.io, "write_triplets"),
+                         (emfkit.loss, "objective"), (emfkit.loss, "gradient_y")):
         assert gone not in names and not hasattr(emfkit, gone) and not hasattr(module, gone)
     assert not hasattr(EntryObservations, "design")
     assert "wall_seconds" not in {f.name for f in dataclasses.fields(SolveReport)}

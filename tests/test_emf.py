@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,8 +20,10 @@ from emfkit.core import (
     product_at_entries,
 )
 from emfkit.emf import DegenerateInitError, fit, reconstruct, svd_init
-from emfkit.loss import objective, residuals
+from emfkit.loss import residuals
+from emfkit.subsolver import SingularDesignError
 from emfkit.synth import gen_low_rank, sample_mask
+from oracle import objective
 
 
 def completion(m, n, k, rate, seed, noise=None):
@@ -127,6 +135,17 @@ def test_t_zero_returns_initialization():
         objective(obs, rep.factors, 0.3), rel=1e-12
     )
 
+
+
+def test_t_zero_opens_one_y_half_step():
+    # trace[0] is that half-step's opening objective, so at ridge 0 a column
+    # seen fewer than rank times is refused before any sweep
+    obs = EntryObservations((3, 3), [0, 1, 2, 0, 1], [0, 0, 1, 1, 2], [1.0, 2.0, 3.0, 1.5, 0.5])
+    with pytest.raises(SingularDesignError, match="column 2"):
+        fit(obs, EmfConfig(omega=0.3, rank=2, max_outer=0, seed=0))
+    rep = fit(obs, EmfConfig(omega=0.3, rank=2, max_outer=0, ridge=0.1, seed=0))
+    expected = objective(obs, rep.factors, 0.3, 0.1)
+    assert rep.objective_trace[0] == pytest.approx(expected, rel=1e-12)
 
 def test_half_omega_matches_als_reference():
     rng = np.random.RandomState(11)
@@ -248,13 +267,15 @@ def test_y_gradient_computed_only_after_the_last_allowed_sweep(monkeypatch):
     import emfkit.emf as emf
 
     calls = []
-    real = emf.gradient_y
+    real = emf.solve_y
 
     def counting(*args, **kwargs):
-        calls.append(1)
+        # a half-step that may run no round only opens, for its start gradient
+        if kwargs.get("max_inner") == 0:
+            calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(emf, "gradient_y", counting)
+    monkeypatch.setattr(emf, "solve_y", counting)
     rng = np.random.RandomState(21)
     _, obs = completion(30, 25, 2, 0.5, seed=21, noise=rng.standard_t(3, (30, 25)))
     # one inner round per half-step leaves every x-gradient above tolerance
@@ -310,7 +331,7 @@ def test_gradient_stop_reads_a_y_half_step_that_ran_no_round(monkeypatch):
 )
 def test_qr_fit_stops_where_a_per_sweep_gradient_test_stops(ridge, tol_gradient, stop):
     # fit reads a sweep's y-gradient from the next half-step's start; the
-    # reference loop computes it with loss.gradient_y
+    # reference loop computes it with oracle.gradient_y
     for seed in (0, 1):
         _, obs = completion(30, 25, 2, 0.5, seed=seed)
         cfg = EmfConfig(omega=0.3, rank=2, max_outer=100, seed=seed,
@@ -388,3 +409,43 @@ def test_property_fit_reflected_values_negate_the_product(seed, omega, general, 
     b = fit(with_values(obs, -obs.values), _tiny_config(k, 1.0 - omega, ridge, seed))
     pa, pb = reconstruct(a.factors), reconstruct(b.factors)
     assert np.abs(pb + pa).max() <= 1e-9 * max(1.0, np.abs(pa).max())
+
+
+# An entry fit whose inputs involve no BLAS call (Pcg32 draws, an einsum
+# product), on 24,000 observations: more than OpenBLAS splits a dot product
+# across threads at.  Prints the SHA-256 of each output, per seed.
+_THREADED_FIT = """
+import hashlib, json, sys
+import numpy as np
+from emfkit.core import EmfConfig, EntryObservations
+from emfkit.emf import fit
+from emfkit.rng import Pcg32
+from emfkit.synth import sample_mask
+
+m, n, k = 200, 400, 3
+out = []
+for seed in range(6):
+    draw = Pcg32(seed, 1).normal
+    x, y = draw(m * k).reshape(m, k), draw(n * k).reshape(n, k)
+    values = np.einsum("ik,jk->ij", x, y) + draw(m * n).reshape(m, n) ** 2
+    rows, cols = sample_mask(m, n, 0.3, seed).T
+    rep = fit(EntryObservations((m, n), rows, cols, values[rows, cols]),
+              EmfConfig(omega=0.1, rank=k, max_outer=5, seed=seed))
+    parts = (rep.factors.x, rep.factors.y, rep.objective_trace, np.asarray(rep.inner_iters))
+    out.append([hashlib.sha256(a.tobytes()).hexdigest() for a in parts])
+print(json.dumps(out))
+"""
+
+
+def test_entry_fit_bytes_do_not_depend_on_the_blas_thread_count():
+    src = str(Path(emfkit.emf.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        # set before numpy is imported: OpenBLAS reads it once, at load
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-c", _THREADED_FIT], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.append(json.loads(run.stdout))
+    assert digests[0] == digests[1]

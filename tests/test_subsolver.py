@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 import emfkit.core
 from emfkit.core import EntryObservations, FactorPair, GeneralObservations
-from emfkit.loss import asymmetric_weights, gradient_y, objective, residuals
+from emfkit.loss import asymmetric_weights, residuals
 from emfkit.subsolver import SingularDesignError, solve_y
-from oracle import reference_qp_solve
+from oracle import gradient_y, objective, reference_qp_solve
 
 OMEGAS = (0.05, 0.3, 0.5, 0.7, 0.95)
 
@@ -887,7 +887,7 @@ def test_entry_certificate_is_the_loss_gradient(threads, monkeypatch):
     # after one round, in buckets of two columns, some columns left, some
     # stay live and some were damped, and the half-step stops uncertified;
     # the gradients read from the carried normal equations are those of
-    # loss.gradient_y
+    # oracle.gradient_y
     import emfkit.subsolver as subsolver
 
     monkeypatch.setattr(emfkit.core, "BUCKET_COLUMNS", 2)
