@@ -20,7 +20,7 @@ from .core import (
     as_matrix,
 )
 from .emf import DegenerateInitError, fit, reconstruct, svd_init
-from .loss import residuals, scalar_expectile
+from .loss import scalar_expectile
 from .metrics import (
     BinSpec,
     DenominatorTooSmallError,
@@ -54,7 +54,6 @@ __all__ = [
     "SolveReport",
     "StopReason",
     "DuplicateEntryError",
-    "residuals",
     "scalar_expectile",
     "solve_y",
     "SubproblemResult",

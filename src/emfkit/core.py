@@ -5,7 +5,7 @@ is the single validation gate.  Observation sets come in two flavors:
 entry-level observations of individual matrix elements (the completion
 case) and general linear measurements ``b_i = <A_i, M>``, whose A_i are
 held as one (p, m, n) array.  Both answer :meth:`apply` (``<A_i, x y^T>``
-per observation), which residuals read, and :meth:`adjoint`
+per observation), which the sign pattern reads, and :meth:`adjoint`
 (``sum_i c_i A_i``), which the initialization reads.  The solver reads an
 entry set's column layout and a general set's :meth:`design` (the rows
 ``A_i^T x``); only general sets answer ``design``.
@@ -297,9 +297,8 @@ class EmfConfig:
     """Solver configuration.
 
     omega is the expectile level in (0, 1); rank is the factorization rank.
-    max_outer caps alternating sweeps (0 returns the initialization),
-    max_inner caps sign-set rounds per subproblem.  ridge adds an optional
-    Tikhonov term guarding rank-deficient subproblems.
+    max_outer caps alternating sweeps (0 returns the initialization);
+    ridge adds an optional Tikhonov term guarding rank-deficient subproblems.
     """
 
     omega: float
@@ -309,12 +308,11 @@ class EmfConfig:
     tol_gradient: float = 1e-8
     ridge: float = 0.0
     seed: int = 0
-    max_inner: int = 100
 
     def __post_init__(self):
         if not 0.0 < self.omega < 1.0:
             raise ValueError(f"omega must be in (0, 1), got {self.omega}")
-        for name, low in (("rank", 1), ("max_outer", 0), ("max_inner", 1), ("seed", 0)):
+        for name, low in (("rank", 1), ("max_outer", 0), ("seed", 0)):
             value = getattr(self, name)
             try:  # kept as a Python int
                 object.__setattr__(self, name, operator.index(value))
@@ -337,7 +335,8 @@ class SolveReport:
     every completed outer iteration; inner_iters has one count per
     subproblem solve (two per outer iteration).  uncertified_solves counts
     the subproblem solves that stopped without their optimality certificate
-    (at max_inner); :attr:`converged` speaks only for the outer loop.
+    (at :data:`emfkit.emf.MAX_INNER` rounds); :attr:`converged` speaks only
+    for the outer loop.
     """
 
     factors: FactorPair

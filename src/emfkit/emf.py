@@ -30,6 +30,9 @@ from .subsolver import solve_y
 # Stream id of the initialization's random test matrix; other stream ids
 # live in emfkit.synth.  Any fixed distinct constants work.
 INIT_STREAM = 11
+# Most sign-set rounds a half-step of fit runs; one that stops here is
+# counted in SolveReport.uncertified_solves
+MAX_INNER = 100
 _POWER_ITERS = 4
 _RECONSTRUCT_CAP = 50_000_000
 
@@ -125,7 +128,7 @@ def fit(obs: ObservationSet, config: EmfConfig) -> SolveReport:
         if last and sweep and not x_passed:
             break
         res_y = solve_y(x, obs, omega, ridge, warm_start=y,
-                        max_inner=0 if last else config.max_inner, tol_gradient=tol)
+                        max_inner=0 if last else MAX_INNER, tol_gradient=tol)
         if not sweep:
             trace.append(float(res_y.inner_objective_trace[0]))
         if x_passed and res_y.start_gradient_norm < tol:
@@ -135,7 +138,7 @@ def fit(obs: ObservationSet, config: EmfConfig) -> SolveReport:
             break
         y = res_y.solution
         res_x = solve_y(y, obs_t, omega, ridge, warm_start=x,
-                        max_inner=config.max_inner, tol_gradient=tol)
+                        max_inner=MAX_INNER, tol_gradient=tol)
         x = res_x.solution
 
         inner_iters += [res_y.inner_iterations, res_x.inner_iterations]

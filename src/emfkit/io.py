@@ -117,25 +117,33 @@ def write_dense(path, matrix, mask=None, sentinel: float = -1.0) -> None:
 
 
 def load_triplets(path) -> EntryObservations:
-    """Read ``m n`` header plus ``i j value`` lines into an observation set."""
-    lines = [
-        (no, ln.split())
-        for no, ln in enumerate(Path(path).read_text().splitlines(), start=1)
-        if ln.strip()
-    ]
-    if not lines:
+    """Read ``m n`` header plus ``i j value`` lines into an observation set.
+
+    The lines after the header are parsed in one vectorized call; only when
+    that fails or reads a non-finite value are they parsed line by line.
+    """
+    text = Path(path).read_text().splitlines()
+    lines = ((no, ln.split()) for no, ln in enumerate(text, start=1) if ln.strip())
+    header_no, header = next(lines, (0, None))
+    if header is None:
         raise EmptyFileError(f"{path}: no data lines")
-    header_no, header = lines[0]
     if len(header) != 2:
         raise MatrixParseError(f"line {header_no}: header must be 'm n', got {header!r}")
     try:
         m, n = int(header[0]), int(header[1])
     except ValueError:
         raise MatrixParseError(f"line {header_no}: header must be 'm n', got {header!r}") from None
-    if len(lines) < 2:
+    if not any(map(str.strip, text[header_no:])):
         raise EmptyObservationsError(f"{path}: header only, no observations")
+    try:
+        data = np.loadtxt(text[header_no:], comments=None, ndmin=1,
+                          dtype=[("i", np.int64), ("j", np.int64), ("v", np.float64)])
+    except ValueError:
+        data = None
+    if data is not None and np.isfinite(data["v"]).all():
+        return EntryObservations((m, n), data["i"], data["j"], data["v"])
     rows, cols, vals = [], [], []
-    for no, tokens in lines[1:]:
+    for no, tokens in lines:
         if len(tokens) != 3:
             raise MatrixParseError(f"line {no}: expected 'i j value', got {len(tokens)} tokens")
         try:

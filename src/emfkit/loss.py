@@ -1,19 +1,15 @@
-"""Asymmetric least-squares weights, residuals and the 1-D expectile.
+"""Asymmetric least-squares weights and the 1-D expectile.
 
 The loss on a residual t is ``w(t) * t**2`` with ``w(t) = omega`` for
 ``t >= 0`` and ``1 - omega`` otherwise (ties at zero count as nonnegative).
 It is convex and continuously differentiable; omega = 0.5 recovers plain
 least squares up to the constant factor 1/2.  The objective and its
-gradient are evaluated by the half-steps of :mod:`emfkit.subsolver`;
-residuals read the observation set's :meth:`apply` (see
-:mod:`emfkit.core`).
+gradient are evaluated by the half-steps of :mod:`emfkit.subsolver`.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .core import FactorPair, ObservationSet
 
 
 def _check_omega(omega: float):
@@ -26,19 +22,6 @@ def asymmetric_weights(t: np.ndarray, omega: float) -> np.ndarray:
     _check_omega(omega)
     # a two-entry table indexed by the sign bit: a third of np.where's time
     return np.array([1.0 - omega, omega]).take((np.asarray(t) >= 0.0).view(np.uint8))
-
-
-def _check_dims(obs: ObservationSet, f: FactorPair):
-    if obs.shape != f.shape:
-        raise ValueError(
-            f"observation shape {obs.shape} does not match factor shape {f.shape}"
-        )
-
-
-def residuals(obs: ObservationSet, f: FactorPair) -> np.ndarray:
-    """Residual vector r_i = b_i - <A_i, x y^T>."""
-    _check_dims(obs, f)
-    return obs.values - obs.apply(f)
 
 
 def scalar_expectile(values, omega: float) -> float:

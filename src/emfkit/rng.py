@@ -20,13 +20,12 @@ Derived streams are layered on the raw 32-bit output and are equally pinned:
   ``r*cos(theta), r*sin(theta)`` with ``r = sqrt(-2*log(1 - u1))`` and
   ``theta = 2*pi*u2``.  An odd request consumes a full pair and drops the
   second value.
-* ``below(bound)``: unbiased bounded integers by rejection (discard raw
-  draws below ``2^32 mod bound``).
 * ``permutation_prefix(n, count)``: partial Fisher-Yates.  Step i = 0, 1,
-  ..., count - 1 takes ``j = i + below(n - i)`` and swaps positions i and j
-  of range(n); the prefix is the values left at positions 0..count-1.  The
-  draw order, one ``below`` per step in step order, is pinned with the
-  rest: sampling masks and train splits are built on it.
+  ..., count - 1 takes ``j = i + r mod (n - i)``, r the step's first raw
+  draw not below ``2^32 mod (n - i)`` (so j is unbiased), and swaps
+  positions i and j of range(n); the prefix is the values left at
+  positions 0..count-1.  The draw order is pinned with the rest: sampling
+  masks and train splits are built on it.
 
 The batched streams (``uint32_array``, ``uniform``, ``normal``) work through
 blocks of at most ``_BLOCK`` raw draws.  A block's states are computed from
@@ -88,16 +87,6 @@ class Pcg32:
         xorshifted = (((old >> 18) ^ old) >> 27) & 0xFFFFFFFF
         rot = old >> 59
         return ((xorshifted >> rot) | (xorshifted << ((-rot) & 31))) & 0xFFFFFFFF
-
-    def below(self, bound: int) -> int:
-        """Uniform integer in [0, bound) without modulo bias."""
-        if not 0 < bound <= 1 << 32:
-            raise ValueError("bound must be in [1, 2**32]")
-        threshold = (1 << 32) % bound
-        while True:
-            r = self.next_uint32()
-            if r >= threshold:
-                return r % bound
 
     def uint32_array(self, count: int) -> np.ndarray:
         """Vectorized batch of raw draws, identical to `count` scalar calls.
@@ -162,12 +151,13 @@ class Pcg32:
     def permutation_prefix(self, n: int, count: int) -> np.ndarray:
         """First `count` elements of a Fisher-Yates shuffle of range(n).
 
-        Step i swaps position i with j_i = i + below(n - i) and keeps the
-        value that lands at i.  The draws come in batches of `uint32_array`
-        as long as the steps still to do, which never asks for more raw
-        draws than `below` would consume, so the generator ends in the same
-        state; rejections leave later batches shorter.  The untouched tail
-        of the virtual array is never materialized.
+        Step i swaps position i with j_i = i + r mod (n - i), r the step's
+        first raw draw not below 2^32 mod (n - i), and keeps the value that
+        lands at i.  The draws come in batches of `uint32_array` as long as
+        the steps still to do, which never asks for more raw draws than the
+        steps consume, so the generator ends in the same state; rejections
+        leave later batches shorter.  The untouched tail of the virtual
+        array is never materialized.
         """
         if not 0 <= count <= n:
             raise ValueError("need 0 <= count <= n")
@@ -192,8 +182,8 @@ def _check_count(count: int) -> None:
 
 
 def _assign_draws(raw: np.ndarray, thresholds: np.ndarray):
-    """Pair raw draws with the steps that consume them, as repeated `below`
-    calls would: a draw below its step's threshold is rejected and the step
+    """Pair raw draws with the steps that consume them, as drawing step by
+    step would: a draw below its step's threshold is rejected and the step
     takes the next one.  Returns each draw's step and whether it was accepted.
 
     A draw's step is its position minus the rejections before it.  Guessing

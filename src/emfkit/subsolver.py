@@ -74,7 +74,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import EntryObservations, FactorPair, ObservationSet, as_matrix
-from .loss import asymmetric_weights, residuals
+from .loss import asymmetric_weights
 
 _DESCENT_SLACK = 1e-13
 _MAX_HALVINGS = 60
@@ -122,7 +122,7 @@ class SubproblemResult:
     def sign_pattern(self) -> np.ndarray:
         """Marks nonnegative residuals at the solution, in observation order;
         computed on first read, then kept."""
-        return residuals(self._obs, FactorPair(self._x_fixed, self.solution)) >= 0.0
+        return self._obs.values - self._obs.apply(FactorPair(self._x_fixed, self.solution)) >= 0
 
 
 def solve_y(

@@ -2,7 +2,9 @@
 
 Every generator is a pure function of its seed via :class:`emfkit.rng.Pcg32`
 streams; the stream ids below keep factors, noise, masks and measurement
-draws independent of each other for the same experiment seed.
+draws independent of each other for the same experiment seed.  Products
+are einsum's sums, not BLAS calls, so instances are the same bytes at any
+BLAS thread count.
 """
 
 from __future__ import annotations
@@ -93,7 +95,7 @@ def apply_measurements(measurements, truth, noise=None) -> GeneralObservations:
     """Pair measurement matrices with a truth matrix: b_i = <A_i, truth> (+ noise)."""
     truth = np.asarray(truth, dtype=np.float64)
     measurements = np.asarray(measurements, dtype=np.float64)
-    values = np.tensordot(measurements, truth, 2)
+    values = np.einsum("pij,ij->p", measurements, truth)
     if noise is not None:
         values = values + np.asarray(noise, dtype=np.float64)
     return GeneralObservations(truth.shape, measurements, values)
@@ -105,7 +107,7 @@ def make_completion_instance(
     """The synthetic recipe: uniform low-rank truth plus scaled chi-square noise,
     observed on a uniform random mask."""
     factors = gen_low_rank(m, n, k, seed)
-    truth = factors.x @ factors.y.T
+    truth = np.einsum("ik,jk->ij", factors.x, factors.y)
     noisy = truth + chi_square_noise(m, n, dof, noise_scale, seed)
     mask = sample_mask(m, n, rate, seed)
     rows, cols = mask[:, 0], mask[:, 1]

@@ -3,7 +3,7 @@
 import numpy as np
 
 from emfkit.core import FactorPair, StopReason
-from emfkit.emf import svd_init
+from emfkit import emf
 from emfkit.subsolver import solve_y
 from oracle import gradient_y
 
@@ -27,8 +27,8 @@ def alternate(obs, config, qr=False):
     inner_iters, stop reason).
     """
     omega, ridge, tol = config.omega, config.ridge, config.tol_gradient
-    caps = dict(max_inner=config.max_inner, tol_gradient=tol)
-    tri = svd_init(obs, config.rank, config.seed)
+    caps = dict(max_inner=emf.MAX_INNER, tol_gradient=tol)
+    tri = emf.svd_init(obs, config.rank, config.seed)
     x, y = tri.x0, tri.y0 * tri.d0
     factors = FactorPair(x, y)
     trace, inner = [], []

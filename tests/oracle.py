@@ -1,7 +1,8 @@
-"""References the tests check emfkit's solver against.
+"""References the tests check emfkit against.
 
-The objective and its y-gradient, written plainly through the observation
-set's apply and adjoint, and an exhaustive QP oracle for
+The residuals, the objective and its y-gradient, written plainly through
+the observation set's apply and adjoint; the scalar bounded draw that
+Pcg32.permutation_prefix batches; and an exhaustive QP oracle for
 emfkit.subsolver.solve_y.  The oracle enumerates all 2^p residual sign
 patterns of the split-variable formulation (positive and negative residual
 parts) and keeps the candidate with the lowest true objective.  Intended
@@ -11,10 +12,23 @@ for tiny instances only.
 import numpy as np
 
 from emfkit.core import EntryObservations, FactorPair, ObservationSet, as_matrix
-from emfkit.loss import asymmetric_weights, residuals
+from emfkit.loss import asymmetric_weights
 
 _QP_MAX_P = 20
 _QP_MAX_PRODUCTS = 100_000
+
+
+def _check_dims(obs: ObservationSet, f: FactorPair):
+    if obs.shape != f.shape:
+        raise ValueError(
+            f"observation shape {obs.shape} does not match factor shape {f.shape}"
+        )
+
+
+def residuals(obs: ObservationSet, f: FactorPair) -> np.ndarray:
+    """Residual vector r_i = b_i - <A_i, x y^T>."""
+    _check_dims(obs, f)
+    return obs.values - obs.apply(f)
 
 
 def objective(obs: ObservationSet, f: FactorPair, omega: float, ridge: float = 0.0) -> float:
@@ -37,6 +51,19 @@ def gradient_y(obs: ObservationSet, f: FactorPair, omega: float, ridge: float = 
     r = residuals(obs, f)
     w = asymmetric_weights(r, omega)
     return obs.adjoint(-2.0 * w * r).T @ f.x + 2.0 * ridge * f.y
+
+
+def below(g, bound: int) -> int:
+    """Uniform integer in [0, bound) from the Pcg32 g without modulo bias:
+    the first raw draw not below 2^32 mod bound, reduced mod bound."""
+    if not 0 < bound <= 1 << 32:
+        raise ValueError("bound must be in [1, 2**32]")
+    threshold = (1 << 32) % bound
+    while True:
+        r = g.next_uint32()
+        if r >= threshold:
+            return r % bound
+
 
 def design(obs: ObservationSet, x) -> np.ndarray:
     """The (p, n, k) rows g_i = A_i^T x, so <A_i, x y^T> = <g_i, y>.

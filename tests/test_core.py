@@ -201,16 +201,15 @@ def test_config_defaults_and_validation():
     assert cfg.tol_objective == 1e-10
     assert cfg.tol_gradient == 1e-8
     assert cfg.ridge == 0.0
-    assert cfg.max_inner == 100
     assert cfg.max_outer == 100
     assert cfg.seed == 0
     for bad in (dict(omega=0.0), dict(omega=1.0), dict(rank=0), dict(ridge=-1.0),
-                dict(max_outer=-1), dict(max_inner=0)):
+                dict(max_outer=-1), dict(seed=-1)):
         with pytest.raises(ValueError):
             EmfConfig(**{"omega": 0.5, "rank": 1, **bad})
 
 
-@pytest.mark.parametrize("name", ["rank", "max_outer", "max_inner", "seed"])
+@pytest.mark.parametrize("name", ["rank", "max_outer", "seed"])
 def test_config_integer_fields(name):
     cfg = EmfConfig(**{"omega": 0.5, "rank": 1, name: np.int64(2)})
     assert type(getattr(cfg, name)) is int and getattr(cfg, name) == 2
@@ -270,4 +269,10 @@ def test_public_surface():
                          (emfkit.loss, "objective"), (emfkit.loss, "gradient_y")):
         assert gone not in names and not hasattr(emfkit, gone) and not hasattr(module, gone)
     assert not hasattr(EntryObservations, "design")
+    # the test oracle holds the residuals and the scalar bounded draw; fit
+    # caps inner rounds with emf.MAX_INNER
+    assert "residuals" not in names and not hasattr(emfkit, "residuals")
+    assert not hasattr(emfkit.loss, "residuals") and not hasattr(emfkit.rng.Pcg32, "below")
+    assert [f.name for f in dataclasses.fields(EmfConfig)] == [
+        "omega", "rank", "max_outer", "tol_objective", "tol_gradient", "ridge", "seed"]
     assert "wall_seconds" not in {f.name for f in dataclasses.fields(SolveReport)}

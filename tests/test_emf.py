@@ -20,10 +20,9 @@ from emfkit.core import (
     product_at_entries,
 )
 from emfkit.emf import DegenerateInitError, fit, reconstruct, svd_init
-from emfkit.loss import residuals
 from emfkit.subsolver import SingularDesignError
 from emfkit.synth import gen_low_rank, sample_mask
-from oracle import objective
+from oracle import objective, residuals
 
 
 def completion(m, n, k, rate, seed, noise=None):
@@ -254,13 +253,15 @@ def test_converged_fit_residuals_vanish():
     assert np.abs(r).max() <= 1e-6
 
 
-def test_uncertified_inner_solves_are_counted():
+def test_uncertified_inner_solves_are_counted(monkeypatch):
     rng = np.random.RandomState(21)
     _, obs = completion(30, 25, 2, 0.5, seed=21, noise=rng.standard_t(3, (30, 25)))
-    capped = fit(obs, EmfConfig(omega=0.1, rank=2, max_outer=5, max_inner=1, seed=1))
-    assert 0 < capped.uncertified_solves <= len(capped.inner_iters)
-    full = fit(obs, EmfConfig(omega=0.1, rank=2, max_outer=5, seed=1))
+    config = EmfConfig(omega=0.1, rank=2, max_outer=5, seed=1)
+    full = fit(obs, config)
     assert full.uncertified_solves == 0
+    monkeypatch.setattr(emfkit.emf, "MAX_INNER", 1)
+    capped = fit(obs, config)
+    assert 0 < capped.uncertified_solves <= len(capped.inner_iters)
 
 
 def test_y_gradient_computed_only_after_the_last_allowed_sweep(monkeypatch):
@@ -279,7 +280,9 @@ def test_y_gradient_computed_only_after_the_last_allowed_sweep(monkeypatch):
     rng = np.random.RandomState(21)
     _, obs = completion(30, 25, 2, 0.5, seed=21, noise=rng.standard_t(3, (30, 25)))
     # one inner round per half-step leaves every x-gradient above tolerance
-    capped = fit(obs, EmfConfig(omega=0.1, rank=2, max_outer=5, max_inner=1, seed=1))
+    with monkeypatch.context() as patch:
+        patch.setattr(emf, "MAX_INNER", 1)
+        capped = fit(obs, EmfConfig(omega=0.1, rank=2, max_outer=5, seed=1))
     assert capped.stop_reason is StopReason.MAX_ITERATIONS
     assert capped.uncertified_solves > 0
     assert calls == []
@@ -376,9 +379,8 @@ fit_omegas = st.integers(1, 63).map(lambda k: k / 64)
 
 def _tiny_config(k, omega, ridge, seed):
     # tol_gradient 0 leaves only scale-free stop tests: relative objective
-    # decrease, sign changes, the sweep and round caps
-    return EmfConfig(omega=omega, rank=k, max_outer=6, tol_gradient=0.0, ridge=ridge,
-                     max_inner=20, seed=seed)
+    # decrease, sign changes, the sweep cap and emf.MAX_INNER
+    return EmfConfig(omega=omega, rank=k, max_outer=6, tol_gradient=0.0, ridge=ridge, seed=seed)
 
 
 @given(seed=fit_seeds, omega=fit_omegas, general=st.booleans(), power=st.integers(-4, 4))
@@ -413,10 +415,14 @@ def test_property_fit_reflected_values_negate_the_product(seed, omega, general, 
 
 # An entry fit whose inputs involve no BLAS call (Pcg32 draws, an einsum
 # product), on 24,000 observations: more than OpenBLAS splits a dot product
-# across threads at.  Prints the SHA-256 of each output, per seed.
+# across threads at.  Prints the SHA-256 of each output, per seed, then of
+# each file but plan.txt (which records out_dir) of README's synth-exp
+# reproducer: a 500x500 rank-5 truth, a shape at which OpenBLAS's dgemm
+# rounds the product differently at one and two threads.
 _THREADED_FIT = """
-import hashlib, json, sys
+import contextlib, hashlib, json, pathlib, sys, tempfile
 import numpy as np
+from emfkit.cli import main
 from emfkit.core import EmfConfig, EntryObservations
 from emfkit.emf import fit
 from emfkit.rng import Pcg32
@@ -433,6 +439,12 @@ for seed in range(6):
               EmfConfig(omega=0.1, rank=k, max_outer=5, seed=seed))
     parts = (rep.factors.x, rep.factors.y, rep.objective_trace, np.asarray(rep.inner_iters))
     out.append([hashlib.sha256(a.tobytes()).hexdigest() for a in parts])
+with tempfile.TemporaryDirectory() as d, contextlib.redirect_stdout(sys.stderr):
+    assert main(["synth-exp", "--m", "500", "--n", "500", "--rank", "5", "--k-true", "5",
+                 "--sampling-rate", "0.2", "--omega", "0.1", "--seed", "3",
+                 "--max-outer", "5", "--out-dir", d]) == 0
+    out.append({p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in sorted(pathlib.Path(d).iterdir()) if p.name != "plan.txt"})
 print(json.dumps(out))
 """
 
@@ -448,4 +460,5 @@ def test_entry_fit_bytes_do_not_depend_on_the_blas_thread_count():
         run = subprocess.run([sys.executable, "-c", _THREADED_FIT], env=env,
                              capture_output=True, text=True, check=True)
         digests.append(json.loads(run.stdout))
-    assert digests[0] == digests[1]
+    assert digests[0][:-1] == digests[1][:-1], "entry fits"
+    assert len(digests[0][-1]) == 3 and digests[0][-1] == digests[1][-1], "synth-exp files"

@@ -203,6 +203,26 @@ def test_load_triplets_errors(tmp_path):
         load_triplets(f)
 
 
+def test_valid_triplet_file_is_parsed_in_one_call(tmp_path, monkeypatch):
+    import emfkit.io
+
+    def refuse(token, lineno, col):
+        raise AssertionError(f"line {lineno} parsed token by token")
+
+    f = tmp_path / "t.txt"
+    f.write_text("\n3 2\n0 1 -2.5\n\n2 0\t1e3\n1 1 0.1\n")
+    with monkeypatch.context() as patch:
+        patch.setattr(emfkit.io, "_parse_real", refuse)
+        obs = load_triplets(f)
+    assert obs.shape == (3, 2)
+    assert obs.row_idx.tolist() == [0, 2, 1] and obs.col_idx.tolist() == [1, 0, 1]
+    assert obs.values.tolist() == [-2.5, 1000.0, 0.1]
+    # a non-finite value sends the file to the line loop, which names its line
+    f.write_text("2 2\n0 0 1\n\n1 1 nan\n")
+    with pytest.raises(MatrixParseError, match="line 4, column 3: non-finite"):
+        load_triplets(f)
+
+
 def test_triplet_and_dense_loaders_agree(tmp_path):
     rng = np.random.RandomState(1)
     mat = rng.rand(6, 4) + 0.5

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 import emfkit.core
 from emfkit.core import EntryObservations, FactorPair, GeneralObservations
-from emfkit.loss import asymmetric_weights, residuals, scalar_expectile
-from oracle import gradient_y, objective
+from emfkit.loss import asymmetric_weights, scalar_expectile
+from oracle import gradient_y, objective, residuals
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 omegas = st.floats(min_value=1e-3, max_value=1.0 - 1e-3)

@@ -3,7 +3,6 @@ import pytest
 
 import emfkit.synth
 from emfkit.core import FactorPair
-from emfkit.loss import residuals
 from emfkit.synth import (
     apply_measurements,
     chi_square_noise,
@@ -12,6 +11,7 @@ from emfkit.synth import (
     make_completion_instance,
     sample_mask,
 )
+from oracle import residuals
 
 
 def test_gen_low_rank_range_and_determinism():
