@@ -6,6 +6,7 @@ against a truth file), ``expectile`` (1-D expectile table).  Plans can come
 from flags, from a ``key = value`` config file (``--config``), or both;
 flags win.  Grid cells (seed x omega) are independent and can run in a
 bounded process pool (``--workers``); outputs are deterministic either way.
+Every row a run writes is built here; :mod:`emfkit.io` only formats files.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ import scipy
 from . import __version__, subsolver
 from .core import EmfConfig, EntryObservations, product_at_entries
 from .emf import fit
-from .io import (EmptyFileError, _check_observed, _parse_real, export_results, load_dense,
-                 load_triplets, read_dense, results_csv)
+from .io import (export_results, load_dense, load_triplets, load_values, read_dense,
+                 results_csv)
 from .loss import scalar_expectile
 from .metrics import (BinSpec, ErrorSummary, binned_summaries, empirical_cdf,
                       relative_errors_at, summarize)
@@ -249,16 +250,28 @@ def _binned_rows(errors: np.ndarray, values: np.ndarray, bins: BinSpec) -> list:
     return rows
 
 
+def _report_rows(report) -> list:
+    """The fit's rows: its objective trace, ``converged``, a ``stop_reason``
+    row (value 1) whose bin is the :class:`StopReason` name,
+    ``uncertified_solves`` and ``outer_iterations``."""
+    rows = [("objective_trace", str(t), float(v)) for t, v in enumerate(report.objective_trace)]
+    return rows + [("converged", "", 1.0 if report.converged else 0.0),
+                   ("stop_reason", report.stop_reason.name, 1.0),
+                   ("uncertified_solves", "", float(report.uncertified_solves)),
+                   ("outer_iterations", "", float(len(report.objective_trace) - 1))]
+
+
 def _export(plan: ExperimentPlan, report, errors: np.ndarray, extra_rows: list,
             run_id: str, omega: float, seed: int) -> list:
-    """Write one run's metric rows (summary, then ``extra_rows``) and error CDF."""
+    """Write one run's metric rows (summary, then ``extra_rows``), the rows of
+    its fit ``report`` if any, and its error CDF; return the metric rows."""
     rows = _metric_rows_for(errors) + extra_rows
     grid = np.linspace(0.0, plan.cdf_max, plan.cdf_points)
     export_results(
-        report, rows, {"re": (grid, empirical_cdf(errors, grid))},
         Path(plan.out_dir) / f"{run_id}.{plan.format}", plan.format,
-        run_id=run_id, omega=omega, rank=plan.rank,
-        sampling_rate=plan.sampling_rate, seed=seed,
+        (run_id, omega, plan.rank, plan.sampling_rate, seed),
+        rows + (_report_rows(report) if report is not None else []),
+        (grid, empirical_cdf(errors, grid)),
     )
     return rows
 
@@ -368,16 +381,15 @@ def _run_grid(plan: ExperimentPlan, name: str, provider) -> int:
 
 
 def _run_complete(plan: ExperimentPlan) -> int:
-    # cells read only the observed entries, so the parsed matrix is dropped
     if plan.input_format == "triplets":
         obs = load_triplets(plan.input)
     else:
-        obs = load_dense(plan.input, plan.sentinel)[1]
+        obs = load_dense(plan.input, plan.sentinel)
     return _run_grid(plan, "complete", partial(_split_instance, obs))
 
 
 def _run_evaluate(plan: ExperimentPlan) -> int:
-    obs = load_dense(plan.input, plan.sentinel)[1]
+    obs = load_dense(plan.input, plan.sentinel)
     # a full matrix: no holes, so it may span the sentinel
     est = read_dense(plan.estimate)
     if est.shape != obs.shape:
@@ -389,15 +401,7 @@ def _run_evaluate(plan: ExperimentPlan) -> int:
 
 
 def _run_expectile(plan: ExperimentPlan) -> int:
-    lines = Path(plan.input).read_text().splitlines()
-    values = np.array([_parse_real(tok, no, col)
-                       for no, line in enumerate(lines, start=1)
-                       for col, tok in enumerate(line.split(), start=1)])
-    if not values.size:
-        raise EmptyFileError(f"{plan.input}: no data lines")
-    # refused as load_dense refuses it: all sentinel, or a sentinel in range
-    values = values[values != plan.sentinel]
-    _check_observed(plan.input, values, plan.sentinel)
+    values = load_values(plan.input, plan.sentinel)
     table = [f"{w:g}\t{scalar_expectile(values, w)!r}" for w in plan.omega]
     print("omega\texpectile", *table, sep="\n")
     return 0

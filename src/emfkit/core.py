@@ -102,6 +102,15 @@ def _check_shape(shape) -> tuple[int, int]:
     return m, n
 
 
+def _as_indices(idx, name: str) -> np.ndarray:
+    """idx as a contiguous int64 array; a non-empty idx of another dtype
+    than an integer one (floats, bools) is refused, not truncated."""
+    idx = np.asarray(idx)
+    if idx.size and not np.issubdtype(idx.dtype, np.integer):
+        raise ValueError(f"{name} must be integers, got dtype {idx.dtype}")
+    return np.ascontiguousarray(idx, dtype=np.int64)
+
+
 def _check_indices(idx: np.ndarray, bound: int, axis: str):
     if idx.size and (idx.min() < 0 or idx.max() >= bound):
         bad = idx[(idx < 0) | (idx >= bound)][0]
@@ -134,8 +143,8 @@ class EntryObservations:
 
     def __init__(self, shape: tuple[int, int], row_idx, col_idx, values):
         m, n = _check_shape(shape)
-        rows = np.ascontiguousarray(row_idx, dtype=np.int64)
-        cols = np.ascontiguousarray(col_idx, dtype=np.int64)
+        rows = _as_indices(row_idx, "row_idx")
+        cols = _as_indices(col_idx, "col_idx")
         vals = np.ascontiguousarray(values, dtype=np.float64)
         if not (rows.ndim == cols.ndim == vals.ndim == 1):
             raise ValueError("row_idx, col_idx and values must be 1-D")

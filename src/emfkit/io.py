@@ -1,23 +1,25 @@
-"""File formats: dense/triplet matrix loaders and result exporters.
+"""File formats: matrix and value loaders, and the result writers.
 
 Dense text: whitespace-separated reals, one matrix row per line, a
 configurable sentinel (default -1.0) marking missing entries.  Triplet
 text: header line ``m n`` followed by ``i j value`` lines (0-based).
 Results go to CSV with schema ``run_id,omega,rank,sampling_rate,seed,
-metric,bin,value`` (one row per scalar) or to a JSON mirror; CDF tables are
-two-column ``grid,fraction`` CSVs.  All numbers are written as shortest
-round-trip decimals, so identical runs export byte-identical files.
+metric,bin,value`` (one row per scalar) or to a JSON mirror; the error CDF
+is a two-column ``grid,fraction`` CSV.  The caller builds the rows; this
+module only formats them, every number as its shortest round-trip decimal,
+so identical runs export byte-identical files.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 
-from .core import EntryObservations, SolveReport
+from .core import EntryObservations
 
 
 class MatrixParseError(ValueError):
@@ -80,15 +82,30 @@ def read_dense(path) -> np.ndarray:
     return data
 
 
-def load_dense(path, sentinel: float = -1.0) -> tuple[np.ndarray, EntryObservations]:
-    """The matrix of :func:`read_dense`, sentinel-marked holes left in place,
-    and the observation set of its non-sentinel entries."""
+def load_dense(path, sentinel: float = -1.0) -> EntryObservations:
+    """The observation set of the non-sentinel entries of a :func:`read_dense` file."""
     data = read_dense(path)
     keep = data != sentinel
     values = data[keep]  # row-major, the order of np.nonzero
     _check_observed(path, values, sentinel)
     rows, cols = np.nonzero(keep)
-    return data, EntryObservations(data.shape, rows, cols, values)
+    return EntryObservations(data.shape, rows, cols, values)
+
+
+def load_values(path, sentinel: float = -1.0) -> np.ndarray:
+    """The non-sentinel reals of a file, any number per line, in reading order.
+
+    Refuses what :func:`load_dense` refuses, naming a bad token's line and column.
+    """
+    lines = Path(path).read_text().splitlines()
+    values = np.array([_parse_real(tok, no, col)
+                       for no, line in enumerate(lines, start=1)
+                       for col, tok in enumerate(line.split(), start=1)])
+    if not values.size:
+        raise EmptyFileError(f"{path}: no data lines")
+    values = values[values != sentinel]
+    _check_observed(path, values, sentinel)
+    return values
 
 
 def _check_observed(path, values, sentinel) -> None:
@@ -136,9 +153,13 @@ def load_triplets(path) -> EntryObservations:
     if not any(map(str.strip, text[header_no:])):
         raise EmptyObservationsError(f"{path}: header only, no observations")
     try:
-        data = np.loadtxt(text[header_no:], comments=None, ndmin=1,
-                          dtype=[("i", np.int64), ("j", np.int64), ("v", np.float64)])
-    except ValueError:
+        # older numpy reads an index such as 2.1 as 2 with only a
+        # DeprecationWarning; raised, it sends the file to the line loop
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            data = np.loadtxt(text[header_no:], comments=None, ndmin=1,
+                              dtype=[("i", np.int64), ("j", np.int64), ("v", np.float64)])
+    except (ValueError, DeprecationWarning):
         data = None
     if data is not None and np.isfinite(data["v"]).all():
         return EntryObservations((m, n), data["i"], data["j"], data["v"])
@@ -174,71 +195,34 @@ def results_csv(runs) -> str:
     return "\n".join(lines) + "\n"
 
 
-def export_results(
-    report: SolveReport | None,
-    summaries,
-    cdf_tables,
-    path,
-    fmt: str = "csv",
-    *,
-    run_id: str,
-    omega: float,
-    rank: int,
-    sampling_rate: float,
-    seed: int,
-) -> None:
-    """Export one run: scalar metric rows, the objective trace, CDF tables.
+def export_results(path, fmt: str, echo, rows, cdf) -> None:
+    """Write one run: its (metric, bin, value) rows and its error CDF.
 
-    summaries is an iterable of (metric, bin_label, value) rows.  A report
-    adds its objective trace, ``converged``, a ``stop_reason`` row (value 1)
-    whose bin is the :class:`StopReason` name, ``uncertified_solves`` and
-    ``outer_iterations``.  cdf_tables
-    maps a label to a (grid, fraction) pair.  Every row carries the config
-    echo columns.  CSV mode writes the main table at `path` and one
-    ``<stem>.cdf.<label>.csv`` per table; JSON mode writes a single mirror
-    file.  Deterministic: identical inputs produce identical bytes.
+    echo holds the run's (run_id, omega, rank, sampling_rate, seed) columns
+    and cdf a (grid, fraction) pair.  ``csv`` writes the rows at path and
+    the CDF at ``<stem>.cdf.re.csv``; ``json`` writes one mirror file.
+    Identical inputs produce identical bytes.
     """
-    if fmt not in ("csv", "json"):
-        raise ValueError(f"unknown export format {fmt!r}")
     path = Path(path)
-    rows = [(str(metric), str(binlabel), float(value)) for metric, binlabel, value in summaries]
-    if report is not None:
-        for t, v in enumerate(report.objective_trace):
-            rows.append(("objective_trace", str(t), float(v)))
-        rows.append(("converged", "", 1.0 if report.converged else 0.0))
-        rows.append(("stop_reason", report.stop_reason.name, 1.0))
-        rows.append(("uncertified_solves", "", float(report.uncertified_solves)))
-        rows.append(("outer_iterations", "", float(len(report.objective_trace) - 1)))
-    cdf_tables = dict(cdf_tables or {})
-
+    grid, fraction = cdf
     if fmt == "csv":
-        path.write_text(results_csv([((run_id, omega, rank, sampling_rate, seed), rows)]))
-        for label in sorted(cdf_tables):
-            grid, frac = cdf_tables[label]
-            cdf_path = path.with_name(f"{path.stem}.cdf.{label}.csv")
-            body = ["grid,fraction"]
-            body += [f"{_fmt(g)},{_fmt(fv)}" for g, fv in zip(grid, frac)]
-            cdf_path.write_text("\n".join(body) + "\n")
-    else:
-        doc = {
-            "run_id": run_id,
-            "omega": float(omega),
-            "rank": int(rank),
-            "sampling_rate": float(sampling_rate),
-            "seed": int(seed),
-            "metrics": [
-                {"metric": metric, "bin": binlabel, "value": value}
-                for metric, binlabel, value in rows
-            ],
-            "cdf": {
-                label: {
-                    "grid": [float(g) for g in cdf_tables[label][0]],
-                    "fraction": [float(fv) for fv in cdf_tables[label][1]],
-                }
-                for label in sorted(cdf_tables)
-            },
-        }
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        path.write_text(results_csv([(echo, rows)]))
+        body = ["grid,fraction", *(f"{_fmt(g)},{_fmt(f)}" for g, f in zip(grid, fraction))]
+        path.with_name(f"{path.stem}.cdf.re.csv").write_text("\n".join(body) + "\n")
+        return
+    run_id, omega, rank, sampling_rate, seed = echo
+    doc = {
+        "run_id": run_id,
+        "omega": float(omega),
+        "rank": int(rank),
+        "sampling_rate": float(sampling_rate),
+        "seed": int(seed),
+        "metrics": [{"metric": metric, "bin": binlabel, "value": float(value)}
+                    for metric, binlabel, value in rows],
+        "cdf": {"re": {"grid": [float(g) for g in grid],
+                       "fraction": [float(f) for f in fraction]}},
+    }
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def read_results_csv(path) -> list[dict]:

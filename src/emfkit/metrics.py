@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FactorPair, _check_indices, product_at_entries
+from .core import FactorPair, _as_indices, _check_indices, product_at_entries
 
 
 class DenominatorTooSmallError(ValueError):
@@ -63,7 +63,7 @@ class BinnedSummary:
 def relative_errors(truth, estimate: FactorPair, eval_set, floor: float = 1e-12) -> np.ndarray:
     """:func:`relative_errors_at` of the dense ``truth`` and the product of
     ``estimate`` at the (i, j) pairs of eval_set, in order."""
-    idx = np.asarray(eval_set, dtype=np.int64)
+    idx = _as_indices(eval_set, "eval_set")
     if idx.ndim != 2 or idx.shape[1] != 2:
         raise ValueError("eval_set must be a sequence of (i, j) pairs")
     truth = np.asarray(truth, dtype=np.float64)

@@ -316,7 +316,7 @@ def test_c9_latency_dataset():
     path = os.environ.get(LATENCY_ENV, "")
     if not path or not os.path.exists(path):
         pytest.skip(f"SKIPPED(dataset): set {LATENCY_ENV} to the dense latency matrix file")
-    data, obs = load_dense(path, -1.0)
+    obs = load_dense(path, -1.0)
     values = obs.values
     mean, median = float(values.mean()), float(np.median(values))
     bins = BinSpec(np.array([0.0, 0.3, 3.1, 20.0]))

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import multiprocessing
 import sys
 
@@ -9,7 +10,7 @@ import emfkit.cli
 import emfkit.metrics
 import emfkit.subsolver
 from emfkit.cli import ExperimentPlan, _resolve_plan, build_parser, main
-from emfkit.core import EmfConfig, StopReason
+from emfkit.core import EmfConfig, FactorPair, SolveReport, StopReason
 from emfkit.emf import fit
 from emfkit.io import load_dense, read_results_csv, write_dense
 from emfkit.synth import gen_low_rank, make_completion_instance
@@ -268,6 +269,42 @@ def test_complete_mode_end_to_end(tmp_path):
     assert len(stops) == 1 and stops[0] in StopReason.__members__
 
 
+def test_report_rows_follow_the_fit():
+    report = SolveReport(factors=FactorPair([[1.0]], [[1.0]]),
+                         objective_trace=np.array([4.0, 1.0, 0.25]), inner_iters=[2, 2],
+                         stop_reason=StopReason.TOLERANCE_GRADIENT, uncertified_solves=3)
+    # the stop reason's name is the bin of a row right after `converged`
+    assert emfkit.cli._report_rows(report) == [
+        ("objective_trace", "0", 4.0), ("objective_trace", "1", 1.0),
+        ("objective_trace", "2", 0.25), ("converged", "", 1.0),
+        ("stop_reason", "TOLERANCE_GRADIENT", 1.0), ("uncertified_solves", "", 3.0),
+        ("outer_iterations", "", 2.0)]
+
+
+@pytest.mark.parametrize("mode", ["synth-exp", "complete", "evaluate"])
+def test_json_mirror_holds_the_csv_rows_and_cdf(tmp_path, mode):
+    src = _complete_input(tmp_path)
+    args = {"synth-exp": ["--m", 30, "--n", 20, "--k-true", 2, "--sampling-rate", 0.3],
+            "complete": ["--input", src, "--sampling-rate", 0.4, "--bins", "0,0.5,1,5"],
+            "evaluate": ["--input", src, "--estimate", src]}[mode]
+    common = ["--omega", 0.3, "--seed", 2, "--rank", 2, "--max-outer", 3, "--ridge", 0.1,
+              "--cdf-points", 5]
+    for fmt in ("csv", "json"):
+        assert run_cli(mode, *args, *common, "--format", fmt, "--out-dir", tmp_path / fmt) == 0
+    run_id = {"synth-exp": "synth_s2_w0.3", "complete": "complete_s2_w0.3"}.get(mode, "evaluate")
+    rows = read_results_csv(tmp_path / "csv" / f"{run_id}.csv")
+    doc = json.loads((tmp_path / "json" / f"{run_id}.json").read_text())
+    echo = {key: str(doc[key]) for key in ("run_id", "omega", "rank", "sampling_rate", "seed")}
+    assert [dict(echo, **m) for m in doc["metrics"]] == rows
+    cdf = np.loadtxt(tmp_path / "csv" / f"{run_id}.cdf.re.csv", delimiter=",", skiprows=1)
+    assert doc["cdf"] == {"re": {"grid": cdf[:, 0].tolist(), "fraction": cdf[:, 1].tolist()}}
+    if mode != "evaluate":
+        # a grid's rows end with its fit's, and its summary is the same in either format
+        assert doc["metrics"][-1]["metric"] == "outer_iterations"
+        summaries = [(tmp_path / fmt / "summary.csv").read_bytes() for fmt in ("csv", "json")]
+        assert summaries[0] == summaries[1]
+
+
 def _write_triplets(path, obs):
     """The triplet file of an entry set: header ``m n``, then ``i j value`` lines."""
     triples = zip(obs.row_idx.tolist(), obs.col_idx.tolist(), obs.values.tolist())
@@ -282,7 +319,7 @@ def test_complete_dense_and_triplet_inputs_agree(tmp_path):
     mat[::3, 1::4] = -1.0
     dense, triplets = tmp_path / "m.txt", tmp_path / "m.trip"
     write_dense(dense, mat)
-    _write_triplets(triplets, load_dense(dense)[1])
+    _write_triplets(triplets, load_dense(dense))
     args = ["--sampling-rate", 0.4, "--omega", 0.3, "--seed", 0, "--seed", 1, "--rank", 2,
             "--max-outer", 5, "--bins", "0,0.5,1,5", "--cdf-points", 5]
     outs = []
@@ -346,7 +383,7 @@ def test_complete_and_evaluate_report_a_truth_below_the_floor_alike(tmp_path, ca
     src = _complete_input(tmp_path)
     mat = np.loadtxt(src) + 1.0
     plan = ExperimentPlan("complete", sampling_rate=0.4)
-    rows, cols, _ = emfkit.cli._split_instance(load_dense(src)[1], plan, 0)[1]
+    rows, cols, _ = emfkit.cli._split_instance(load_dense(src), plan, 0)[1]
     i, j = rows[0], cols[0]
     mat[i, j] = 0.25
     write_dense(src, mat)
@@ -368,7 +405,7 @@ def test_complete_provider_holds_no_matrix_of_the_input_shape(tmp_path, monkeypa
     # cells read only observed entries: after parsing, nothing of m x n is kept
     src = _complete_input(tmp_path)
     if input_format == "triplets":
-        _write_triplets(src, load_dense(src)[1])
+        _write_triplets(src, load_dense(src))
     providers = []
     monkeypatch.setattr(emfkit.cli, "_run_grid",
                         lambda plan, name, provider: providers.append(provider) or 0)
@@ -521,6 +558,7 @@ def test_invalid_omega_rejected(tmp_path):
     ("evaluate", "--cdf-max", "nan", "cdf_max must be > 0, got nan"),
     ("evaluate", "--cdf-points", "0", "cdf_points must be >= 1, got 0"),
     ("complete", "--bins", "3,1", "bins: boundaries must be finite and strictly increasing"),
+    ("complete", "--format", "xml", "format must be csv or json, got 'xml'"),
     ("synth-exp", "--rank", "0", "rank must be >= 1, got 0"),
     ("synth-exp", "--k-true", "0", "k_true must be >= 1, got 0"),
     ("synth-exp", "--m", "0", "m must be >= 1, got 0"),

@@ -77,6 +77,17 @@ def test_entry_observations_rejects_bad_indices_and_values():
         EntryObservations((2, 2), [0], [0], [np.inf])
     with pytest.raises(ValueError):
         EntryObservations((2, 2), [], [], [])
+    # float and bool indices are refused, not truncated to (0, 1) and (2, 0)
+    with pytest.raises(ValueError, match="^row_idx must be integers, got dtype float64$"):
+        EntryObservations((3, 3), [0.5, 2.9], [1.7, 0], [1.0, 2.0])
+    with pytest.raises(ValueError, match="^col_idx must be integers, got dtype float64$"):
+        EntryObservations((3, 3), [0, 2], [1.0, 0.0], [1.0, 2.0])
+    with pytest.raises(ValueError, match="^row_idx must be integers, got dtype bool$"):
+        EntryObservations((3, 3), [False, True], [1, 0], [1.0, 2.0])
+    obs = EntryObservations((3, 3), np.array([0, 2], np.uint8), np.array([1, 0], np.int32),
+                            [1.0, 2.0])
+    assert obs.row_idx.dtype == obs.col_idx.dtype == np.int64
+    assert obs.row_idx.tolist() == [0, 2] and obs.col_idx.tolist() == [1, 0]
 
 
 def test_entry_observations_grouping_views():

@@ -1,9 +1,10 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
 
-from emfkit.core import DuplicateEntryError, FactorPair, SolveReport, StopReason
+from emfkit.core import DuplicateEntryError
 from emfkit.io import (
     EmptyFileError,
     EmptyObservationsError,
@@ -13,6 +14,7 @@ from emfkit.io import (
     export_results,
     load_dense,
     load_triplets,
+    read_dense,
     read_results_csv,
     write_dense,
 )
@@ -21,8 +23,8 @@ from emfkit.io import (
 def test_load_dense_basic(tmp_path):
     f = tmp_path / "m.txt"
     f.write_text("1 -1\n3 4\n")
-    data, obs = load_dense(f)
-    assert data.shape == (2, 2)
+    obs = load_dense(f)
+    assert obs.shape == (2, 2)
     triples = sorted(zip(obs.row_idx.tolist(), obs.col_idx.tolist(), obs.values.tolist()))
     assert triples == [(0, 0, 1.0), (1, 0, 3.0), (1, 1, 4.0)]
 
@@ -46,8 +48,8 @@ def test_dense_roundtrip(tmp_path):
     mask[0, 0] = True  # keep at least one observation
     f = tmp_path / "round.txt"
     write_dense(f, mat, mask, sentinel=-1.0)
-    data, obs = load_dense(f, -1.0)
-    assert np.array_equal(data[mask], mat[mask])  # exact round-trip
+    obs = load_dense(f, -1.0)
+    assert np.array_equal(obs.values, mat[mask])  # exact round-trip
     got = np.zeros_like(mask)
     got[obs.row_idx, obs.col_idx] = True
     assert np.array_equal(got, mask)
@@ -57,7 +59,7 @@ def test_dense_roundtrip(tmp_path):
     mask = rng.rand(12, 9) < 0.6
     mask[0, 0] = True
     write_dense(f, mat, mask, sentinel=-1e9)
-    data, obs = load_dense(f, -1e9)
+    data, obs = read_dense(f), load_dense(f, -1e9)
     assert np.array_equal(data, np.where(mask, mat, -1e9))
     assert np.signbit(data[0, 0])
     assert np.array_equal(obs.values, mat[mask])
@@ -89,21 +91,21 @@ def test_load_dense_errors_keep_their_locations(tmp_path, text, error, message):
 
 
 def _parse_dense_per_token(text):
-    """The token-by-token parse load_dense must match."""
+    """The token-by-token parse read_dense must match."""
     return np.array([[float(t) for t in ln.split()] for ln in text.splitlines() if ln.strip()])
 
 
 def test_load_dense_fast_path_matches_token_parse(tmp_path):
     f = tmp_path / "m.txt"
     f.write_text("\n1_0 2.5\n\n-3e-7\t+4\n.5 5.\n")  # 1_0 only parses token by token
-    data, _ = load_dense(f, -100.0)
+    data = read_dense(f)
     assert np.array_equal(data, [[10.0, 2.5], [-3e-7, 4.0], [0.5, 5.0]])
     rng = np.random.RandomState(6)
     mat = rng.standard_t(3, (20, 30)) * 10.0 ** rng.randint(-20, 20, (20, 30))
     texts = ["1 2 3\n", "1\n2\n", "\n".join(" ".join(map(str, r)) for r in mat.tolist())]
     for text, shape in zip(texts, [(1, 3), (2, 1), mat.shape]):
         f.write_text(text)
-        data, _ = load_dense(f, -1e99)
+        data = read_dense(f)
         assert data.shape == shape
         assert np.array_equal(data, _parse_dense_per_token(text))
 
@@ -121,7 +123,7 @@ def test_write_dense_refuses_kept_values_around_the_sentinel(tmp_path):
         write_dense(f, np.array([[0.5, -1.0]]), np.array([[True, True]]))
     assert not f.exists()
     write_dense(f, mat, mat > 0)  # only 3.0 and 0.5 kept
-    data, obs = load_dense(f)
+    data, obs = read_dense(f), load_dense(f)
     assert np.array_equal(obs.values, [3.0, 0.5])
     assert np.array_equal(data, [[-1.0, 3.0], [0.5, -1.0]])
 
@@ -139,7 +141,7 @@ def test_write_dense_refuses_non_finite_values(tmp_path, bad, masked):
     # a non-finite value the mask drops is written as the sentinel
     keep = np.isfinite(mat)
     write_dense(f, mat, keep)
-    data, obs = load_dense(f)
+    data, obs = read_dense(f), load_dense(f)
     assert np.array_equal(data, np.where(keep, mat, -1.0))
     assert np.array_equal(obs.values, mat[keep])
 
@@ -203,6 +205,27 @@ def test_load_triplets_errors(tmp_path):
         load_triplets(f)
 
 
+def _loadtxt_parsing_ints_via_floats(lines, **kwargs):
+    """np.loadtxt as older numpy runs it on an index like 2.1: a warning, then 2."""
+    warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                  DeprecationWarning, stacklevel=2)
+    return np.zeros(len(lines), dtype=kwargs["dtype"])
+
+
+@pytest.mark.parametrize("index", ["1.0", "2.1"])
+@pytest.mark.parametrize("loadtxt", [np.loadtxt, _loadtxt_parsing_ints_via_floats],
+                         ids=["installed", "warning"])
+def test_float_triplet_indices_are_refused_at_their_line(tmp_path, monkeypatch, index, loadtxt):
+    monkeypatch.setattr(np, "loadtxt", loadtxt)
+    f = tmp_path / "t.txt"
+    f.write_text(f"3 3\n0 0 1.0\n\n{index} 0 1.0\n")
+    with pytest.raises(MatrixParseError, match="^line 4: indices must be integers$"):
+        load_triplets(f)
+    f.write_text(f"3 3\n0 0 1.0\n1 {index} 1.0\n")
+    with pytest.raises(MatrixParseError, match="^line 3: indices must be integers$"):
+        load_triplets(f)
+
+
 def test_valid_triplet_file_is_parsed_in_one_call(tmp_path, monkeypatch):
     import emfkit.io
 
@@ -230,7 +253,7 @@ def test_triplet_and_dense_loaders_agree(tmp_path):
     mask[2, 2] = True
     dense_path = tmp_path / "d.txt"
     write_dense(dense_path, mat, mask)
-    _, from_dense = load_dense(dense_path)
+    from_dense = load_dense(dense_path)
     trip_path = tmp_path / "t.txt"
     triples = zip(from_dense.row_idx.tolist(), from_dense.col_idx.tolist(),
                   from_dense.values.tolist())
@@ -243,79 +266,43 @@ def test_triplet_and_dense_loaders_agree(tmp_path):
     assert np.array_equal(from_trip.values, from_dense.values)
 
 
-def _dummy_report():
-    return SolveReport(
-        factors=FactorPair([[1.0]], [[1.0]]),
-        objective_trace=np.array([4.0, 1.0, 0.25]),
-        inner_iters=[2, 2],
-        stop_reason=StopReason.TOLERANCE_GRADIENT,
-        uncertified_solves=3,
-    )
-
-
 def test_export_roundtrip_and_determinism(tmp_path):
-    rows = [("re_median", "", 0.125), ("re_iqr", "", 0.5)]
-    grid = np.array([0.0, 0.5, 1.0])
-    frac = np.array([0.0, 0.5, 1.0])
+    rows = [("re_median", "", 0.125), ("re_iqr", "", 0.5), ("stop_reason", "MAX_ITERATIONS", 1)]
+    echo, cdf = ("r1", 0.1, 2, 0.3, 7), (np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.5, 1.0]))
     out = tmp_path / "run.csv"
-    export_results(
-        _dummy_report(), rows, {"re": (grid, frac)}, out, "csv",
-        run_id="r1", omega=0.1, rank=2, sampling_rate=0.3, seed=7,
-    )
+    export_results(out, "csv", echo, rows, cdf)
     parsed = read_results_csv(out)
-    trace = [r["value"] for r in parsed if r["metric"] == "objective_trace"]
-    assert trace == [4.0, 1.0, 0.25]
-    certs = [r["value"] for r in parsed if r["metric"] in ("converged", "uncertified_solves")]
-    assert certs == [1.0, 3.0]
-    # the stop reason's name is the bin of a row right after `converged`
-    names = [r["metric"] for r in parsed]
-    stop = parsed[names.index("converged") + 1]
-    assert (stop["metric"], stop["bin"], stop["value"]) == (
-        "stop_reason", "TOLERANCE_GRADIENT", 1.0)
-    assert names.count("stop_reason") == 1
-    assert StopReason[stop["bin"]] is StopReason.TOLERANCE_GRADIENT
-    med = [r for r in parsed if r["metric"] == "re_median"][0]
-    assert med["value"] == 0.125
-    assert med["omega"] == "0.1" and med["seed"] == "7"
+    # the rows as handed over, in order, each with the echo columns
+    assert [(r["metric"], r["bin"], r["value"]) for r in parsed] == rows
+    assert {(r["run_id"], r["omega"], r["rank"], r["sampling_rate"], r["seed"])
+            for r in parsed} == {("r1", "0.1", "2", "0.3", "7")}
 
     first = out.read_bytes()
-    export_results(
-        _dummy_report(), rows, {"re": (grid, frac)}, out, "csv",
-        run_id="r1", omega=0.1, rank=2, sampling_rate=0.3, seed=7,
-    )
+    export_results(out, "csv", echo, rows, cdf)
     assert out.read_bytes() == first  # byte-identical re-export
 
-    cdf_file = tmp_path / "run.cdf.re.csv"
-    lines = cdf_file.read_text().splitlines()
-    assert lines[0] == "grid,fraction"
-    assert len(lines) == 4
+    lines = (tmp_path / "run.cdf.re.csv").read_text().splitlines()
+    assert lines == ["grid,fraction", "0.0,0.0", "0.5,0.5", "1.0,1.0"]
 
 
 def test_export_empty_cdf_and_json_mirror(tmp_path):
     out = tmp_path / "empty.csv"
-    export_results(
-        None, [], {"re": ([], [])}, out, "csv",
-        run_id="r2", omega=0.5, rank=1, sampling_rate=1.0, seed=0,
-    )
+    export_results(out, "csv", ("r2", 0.5, 1, 1.0, 0), [], ([], []))
+    assert out.read_text() == "run_id,omega,rank,sampling_rate,seed,metric,bin,value\n"
     cdf_lines = (tmp_path / "empty.cdf.re.csv").read_text().splitlines()
     assert cdf_lines == ["grid,fraction"]
 
     import json
 
     jout = tmp_path / "run.json"
-    export_results(
-        _dummy_report(), [("re_median", "", 0.125)], {}, jout, "json",
-        run_id="r3", omega=0.9, rank=3, sampling_rate=0.05, seed=1,
-    )
+    export_results(jout, "json", ("r3", 0.9, 3, 0.05, 1),
+                   [("re_median", "", 0.125), ("re_count", "", 4)], ([0.0, 1.0], [0.25, 1]))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.cdf.re.csv", "empty.csv",
+                                                          "run.json"]
     doc = json.loads(jout.read_text())
-    assert doc["omega"] == 0.9
-    metrics = {(m["metric"], m["bin"]): m["value"] for m in doc["metrics"]}
-    assert metrics[("re_median", "")] == 0.125
-    assert metrics[("objective_trace", "2")] == 0.25
-    assert metrics[("stop_reason", "TOLERANCE_GRADIENT")] == 1.0
-
-
-def test_export_rejects_unknown_format(tmp_path):
-    with pytest.raises(ValueError):
-        export_results(None, [], {}, tmp_path / "x", "xml",
-                       run_id="r", omega=0.5, rank=1, sampling_rate=1.0, seed=0)
+    assert (doc["run_id"], doc["omega"], doc["rank"], doc["sampling_rate"], doc["seed"]) == (
+        "r3", 0.9, 3, 0.05, 1)
+    assert doc["metrics"] == [{"metric": "re_median", "bin": "", "value": 0.125},
+                              {"metric": "re_count", "bin": "", "value": 4.0}]
+    assert doc["cdf"] == {"re": {"grid": [0.0, 1.0], "fraction": [0.25, 1.0]}}
+    assert '"value": 4.0' in jout.read_text()  # numbers are written as reals

@@ -213,6 +213,10 @@ def test_relative_errors_checks_eval_indices_against_the_truth():
         relative_errors(truth, f, [(0, 0), (-1, 0)])
     with pytest.raises(ValueError, match=r"column index 3 out of range \[0, 3\)"):
         relative_errors(truth, f, [(1, 3)])
+    with pytest.raises(ValueError, match="^eval_set must be integers, got dtype float64$"):
+        relative_errors(truth, f, [(0.5, 2.9)])
+    with pytest.raises(ValueError, match="^eval_set must be integers, got dtype bool$"):
+        relative_errors(truth, f, [(True, False)])
 
 
 def test_relative_errors_at_rejects_a_nan_truth():
