@@ -13,19 +13,21 @@ the next y half-step starts with the y-gradient.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
     EmfConfig,
+    EntryObservations,
     FactorPair,
     ObservationSet,
     SolveReport,
     StopReason,
 )
 from .rng import Pcg32
-from .subsolver import solve_y
+from .subsolver import one_blas_thread, solve_y
 
 # Stream id of the initialization's random test matrix; other stream ids
 # live in emfkit.synth.  Any fixed distinct constants work.
@@ -105,61 +107,68 @@ def fit(obs: ObservationSet, config: EmfConfig) -> SolveReport:
     half-step, which runs no round and is discarded if the sweep's pair is
     returned; after the last allowed sweep that half-step only opens
     (max_inner = 0), and only if the x-gradient passed.
+
+    An entry fit holds OpenBLAS at one thread, from svd_init on: its
+    half-steps run on the bucket pool, whose cores idle OpenBLAS workers
+    would spin on.  A general fit runs inline and keeps BLAS threads for
+    its Gram products.
     """
-    init = svd_init(obs, config.rank, config.seed)
-    if init.d0[0] <= 1e-300:
-        raise DegenerateInitError("all-zero measurement sum; nothing to initialize from")
+    hold = one_blas_thread() if isinstance(obs, EntryObservations) else nullcontext()
+    with hold:
+        init = svd_init(obs, config.rank, config.seed)
+        if init.d0[0] <= 1e-300:
+            raise DegenerateInitError("all-zero measurement sum; nothing to initialize from")
 
-    omega, ridge, tol = config.omega, config.ridge, config.tol_gradient
-    obs_t = obs.transposed
+        omega, ridge, tol = config.omega, config.ridge, config.tol_gradient
+        obs_t = obs.transposed
 
-    x = init.x0
-    y = init.y0 * init.d0
-    trace: list[float] = []
-    inner_iters: list[int] = []
-    uncertified = 0
-    stop = StopReason.MAX_ITERATIONS
-    x_passed = False
+        x = init.x0
+        y = init.y0 * init.d0
+        trace: list[float] = []
+        inner_iters: list[int] = []
+        uncertified = 0
+        stop = StopReason.MAX_ITERATIONS
+        x_passed = False
 
-    for sweep in range(config.max_outer + 1):
-        # after the last allowed sweep the y half-step only opens, for the
-        # start that the gradient test (or, at max_outer = 0, trace[0]) reads
-        last = sweep == config.max_outer
-        if last and sweep and not x_passed:
-            break
-        res_y = solve_y(x, obs, omega, ridge, warm_start=y,
-                        max_inner=0 if last else MAX_INNER, tol_gradient=tol)
-        if not sweep:
-            trace.append(float(res_y.inner_objective_trace[0]))
-        if x_passed and res_y.start_gradient_norm < tol:
-            stop = StopReason.TOLERANCE_GRADIENT
-            break
-        if last:
-            break
-        y = res_y.solution
-        res_x = solve_y(y, obs_t, omega, ridge, warm_start=x,
-                        max_inner=MAX_INNER, tol_gradient=tol)
-        x = res_x.solution
+        for sweep in range(config.max_outer + 1):
+            # after the last allowed sweep the y half-step only opens, for the
+            # start that the gradient test (or, at max_outer = 0, trace[0]) reads
+            last = sweep == config.max_outer
+            if last and sweep and not x_passed:
+                break
+            res_y = solve_y(x, obs, omega, ridge, warm_start=y,
+                            max_inner=0 if last else MAX_INNER, tol_gradient=tol)
+            if not sweep:
+                trace.append(float(res_y.inner_objective_trace[0]))
+            if x_passed and res_y.start_gradient_norm < tol:
+                stop = StopReason.TOLERANCE_GRADIENT
+                break
+            if last:
+                break
+            y = res_y.solution
+            res_x = solve_y(y, obs_t, omega, ridge, warm_start=x,
+                            max_inner=MAX_INNER, tol_gradient=tol)
+            x = res_x.solution
 
-        inner_iters += [res_y.inner_iterations, res_x.inner_iterations]
-        uncertified += (not res_y.converged) + (not res_x.converged)
-        # the x-subproblem's final objective IS the full objective at this pair
-        trace.append(float(res_x.inner_objective_trace[-1]))
+            inner_iters += [res_y.inner_iterations, res_x.inner_iterations]
+            uncertified += (not res_y.converged) + (not res_x.converged)
+            # the x-subproblem's final objective IS the full objective at this pair
+            trace.append(float(res_x.inner_objective_trace[-1]))
 
-        prev, cur = trace[-2], trace[-1]
-        if (prev - cur) / max(prev, 1e-300) < config.tol_objective:
-            stop = StopReason.TOLERANCE_OBJECTIVE
-            break
-        # res_x certifies the x-gradient at exactly this pair
-        x_passed = res_x.final_gradient_norm < tol
+            prev, cur = trace[-2], trace[-1]
+            if (prev - cur) / max(prev, 1e-300) < config.tol_objective:
+                stop = StopReason.TOLERANCE_OBJECTIVE
+                break
+            # res_x certifies the x-gradient at exactly this pair
+            x_passed = res_x.final_gradient_norm < tol
 
-    return SolveReport(
-        factors=FactorPair(x, y),
-        objective_trace=np.asarray(trace),
-        inner_iters=inner_iters,
-        stop_reason=stop,
-        uncertified_solves=uncertified,
-    )
+        return SolveReport(
+            factors=FactorPair(x, y),
+            objective_trace=np.asarray(trace),
+            inner_iters=inner_iters,
+            stop_reason=stop,
+            uncertified_solves=uncertified,
+        )
 
 
 def reconstruct(f: FactorPair) -> np.ndarray:

@@ -61,15 +61,23 @@ on its first read.  A block's arithmetic is the same on any thread, so
 results are bit-identical to running the blocks one after another.  A
 step with one live block, such as the general block, or with few live
 design numbers runs inline, and the pool lives only as long as one call.
+
+An entry fit holds OpenBLAS at one thread (:func:`one_blas_thread`), so
+the pool is its only parallelism: after a call that OpenBLAS splits across
+threads, such as svd_init's QR, its idle workers spin for a while and take
+a core from the pool.  The general block, which runs inline, keeps the
+BLAS threads for its Gram product.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -92,6 +100,9 @@ ROUND_THREADS = None
 _THREADED_NUMBERS = 1 << 18
 # Most numbers one copy or temporary of a bucket task holds (512 KiB)
 _WEIGHTED_NUMBERS = 1 << 16
+# one_blas_thread's holders, and the OpenBLAS thread counts the first saved
+_HOLD_LOCK = threading.Lock()
+_held = {"depth": 0, "saved": []}
 
 
 class SingularDesignError(RuntimeError):
@@ -341,6 +352,62 @@ def usable_cores() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity mask on this platform
         return os.cpu_count() or 1
+
+
+@cache
+def openblas_controls() -> tuple:
+    """(get, set) thread-count functions of each OpenBLAS library loaded in
+    this process, looked up once: none for another BLAS, or without /proc.
+
+    Numpy 2 wheels export scipy_openblas_*64_, numpy 1.26 wheels
+    openblas_*64_, and distribution builds the bare names.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            # a mapped file's path is the line's sixth field
+            paths = sorted({line.split(maxsplit=5)[5].strip() for line in maps
+                            if "openblas" in line.lower()})
+    except OSError:  # no /proc on this platform
+        return ()
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path, os.RTLD_NOLOAD)  # only one already loaded
+        except OSError:
+            continue
+        for name in (f"{prefix}openblas_{{}}_num_threads{suffix}"
+                     for prefix in ("", "scipy_") for suffix in ("", "64_", "_64")):
+            get, set_ = (getattr(lib, name.format(kind), None) for kind in ("get", "set"))
+            if get and set_:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+                break
+    return tuple(controls)
+
+
+@contextmanager
+def one_blas_thread():
+    """Hold every OpenBLAS library loaded in this process at one thread.
+
+    Nested and concurrent holders share one hold: the first saves the
+    thread counts and the last restores them.  With no OpenBLAS found it
+    does nothing.
+    """
+    with _HOLD_LOCK:
+        if not _held["depth"]:
+            _held["saved"] = [get() for get, _ in openblas_controls()]
+            for _, set_ in openblas_controls():
+                set_(1)
+        _held["depth"] += 1
+    try:
+        yield
+    finally:
+        with _HOLD_LOCK:
+            _held["depth"] -= 1
+            if not _held["depth"]:
+                for (_, set_), count in zip(openblas_controls(), _held["saved"]):
+                    set_(count)
 
 
 def _assemble(a, w, values, ridge, normal, rhs):

@@ -21,7 +21,13 @@ from emfkit.loss import scalar_expectile
 from emfkit.metrics import BinSpec, binned_summaries, relative_errors
 from emfkit.rng import Pcg32
 from emfkit.subsolver import solve_y
-from emfkit.synth import SPLIT_STREAM, make_completion_instance
+from emfkit.synth import (
+    SPLIT_STREAM,
+    apply_measurements,
+    gaussian_measurements,
+    gen_low_rank,
+    make_completion_instance,
+)
 from oracle import gradient_y, objective, reference_qp_solve
 
 
@@ -63,6 +69,22 @@ def test_c1_noiseless_exact_recovery(noiseless_recovery_runs):
         ok,
         f"15 runs, worst rel err {worst:.2e}, max iters {most_iters}, {secs:.1f}s",
     )
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_gaussian_measurements_exact_recovery_by_omega(seed):
+    # noiseless Gaussian measurements, three per degree of freedom of a
+    # 40x40 rank-2 matrix; each omega recovers it to rounding
+    m, n, k = 40, 40, 2
+    p = 3 * (k * (m + n) - k * k)
+    f = gen_low_rank(m, n, k, seed)
+    truth = f.x @ f.y.T
+    obs = apply_measurements(gaussian_measurements(m, n, p, seed), truth)
+    for omega in (0.1, 0.5, 0.9):
+        cfg = EmfConfig(omega=omega, rank=k, max_outer=300, tol_gradient=1e-10,
+                        tol_objective=0.0, seed=seed)
+        err = np.linalg.norm(reconstruct(fit(obs, cfg).factors) - truth) / np.linalg.norm(truth)
+        assert err < 1e-6, f"omega {omega}: relative error {err:.2e}"
 
 
 # ---------------------------------------------------------------- criterion 2

@@ -2,6 +2,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +22,7 @@ from emfkit.core import (
     product_at_entries,
 )
 from emfkit.emf import DegenerateInitError, fit, reconstruct, svd_init
-from emfkit.subsolver import SingularDesignError
+from emfkit.subsolver import SingularDesignError, openblas_controls
 from emfkit.synth import gen_low_rank, sample_mask
 from oracle import objective, residuals
 
@@ -415,18 +417,32 @@ def test_property_fit_reflected_values_negate_the_product(seed, omega, general, 
 
 # An entry fit whose inputs involve no BLAS call (Pcg32 draws, an einsum
 # product), on 24,000 observations: more than OpenBLAS splits a dot product
-# across threads at.  Prints the SHA-256 of each output, per seed, then of
-# each file but plan.txt (which records out_dir) of README's synth-exp
-# reproducer: a 500x500 rank-5 truth, a shape at which OpenBLAS's dgemm
-# rounds the product differently at one and two threads.
+# across threads at.  Prints, as JSON, the SHA-256 of each output per seed;
+# then of an svd_init and a solve_y called outside fit, which therefore run
+# at the process's BLAS thread count while fit holds OpenBLAS at one thread;
+# then of each file but plan.txt (which records out_dir) of README's
+# synth-exp reproducer: a 500x500 rank-5 truth, a shape at which OpenBLAS's
+# dgemm rounds the product differently at one and two threads.  Beside
+# them, the OpenBLAS thread counts that solve_y saw during fits.
 _THREADED_FIT = """
 import contextlib, hashlib, json, pathlib, sys, tempfile
 import numpy as np
+import emfkit.emf
 from emfkit.cli import main
 from emfkit.core import EmfConfig, EntryObservations
-from emfkit.emf import fit
+from emfkit.emf import fit, solve_y, svd_init
 from emfkit.rng import Pcg32
+from emfkit.subsolver import openblas_controls
 from emfkit.synth import sample_mask
+
+def sha(*arrays):
+    return [hashlib.sha256(a.tobytes()).hexdigest() for a in arrays]
+
+seen = set()
+def counting_solve_y(*args, **kwargs):
+    seen.update(get() for get, _ in openblas_controls())
+    return solve_y(*args, **kwargs)
+emfkit.emf.solve_y = counting_solve_y
 
 m, n, k = 200, 400, 3
 out = []
@@ -435,23 +451,26 @@ for seed in range(6):
     x, y = draw(m * k).reshape(m, k), draw(n * k).reshape(n, k)
     values = np.einsum("ik,jk->ij", x, y) + draw(m * n).reshape(m, n) ** 2
     rows, cols = sample_mask(m, n, 0.3, seed).T
-    rep = fit(EntryObservations((m, n), rows, cols, values[rows, cols]),
-              EmfConfig(omega=0.1, rank=k, max_outer=5, seed=seed))
-    parts = (rep.factors.x, rep.factors.y, rep.objective_trace, np.asarray(rep.inner_iters))
-    out.append([hashlib.sha256(a.tobytes()).hexdigest() for a in parts])
+    obs = EntryObservations((m, n), rows, cols, values[rows, cols])
+    rep = fit(obs, EmfConfig(omega=0.1, rank=k, max_outer=5, seed=seed))
+    out.append(sha(rep.factors.x, rep.factors.y, rep.objective_trace,
+                   np.asarray(rep.inner_iters)))
+init = svd_init(obs, k, 5)
+half = solve_y(init.x0, obs, 0.1, warm_start=init.y0 * init.d0, max_inner=5)
+out.append(sha(init.x0, init.d0, init.y0, half.solution, half.inner_objective_trace))
 with tempfile.TemporaryDirectory() as d, contextlib.redirect_stdout(sys.stderr):
     assert main(["synth-exp", "--m", "500", "--n", "500", "--rank", "5", "--k-true", "5",
                  "--sampling-rate", "0.2", "--omega", "0.1", "--seed", "3",
                  "--max-outer", "5", "--out-dir", d]) == 0
     out.append({p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                 for p in sorted(pathlib.Path(d).iterdir()) if p.name != "plan.txt"})
-print(json.dumps(out))
+print(json.dumps({"digests": out, "blas_in_fit": sorted(seen)}))
 """
 
 
 def test_entry_fit_bytes_do_not_depend_on_the_blas_thread_count():
     src = str(Path(emfkit.emf.__file__).resolve().parents[1])
-    digests = []
+    digests, in_fit = [], []
     for threads in ("1", "2"):
         # set before numpy is imported: OpenBLAS reads it once, at load
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
@@ -459,6 +478,107 @@ def test_entry_fit_bytes_do_not_depend_on_the_blas_thread_count():
                    PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         run = subprocess.run([sys.executable, "-c", _THREADED_FIT], env=env,
                              capture_output=True, text=True, check=True)
-        digests.append(json.loads(run.stdout))
-    assert digests[0][:-1] == digests[1][:-1], "entry fits"
+        result = json.loads(run.stdout)
+        digests.append(result["digests"])
+        in_fit.append(result["blas_in_fit"])
+    assert digests[0][:-2] == digests[1][:-2], "entry fits"
+    assert digests[0][-2] == digests[1][-2], "svd_init and solve_y outside fit"
     assert len(digests[0][-1]) == 3 and digests[0][-1] == digests[1][-1], "synth-exp files"
+    # this process loaded the same numpy, so its OpenBLAS, as the children
+    assert in_fit[1] == ([1] if openblas_controls() else []), "fit holds one BLAS thread"
+
+
+def blas_counts():
+    return [get() for get, _ in openblas_controls()]
+
+
+@pytest.fixture
+def blas_at_two():
+    """Every OpenBLAS library loaded here at two threads for the test, so
+    that a hold at one shows on any host; the counts are put back after."""
+    controls = openblas_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS thread control in this process: the hold does nothing")
+    saved = blas_counts()
+    for _, set_ in controls:
+        set_(2)
+    yield
+    for (_, set_), count in zip(controls, saved):
+        set_(count)
+
+
+def test_openblas_control_is_found_where_numpy_names_openblas():
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # a numpy without a machine-readable build config
+        pytest.skip("numpy's build config does not name its BLAS")
+    if "openblas" not in blas.lower():
+        pytest.skip(f"numpy is built against {blas}, not OpenBLAS")
+    assert openblas_controls(), f"numpy uses {blas}, but no OpenBLAS thread control was found"
+
+
+def _recording_solve_y(monkeypatch, seen, before=lambda: None):
+    solve_y = emfkit.emf.solve_y
+
+    def recording(*args, **kwargs):
+        before()
+        seen.append(blas_counts())
+        return solve_y(*args, **kwargs)
+
+    monkeypatch.setattr(emfkit.emf, "solve_y", recording)
+
+
+def test_entry_fit_holds_openblas_at_one_thread(blas_at_two, monkeypatch):
+    seen = []
+    _recording_solve_y(monkeypatch, seen)
+    _, obs = completion(30, 25, 2, 0.5, seed=4)
+    fit(obs, EmfConfig(omega=0.2, rank=2, max_outer=3, seed=4))
+    assert seen and all(counts == [1] * len(counts) for counts in seen)
+    assert blas_counts() == [2] * len(seen[0])
+
+
+def test_entry_fit_that_raises_restores_the_blas_threads(blas_at_two):
+    # column 0 is seen once, fewer than rank 2 times, and ridge is zero
+    _, obs = completion(20, 20, 2, 0.6, seed=5)
+    keep = (obs.col_idx != 0) | (obs.row_idx == obs.row_idx[obs.col_idx == 0][0])
+    short = EntryObservations(obs.shape, obs.row_idx[keep], obs.col_idx[keep], obs.values[keep])
+    with pytest.raises(SingularDesignError, match="column 0"):
+        fit(short, EmfConfig(omega=0.3, rank=2, max_outer=3, seed=5))
+    assert blas_counts() == [2] * len(openblas_controls())
+
+
+def test_concurrent_entry_fits_restore_the_blas_threads_once(blas_at_two, monkeypatch):
+    # both fits wait inside their first half-step until the other is in its
+    # own, so the holds overlap; the counts are set to one and back once
+    sets = []
+    monkeypatch.setattr(emfkit.subsolver, "openblas_controls", lambda: tuple(
+        (get, lambda count, set_=set_: (sets.append(count), set_(count)))
+        for get, set_ in openblas_controls()))
+    both_in, waited = threading.Barrier(2), set()
+
+    def meet():
+        if threading.get_ident() not in waited:
+            waited.add(threading.get_ident())
+            both_in.wait(timeout=60)
+
+    seen = []
+    _recording_solve_y(monkeypatch, seen, meet)
+    _, obs = completion(30, 25, 2, 0.5, seed=6)
+    config = EmfConfig(omega=0.2, rank=2, max_outer=3, seed=6)
+    with ThreadPoolExecutor(2) as pool:
+        reports = [f.result() for f in [pool.submit(fit, obs, config) for _ in range(2)]]
+    assert np.array_equal(reports[0].factors.x, reports[1].factors.x)
+    assert all(counts == [1] * len(counts) for counts in seen)
+    assert sets == [1] * len(openblas_controls()) + [2] * len(openblas_controls())
+    assert blas_counts() == [2] * len(openblas_controls())
+
+
+def test_general_fit_keeps_the_blas_threads(blas_at_two, monkeypatch):
+    sets, seen = [], []
+    monkeypatch.setattr(emfkit.subsolver, "openblas_controls", lambda: tuple(
+        (get, lambda count: sets.append(count)) for get, _ in openblas_controls()))
+    _recording_solve_y(monkeypatch, seen)
+    k, obs = tiny_fit_instance(np.random.RandomState(7), general=True)
+    fit(obs, _tiny_config(k, 0.3, 0.3, 7))
+    assert not sets
+    assert seen and all(counts == [2] * len(counts) for counts in seen)

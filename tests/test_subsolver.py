@@ -1,6 +1,8 @@
+import contextlib
 import dataclasses
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -8,9 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import emfkit.core
+import emfkit.subsolver
 from emfkit.core import EntryObservations, FactorPair, GeneralObservations
 from emfkit.loss import asymmetric_weights
-from emfkit.subsolver import SingularDesignError, solve_y
+from emfkit.subsolver import SingularDesignError, one_blas_thread, solve_y
 from oracle import gradient_y, objective, reference_qp_solve, residuals
 
 OMEGAS = (0.05, 0.3, 0.5, 0.7, 0.95)
@@ -926,3 +929,37 @@ def test_entry_certificate_is_the_loss_gradient(threads, monkeypatch):
         assert abs(res.final_gradient_norm - g) <= 1e-9 * g
         g0 = np.linalg.norm(gradient_y(obs, FactorPair(x, warm), omega, ridge))
         assert abs(res.start_gradient_norm - g0) <= 1e-9 * g0
+
+
+def test_one_blas_thread_holds_restore_once_under_contention(monkeypatch):
+    # a fake control: eight threads enter and leave the hold, some nested,
+    # with the interpreter switching threads every few bytecodes; a lost
+    # update of the depth would leave the count at one or restore it early
+    count, sets, bad = [5], [], []
+
+    def set_(n):
+        sets.append(n)
+        count[0] = n
+        time.sleep(0)  # let another thread run inside the hold's bookkeeping
+
+    monkeypatch.setattr(emfkit.subsolver, "openblas_controls", lambda: ((lambda: count[0], set_),))
+
+    def holder():
+        for i in range(1000):
+            with one_blas_thread(), (one_blas_thread() if i % 3 else contextlib.nullcontext()):
+                if count[0] != 1:
+                    bad.append(count[0])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=holder) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not bad and count == [5]
+    assert sets and sets == [1, 5] * (len(sets) // 2)
