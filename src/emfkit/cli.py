@@ -72,24 +72,23 @@ class ExperimentPlan:
     eval_floor: float = 1e-12
 
     def __post_init__(self):
-        if not self.omega:
-            raise ValueError("need at least one omega")
+        for key in ("omega", "seed"):
+            if not getattr(self, key):
+                raise ValueError(f"need at least one {key}")
         for w in self.omega:
             if not 0.0 < w < 1.0:
                 raise ValueError(f"omega values must be in (0, 1), got {w}")
-        if min(self.seed, default=0) < 0:
+        if min(self.seed) < 0:
             raise ValueError(f"seed values must be >= 0, got {min(self.seed)}")
         if self.format not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.format!r}")
         if self.input_format not in ("dense", "triplets"):
             raise ValueError(f"input_format must be dense or triplets, got {self.input_format!r}")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         # "not value >= bound" also rejects NaN
         if not 0.0 < self.sampling_rate <= 1.0:
             raise ValueError(f"sampling_rate must be in (0, 1], got {self.sampling_rate}")
         for key, low in (("rank", 1), ("k_true", 1), ("m", 1), ("n", 1), ("dof", 1),
-                         ("max_outer", 0), ("noise_scale", 0), ("tol_obj", 0),
+                         ("workers", 1), ("max_outer", 0), ("noise_scale", 0), ("tol_obj", 0),
                          ("tol_grad", 0), ("ridge", 0), ("eval_floor", 0), ("cdf_points", 1)):
             value = getattr(self, key)
             if not value >= low:
@@ -416,6 +415,9 @@ def main(argv=None) -> int:
         missing = [f"--{key}" for key in needed if getattr(plan, key) is None]
         if missing:
             raise ValueError(f"{plan.mode} needs {' and '.join(missing)}")
+        for path in (getattr(plan, key) for key in needed):
+            if not Path(path).is_file():
+                raise FileNotFoundError(f"no such file: {path}")
         if plan.mode == "expectile":
             return _run_expectile(plan)
         _write_provenance(plan)

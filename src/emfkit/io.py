@@ -144,10 +144,8 @@ def load_triplets(path) -> EntryObservations:
     header_no, header = next(lines, (0, None))
     if header is None:
         raise EmptyFileError(f"{path}: no data lines")
-    if len(header) != 2:
-        raise MatrixParseError(f"line {header_no}: header must be 'm n', got {header!r}")
     try:
-        m, n = int(header[0]), int(header[1])
+        m, n = map(int, header)  # a header of another length fails to unpack
     except ValueError:
         raise MatrixParseError(f"line {header_no}: header must be 'm n', got {header!r}") from None
     if not any(map(str.strip, text[header_no:])):

@@ -53,14 +53,15 @@ from its design gather to its last round, is one task: on the calling
 thread or a pool's threads, one per core this process may run on
 (:data:`ROUND_THREADS` caps that) and at most one per block, each taking
 the next block when free.  numpy releases the interpreter lock in the
-heavy calls; a task's temporaries stay within :data:`_WEIGHTED_NUMBERS`
-numbers.  The calling thread allocates the arrays, sums the objective and
-reads gradient norms, each by numpy's own summation, not BLAS, so that
-they do not depend on the BLAS thread count; the sign pattern is computed
-on its first read.  A block's arithmetic is the same on any thread, so
-results are bit-identical to running the blocks one after another.  A
-step with one live block, such as the general block, or with few live
-design numbers runs inline, and the pool lives only as long as one call.
+heavy calls.  Only the assembly's weighted copy of the design, as large
+as the block, is made :data:`_WEIGHTED_NUMBERS` numbers at a time.  The
+calling thread allocates the arrays, sums the objective and reads gradient
+norms, each by numpy's own summation, not BLAS, so that they do not depend
+on the BLAS thread count; the sign pattern is computed on its first read.
+A block's arithmetic is the same on any thread, so results are
+bit-identical to running the blocks one after another.  A step with one
+live block, such as the general block, or with few live design numbers
+runs inline, and the pool lives only as long as one call.
 
 An entry fit holds OpenBLAS at one thread (:func:`one_blas_thread`), so
 the pool is its only parallelism: after a call that OpenBLAS splits across
@@ -98,7 +99,7 @@ ROUND_THREADS = None
 # the calling thread: there the hand-offs between threads cost more than
 # the other cores save, and numpy holds the interpreter lock on small arrays
 _THREADED_NUMBERS = 1 << 18
-# Most numbers one copy or temporary of a bucket task holds (512 KiB)
+# Most numbers the assembly's weighted copy of a design block holds (512 KiB)
 _WEIGHTED_NUMBERS = 1 << 16
 # one_blas_thread's holders, and the OpenBLAS thread counts the first saved
 _HOLD_LOCK = threading.Lock()
@@ -203,9 +204,7 @@ def solve_y(
         s = blocks[i]
         if entry:
             _gather(xt, buckets[i].rows, s.design)
-        for sl in s.chunks():
-            c = s.cols[sl]
-            s.w[sl], obj[c] = _evaluate((s.design[sl], s.values[sl]), y[c], omega, ridge)
+        s.w[:], obj[s.cols] = _evaluate((s.design, s.values), y[s.cols], omega, ridge)
         assemble(s)
 
     def assemble(s):
@@ -225,18 +224,15 @@ def solve_y(
         n, c = s.n, s.cols[:s.n]
         y_old, obj_old = y[c], obj[c]
         y_c = _solve(s.normal[:n], s.rhs[:n], c, not entry)
-        obj_c, keep = np.empty(n), np.empty(n, dtype=bool)
-        for sl in s.chunks():
-            part, yc, oc = (s.design[sl], s.values[sl]), y_c[sl], obj_c[sl]
-            w, oc[:] = _evaluate(part, yc, omega, ridge)
-            worse = oc > obj_old[sl] * (1.0 + _DESCENT_SLACK) + 1e-300
-            if worse.any():
-                bad = tuple(a[worse] for a in part)
-                yc[worse] = _damp(bad, y_old[sl][worse], yc[worse], obj_old[sl][worse],
-                                  omega, ridge)
-                w[worse], oc[worse] = _evaluate(bad, yc[worse], omega, ridge)
-            keep[sl] = worse | (w != s.w[sl]).any(axis=1)
-            s.w[sl] = w
+        part = (s.design[:n], s.values[:n])
+        w, obj_c = _evaluate(part, y_c, omega, ridge)
+        worse = obj_c > obj_old * (1.0 + _DESCENT_SLACK) + 1e-300
+        if worse.any():
+            bad = tuple(a[worse] for a in part)
+            y_c[worse] = _damp(bad, y_old[worse], y_c[worse], obj_old[worse], omega, ridge)
+            w[worse], obj_c[worse] = _evaluate(bad, y_c[worse], omega, ridge)
+        keep = worse | (w != s.w[:n]).any(axis=1)
+        s.w[:n] = w
         y[c], obj[c] = y_c, obj_c
         # a column whose weights held through an undamped step satisfies
         # its own signs, so it is its own global minimizer and every later
@@ -295,20 +291,13 @@ class _Block:
         self.w = np.empty(values.shape)
         self.normal, self.rhs = np.empty((self.n, d, d)), np.empty((self.n, d, 1))
 
-    def chunks(self):
-        """Slices of the live columns whose values make one chunk."""
-        step = max(1, _WEIGHTED_NUMBERS // max(self.values.shape[1], 1))  # width 0: no slots
-        return [slice(lo, min(lo + step, self.n)) for lo in range(0, self.n, step)]
-
     def compact(self, keep):
         """Keep the live columns that keep marks: the last ones fill the
-        places of those that left, a chunk at a time."""
+        places of those that left."""
         m = int(keep.sum())
         holes, movers = np.flatnonzero(~keep[:m]), m + np.flatnonzero(keep[m:])
         for a in (self.cols, self.values, self.w, self.design):
-            step = max(1, _WEIGHTED_NUMBERS // max(a[:1].size, 1))
-            for lo in range(0, holes.size, step):
-                a[holes[lo:lo + step]] = a[movers[lo:lo + step]]
+            a[holes] = a[movers]
         self.n = m
 
 

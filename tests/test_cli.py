@@ -571,6 +571,7 @@ def test_invalid_omega_rejected(tmp_path):
     ("complete", "--ridge", "nan", "ridge must be >= 0, got nan"),
     ("complete", "--sentinel", "nan", "sentinel must be finite, got nan"),
     ("evaluate", "--sentinel", "inf", "sentinel must be finite, got inf"),
+    ("complete", "--workers", "0", "workers must be >= 1, got 0"),
     ("synth-exp", "--seed", "-1", "seed values must be >= 0, got -1"),
     ("complete", "--seed", "-2", "seed values must be >= 0, got -2"),
     ("synth-exp", "--m", "1", "rank must be <= min(m, n) = 1, got 2"),
@@ -599,6 +600,63 @@ def test_invalid_plan_value_stops_before_writing(tmp_path, capsys, mode, flag, v
     err = capsys.readouterr().err.strip().splitlines()
     assert err == [f"error\tValueError\t{message}"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("mode, key, by_config", [
+    ("synth-exp", "seed", True),
+    ("synth-exp", "seed", False),
+    ("complete", "seed", False),
+    ("synth-exp", "omega", True),
+    ("complete", "omega", False),
+])
+def test_empty_grid_list_stops_before_writing(tmp_path, capsys, mode, key, by_config):
+    # the invalid-plan cases above always pass one omega and one seed
+    cfg = tmp_path / "plan.cfg"
+    cfg.write_text(f"{key} =\n")
+    given = ["--config", cfg] if by_config else ["--" + key, ""]
+    out = tmp_path / "res"
+    assert run_cli(mode, "--input", _complete_input(tmp_path), *given, "--out-dir", out) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error\tValueError\tneed at least one {key}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode, absent", [
+    ("complete", "--input"),
+    ("evaluate", "--input"),
+    ("evaluate", "--estimate"),
+    ("expectile", "--input"),
+])
+def test_absent_input_file_stops_before_writing(tmp_path, capsys, mode, absent):
+    src, nope = _complete_input(tmp_path), tmp_path / "nope.txt"
+    files = {"--input": src, "--estimate": src} if mode == "evaluate" else {"--input": src}
+    files[absent] = nope
+    out = tmp_path / "res"
+    argv = [a for flag_path in files.items() for a in flag_path]
+    assert run_cli(mode, *argv, "--omega", 0.5, "--seed", 0, "--out-dir", out) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error\tFileNotFoundError\tno such file: {nope}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode, flags, message", [
+    ("synth-exp", ["--config", "CFG"], "CFG:2: expected 'key = value', got 'rank 3'"),
+    ("complete", ["--sampling-rate", 0.0005],
+     "complete_s0_w0.5\tValueError: sampling rate 0.0005 selects no entries"),
+    ("complete", ["--sampling-rate", 1],
+     "complete_s0_w0.5\tValueError: no held-back entries left to evaluate on"),
+    ("evaluate", ["--estimate", "WIDE"], "estimate shape (40, 31) != truth shape (40, 30)"),
+], ids=["config line", "empty split", "no held-back", "estimate shape"])
+def test_cli_refusals_name_their_cause(tmp_path, capsys, mode, flags, message):
+    src = _complete_input(tmp_path)
+    (tmp_path / "plan.cfg").write_text("omega = 0.5\nrank 3\n")
+    write_dense(tmp_path / "wide.txt", np.ones((40, 31)))
+    names = {"CFG": str(tmp_path / "plan.cfg"), "WIDE": str(tmp_path / "wide.txt")}
+    flags = [names.get(f, f) for f in flags]
+    message = message.replace("CFG", names["CFG"])
+    out = tmp_path / "res"
+    assert run_cli(mode, "--input", src, "--omega", 0.5, "--seed", 0, "--rank", 2, *flags,
+                   "--out-dir", out) == 1
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("mode, given, message", [

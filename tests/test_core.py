@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -287,3 +288,21 @@ def test_public_surface():
     assert [f.name for f in dataclasses.fields(EmfConfig)] == [
         "omega", "rank", "max_outer", "tol_objective", "tol_gradient", "ridge", "seed"]
     assert "wall_seconds" not in {f.name for f in dataclasses.fields(SolveReport)}
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: emfkit.core.as_matrix(np.ones(3), "x"), "x must be 2-D, got ndim=1"),
+    (lambda: emfkit.core.as_matrix(np.ones((0, 2)), "x"),
+     "x must have at least one row and column, got (0, 2)"),
+    (lambda: EntryObservations((0, 2), [0], [0], [1.0]), "invalid shape (0, 2)"),
+    (lambda: EntryObservations((2, 2), [[0]], [[0]], [[1.0]]),
+     "row_idx, col_idx and values must be 1-D"),
+    (lambda: EntryObservations((2, 2), [0, 1], [0], [1.0]),
+     "row_idx, col_idx and values must have equal length"),
+    (lambda: GeneralObservations((2, 2), np.ones((0, 2, 2)), []),
+     "values must be a non-empty vector"),
+], ids=["1-D matrix", "empty matrix", "zero shape", "2-D indices", "ragged entries",
+        "no measurements"])
+def test_core_refusals_name_their_cause(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()

@@ -306,3 +306,23 @@ def test_export_empty_cdf_and_json_mirror(tmp_path):
                               {"metric": "re_count", "bin": "", "value": 4.0}]
     assert doc["cdf"] == {"re": {"grid": [0.0, 1.0], "fraction": [0.25, 1.0]}}
     assert '"value": 4.0' in jout.read_text()  # numbers are written as reals
+
+
+@pytest.mark.parametrize("text, message", [
+    ("\n  \n", "no data lines"),
+    ("3 4 5\n0 0 1.0\n", "line 1: header must be 'm n', got ['3', '4', '5']"),
+    ("\n3 x\n0 0 1.0\n", "line 2: header must be 'm n', got ['3', 'x']"),
+], ids=["blank", "three-token header", "non-integer header"])
+def test_load_triplets_refuses_a_bad_header(tmp_path, text, message):
+    path = tmp_path / "t.txt"
+    path.write_text(text)
+    with pytest.raises((EmptyFileError, MatrixParseError), match=re.escape(message)):
+        load_triplets(path)
+
+
+@pytest.mark.parametrize("text", ["", "metric,value\n"], ids=["empty", "foreign header"])
+def test_read_results_csv_refuses_a_file_without_its_header(tmp_path, text):
+    path = tmp_path / "r.csv"
+    path.write_text(text)
+    with pytest.raises(MatrixParseError, match=re.escape(f"{path}: missing results header")):
+        read_results_csv(path)

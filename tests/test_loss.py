@@ -333,3 +333,9 @@ def test_product_at_entries_chunks_match_one_gather(count, monkeypatch):
     rows, cols = rng.randint(0, 30, count), rng.randint(0, 40, count)
     got = emfkit.core.product_at_entries(f, rows, cols)
     assert np.array_equal(got, np.einsum("pk,pk->p", f.x[rows], f.y[cols]))
+
+
+@pytest.mark.parametrize("sample", [[1.0, np.nan], [np.inf], [-np.inf, 2.0]])
+def test_scalar_expectile_refuses_non_finite_values(sample):
+    with pytest.raises(ValueError, match="^sample contains non-finite values$"):
+        scalar_expectile(sample, 0.3)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -256,3 +258,15 @@ def test_summaries_hold_no_copy_of_the_sample():
         tracemalloc.stop()
     assert peak < 2.5 * errors.nbytes
     assert whole.count == sum(b.count for b in binned) == errors.size
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: relative_errors(np.ones((2, 2)), FactorPair(np.ones((2, 1)), np.ones((2, 1))),
+                             [0, 1]), "eval_set must be a sequence of (i, j) pairs"),
+    (lambda: relative_errors(np.ones((2, 2)), FactorPair(np.ones((2, 1)), np.ones((2, 1))),
+                             [[0, 1, 1]]), "eval_set must be a sequence of (i, j) pairs"),
+    (lambda: summarize([]), "summarize needs a non-empty sample"),
+], ids=["flat eval_set", "triples", "empty sample"])
+def test_metrics_refusals_name_their_cause(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

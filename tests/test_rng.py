@@ -214,3 +214,9 @@ def test_bounded_draws_reject_bounds_above_2_32():
     with pytest.raises(ValueError):
         Pcg32(0).permutation_prefix(5, 6)
     assert below(Pcg32(0), 2**32) == Pcg32(0).next_uint32()
+
+
+@pytest.mark.parametrize("seed, seq", [(-1, 0), (0, -1), (-5, -5)])
+def test_negative_seed_or_stream_is_refused(seed, seq):
+    with pytest.raises(ValueError, match="^seed and seq must be nonnegative integers$"):
+        Pcg32(seed, seq)

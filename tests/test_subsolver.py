@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import re
 import sys
 import threading
 import time
@@ -931,6 +932,52 @@ def test_entry_certificate_is_the_loss_gradient(threads, monkeypatch):
         assert abs(res.start_gradient_norm - g0) <= 1e-9 * g0
 
 
+def test_assembly_chunks_change_no_bit(monkeypatch):
+    # only the assembly weights its design a chunk at a time; chunks of a
+    # few hundred numbers split the wider buckets' assemblies and change no
+    # bit of a solve in which columns leave in different rounds and some
+    # are damped
+    import emfkit.subsolver as subsolver
+
+    rng = np.random.RandomState(27)
+    m, k, omega = 60, 3, 0.1
+    obs = column_degree_instance(rng, m, rng.randint(6, 30, size=40))
+    assert len(obs.column_buckets) >= 3
+    # a column of ones lets the warm start overshoot in its first round
+    x = np.column_stack([np.ones(m), rng.randn(m, k - 1)])
+    warm = overshooting_warm_start(x, obs, omega)
+    warm[::3] = rng.randn(len(warm[::3]), k) * 10
+    warm[1::3] = solve_y(x, obs, omega).solution[1::3]
+    default = solve_y(x, obs, omega, warm_start=warm)
+    damped, assembled = [], []
+    real_damp, real_assemble = subsolver._damp, subsolver._assemble
+
+    def counting_damp(*args):
+        damped.append(1)
+        return real_damp(*args)
+
+    def counting_assemble(a, *args):
+        assembled.append(a.size)
+        return real_assemble(a, *args)
+
+    monkeypatch.setattr(subsolver, "_damp", counting_damp)
+    monkeypatch.setattr(subsolver, "_assemble", counting_assemble)
+    monkeypatch.setattr(subsolver, "_WEIGHTED_NUMBERS", 300)
+    per_round = solved_columns_per_round(monkeypatch, obs)
+    chunked = solve_y(x, obs, omega, warm_start=warm)
+    assert damped and max(assembled) > 300  # some assembly took several chunks
+    assert default.converged and default.inner_iterations >= 3
+    # all columns in the first round, then fewer in each later one
+    live = [len(cols) for cols in per_round]
+    assert live[0] == obs.shape[1] and live == sorted(set(live), reverse=True)
+    for name in [f.name for f in dataclasses.fields(default)] + ["sign_pattern"]:
+        a, b = getattr(default, name), getattr(chunked, name)
+        if name.startswith("_") and not isinstance(a, np.ndarray):
+            assert a is b, name  # the observation set
+        else:
+            assert np.array_equal(a, b), name
+
+
 def test_one_blas_thread_holds_restore_once_under_contention(monkeypatch):
     # a fake control: eight threads enter and leave the hold, some nested,
     # with the interpreter switching threads every few bytecodes; a lost
@@ -963,3 +1010,18 @@ def test_one_blas_thread_holds_restore_once_under_contention(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert not bad and count == [5]
     assert sets and sets == [1, 5] * (len(sets) // 2)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(omega=0.0), "omega must be in (0, 1), got 0.0"),
+    (dict(omega=float("nan")), "omega must be in (0, 1), got nan"),
+    (dict(ridge=-0.5), "ridge must be >= 0, got -0.5"),
+    (dict(ridge=float("nan")), "ridge must be >= 0, got nan"),
+    (dict(warm_start=np.zeros((3, 3))), "warm_start shape (3, 3), expected (3, 2)"),
+], ids=["omega 0", "omega nan", "negative ridge", "ridge nan", "warm start shape"])
+def test_solve_y_refuses_bad_arguments(kwargs, message):
+    rng = np.random.RandomState(3)
+    obs = entry_instance(rng)
+    args = dict(omega=0.3, ridge=0.0) | kwargs
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        solve_y(rng.randn(6, 2), obs, **args)

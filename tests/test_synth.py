@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -138,3 +140,14 @@ def test_instances_are_reproducible():
     c = make_completion_instance(15, 12, 2, 0.5, 3, 0.4, seed=np.int64(9))
     assert np.array_equal(a.observed.values, c.observed.values)
     assert np.array_equal(a.heldout, c.heldout)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: chi_square_noise(0, 3, 3, 0.5, 0), "invalid dimensions m=0, n=3"),
+    (lambda: chi_square_noise(2, 3, 0, 0.5, 0), "dof must be >= 1, got 0"),
+    (lambda: sample_mask(3, 3, 0.1, 0), "rate 0.1 selects no entries of a 3x3 matrix"),
+    (lambda: gaussian_measurements(2, 2, 0, 0), "p must be >= 1, got 0"),
+], ids=["zero rows", "zero dof", "empty mask", "no measurements"])
+def test_synth_refusals_name_their_cause(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
