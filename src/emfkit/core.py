@@ -119,7 +119,7 @@ def _check_indices(idx: np.ndarray, bound: int, axis: str):
 
 @dataclass(frozen=True)
 class ColumnBucket:
-    """Columns of equal padded width and their observations, one slot each.
+    """Columns padded to one width and their observations, one slot each.
 
     rows and values are (columns, width) arrays: the row index and value
     of each slot.  Padding slots have row -1 and value 0: gathered from a
@@ -181,43 +181,41 @@ class EntryObservations:
 
     @cached_property
     def column_buckets(self) -> tuple["ColumnBucket", ...]:
-        """Observations grouped per column into zero-padded degree buckets.
+        """Observations grouped per column into zero-padded buckets.
 
-        A column with d >= 1 observations gets 2^ceil(log2 d) slots, so
-        padding at most doubles the slot count whatever the degree spread;
-        an empty column gets none.  Columns of equal width share a bucket,
-        in increasing column order, and each column's observations keep
-        their original relative order.  A bucket holds at most
-        ``BUCKET_COLUMNS`` columns; more columns of one width fill several
-        buckets, which bounds the per-bucket temporaries of a solve.  Built
-        on first use, then cached.
+        Columns are taken by (observation count, index).  A bucket holds
+        the next run of at most ``BUCKET_COLUMNS`` of them, which bounds a
+        solve's per-bucket temporaries, none with more than twice the count
+        of the run's first, and is as wide as its last, widest column: so
+        padding at most doubles the slot count, and empty columns (zero
+        doubles to zero) fill width-0 buckets.  Each column's observations
+        keep their original relative order.  Built on first use, then cached.
         """
         counts = self.col_counts
-        widths = np.where(counts > 0, 1 << np.frexp(counts - 1)[1], 0)
-        # columns by (width, index), observations by column in that order
-        col_order = np.argsort(widths, kind="stable")
+        # columns by (count, index), observations by column in that order
+        col_order = np.argsort(counts, kind="stable")
+        sorted_counts = counts[col_order]
         position = np.empty(col_order.size, dtype=np.int64)
         position[col_order] = np.arange(col_order.size)
         obs_pos = position[self.col_idx]
         order = np.argsort(obs_pos, kind="stable")
         obs_pos = obs_pos[order]
-        bounds = np.concatenate([[0], np.cumsum(counts[col_order])])
+        bounds = np.concatenate([[0], np.cumsum(sorted_counts)])
         slot = np.arange(order.size) - bounds[obs_pos]
-        sorted_widths = widths[col_order]
-        offset = np.arange(col_order.size) - np.searchsorted(sorted_widths, sorted_widths)
-        starts = np.nonzero(offset % BUCKET_COLUMNS == 0)[0]
-        buckets = []
-        for lo, hi in zip(starts, np.append(starts[1:], col_order.size)):
-            cols = col_order[lo:hi]
+        buckets, lo = [], 0
+        while lo < col_order.size:
+            within_twice = np.searchsorted(sorted_counts, 2 * sorted_counts[lo], "right")
+            hi = min(lo + BUCKET_COLUMNS, within_twice)
             span = slice(bounds[lo], bounds[hi])
             obs = order[span]
             at = (obs_pos[span] - lo, slot[span])
-            shape = (hi - lo, sorted_widths[lo])
+            shape = (hi - lo, sorted_counts[hi - 1])
             rows = np.full(shape, -1, dtype=np.int64)
             values = np.zeros(shape)
             rows[at] = self.row_idx[obs]
             values[at] = self.values[obs]
-            buckets.append(ColumnBucket(cols, rows, values))
+            buckets.append(ColumnBucket(col_order[lo:hi], rows, values))
+            lo = hi
         return tuple(buckets)
 
     @cached_property

@@ -20,8 +20,8 @@ def _check_omega(omega: float):
 def asymmetric_weights(t: np.ndarray, omega: float) -> np.ndarray:
     """Weights applied to the squared residuals t: omega where t >= 0, else 1 - omega."""
     _check_omega(omega)
-    # a two-entry table indexed by the sign bit: a third of np.where's time
-    return np.array([1.0 - omega, omega]).take((np.asarray(t) >= 0.0).view(np.uint8))
+    # a two-entry table indexed in place by the uint8 sign view: no intp copy of t
+    return np.array([1.0 - omega, omega])[(np.asarray(t) >= 0.0).view(np.uint8)]
 
 
 def scalar_expectile(values, omega: float) -> float:

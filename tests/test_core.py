@@ -3,8 +3,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import emfkit
+import emfkit.core
 import emfkit.io
 from emfkit.core import (
     DuplicateEntryError,
@@ -98,13 +101,48 @@ def test_entry_observations_grouping_views():
     assert obs.adjoint(v).sum(axis=0).tolist() == [[10.0, 101.0, 0.0]]
     assert obs.transposed.col_counts.tolist() == [1, 0, 2]
     assert obs.col_counts.tolist() == [1, 2, 0]
-    # one bucket per padded width: empty column 2, column 0, column 1
-    empty, single, pair = obs.column_buckets
+    # columns by count: the empty column 2 alone, then columns 0 and 1 at
+    # column 1's width 2, column 0's second slot padding
+    empty, pair = obs.column_buckets
     assert empty.cols.tolist() == [2] and empty.rows.shape == (1, 0)
-    assert single.cols.tolist() == [0] and single.rows.tolist() == [[2]]
-    assert pair.cols.tolist() == [1] and pair.rows.tolist() == [[0, 2]]
-    assert pair.values.tolist() == [[5.0, 7.0]]
-    assert all((b.rows >= 0).all() for b in obs.column_buckets)
+    assert pair.cols.tolist() == [0, 1] and pair.rows.tolist() == [[2, -1], [0, 2]]
+    assert pair.values.tolist() == [[6.0, 0.0], [5.0, 7.0]]
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60),
+       cap=st.sampled_from([1, 2, 3, 256]), empty_share=st.sampled_from([0.0, 0.3]))
+@settings(max_examples=80)
+def test_property_column_buckets_follow_the_count_order(seed, n, cap, empty_share):
+    # power-law counts, some columns empty, observations in shuffled order
+    rng = np.random.RandomState(seed)
+    counts = (rng.randint(1, 200) / rng.randint(1, n + 1, size=n) ** 1.3).astype(int)
+    counts[rng.uniform(size=n) < empty_share] = 0
+    counts[rng.randint(n)] += 1
+    m = counts.max() + rng.randint(0, 4)
+    rows = np.concatenate([rng.choice(m, size=d, replace=False) for d in counts])
+    perm = rng.permutation(rows.size)
+    cols = np.repeat(np.arange(n), counts)[perm]
+    obs = EntryObservations((m, n), rows[perm], cols, rng.randn(rows.size))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(emfkit.core, "BUCKET_COLUMNS", cap)
+        buckets = obs.column_buckets
+    # every column once, by (count, index)
+    laid_out = np.concatenate([b.cols for b in buckets])
+    assert laid_out.tolist() == sorted(range(n), key=lambda j: (counts[j], j))
+    for i, b in enumerate(buckets):
+        c = counts[b.cols]
+        assert 1 <= b.cols.size <= cap
+        assert b.rows.shape == b.values.shape == (b.cols.size, c.max())
+        assert c.max() == c[-1] <= 2 * c[0]
+        # a run ends only at the column cap or at a count above twice its first
+        if i + 1 < len(buckets):
+            assert b.cols.size == cap or counts[buckets[i + 1].cols[0]] > 2 * c[0]
+        for j, d, r, v in zip(b.cols, c, b.rows, b.values):
+            mine = obs.col_idx == j
+            assert r[:d].tolist() == obs.row_idx[mine].tolist()
+            assert v[:d].tolist() == obs.values[mine].tolist()
+            assert (r[d:] == -1).all() and (v[d:] == 0.0).all()
+    assert sum(b.rows.size for b in buckets) <= 2 * obs.size
 
 
 def test_entry_observations_transpose_roundtrip():

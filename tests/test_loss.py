@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -64,10 +66,23 @@ def test_asymmetric_weights_match_the_where_reference(omega):
         got = asymmetric_weights(t, omega)
         ref = np.where(np.asarray(t) >= 0.0, omega, 1.0 - omega)
         assert np.shape(got) == ref.shape and np.asarray(got).dtype == ref.dtype
-        assert np.array_equal(got, ref)
+        assert np.asarray(got).tobytes() == ref.tobytes()
     for t in (0.0, -0.0, np.nan, 1.5, -1.5, 3, -3):
         ref = float(np.where(t >= 0.0, omega, 1.0 - omega))
         assert asymmetric_weights(t, omega) == ref
+
+
+def test_asymmetric_weights_make_no_index_copy():
+    # the sign bytes index the table in place: at peak only they and the
+    # weights are held, where an intp index copy would add 8 bytes a number
+    t = np.random.RandomState(4).randn(239, 1024)
+    tracemalloc.start()
+    try:
+        w = asymmetric_weights(t, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= w.nbytes + t.size + 100_000
 
 
 def test_asymmetric_weight_rejects_bad_omega():

@@ -194,12 +194,14 @@ def test_singular_design_raised_without_ridge():
     assert res.converged
 
 
-def test_singular_design_names_the_column():
+def test_singular_design_names_the_column(monkeypatch):
     # at omega 0.5 every weight is 1/2, so with unit design rows each normal
     # entry is half a power-of-two degree and LU meets an exact zero pivot;
     # np.linalg.solve accepts other exactly singular systems silently
+    monkeypatch.setattr(emfkit.core, "BUCKET_COLUMNS", 1)
     rng = np.random.RandomState(15)
-    # columns 3, 1, 2, 0 sit in buckets of widths 2, 4, 8, 16, in that order
+    # one column a bucket: columns 3, 1, 2, 0 in buckets of widths 2, 4, 8,
+    # 16, in that order
     obs = column_degree_instance(rng, 20, [16, 4, 8, 2])
     with pytest.raises(SingularDesignError, match=r"^column 3: "):
         solve_y(np.ones((20, 2)), obs, 0.5)
@@ -656,7 +658,7 @@ def test_converged_columns_leave_the_round_loop(case, monkeypatch):
         ridge = 0.3
     if case.endswith("buckets"):
         monkeypatch.setattr(emfkit.core, "BUCKET_COLUMNS", 2)
-        degrees = rng.randint(9, 17, size=12)  # one width, six buckets
+        degrees = rng.randint(9, 17, size=12)  # counts within 2x: six buckets
     if case == "threaded buckets":
         monkeypatch.setattr(subsolver, "ROUND_THREADS", 4)
         monkeypatch.setattr(subsolver, "_THREADED_NUMBERS", 0)
@@ -867,11 +869,12 @@ def test_threaded_rounds_equal_serial_rounds(omega, ridge, monkeypatch):
 
 
 def test_threaded_rounds_name_the_serial_singular_column(monkeypatch):
-    # columns 3, 1, 2, 0 sit in buckets of widths 2, 4, 8, 16; the factor's
-    # two columns agree on the rows columns 2 and 0 observe, so both their
-    # buckets are singular at the opening and the serial loop meets column 2
-    # first; the threaded run opens them on the pool's threads
-    monkeypatch.setattr(emfkit.core, "BUCKET_COLUMNS", 2)
+    # one column a bucket: columns 3, 1, 2, 0 in buckets of widths 2, 4, 8,
+    # 16, in that order; the factor's two columns agree on the rows columns
+    # 2 and 0 observe, so both their buckets are singular at the opening and
+    # the serial loop meets column 2 first; the threaded run opens them on
+    # the pool's threads
+    monkeypatch.setattr(emfkit.core, "BUCKET_COLUMNS", 1)
     rng = np.random.RandomState(16)
     obs = column_degree_instance(rng, 60, [16, 4, 8, 2])
     x = rng.randn(60, 2)
