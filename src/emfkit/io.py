@@ -57,16 +57,21 @@ def _parse_real(token: str, lineno: int, col: int) -> float:
 def read_dense(path) -> np.ndarray:
     """Read a dense matrix file, every entry a finite real.
 
-    Parsed in one vectorized call; only when that fails or reads a
-    non-finite value is it parsed token by token, to locate the error.
+    Parsed from the file in one vectorized call; only when that fails, finds
+    no data or reads a non-finite value is the text read and parsed token by
+    token, to locate the error.
     """
-    lines = Path(path).read_text().splitlines()
-    # np.loadtxt only warns on a file without data; the token loop raises
     try:
-        data = np.loadtxt(lines, comments=None, ndmin=2) if any(map(str.strip, lines)) else None
-    except ValueError:
+        # the open file, not a path np.loadtxt would decompress or fetch; its
+        # warning on a file without data is raised, for the token loop to refuse
+        with open(path) as fh, warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            data = np.loadtxt(fh, comments=None, ndmin=2)
+    except (ValueError, UserWarning):
         data = None
     if data is None or not np.isfinite(data).all():
+        # rows end at newlines only, as in np.loadtxt: \f and \v are whitespace
+        lines = Path(path).read_text().split("\n")
         numbered = [(no, ln.split()) for no, ln in enumerate(lines, start=1) if ln.strip()]
         if not numbered:
             raise EmptyFileError(f"{path}: no data lines")

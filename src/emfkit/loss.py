@@ -27,10 +27,12 @@ def asymmetric_weights(t: np.ndarray, omega: float) -> np.ndarray:
 def scalar_expectile(values, omega: float) -> float:
     """The omega-expectile of a sample: argmin_m sum_i w(v_i - m) (v_i - m)^2.
 
-    Solved exactly by sign-set iteration: fix weights from the signs of
-    v - m, take the weighted mean, repeat until the sign pattern is stable.
-    Each stable pattern's weighted mean satisfying its own signs is the
-    unique minimizer of the strictly convex piecewise-quadratic objective.
+    Solved exactly in one sorted scan.  With the c smallest values below m
+    the first-order condition is num[c] - denom[c] * m = 0, which falls
+    through zero between the c-th and (c+1)-th smallest values, c counting
+    the sorted values at which it is still positive.  There m is the
+    weighted mean of that segment's sign pattern, clipped to the segment,
+    so it lies in [min, max] and a constant sample returns its value.
     """
     _check_omega(omega)
     v = np.ascontiguousarray(values, dtype=np.float64).ravel()
@@ -38,25 +40,12 @@ def scalar_expectile(values, omega: float) -> float:
         raise ValueError("scalar_expectile needs a non-empty sample")
     if not np.isfinite(v).all():
         raise ValueError("sample contains non-finite values")
-    m = float(v.mean())
-    above = v >= m
-    for _ in range(v.size + 2):
-        w = np.where(above, omega, 1.0 - omega)
-        m = float(np.dot(w, v) / w.sum())
-        new_above = v >= m
-        if np.array_equal(new_above, above):
-            return m
-        above = new_above
-    # The pattern flaps on ties or on rounding (omega * v / omega need not be
-    # v).  With the c smallest values below m the first-order condition is
-    # num[c] - denom[c] * m = 0; it falls through zero on the segment
-    # between the c-th and (c+1)-th smallest values, where c counts the
-    # sorted values at which it is still positive.  The expectile lies in
-    # [min, max], so the outer segments end there.
     s = np.sort(v)
-    low = np.concatenate([[0.0], np.cumsum(s)])       # sums of the c smallest
+    low = np.concatenate([[0.0], np.cumsum(s)])  # sums of the c smallest
     counts = np.arange(v.size + 1)
     num = (1.0 - omega) * low + omega * (low[-1] - low)
     denom = (1.0 - omega) * counts + omega * (v.size - counts)
     c = int(np.count_nonzero(num[:-1] - denom[:-1] * s > 0.0))
-    return float(np.clip(num[c] / denom[c], s[max(c - 1, 0)], s[min(c, v.size - 1)]))
+    lo, hi = s[max(c - 1, 0)], s[min(c, v.size - 1)]
+    w = asymmetric_weights(v - hi, omega)  # the segment's signs, ties nonnegative
+    return float(np.clip(np.dot(w, v) / w.sum(), lo, hi))

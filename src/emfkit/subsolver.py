@@ -48,20 +48,22 @@ no pass over the design.  The half-step ends when no row is left; the
 general block is one row.  Rounds and solutions are exactly those of
 re-solving every row in every round until all weights hold.
 
-Blocks write disjoint rows, so each block's whole share of a half-step,
-from its design gather to its last round, is one task: on the calling
-thread or a pool's threads, one per core this process may run on
-(:data:`ROUND_THREADS` caps that) and at most one per block, each taking
-the next block when free.  numpy releases the interpreter lock in the
-heavy calls.  Only the assembly's weighted copy of the design, as large
-as the block, is made :data:`_WEIGHTED_NUMBERS` numbers at a time.  The
-calling thread allocates the arrays, sums the objective and reads gradient
-norms, each by numpy's own summation, not BLAS, so that they do not depend
-on the BLAS thread count; the sign pattern is computed on its first read.
-A block's arithmetic is the same on any thread, so results are
-bit-identical to running the blocks one after another.  A step with one
-live block, such as the general block, or with few live design numbers
-runs inline, and the pool lives only as long as one call.
+Blocks write disjoint rows, so a half-step runs in steps, each a task
+per live block: the opening (design gather, weights, objective and normal
+equations at the warm start) is one step and each round another.  In a
+step the calling thread takes blocks beside threads - 1 of a pool's, one
+thread per core this process may run on (:data:`ROUND_THREADS` caps that)
+and at most one per live block, each taking the next block when free.
+numpy releases the interpreter lock in the heavy calls.  Only the
+assembly's weighted copy of the design, as large as the block, is made
+:data:`_WEIGHTED_NUMBERS` numbers at a time.  The calling thread
+allocates the arrays and, between steps, sums the objective and reads
+gradient norms, each by numpy's own summation, not BLAS, so that they do
+not depend on the BLAS thread count; the sign pattern is computed on its
+first read.  A block's arithmetic is the same on any thread, so results
+are bit-identical to running the blocks one after another.  A step with
+one live block, such as the general block, or with few live design
+numbers runs inline, and the pool lives only as long as one call.
 
 An entry fit holds OpenBLAS at one thread (:func:`one_blas_thread`), so
 the pool is its only parallelism: after a call that OpenBLAS splits across
@@ -462,7 +464,7 @@ def _solve(normal, rhs, cols, min_norm):
     if not np.isfinite(y).all():
         raise SingularDesignError(
             f"column {cols[~np.isfinite(y).all(axis=1)].min()}: its weighted normal "
-            "matrix is numerically singular"
+            "matrix is numerically singular or overflows"
         )
     return y
 

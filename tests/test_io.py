@@ -69,6 +69,7 @@ def test_dense_roundtrip(tmp_path):
     "text, error, message",
     [
         ("1 2\n3 nan\n", MatrixParseError, "line 2, column 2: non-finite value 'nan'"),
+        ("1 2\f3 nan\n", MatrixParseError, "line 1, column 4: non-finite value 'nan'"),
         ("1 2\n-inf 4\n", MatrixParseError, "line 2, column 1: non-finite value '-inf'"),
         ("1 1e999\n", MatrixParseError, "line 1, column 2: non-finite value '1e999'"),
         ("1 #2\n3 4\n", MatrixParseError, "line 1, column 2: cannot parse '#2' as a real number"),
@@ -79,7 +80,7 @@ def test_dense_roundtrip(tmp_path):
         ("\n \n\t\n", EmptyFileError, "{path}: no data lines"),
         ("", EmptyFileError, "{path}: no data lines"),
     ],
-    ids=["nan", "inf", "overflow", "hash", "hash-comment", "token", "ragged", "blank-lines",
+    ids=["nan", "form-feed", "inf", "overflow", "hash", "hash-comment", "token", "ragged", "blank-lines",
          "blank-only", "empty"],
 )
 def test_load_dense_errors_keep_their_locations(tmp_path, text, error, message):
@@ -91,8 +92,9 @@ def test_load_dense_errors_keep_their_locations(tmp_path, text, error, message):
 
 
 def _parse_dense_per_token(text):
-    """The token-by-token parse read_dense must match."""
-    return np.array([[float(t) for t in ln.split()] for ln in text.splitlines() if ln.strip()])
+    """The token-by-token parse read_dense must match: rows end at newlines
+    only, and a form feed or vertical tab is whitespace inside a row."""
+    return np.array([[float(t) for t in ln.split()] for ln in text.split("\n") if ln.strip()])
 
 
 def test_load_dense_fast_path_matches_token_parse(tmp_path):
@@ -102,12 +104,24 @@ def test_load_dense_fast_path_matches_token_parse(tmp_path):
     assert np.array_equal(data, [[10.0, 2.5], [-3e-7, 4.0], [0.5, 5.0]])
     rng = np.random.RandomState(6)
     mat = rng.standard_t(3, (20, 30)) * 10.0 ** rng.randint(-20, 20, (20, 30))
-    texts = ["1 2 3\n", "1\n2\n", "\n".join(" ".join(map(str, r)) for r in mat.tolist())]
-    for text, shape in zip(texts, [(1, 3), (2, 1), mat.shape]):
+    texts = ["1 2 3\n", "1\n2\n", "1 2\f3 4\n5\v6 7 8\n",
+             "\n".join(" ".join(map(str, r)) for r in mat.tolist())]
+    for text, shape in zip(texts, [(1, 3), (2, 1), (2, 4), mat.shape]):
         f.write_text(text)
         data = read_dense(f)
         assert data.shape == shape
         assert np.array_equal(data, _parse_dense_per_token(text))
+
+
+def test_valid_dense_file_is_not_held_as_text(tmp_path, monkeypatch):
+    # np.loadtxt reads the open file; only the token fallback reads the text
+    from pathlib import Path
+
+    f = tmp_path / "m.txt"
+    f.write_text("1 2\n3 4\n")
+    with monkeypatch.context() as patch:
+        patch.setattr(Path, "read_text", lambda *a, **k: pytest.fail("read as text"))
+        assert read_dense(f).tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
 def test_write_dense_refuses_kept_values_around_the_sentinel(tmp_path):
@@ -244,6 +258,17 @@ def test_valid_triplet_file_is_parsed_in_one_call(tmp_path, monkeypatch):
     f.write_text("2 2\n0 0 1\n\n1 1 nan\n")
     with pytest.raises(MatrixParseError, match="line 4, column 3: non-finite"):
         load_triplets(f)
+
+
+def test_triplet_line_loop_reads_what_loadtxt_refuses(tmp_path):
+    # Python's int and float read 0_1 and 2_5, np.loadtxt does not: the file
+    # goes to the line loop, which returns its entries, as read_dense's token
+    # loop reads 1_0
+    f = tmp_path / "t.txt"
+    f.write_text("2 2\n0 0_1 2_5\n")
+    obs = load_triplets(f)
+    assert obs.shape == (2, 2)
+    assert (obs.row_idx.tolist(), obs.col_idx.tolist(), obs.values.tolist()) == ([0], [1], [25.0])
 
 
 def test_triplet_and_dense_loaders_agree(tmp_path):

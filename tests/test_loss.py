@@ -318,8 +318,8 @@ def test_scalar_expectile_skewed_sample():
 
 
 def test_scalar_expectile_constant_and_tied_samples():
-    # omega * v / omega need not round back to v, so on a constant sample the
-    # sign-set loop can flap and the tie scan answers
+    # omega * v / omega need not round back to v, so a weighted mean of a
+    # constant sample can miss it; the scan's clip to its segment returns it
     assert scalar_expectile([3.0], 0.1) == 3.0
     rng = np.random.RandomState(31)
     for size in range(1, 11):
@@ -332,6 +332,19 @@ def test_scalar_expectile_constant_and_tied_samples():
         v = rng.choice(rng.randn(rng.randint(1, 4)), rng.randint(1, 12))
         w = rng.uniform(0.01, 0.99)
         assert scalar_expectile(v, w) == pytest.approx(_bisect_expectile(v, w), abs=1e-12)
+
+
+def test_scalar_expectile_stays_in_its_sample_range():
+    # a constant sample returns exactly its value, and no result leaves the
+    # sample's [min, max], where a weighted mean can round past its ends
+    assert scalar_expectile([0.3, 0.3, 0.3], 0.1) == 0.3
+    rng = np.random.RandomState(41)
+    for _ in range(400):
+        size, w = rng.randint(1, 30), rng.uniform(0.01, 0.99)
+        c = rng.randn() * 10.0 ** rng.randint(-3, 4)
+        assert scalar_expectile(np.full(size, c), w) == c
+        for v in (rng.choice(rng.randn(rng.randint(1, 4)), size), rng.randn(size) * c):
+            assert v.min() <= scalar_expectile(v, w) <= v.max()
 
 
 def test_scalar_expectile_rejects_empty():

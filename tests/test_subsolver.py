@@ -1021,10 +1021,27 @@ def test_one_blas_thread_holds_restore_once_under_contention(monkeypatch):
     (dict(ridge=-0.5), "ridge must be >= 0, got -0.5"),
     (dict(ridge=float("nan")), "ridge must be >= 0, got nan"),
     (dict(warm_start=np.zeros((3, 3))), "warm_start shape (3, 3), expected (3, 2)"),
-], ids=["omega 0", "omega nan", "negative ridge", "ridge nan", "warm start shape"])
+    (dict(x_fixed=np.ones((5, 2))), "fixed factor has 5 rows, observations expect 6"),
+], ids=["omega 0", "omega nan", "negative ridge", "ridge nan", "warm start shape",
+        "fixed factor rows"])
 def test_solve_y_refuses_bad_arguments(kwargs, message):
     rng = np.random.RandomState(3)
     obs = entry_instance(rng)
-    args = dict(omega=0.3, ridge=0.0) | kwargs
+    args = dict(x_fixed=rng.randn(6, 2), omega=0.3, ridge=0.0) | kwargs
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        solve_y(rng.randn(6, 2), obs, **args)
+        solve_y(obs=obs, **args)
+
+
+def test_overflowing_normal_matrix_is_refused():
+    # every column sees all six rows, so each normal matrix is nonsingular;
+    # with fixed-factor entries near 1e160 its entries overflow to inf, and
+    # the solve's non-finite rows are refused, where 1e150 still solves
+    rows, cols = np.divmod(np.arange(18), 3)
+    rng = np.random.RandomState(0)
+    obs = EntryObservations((6, 3), rows, cols, rng.randn(18))
+    x = 1.0 + rng.rand(6, 2)
+    assert solve_y(1e150 * x, obs, 0.3).converged
+    message = "column 0: its weighted normal matrix is numerically singular or overflows"
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SingularDesignError, match=f"^{re.escape(message)}$"):
+            solve_y(1e160 * x, obs, 0.3)

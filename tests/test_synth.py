@@ -145,9 +145,10 @@ def test_instances_are_reproducible():
 @pytest.mark.parametrize("call, message", [
     (lambda: chi_square_noise(0, 3, 3, 0.5, 0), "invalid dimensions m=0, n=3"),
     (lambda: chi_square_noise(2, 3, 0, 0.5, 0), "dof must be >= 1, got 0"),
+    (lambda: chi_square_noise(2, 3, 3, -0.5, 0), "scale must be >= 0, got -0.5"),
     (lambda: sample_mask(3, 3, 0.1, 0), "rate 0.1 selects no entries of a 3x3 matrix"),
     (lambda: gaussian_measurements(2, 2, 0, 0), "p must be >= 1, got 0"),
-], ids=["zero rows", "zero dof", "empty mask", "no measurements"])
+], ids=["zero rows", "zero dof", "negative scale", "empty mask", "no measurements"])
 def test_synth_refusals_name_their_cause(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
