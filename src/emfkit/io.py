@@ -2,7 +2,11 @@
 
 Dense text: whitespace-separated reals, one matrix row per line, a
 configurable sentinel (default -1.0) marking missing entries.  Triplet
-text: header line ``m n`` followed by ``i j value`` lines (0-based).
+text: header line ``m n`` followed by ``i j value`` lines (0-based).  Rows
+end at newlines only, so a form feed or vertical tab is whitespace inside
+a row.  Each reader parses the open file in one ``np.loadtxt`` call; only
+a file that call refuses, or one with a non-finite value, is read again
+token by token, to name the line (and column) of its error.
 Results go to CSV with schema ``run_id,omega,rank,sampling_rate,seed,
 metric,bin,value`` (one row per scalar) or to a JSON mirror; the error CDF
 is a two-column ``grid,fraction`` CSV.  The caller builds the rows; this
@@ -54,37 +58,48 @@ def _parse_real(token: str, lineno: int, col: int) -> float:
     return value
 
 
-def read_dense(path) -> np.ndarray:
-    """Read a dense matrix file, every entry a finite real.
-
-    Parsed from the file in one vectorized call; only when that fails, finds
-    no data or reads a non-finite value is the text read and parsed token by
-    token, to locate the error.
-    """
+def _loadtxt(fh, **kwargs):
+    """One np.loadtxt call on the open file (not a path it would decompress
+    or fetch), or None where it fails.  Its warning on a file without data,
+    and older numpy's on an integer read via a float (2.1 as 2), count as
+    failures."""
     try:
-        # the open file, not a path np.loadtxt would decompress or fetch; its
-        # warning on a file without data is raised, for the token loop to refuse
-        with open(path) as fh, warnings.catch_warnings():
+        with warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)
-            data = np.loadtxt(fh, comments=None, ndmin=2)
-    except (ValueError, UserWarning):
-        data = None
+            warnings.simplefilter("error", DeprecationWarning)
+            return np.loadtxt(fh, comments=None, **kwargs)
+    except (ValueError, UserWarning, DeprecationWarning):
+        return None
+
+
+def _scan(path, fh=None):
+    """(line number, tokens) of the non-blank lines of the open file fh, or
+    else of the file's text, read only where np.loadtxt refused the file."""
+    lines = Path(path).read_text().split("\n") if fh is None else fh
+    return ((no, ln.split()) for no, ln in enumerate(lines, start=1) if ln.strip())
+
+
+def _read_reals(path, flat: bool) -> np.ndarray:
+    """The reals of a dense file, one row per line; with flat, the reals of
+    lines of any length, in reading order."""
+    with open(path) as fh:
+        data = _loadtxt(fh, ndmin=2)
     if data is None or not np.isfinite(data).all():
-        # rows end at newlines only, as in np.loadtxt: \f and \v are whitespace
-        lines = Path(path).read_text().split("\n")
-        numbered = [(no, ln.split()) for no, ln in enumerate(lines, start=1) if ln.strip()]
-        if not numbered:
+        width, values = 0, []
+        for no, tokens in _scan(path):
+            width = width or len(tokens)  # the first line's
+            if not flat and len(tokens) != width:
+                raise RaggedRowsError(f"{path}: line {no} has {len(tokens)} values, expected {width}")
+            values += [_parse_real(tok, no, col) for col, tok in enumerate(tokens, start=1)]
+        if not values:
             raise EmptyFileError(f"{path}: no data lines")
-        width = len(numbered[0][1])
-        data = np.empty((len(numbered), width))
-        for out_row, (no, tokens) in enumerate(numbered):
-            if len(tokens) != width:
-                raise RaggedRowsError(
-                    f"{path}: line {no} has {len(tokens)} values, expected {width}"
-                )
-            for c, tok in enumerate(tokens):
-                data[out_row, c] = _parse_real(tok, no, c + 1)
-    return data
+        data = np.array(values) if flat else np.reshape(values, (-1, width))
+    return data.ravel() if flat else data
+
+
+def read_dense(path) -> np.ndarray:
+    """Read a dense matrix file, every entry a finite real."""
+    return _read_reals(path, flat=False)
 
 
 def load_dense(path, sentinel: float = -1.0) -> EntryObservations:
@@ -100,14 +115,10 @@ def load_dense(path, sentinel: float = -1.0) -> EntryObservations:
 def load_values(path, sentinel: float = -1.0) -> np.ndarray:
     """The non-sentinel reals of a file, any number per line, in reading order.
 
-    Refuses what :func:`load_dense` refuses, naming a bad token's line and column.
+    Read as :func:`read_dense` reads, it refuses what :func:`load_dense`
+    refuses but ragged rows, naming a bad token's line and column.
     """
-    lines = Path(path).read_text().splitlines()
-    values = np.array([_parse_real(tok, no, col)
-                       for no, line in enumerate(lines, start=1)
-                       for col, tok in enumerate(line.split(), start=1)])
-    if not values.size:
-        raise EmptyFileError(f"{path}: no data lines")
+    values = _read_reals(path, flat=True)
     values = values[values != sentinel]
     _check_observed(path, values, sentinel)
     return values
@@ -141,31 +152,21 @@ def write_dense(path, matrix, mask=None, sentinel: float = -1.0) -> None:
 def load_triplets(path) -> EntryObservations:
     """Read ``m n`` header plus ``i j value`` lines into an observation set.
 
-    The lines after the header are parsed in one vectorized call; only when
-    that fails or reads a non-finite value are they parsed line by line.
+    The header is read from the open file, which then goes to np.loadtxt.
     """
-    text = Path(path).read_text().splitlines()
-    lines = ((no, ln.split()) for no, ln in enumerate(text, start=1) if ln.strip())
-    header_no, header = next(lines, (0, None))
-    if header is None:
-        raise EmptyFileError(f"{path}: no data lines")
-    try:
-        m, n = map(int, header)  # a header of another length fails to unpack
-    except ValueError:
-        raise MatrixParseError(f"line {header_no}: header must be 'm n', got {header!r}") from None
-    if not any(map(str.strip, text[header_no:])):
-        raise EmptyObservationsError(f"{path}: header only, no observations")
-    try:
-        # older numpy reads an index such as 2.1 as 2 with only a
-        # DeprecationWarning; raised, it sends the file to the line loop
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            data = np.loadtxt(text[header_no:], comments=None, ndmin=1,
-                              dtype=[("i", np.int64), ("j", np.int64), ("v", np.float64)])
-    except (ValueError, DeprecationWarning):
-        data = None
+    with open(path) as fh:
+        header_no, header = next(_scan(path, fh), (0, None))
+        if header is None:
+            raise EmptyFileError(f"{path}: no data lines")
+        try:
+            m, n = map(int, header)  # a header of another length fails to unpack
+        except ValueError:
+            raise MatrixParseError(f"line {header_no}: header must be 'm n', got {header!r}") from None
+        data = _loadtxt(fh, ndmin=1, dtype=[("i", np.int64), ("j", np.int64), ("v", np.float64)])
     if data is not None and np.isfinite(data["v"]).all():
         return EntryObservations((m, n), data["i"], data["j"], data["v"])
+    lines = _scan(path)
+    next(lines)  # the header, read above
     rows, cols, vals = [], [], []
     for no, tokens in lines:
         if len(tokens) != 3:
@@ -177,6 +178,8 @@ def load_triplets(path) -> EntryObservations:
         rows.append(i)
         cols.append(j)
         vals.append(_parse_real(tokens[2], no, 3))
+    if not vals:
+        raise EmptyObservationsError(f"{path}: header only, no observations")
     return EntryObservations((m, n), rows, cols, vals)
 
 
@@ -230,12 +233,12 @@ def export_results(path, fmt: str, echo, rows, cdf) -> None:
 
 def read_results_csv(path) -> list[dict]:
     """Parse an exported CSV back into row dicts (value as float)."""
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != _CSV_HEADER:
+    header, *lines = Path(path).read_text().rstrip("\n").split("\n")
+    if header != _CSV_HEADER:
         raise MatrixParseError(f"{path}: missing results header")
     out = []
     names = _CSV_HEADER.split(",")
-    for ln in lines[1:]:
+    for ln in lines:
         parts = ln.split(",")
         row = dict(zip(names, parts))
         row["value"] = float(row["value"])

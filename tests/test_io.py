@@ -14,6 +14,7 @@ from emfkit.io import (
     export_results,
     load_dense,
     load_triplets,
+    load_values,
     read_dense,
     read_results_csv,
     write_dense,
@@ -65,30 +66,61 @@ def test_dense_roundtrip(tmp_path):
     assert np.array_equal(obs.values, mat[mask])
 
 
-@pytest.mark.parametrize(
-    "text, error, message",
-    [
-        ("1 2\n3 nan\n", MatrixParseError, "line 2, column 2: non-finite value 'nan'"),
-        ("1 2\f3 nan\n", MatrixParseError, "line 1, column 4: non-finite value 'nan'"),
-        ("1 2\n-inf 4\n", MatrixParseError, "line 2, column 1: non-finite value '-inf'"),
-        ("1 1e999\n", MatrixParseError, "line 1, column 2: non-finite value '1e999'"),
-        ("1 #2\n3 4\n", MatrixParseError, "line 1, column 2: cannot parse '#2' as a real number"),
-        ("1 2\n3 4 # note\n", RaggedRowsError, "{path}: line 2 has 4 values, expected 2"),
-        ("1 2\n3 4x\n", MatrixParseError, "line 2, column 2: cannot parse '4x' as a real number"),
-        ("1 2 3\n4 5\n", RaggedRowsError, "{path}: line 2 has 2 values, expected 3"),
-        ("\n  \n1 2\n\n3 x\n", MatrixParseError, "line 5, column 2: cannot parse 'x' as a real number"),
-        ("\n \n\t\n", EmptyFileError, "{path}: no data lines"),
-        ("", EmptyFileError, "{path}: no data lines"),
-    ],
-    ids=["nan", "form-feed", "inf", "overflow", "hash", "hash-comment", "token", "ragged", "blank-lines",
-         "blank-only", "empty"],
-)
+DENSE_ERRORS = [
+    pytest.param("1 2\n3 nan\n", MatrixParseError, "line 2, column 2: non-finite value 'nan'",
+                 id="nan"),
+    pytest.param("1 2\f3 nan\n", MatrixParseError, "line 1, column 4: non-finite value 'nan'",
+                 id="form-feed"),
+    pytest.param("1 2\n-inf 4\n", MatrixParseError, "line 2, column 1: non-finite value '-inf'",
+                 id="inf"),
+    pytest.param("1 1e999\n", MatrixParseError, "line 1, column 2: non-finite value '1e999'",
+                 id="overflow"),
+    pytest.param("1 #2\n3 4\n", MatrixParseError,
+                 "line 1, column 2: cannot parse '#2' as a real number", id="hash"),
+    pytest.param("1 2\n3 4 # note\n", RaggedRowsError, "{path}: line 2 has 4 values, expected 2",
+                 id="hash-comment"),
+    pytest.param("1 2\n3 4x\n", MatrixParseError,
+                 "line 2, column 2: cannot parse '4x' as a real number", id="token"),
+    pytest.param("1 2 3\n4 5\n", RaggedRowsError, "{path}: line 2 has 2 values, expected 3",
+                 id="ragged"),
+    pytest.param("\n  \n1 2\n\n3 x\n", MatrixParseError,
+                 "line 5, column 2: cannot parse 'x' as a real number", id="blank-lines"),
+    pytest.param("\n \n\t\n", EmptyFileError, "{path}: no data lines", id="blank-only"),
+    pytest.param("", EmptyFileError, "{path}: no data lines", id="empty"),
+]
+
+
+@pytest.mark.parametrize("text, error, message", DENSE_ERRORS)
 def test_load_dense_errors_keep_their_locations(tmp_path, text, error, message):
     f = tmp_path / "m.txt"
     f.write_text(text)
     with pytest.raises(error) as info:
         load_dense(f)
     assert str(info.value) == message.format(path=f)
+
+
+@pytest.mark.parametrize("text, error, message", [
+    *(case for case in DENSE_ERRORS if case.values[1] is not RaggedRowsError),
+    # rows of any length are read, so the comment fails at its first token
+    pytest.param("1 2\n3 4 # note\n", MatrixParseError,
+                 "line 2, column 3: cannot parse '#' as a real number", id="hash-comment"),
+])
+def test_load_values_errors_keep_the_dense_locations(tmp_path, text, error, message):
+    f = tmp_path / "m.txt"
+    f.write_text(text)
+    with pytest.raises(error) as info:
+        load_values(f)
+    assert str(info.value) == message.format(path=f)
+
+
+def test_load_values_reads_rows_of_any_length(tmp_path):
+    # the lines read_dense refuses as ragged, flat in reading order; 4_0 only
+    # parses token by token, and a form feed is whitespace inside a row
+    f = tmp_path / "v.txt"
+    f.write_text("1 2 3\n\n4 5\n")
+    assert load_values(f).tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
+    f.write_text("1 -1\f2\n4_0\n")
+    assert load_values(f).tolist() == [1.0, 2.0, 40.0]
 
 
 def _parse_dense_per_token(text):
@@ -114,14 +146,19 @@ def test_load_dense_fast_path_matches_token_parse(tmp_path):
 
 
 def test_valid_dense_file_is_not_held_as_text(tmp_path, monkeypatch):
-    # np.loadtxt reads the open file; only the token fallback reads the text
+    # np.loadtxt reads the open file; only the token scan reads the text
     from pathlib import Path
 
-    f = tmp_path / "m.txt"
+    f, t = tmp_path / "m.txt", tmp_path / "t.txt"
     f.write_text("1 2\n3 4\n")
+    t.write_text("2 2\n0 1 2.5\n1 0 -3\n")
     with monkeypatch.context() as patch:
         patch.setattr(Path, "read_text", lambda *a, **k: pytest.fail("read as text"))
         assert read_dense(f).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert load_values(f).tolist() == [1.0, 2.0, 3.0, 4.0]
+        obs = load_triplets(t)
+    assert (obs.row_idx.tolist(), obs.col_idx.tolist(), obs.values.tolist()) == (
+        [0, 1], [1, 0], [2.5, -3.0])
 
 
 def test_write_dense_refuses_kept_values_around_the_sentinel(tmp_path):
@@ -220,10 +257,12 @@ def test_load_triplets_errors(tmp_path):
 
 
 def _loadtxt_parsing_ints_via_floats(lines, **kwargs):
-    """np.loadtxt as older numpy runs it on an index like 2.1: a warning, then 2."""
+    """np.loadtxt as older numpy runs it on an index like 2.1: a warning, then 2.
+
+    lines is a list of strings or an open file, read to its end."""
     warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
                   DeprecationWarning, stacklevel=2)
-    return np.zeros(len(lines), dtype=kwargs["dtype"])
+    return np.zeros(len(list(lines)), dtype=kwargs["dtype"])
 
 
 @pytest.mark.parametrize("index", ["1.0", "2.1"])
@@ -257,6 +296,19 @@ def test_valid_triplet_file_is_parsed_in_one_call(tmp_path, monkeypatch):
     # a non-finite value sends the file to the line loop, which names its line
     f.write_text("2 2\n0 0 1\n\n1 1 nan\n")
     with pytest.raises(MatrixParseError, match="line 4, column 3: non-finite"):
+        load_triplets(f)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("2 2\n0 0 1.5\f\n1 x 2.5\n", "line 3: indices must be integers"),
+    ("2 2\n0 0 1.5\f1 1 2.5\n", "line 2: expected 'i j value', got 6 tokens"),
+], ids=["bad-index", "two-entries"])
+def test_triplet_lines_end_at_newlines_only(tmp_path, text, message):
+    # as in read_dense, a form feed is whitespace inside a line, so it
+    # neither starts a line nor moves the line numbers after it
+    f = tmp_path / "t.txt"
+    f.write_text(text)
+    with pytest.raises(MatrixParseError, match=f"^{re.escape(message)}$"):
         load_triplets(f)
 
 
