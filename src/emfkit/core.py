@@ -341,9 +341,11 @@ class SolveReport:
     objective_trace holds the objective at the initialization and after
     every completed outer iteration; inner_iters has one count per
     subproblem solve (two per outer iteration).  uncertified_solves counts
-    the subproblem solves that stopped without their optimality certificate
-    (at :data:`emfkit.emf.MAX_INNER` rounds); :attr:`converged` speaks only
-    for the outer loop.
+    the exact subproblem solves that stopped without their optimality
+    certificate (at :data:`emfkit.emf.MAX_INNER` rounds); the one-round
+    half-steps of early sweeps (see :mod:`emfkit.emf`) stop short of it by
+    design and are not counted.  :attr:`converged` speaks only for the
+    outer loop.
     """
 
     factors: FactorPair

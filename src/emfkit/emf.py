@@ -1,6 +1,6 @@
 """End-to-end solver: SVD initialization and the alternating outer loop.
 
-The outer loop alternates exact minimizations over the two factors, each an
+The outer loop alternates minimizations over the two factors, each an
 inner convex subproblem solved by :mod:`emfkit.subsolver`.  Initialization
 is the top-k SVD of the weighted measurement sum (for entry observations,
 the zero-filled matrix of observed values), approximated by seeded
@@ -9,6 +9,20 @@ outer loop computes no objective or gradient of its own: the first y
 half-step opens with the objective at the initialization, each x half-step
 ends with the objective at its pair and certifies the x-gradient there, and
 the next y half-step starts with the y-gradient.
+
+Sweep 1 runs exact half-steps, each to its certificate or MAX_INNER
+rounds.  While the sweep before gained more than EARLY_DECREASE of the
+objective, relative, a sweep runs one sign-set round per half-step; every
+round descends, so such a sweep is a block successive minimization step
+(Razaviyayn, Hong & Luo, SIAM J. Optim. 2013), Newey & Powell's reweighted
+least squares taken one step per block.  The first sweep that gains at most
+EARLY_DECREASE switches the fit to exact half-steps for good, so the end
+game and the objective stop are those of exact alternating minimization.
+An entry set at ridge 0 with a row or column of exactly rank observations
+runs exact half-steps throughout: that row or column is interpolated, its
+residuals are rounding noise, and one round would read its weights off
+that noise.  At omega = 0.5 every half-step certifies after one round, so
+the schedule changes nothing there.
 """
 
 from __future__ import annotations
@@ -32,9 +46,13 @@ from .subsolver import one_blas_thread, solve_y
 # Stream id of the initialization's random test matrix; other stream ids
 # live in emfkit.synth.  Any fixed distinct constants work.
 INIT_STREAM = 11
-# Most sign-set rounds a half-step of fit runs; one that stops here is
-# counted in SolveReport.uncertified_solves
+# Most sign-set rounds an exact half-step of fit runs; one that stops here
+# is counted in SolveReport.uncertified_solves
 MAX_INNER = 100
+# Relative objective decrease per sweep above which fit's next sweep runs
+# one sign-set round per half-step; the first sweep at or below it switches
+# the fit to exact half-steps for good
+EARLY_DECREASE = 1e-3
 _POWER_ITERS = 4
 _RECONSTRUCT_CAP = 50_000_000
 
@@ -102,6 +120,10 @@ def fit(obs: ObservationSet, config: EmfConfig) -> SolveReport:
     Records the objective at the initialization and after every outer
     iteration; stops early once the relative objective decrease falls below
     tol_objective or both partial gradient norms fall below tol_gradient.
+    Sweeps follow the module's schedule; the objective stop reads only a
+    sweep of exact half-steps, or of one-round half-steps that both
+    certified their solutions, and only an exact half-step that stops at
+    MAX_INNER rounds counts as uncertified.
     The objective at the initialization is the first y half-step's opening
     objective.  A sweep's y-gradient is read from the start of the next y
     half-step, which runs no round and is discarded if the sweep's pair is
@@ -129,6 +151,12 @@ def fit(obs: ObservationSet, config: EmfConfig) -> SolveReport:
         uncertified = 0
         stop = StopReason.MAX_ITERATIONS
         x_passed = False
+        # at ridge 0 a row or column with exactly rank observations (fewer
+        # raise in solve_y) is interpolated: its residuals are rounding
+        # noise, and one round would read its weights off that noise, so
+        # such a fit runs exact half-steps throughout
+        settled = isinstance(obs, EntryObservations) and ridge == 0.0 and min(
+            obs.col_counts.min(), obs_t.col_counts.min()) <= config.rank
 
         for sweep in range(config.max_outer + 1):
             # after the last allowed sweep the y half-step only opens, for the
@@ -136,8 +164,10 @@ def fit(obs: ObservationSet, config: EmfConfig) -> SolveReport:
             last = sweep == config.max_outer
             if last and sweep and not x_passed:
                 break
+            exact = settled or not sweep
+            cap = MAX_INNER if exact else 1
             res_y = solve_y(x, obs, omega, ridge, warm_start=y,
-                            max_inner=0 if last else MAX_INNER, tol_gradient=tol)
+                            max_inner=0 if last else cap, tol_gradient=tol)
             if not sweep:
                 trace.append(float(res_y.inner_objective_trace[0]))
             if x_passed and res_y.start_gradient_norm < tol:
@@ -147,20 +177,25 @@ def fit(obs: ObservationSet, config: EmfConfig) -> SolveReport:
                 break
             y = res_y.solution
             res_x = solve_y(y, obs_t, omega, ridge, warm_start=x,
-                            max_inner=MAX_INNER, tol_gradient=tol)
+                            max_inner=cap, tol_gradient=tol)
             x = res_x.solution
 
             inner_iters += [res_y.inner_iterations, res_x.inner_iterations]
-            uncertified += (not res_y.converged) + (not res_x.converged)
+            if exact:
+                uncertified += (not res_y.converged) + (not res_x.converged)
             # the x-subproblem's final objective IS the full objective at this pair
             trace.append(float(res_x.inner_objective_trace[-1]))
 
             prev, cur = trace[-2], trace[-1]
-            if (prev - cur) / max(prev, 1e-300) < config.tol_objective:
+            decrease = (prev - cur) / max(prev, 1e-300)
+            # a one-round sweep is read only where both half-steps certified
+            # their solutions, as every one does at omega = 0.5
+            if (exact or res_y.converged and res_x.converged) and decrease < config.tol_objective:
                 stop = StopReason.TOLERANCE_OBJECTIVE
                 break
             # res_x certifies the x-gradient at exactly this pair
             x_passed = res_x.final_gradient_norm < tol
+            settled = settled or decrease <= EARLY_DECREASE
 
         return SolveReport(
             factors=FactorPair(x, y),

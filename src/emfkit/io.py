@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -72,11 +73,10 @@ def _loadtxt(fh, **kwargs):
         return None
 
 
-def _scan(path, fh=None):
-    """(line number, tokens) of the non-blank lines of the open file fh, or
-    else of the file's text, read only where np.loadtxt refused the file."""
-    lines = Path(path).read_text().split("\n") if fh is None else fh
-    return ((no, ln.split()) for no, ln in enumerate(lines, start=1) if ln.strip())
+def _scan(fh):
+    """(line number, tokens) of the non-blank lines of the open file fh, from
+    where it stands; line numbers count from there."""
+    return ((no, ln.split()) for no, ln in enumerate(fh, start=1) if ln.strip())
 
 
 def _read_reals(path, flat: bool) -> np.ndarray:
@@ -84,16 +84,17 @@ def _read_reals(path, flat: bool) -> np.ndarray:
     lines of any length, in reading order."""
     with open(path) as fh:
         data = _loadtxt(fh, ndmin=2)
-    if data is None or not np.isfinite(data).all():
-        width, values = 0, []
-        for no, tokens in _scan(path):
-            width = width or len(tokens)  # the first line's
-            if not flat and len(tokens) != width:
-                raise RaggedRowsError(f"{path}: line {no} has {len(tokens)} values, expected {width}")
-            values += [_parse_real(tok, no, col) for col, tok in enumerate(tokens, start=1)]
-        if not values:
-            raise EmptyFileError(f"{path}: no data lines")
-        data = np.array(values) if flat else np.reshape(values, (-1, width))
+        if data is None or not np.isfinite(data).all():
+            fh.seek(0)
+            width, values = 0, array("d")
+            for no, tokens in _scan(fh):
+                width = width or len(tokens)  # the first line's
+                if not flat and len(tokens) != width:
+                    raise RaggedRowsError(f"{path}: line {no} has {len(tokens)} values, expected {width}")
+                values.extend(_parse_real(tok, no, col) for col, tok in enumerate(tokens, start=1))
+            if not values:
+                raise EmptyFileError(f"{path}: no data lines")
+            data = np.frombuffer(values).reshape(-1, 1 if flat else width)
     return data.ravel() if flat else data
 
 
@@ -155,7 +156,7 @@ def load_triplets(path) -> EntryObservations:
     The header is read from the open file, which then goes to np.loadtxt.
     """
     with open(path) as fh:
-        header_no, header = next(_scan(path, fh), (0, None))
+        header_no, header = next(_scan(fh), (0, None))
         if header is None:
             raise EmptyFileError(f"{path}: no data lines")
         try:
@@ -163,21 +164,23 @@ def load_triplets(path) -> EntryObservations:
         except ValueError:
             raise MatrixParseError(f"line {header_no}: header must be 'm n', got {header!r}") from None
         data = _loadtxt(fh, ndmin=1, dtype=[("i", np.int64), ("j", np.int64), ("v", np.float64)])
-    if data is not None and np.isfinite(data["v"]).all():
-        return EntryObservations((m, n), data["i"], data["j"], data["v"])
-    lines = _scan(path)
-    next(lines)  # the header, read above
-    rows, cols, vals = [], [], []
-    for no, tokens in lines:
-        if len(tokens) != 3:
-            raise MatrixParseError(f"line {no}: expected 'i j value', got {len(tokens)} tokens")
-        try:
-            i, j = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise MatrixParseError(f"line {no}: indices must be integers") from None
-        rows.append(i)
-        cols.append(j)
-        vals.append(_parse_real(tokens[2], no, 3))
+        if data is not None and np.isfinite(data["v"]).all():
+            return EntryObservations((m, n), data["i"], data["j"], data["v"])
+        fh.seek(0)
+        lines = _scan(fh)
+        next(lines)  # the header, read above
+        rows, cols, vals = array("q"), array("q"), array("d")
+        for no, tokens in lines:
+            if len(tokens) != 3:
+                raise MatrixParseError(f"line {no}: expected 'i j value', got {len(tokens)} tokens")
+            try:
+                rows.append(int(tokens[0]))
+                cols.append(int(tokens[1]))
+            except ValueError:
+                raise MatrixParseError(f"line {no}: indices must be integers") from None
+            except OverflowError:  # beyond int64, so beyond any shape
+                raise MatrixParseError(f"line {no}: index out of range") from None
+            vals.append(_parse_real(tokens[2], no, 3))
     if not vals:
         raise EmptyObservationsError(f"{path}: header only, no observations")
     return EntryObservations((m, n), rows, cols, vals)

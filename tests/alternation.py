@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from emfkit.core import FactorPair, StopReason
+from emfkit.core import EntryObservations, FactorPair, StopReason
 from emfkit import emf
 from emfkit.subsolver import solve_y
 from oracle import gradient_y
@@ -18,7 +18,12 @@ def _orthonormalize(a):
 def alternate(obs, config, qr=False):
     """fit's loop written plainly, with the y-gradient computed by
     oracle.gradient_y after every sweep whose x-gradient passed.  As in fit,
-    trace[0] is the first y half-step's opening objective.
+    trace[0] is the first y half-step's opening objective, and the sweeps
+    follow fit's schedule: exact half-steps in sweep 1, one round per
+    half-step after a sweep whose relative objective decrease is above
+    emf.EARLY_DECREASE, exact half-steps for good from the first sweep at or
+    below it, and exact ones throughout for an entry set at ridge 0 with a
+    row or column of at most rank observations.
 
     With qr each half-step's solution is re-orthonormalized before the other
     half-step, the warm start taking its R: the pair (X R^-1, Y R^T) has the
@@ -27,12 +32,17 @@ def alternate(obs, config, qr=False):
     inner_iters, stop reason).
     """
     omega, ridge, tol = config.omega, config.ridge, config.tol_gradient
-    caps = dict(max_inner=emf.MAX_INNER, tol_gradient=tol)
+    m, n = obs.shape
+    settled = isinstance(obs, EntryObservations) and not ridge and min(
+        np.bincount(obs.row_idx, minlength=m).min(),
+        np.bincount(obs.col_idx, minlength=n).min()) <= config.rank
     tri = emf.svd_init(obs, config.rank, config.seed)
     x, y = tri.x0, tri.y0 * tri.d0
     factors = FactorPair(x, y)
     trace, inner = [], []
-    for _ in range(config.max_outer):
+    for sweep in range(config.max_outer):
+        exact = settled or not sweep
+        caps = dict(max_inner=emf.MAX_INNER if exact else 1, tol_gradient=tol)
         res_y = solve_y(x, obs, omega, ridge, warm_start=y, **caps)
         trace = trace or [float(res_y.inner_objective_trace[0])]
         y = res_y.solution
@@ -47,10 +57,12 @@ def alternate(obs, config, qr=False):
         if qr:
             x, r = _orthonormalize(x)
             y = y @ r.T
-        if (trace[-2] - trace[-1]) / max(trace[-2], 1e-300) < config.tol_objective:
+        decrease = (trace[-2] - trace[-1]) / max(trace[-2], 1e-300)
+        if (exact or res_y.converged and res_x.converged) and decrease < config.tol_objective:
             return factors, trace, inner, StopReason.TOLERANCE_OBJECTIVE
         if res_x.final_gradient_norm < tol and (
             np.linalg.norm(gradient_y(obs, factors, omega, ridge)) < tol
         ):
             return factors, trace, inner, StopReason.TOLERANCE_GRADIENT
+        settled = settled or decrease <= emf.EARLY_DECREASE
     return factors, trace, inner, StopReason.MAX_ITERATIONS

@@ -161,6 +161,23 @@ def test_valid_dense_file_is_not_held_as_text(tmp_path, monkeypatch):
         [0, 1], [1, 0], [2.5, -3.0])
 
 
+def test_refused_files_are_scanned_from_the_open_file(tmp_path, monkeypatch):
+    # the token scan reads the open file again line by line, not its whole
+    # text, and still names the bad token's place
+    from pathlib import Path
+
+    f, t = tmp_path / "m.txt", tmp_path / "t.txt"
+    f.write_text("1 2\n3 x\n")
+    t.write_text("2 2\n0 1 2.5\n\n1 0 x\n")
+    with monkeypatch.context() as patch:
+        patch.setattr(Path, "read_text", lambda *a, **k: pytest.fail("read as text"))
+        for load in (read_dense, load_values):
+            with pytest.raises(MatrixParseError, match="^line 2, column 2: cannot parse 'x'"):
+                load(f)
+        with pytest.raises(MatrixParseError, match="^line 4, column 3: cannot parse 'x'"):
+            load_triplets(t)
+
+
 def test_write_dense_refuses_kept_values_around_the_sentinel(tmp_path):
     # a kept -1.0 would read back as a hole, and -2.0 and 0.5 make load_dense
     # refuse the file: neither is written
@@ -250,6 +267,10 @@ def test_load_triplets_errors(tmp_path):
         load_triplets(f)
     f.write_text("2 2\n0 0\n")
     with pytest.raises(MatrixParseError, match="line 2"):
+        load_triplets(f)
+    # an index beyond int64 is beyond any shape
+    f.write_text(f"2 2\n0 0 1.0\n1 {2**63} 1.0\n")
+    with pytest.raises(MatrixParseError, match="^line 3: index out of range$"):
         load_triplets(f)
     f.write_text("2 2\n")
     with pytest.raises(EmptyObservationsError):
