@@ -109,8 +109,11 @@ class ExperimentPlan:
                              "differ, and omegas in their first 6 significant digits")
         if not self.cdf_max > 0:
             raise ValueError(f"cdf_max must be > 0, got {self.cdf_max}")
-        if not math.isfinite(self.sentinel):
-            raise ValueError(f"sentinel must be finite, got {self.sentinel}")
+        # +inf passes the bounds above
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         try:
             BinSpec(np.asarray(self.bins))
         except ValueError as exc:

@@ -330,8 +330,8 @@ class EmfConfig:
         # written as `not value >= bound`, so NaN fails every check
         if not (self.tol_objective >= 0 and self.tol_gradient >= 0):
             raise ValueError("tolerances must be nonnegative")
-        if not self.ridge >= 0:
-            raise ValueError(f"ridge must be >= 0, got {self.ridge}")
+        if not 0 <= self.ridge < np.inf:
+            raise ValueError(f"ridge must be finite and >= 0, got {self.ridge}")
 
 
 @dataclass(frozen=True)

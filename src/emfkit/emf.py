@@ -28,7 +28,6 @@ the schedule changes nothing there.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,22 +60,14 @@ class DegenerateInitError(RuntimeError):
     """The weighted measurement sum is zero: no usable initialization."""
 
 
-@dataclass(frozen=True)
-class InitTriple:
-    """Top-k singular triple (x0 orthonormal, d0 non-increasing, y0 orthonormal)."""
-
-    x0: np.ndarray
-    d0: np.ndarray
-    y0: np.ndarray
-
-
 def _orthonormalize(a: np.ndarray) -> np.ndarray:
     q, _ = np.linalg.qr(a)
     return q
 
 
-def svd_init(obs: ObservationSet, k: int, seed: int) -> InitTriple:
-    """Deterministic top-k SVD of the weighted measurement sum.
+def svd_init(obs: ObservationSet, k: int, seed: int) -> FactorPair:
+    """The pair a fit starts from: the deterministic top-k SVD x0 d0 y0^T of
+    the weighted measurement sum, as FactorPair(x0, y0 d0).
 
     Randomized subspace iteration with oversampling and a fixed q =
     _POWER_ITERS power iterations (Halko, Martinsson & Tropp, "Finding
@@ -86,9 +77,11 @@ def svd_init(obs: ObservationSet, k: int, seed: int) -> InitTriple:
     values.  The test matrix comes from the package generator, so results
     are reproducible bit-for-bit given the seed.
 
-    Column signs are canonicalized (largest-magnitude entry of each x0
-    column is nonnegative, y0 flipped along) for determinism.  An all-zero
-    input yields the documented degenerate triple d0 = 0.
+    x0 is orthonormal, so the singular values d0 (non-increasing) are the
+    column norms of the returned y.  Column signs are canonicalized
+    (largest-magnitude entry of each x0 column is nonnegative, y0 flipped
+    along) for determinism.  An all-zero sum (top singular value at most
+    1e-300) raises DegenerateInitError.
     """
     m, n = obs.shape
     if not 1 <= k <= min(m, n):
@@ -103,15 +96,16 @@ def svd_init(obs: ObservationSet, k: int, seed: int) -> InitTriple:
         q = _orthonormalize(np.asarray(s @ q))    # m x ell
     small = np.asarray(st @ q).T  # ell x n projection of s
     ub, d, vt = np.linalg.svd(small, full_matrices=False)
+    if d[0] <= 1e-300:
+        raise DegenerateInitError("all-zero measurement sum; nothing to initialize from")
     x0 = q @ ub[:, :k]
-    d0 = d[:k].copy()
     y0 = vt[:k].T.copy()
     for j in range(k):
         lead = np.argmax(np.abs(x0[:, j]))
         if x0[lead, j] < 0:
             x0[:, j] *= -1.0
             y0[:, j] *= -1.0
-    return InitTriple(x0=x0, d0=d0, y0=y0)
+    return FactorPair(x0, y0 * d[:k])
 
 
 def fit(obs: ObservationSet, config: EmfConfig) -> SolveReport:
@@ -137,15 +131,10 @@ def fit(obs: ObservationSet, config: EmfConfig) -> SolveReport:
     """
     hold = one_blas_thread() if isinstance(obs, EntryObservations) else nullcontext()
     with hold:
-        init = svd_init(obs, config.rank, config.seed)
-        if init.d0[0] <= 1e-300:
-            raise DegenerateInitError("all-zero measurement sum; nothing to initialize from")
-
+        start = svd_init(obs, config.rank, config.seed)
         omega, ridge, tol = config.omega, config.ridge, config.tol_gradient
         obs_t = obs.transposed
-
-        x = init.x0
-        y = init.y0 * init.d0
+        x, y = start.x, start.y
         trace: list[float] = []
         inner_iters: list[int] = []
         uncertified = 0

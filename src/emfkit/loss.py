@@ -32,7 +32,10 @@ def scalar_expectile(values, omega: float) -> float:
     through zero between the c-th and (c+1)-th smallest values, c counting
     the sorted values at which it is still positive.  There m is the
     weighted mean of that segment's sign pattern, clipped to the segment,
-    so it lies in [min, max] and a constant sample returns its value.
+    so it lies in [min, max] and a constant sample returns its value.  The
+    scan runs on the sample scaled by a power of two to below 1 in
+    magnitude, so its sums cannot overflow; in the normal range the scaling
+    is exact.
     """
     _check_omega(omega)
     v = np.ascontiguousarray(values, dtype=np.float64).ravel()
@@ -40,6 +43,8 @@ def scalar_expectile(values, omega: float) -> float:
         raise ValueError("scalar_expectile needs a non-empty sample")
     if not np.isfinite(v).all():
         raise ValueError("sample contains non-finite values")
+    e = int(np.frexp(np.abs(v).max())[1])
+    v = np.ldexp(v, -e)
     s = np.sort(v)
     low = np.concatenate([[0.0], np.cumsum(s)])  # sums of the c smallest
     counts = np.arange(v.size + 1)
@@ -48,4 +53,4 @@ def scalar_expectile(values, omega: float) -> float:
     c = int(np.count_nonzero(num[:-1] - denom[:-1] * s > 0.0))
     lo, hi = s[max(c - 1, 0)], s[min(c, v.size - 1)]
     w = asymmetric_weights(v - hi, omega)  # the segment's signs, ties nonnegative
-    return float(np.clip(np.dot(w, v) / w.sum(), lo, hi))
+    return float(np.ldexp(np.clip(np.dot(w, v) / w.sum(), lo, hi), e))

@@ -157,8 +157,8 @@ def solve_y(
     x = as_matrix(x_fixed, "fixed factor")
     if not 0.0 < omega < 1.0:
         raise ValueError(f"omega must be in (0, 1), got {omega}")
-    if not ridge >= 0:
-        raise ValueError(f"ridge must be >= 0, got {ridge}")
+    if not 0 <= ridge < np.inf:
+        raise ValueError(f"ridge must be finite and >= 0, got {ridge}")
     if obs.shape[0] != x.shape[0]:
         raise ValueError(
             f"fixed factor has {x.shape[0]} rows, observations expect {obs.shape[0]}"

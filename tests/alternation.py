@@ -15,7 +15,7 @@ def _orthonormalize(a):
     return q * sign, r * sign[:, None]
 
 
-def alternate(obs, config, qr=False):
+def alternate(obs, config, qr=False, start=None):
     """fit's loop written plainly, with the y-gradient computed by
     oracle.gradient_y after every sweep whose x-gradient passed.  As in fit,
     trace[0] is the first y half-step's opening objective, and the sweeps
@@ -28,17 +28,17 @@ def alternate(obs, config, qr=False):
     With qr each half-step's solution is re-orthonormalized before the other
     half-step, the warm start taking its R: the pair (X R^-1, Y R^T) has the
     same product, as in the analysis of alternating minimization (Jain,
-    Netrapalli & Sanghavi, STOC 2013).  Returns (factors, objective trace,
-    inner_iters, stop reason).
+    Netrapalli & Sanghavi, STOC 2013).  start, a FactorPair, replaces
+    emf.svd_init's pair.  Returns (factors, objective trace, inner_iters,
+    stop reason).
     """
     omega, ridge, tol = config.omega, config.ridge, config.tol_gradient
     m, n = obs.shape
     settled = isinstance(obs, EntryObservations) and not ridge and min(
         np.bincount(obs.row_idx, minlength=m).min(),
         np.bincount(obs.col_idx, minlength=n).min()) <= config.rank
-    tri = emf.svd_init(obs, config.rank, config.seed)
-    x, y = tri.x0, tri.y0 * tri.d0
-    factors = FactorPair(x, y)
+    factors = start or emf.svd_init(obs, config.rank, config.seed)
+    x, y = factors.x, factors.y
     trace, inner = [], []
     for sweep in range(config.max_outer):
         exact = settled or not sweep

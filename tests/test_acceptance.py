@@ -2,7 +2,8 @@
 
 Criterion 9 needs the web-service latency matrix, which is not shipped;
 point EMFKIT_LATENCY_MATRIX at a dense whitespace matrix file (missing
-entries = -1) to enable it.  Everything else is self-contained.
+entries = -1) to enable it.  Its ordering check also runs, always, on a
+synthetic latency twin.  Everything else is self-contained.
 
 Run with ``pytest tests/test_acceptance.py -v -s``.
 """
@@ -16,7 +17,7 @@ import pytest
 from alternation import alternate
 from emfkit.core import EmfConfig, EntryObservations, FactorPair, GeneralObservations
 from emfkit.emf import fit, reconstruct, svd_init
-from emfkit.io import load_dense
+from emfkit.io import load_dense, write_dense
 from emfkit.loss import scalar_expectile
 from emfkit.metrics import BinSpec, binned_summaries, relative_errors
 from emfkit.rng import Pcg32
@@ -24,6 +25,7 @@ from emfkit.subsolver import solve_y
 from emfkit.synth import (
     SPLIT_STREAM,
     apply_measurements,
+    chi_square_noise,
     gaussian_measurements,
     gen_low_rank,
     make_completion_instance,
@@ -71,20 +73,45 @@ def test_c1_noiseless_exact_recovery(noiseless_recovery_runs):
     )
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-def test_gaussian_measurements_exact_recovery_by_omega(seed):
-    # noiseless Gaussian measurements, three per degree of freedom of a
-    # 40x40 rank-2 matrix; each omega recovers it to rounding
+def _gaussian_recovery(per_dof, seed):
+    """Noiseless Gaussian measurements, per_dof per degree of freedom of a
+    40x40 rank-2 matrix: the observations, the EmfConfig of an omega, and
+    the relative error of a FactorPair's product."""
     m, n, k = 40, 40, 2
-    p = 3 * (k * (m + n) - k * k)
+    p = per_dof * (k * (m + n) - k * k)
     f = gen_low_rank(m, n, k, seed)
     truth = f.x @ f.y.T
     obs = apply_measurements(gaussian_measurements(m, n, p, seed), truth)
+
+    def config(omega):
+        return EmfConfig(omega=omega, rank=k, max_outer=300, tol_gradient=1e-10,
+                         tol_objective=0.0, seed=seed)
+
+    def error(factors):
+        return np.linalg.norm(reconstruct(factors) - truth) / np.linalg.norm(truth)
+
+    return obs, config, error
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_gaussian_measurements_exact_recovery_by_omega(seed):
+    # three measurements per degree of freedom: each omega recovers the
+    # matrix to rounding
+    obs, config, error = _gaussian_recovery(3, seed)
     for omega in (0.1, 0.5, 0.9):
-        cfg = EmfConfig(omega=omega, rank=k, max_outer=300, tol_gradient=1e-10,
-                        tol_objective=0.0, seed=seed)
-        err = np.linalg.norm(reconstruct(fit(obs, cfg).factors) - truth) / np.linalg.norm(truth)
+        err = error(fit(obs, config(omega)).factors)
         assert err < 1e-6, f"omega {omega}: relative error {err:.2e}"
+
+
+def test_gaussian_measurements_recover_from_the_half_omega_fit():
+    # at two measurements per degree of freedom, seed 0, omega 0.9 the fit
+    # from svd_init stalls at relative error 0.278 (300 sweeps, a spurious
+    # stationary point); from the omega = 0.5 fit's factors the same
+    # alternation recovers the matrix: the start fails, not the solver
+    obs, config, error = _gaussian_recovery(2, 0)
+    half = fit(obs, config(0.5)).factors
+    err = error(alternate(obs, config(0.9), start=half)[0])
+    assert err < 1e-6, f"relative error {err:.2e}"
 
 
 # ---------------------------------------------------------------- criterion 2
@@ -92,9 +119,8 @@ def test_gaussian_measurements_exact_recovery_by_omega(seed):
 
 def _als_reference(obs, k, seed, iters=400, tol=1e-15):
     """Independent plain-ALS: per-row lstsq, no weight machinery, same init."""
-    tri = svd_init(obs, k, seed)
-    x = tri.x0.copy()
-    y = tri.y0 * tri.d0
+    start = svd_init(obs, k, seed)
+    x, y = start.x, start.y
     m, n = obs.shape
 
     def ssr():
@@ -334,6 +360,33 @@ def test_c8_qr_equivalence():
 LATENCY_ENV = "EMFKIT_LATENCY_MATRIX"
 
 
+def _latency_bin_medians(obs, bins):
+    """C9's experiment: fit a 10% split of obs at each omega and return, by
+    omega, the median held-out relative error in each bin of truth values."""
+    m, n = obs.shape
+    picked = Pcg32(0, SPLIT_STREAM).permutation_prefix(obs.size, int(0.1 * m * n))
+    sel = np.zeros(obs.size, dtype=bool)
+    sel[picked] = True
+    train = EntryObservations(obs.shape, obs.row_idx[sel], obs.col_idx[sel], obs.values[sel])
+    eval_set = np.column_stack([obs.row_idx[~sel], obs.col_idx[~sel]])
+    truth = np.zeros(obs.shape)
+    truth[obs.row_idx, obs.col_idx] = obs.values
+    medians = {}
+    for omega in (0.1, 0.25, 0.5, 0.75, 0.9):
+        cfg = EmfConfig(omega=omega, rank=10, max_outer=40, tol_objective=1e-7, seed=0)
+        errors = relative_errors(truth, fit(train, cfg).factors, eval_set)
+        out = binned_summaries(errors, obs.values[~sel], bins)
+        medians[omega] = [b.summary.median for b in out[:-1]]
+    return medians
+
+
+def _best_omegas(medians):
+    """The omega with the lowest median error in the low bin and in the high bin."""
+    low = min(medians, key=lambda w: medians[w][0])
+    high = min(medians, key=lambda w: medians[w][2])
+    return low, high
+
+
 def test_c9_latency_dataset():
     path = os.environ.get(LATENCY_ENV, "")
     if not path or not os.path.exists(path):
@@ -353,33 +406,36 @@ def test_c9_latency_dataset():
         and abs(occupancy[1] - 0.454) <= 0.005
         and abs(occupancy[2] - 0.071) <= 0.005
     )
-
-    m, n = obs.shape
-    train_count = int(0.1 * m * n)
-    picked = Pcg32(0, SPLIT_STREAM).permutation_prefix(obs.size, train_count)
-    sel = np.zeros(obs.size, dtype=bool)
-    sel[picked] = True
-    train = EntryObservations(obs.shape, obs.row_idx[sel], obs.col_idx[sel], obs.values[sel])
-    eval_set = np.column_stack([obs.row_idx[~sel], obs.col_idx[~sel]])
-    truth = np.zeros(obs.shape)
-    truth[obs.row_idx, obs.col_idx] = obs.values
-
-    low_bin, high_bin = {}, {}
-    for omega in (0.1, 0.25, 0.5, 0.75, 0.9):
-        cfg = EmfConfig(omega=omega, rank=10, max_outer=40, tol_objective=1e-7, seed=0)
-        rep = fit(train, cfg)
-        errors = relative_errors(truth, rep.factors, eval_set)
-        out = binned_summaries(errors, obs.values[~sel], bins)
-        low_bin[omega] = out[0].summary.median
-        high_bin[omega] = out[2].summary.median
-    ordering_ok = (
-        min(low_bin, key=low_bin.get) == 0.1 and min(high_bin, key=high_bin.get) == 0.9
-    )
-    ok = stats_ok and ordering_ok
+    low_best, high_best = _best_omegas(_latency_bin_medians(obs, bins))
+    ok = stats_ok and low_best == 0.1 and high_best == 0.9
     _report(
         "C9 latency dataset",
         ok,
         f"mean {mean:.3f}, median {median:.3f}, occupancy "
-        f"{[round(o, 4) for o in occupancy]}, low-bin best {min(low_bin, key=low_bin.get)}, "
-        f"high-bin best {min(high_bin, key=high_bin.get)}",
+        f"{[round(o, 4) for o in occupancy]}, low-bin best {low_best}, "
+        f"high-bin best {high_best}",
     )
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_c9_criterion_on_a_latency_twin(tmp_path, seed):
+    # a synthetic stand-in for C9's matrix, written and read as C9's file
+    # is: a skewed, positive 339x1500 matrix exp(0.6 z - 1.2) + 0.25 chi^2_3,
+    # z the standardized rank-3 product, with a few sentinel holes; binned
+    # at its 47.5% and 92.9% value quantiles, C9's bin occupancies
+    m, n = 339, 1500
+    f = gen_low_rank(m, n, 3, seed)
+    z = f.x @ f.y.T
+    z = (z - z.mean()) / z.std()
+    values = np.exp(0.6 * z - 1.2) + chi_square_noise(m, n, 3, 0.25, seed)
+    holes = np.zeros((m, n), dtype=bool)
+    holes.flat[Pcg32(seed, SPLIT_STREAM).permutation_prefix(m * n, 40)] = True
+    path = tmp_path / "twin.txt"
+    write_dense(path, values, mask=~holes)
+    obs = load_dense(path, -1.0)
+    assert obs.size == m * n - 40 and np.array_equal(obs.values, values[~holes])
+    q_low, q_high = np.quantile(obs.values, [0.475, 0.929])
+    bins = BinSpec(np.array([0.0, q_low, q_high, 2.0 * obs.values.max()]))
+    low_best, high_best = _best_omegas(_latency_bin_medians(obs, bins))
+    _report("C9 on a latency twin", low_best == 0.1 and high_best == 0.9,
+            f"seed {seed}: low-bin best {low_best}, high-bin best {high_best}")

@@ -569,6 +569,13 @@ def test_invalid_omega_rejected(tmp_path):
     ("synth-exp", "--tol-obj", "nan", "tol_obj must be >= 0, got nan"),
     ("complete", "--tol-grad", "nan", "tol_grad must be >= 0, got nan"),
     ("complete", "--ridge", "nan", "ridge must be >= 0, got nan"),
+    ("complete", "--ridge", "inf", "ridge must be finite, got inf"),
+    ("synth-exp", "--noise-scale", "inf", "noise_scale must be finite, got inf"),
+    ("synth-exp", "--tol-obj", "inf", "tol_obj must be finite, got inf"),
+    ("complete", "--tol-grad", "inf", "tol_grad must be finite, got inf"),
+    ("evaluate", "--eval-floor", "inf", "eval_floor must be finite, got inf"),
+    ("synth-exp", "--cdf-max", "inf", "cdf_max must be finite, got inf"),
+    ("evaluate", "--cdf-max", "inf", "cdf_max must be finite, got inf"),
     ("complete", "--sentinel", "nan", "sentinel must be finite, got nan"),
     ("evaluate", "--sentinel", "inf", "sentinel must be finite, got inf"),
     ("complete", "--workers", "0", "workers must be >= 1, got 0"),

@@ -254,7 +254,7 @@ def test_config_defaults_and_validation():
     assert cfg.max_outer == 100
     assert cfg.seed == 0
     for bad in (dict(omega=0.0), dict(omega=1.0), dict(rank=0), dict(ridge=-1.0),
-                dict(max_outer=-1), dict(seed=-1)):
+                dict(ridge=float("inf")), dict(max_outer=-1), dict(seed=-1)):
         with pytest.raises(ValueError):
             EmfConfig(**{"omega": 0.5, "rank": 1, **bad})
 
@@ -310,6 +310,8 @@ def test_public_surface():
     assert not hasattr(emfkit.subsolver, "solve_x")
     assert not hasattr(emfkit.subsolver, "reference_qp_solve")
     assert not hasattr(emfkit.emf, "predict")
+    # svd_init returns the FactorPair a fit starts from
+    assert not hasattr(emfkit.emf, "InitTriple")
     # fit reads the objective and the y-gradient from its half-steps
     assert not hasattr(emfkit.emf, "objective") and not hasattr(emfkit.emf, "gradient_y")
     # test-only code: the tests hold what they need of it

@@ -42,12 +42,14 @@ def rel_err(a, b):
 
 def test_svd_init_rank_one_single_entry():
     obs = EntryObservations((5, 4), [2], [1], [-3.0])
-    tri = svd_init(obs, 2, seed=0)
-    assert tri.d0[0] == pytest.approx(3.0, rel=1e-12)
-    assert tri.d0[1] == pytest.approx(0.0, abs=1e-12)
+    start = svd_init(obs, 2, seed=0)
+    # x is orthonormal, so the singular values are y's column norms
+    d = np.linalg.norm(start.y, axis=0)
+    assert d[0] == pytest.approx(3.0, rel=1e-12)
+    assert d[1] == pytest.approx(0.0, abs=1e-12)
     e2 = np.zeros(5)
     e2[2] = 1.0
-    assert np.allclose(np.abs(tri.x0[:, 0]), e2, atol=1e-10)
+    assert np.allclose(np.abs(start.x[:, 0]), e2, atol=1e-10)
 
 
 def test_svd_init_matches_dense_svd_oracle():
@@ -57,21 +59,21 @@ def test_svd_init_matches_dense_svd_oracle():
         s = f.x @ f.y.T
         ii, jj = np.nonzero(np.ones((12, 9)))
         obs = EntryObservations((12, 9), ii, jj, s[ii, jj])
-        tri = svd_init(obs, k, seed=1)
-        rec = tri.x0 @ np.diag(tri.d0) @ tri.y0.T
-        assert rel_err(rec, s) <= 1e-8
-        # singular values match the dense oracle
+        start = svd_init(obs, k, seed=1)
+        assert rel_err(reconstruct(start), s) <= 1e-8
+        # singular values, y's column norms, match the dense oracle
+        d = np.linalg.norm(start.y, axis=0)
         oracle = np.linalg.svd(s, compute_uv=False)[:k]
-        assert np.allclose(tri.d0, oracle, rtol=1e-8)
-        assert np.abs(tri.x0.T @ tri.x0 - np.eye(k)).max() <= 1e-10
-        assert np.abs(tri.y0.T @ tri.y0 - np.eye(k)).max() <= 1e-10
-        assert np.all(np.diff(tri.d0) <= 1e-12)
+        assert np.allclose(d, oracle, rtol=1e-8)
+        assert np.abs(start.x.T @ start.x - np.eye(k)).max() <= 1e-10
+        assert np.abs(start.y.T @ start.y - np.diag(d * d)).max() <= 1e-10 * d[0] ** 2
+        assert np.all(np.diff(d) <= 1e-12)
 
 
 def test_svd_init_zero_values_degenerate():
     obs = EntryObservations((4, 4), [0, 1], [0, 1], [0.0, 0.0])
-    tri = svd_init(obs, 2, seed=0)
-    assert np.allclose(tri.d0, 0.0)
+    with pytest.raises(DegenerateInitError):
+        svd_init(obs, 2, seed=0)
     with pytest.raises(DegenerateInitError):
         fit(obs, EmfConfig(omega=0.5, rank=2))
 
@@ -92,10 +94,10 @@ def test_svd_init_runs_a_fixed_number_of_power_iterations(monkeypatch):
     monkeypatch.setattr(emf, "_orthonormalize", counting)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        tri = svd_init(obs, 3, seed=0)
+        start = svd_init(obs, 3, seed=0)
     # one QR of the sketch, then two per power iteration
     assert len(calls) == 1 + 2 * emf._POWER_ITERS
-    assert tri.d0.shape == (3,)
+    assert start.shape == (40, 30) and start.x.shape[1] == 3
 
 
 def test_svd_init_rejects_oversized_rank():
@@ -129,8 +131,7 @@ def test_t_zero_returns_initialization():
     rep = fit(obs, cfg)
     assert len(rep.objective_trace) == 1
     assert rep.stop_reason is StopReason.MAX_ITERATIONS
-    tri = svd_init(obs, 2, seed=2)
-    init_product = tri.x0 @ np.diag(tri.d0) @ tri.y0.T
+    init_product = reconstruct(svd_init(obs, 2, seed=2))
     assert np.allclose(reconstruct(rep.factors), init_product, atol=1e-12)
     assert rep.objective_trace[0] == pytest.approx(
         objective(obs, rep.factors, 0.3), rel=1e-12
@@ -161,9 +162,8 @@ def test_half_omega_matches_als_reference():
 
 def _als_reference(obs, k, seed, iters=300):
     """Plain alternating least squares from the same SVD init; returns 0.5*SSR."""
-    tri = svd_init(obs, k, seed)
-    x = tri.x0.copy()
-    y = tri.y0 * tri.d0
+    start = svd_init(obs, k, seed)
+    x, y = start.x, start.y
     m, n = obs.shape
     for _ in range(iters):
         for j in range(n):
@@ -533,9 +533,9 @@ for seed in range(6):
     rep = fit(obs, EmfConfig(omega=0.1, rank=k, max_outer=5, seed=seed))
     out.append(sha(rep.factors.x, rep.factors.y, rep.objective_trace,
                    np.asarray(rep.inner_iters)))
-init = svd_init(obs, k, 5)
-half = solve_y(init.x0, obs, 0.1, warm_start=init.y0 * init.d0, max_inner=5)
-out.append(sha(init.x0, init.d0, init.y0, half.solution, half.inner_objective_trace))
+start = svd_init(obs, k, 5)
+half = solve_y(start.x, obs, 0.1, warm_start=start.y, max_inner=5)
+out.append(sha(start.x, start.y, half.solution, half.inner_objective_trace))
 with tempfile.TemporaryDirectory() as d, contextlib.redirect_stdout(sys.stderr):
     assert main(["synth-exp", "--m", "500", "--n", "500", "--rank", "5", "--k-true", "5",
                  "--sampling-rate", "0.2", "--omega", "0.1", "--seed", "3",

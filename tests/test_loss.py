@@ -347,6 +347,20 @@ def test_scalar_expectile_stays_in_its_sample_range():
             assert v.min() <= scalar_expectile(v, w) <= v.max()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_scalar_expectile_near_the_float_range():
+    # the sample's sums exceed the float range; the mean is 1.275e308, and
+    # 0.9 * 2 (1e308 - m) = 0.1 (m + 1e308) gives m = 1.7e308 / 1.9
+    assert scalar_expectile([1.7e308] * 3 + [1.0], 0.5) == pytest.approx(1.275e308, rel=1e-15)
+    assert scalar_expectile([1e308, 1e308, -1e308], 0.9) == pytest.approx(1.7e308 / 1.9,
+                                                                           rel=1e-15)
+    # scaling by a power of two scales the expectile exactly
+    v = np.random.RandomState(43).randn(50)
+    for w in (0.1, 0.5, 0.9):
+        for e in (-1000, -10, 10, 1021):
+            assert scalar_expectile(np.ldexp(v, e), w) == np.ldexp(scalar_expectile(v, w), e)
+
+
 def test_scalar_expectile_rejects_empty():
     with pytest.raises(ValueError):
         scalar_expectile([], 0.5)

@@ -1018,12 +1018,13 @@ def test_one_blas_thread_holds_restore_once_under_contention(monkeypatch):
 @pytest.mark.parametrize("kwargs, message", [
     (dict(omega=0.0), "omega must be in (0, 1), got 0.0"),
     (dict(omega=float("nan")), "omega must be in (0, 1), got nan"),
-    (dict(ridge=-0.5), "ridge must be >= 0, got -0.5"),
-    (dict(ridge=float("nan")), "ridge must be >= 0, got nan"),
+    (dict(ridge=-0.5), "ridge must be finite and >= 0, got -0.5"),
+    (dict(ridge=float("nan")), "ridge must be finite and >= 0, got nan"),
+    (dict(ridge=float("inf")), "ridge must be finite and >= 0, got inf"),
     (dict(warm_start=np.zeros((3, 3))), "warm_start shape (3, 3), expected (3, 2)"),
     (dict(x_fixed=np.ones((5, 2))), "fixed factor has 5 rows, observations expect 6"),
-], ids=["omega 0", "omega nan", "negative ridge", "ridge nan", "warm start shape",
-        "fixed factor rows"])
+], ids=["omega 0", "omega nan", "negative ridge", "ridge nan", "ridge inf",
+        "warm start shape", "fixed factor rows"])
 def test_solve_y_refuses_bad_arguments(kwargs, message):
     rng = np.random.RandomState(3)
     obs = entry_instance(rng)
