@@ -66,7 +66,8 @@ def test_svd_init_matches_dense_svd_oracle():
         oracle = np.linalg.svd(s, compute_uv=False)[:k]
         assert np.allclose(d, oracle, rtol=1e-8)
         assert np.abs(start.x.T @ start.x - np.eye(k)).max() <= 1e-10
-        assert np.abs(start.y.T @ start.y - np.diag(d * d)).max() <= 1e-10 * d[0] ** 2
+        yn = start.y / d
+        assert np.abs(yn.T @ yn - np.eye(k)).max() <= 1e-10
         assert np.all(np.diff(d) <= 1e-12)
 
 
