@@ -15,7 +15,7 @@ from .core import FactorPair, _as_indices, _check_indices, product_at_entries
 
 
 class DenominatorTooSmallError(ValueError):
-    """A truth entry used as a relative-error denominator is below the floor."""
+    """A truth entry used as a relative-error denominator is zero or below the floor."""
 
 
 @dataclass(frozen=True)
@@ -78,15 +78,17 @@ def relative_errors_at(rows, cols, truth, estimate, floor: float = 1e-12) -> np.
     """|truth[t] - estimate[t]| / |truth[t]| for aligned values of the
     entries (rows[t], cols[t]); the indices only name an entry in the error.
 
-    Raises if any |truth[t]| is below the floor: silently skipping
-    near-zero denominators would bias downstream CDFs.
+    Raises if any |truth[t]| is below the floor, or zero at any floor:
+    silently skipping near-zero denominators would bias downstream CDFs.
     """
     truth = np.asarray(truth, dtype=np.float64)
-    bad = np.flatnonzero(~(np.abs(truth) >= floor))  # also a NaN truth
+    # the least positive float: at floor 0 a zero truth is still refused
+    bad = np.flatnonzero(~(np.abs(truth) >= max(floor, 5e-324)))  # also a NaN truth
     if bad.size:
         t = bad[0]
+        why = "zero" if abs(truth[t]) >= floor else f"below the floor {float(floor)!r}"
         raise DenominatorTooSmallError(f"truth entry ({rows[t]}, {cols[t]}) = "
-                                       f"{float(truth[t])!r} is below the floor {float(floor)!r}")
+                                       f"{float(truth[t])!r} is {why}")
     # one new array; division rounds alike for either sign, so this is
     # |truth - estimate| / |truth| bit for bit
     err = np.subtract(truth, estimate)

@@ -163,6 +163,10 @@ def solve_y(
         raise ValueError(
             f"fixed factor has {x.shape[0]} rows, observations expect {obs.shape[0]}"
         )
+    # in Python floats, where an overflow gives inf without a warning
+    ridge_x = float(ridge) * float((x * x).sum()) if ridge else 0.0
+    if not np.isfinite(ridge_x):
+        raise ValueError(f"ridge {ridge!r} times the fixed factor's squared norm is not finite")
     k = x.shape[1]
     if warm_start is None:
         y = np.zeros((obs.shape[1], k))
@@ -197,7 +201,6 @@ def solve_y(
         # G G^T of the design rows G: every assembly of the half-step starts from it
         gram = blocks[0].design[0] @ blocks[0].design[0].T
     n, d = y.shape
-    ridge_x = ridge * float((x * x).sum())
     # per column: its objective and its gradient 2 (N y - q) at y
     obj, g = np.empty(n), np.empty((n, d))
 
@@ -258,6 +261,10 @@ def solve_y(
         run(open_block, range(len(blocks)))
         trace = [float(obj.sum()) + ridge_x]
         grad0 = _norm(g)
+        # at ridge 0 an overflow is the design's, which the rounds' solve names
+        if ridge and not (np.isfinite(trace[0]) and np.isfinite(grad0)):
+            raise ValueError(f"ridge {ridge!r}: the opening objective {trace[0]!r} or start "
+                             f"gradient norm {grad0!r} is not finite")
         converged, iterations = grad0 < tol_gradient, 0  # fit's gradient stop: no round
         while not converged and iterations < max_inner:
             iterations += 1
@@ -472,8 +479,14 @@ def _solve(normal, rhs, cols, min_norm):
 def _norm(a):
     """Euclidean norm of a, by numpy's own pairwise sum.  np.linalg.norm goes
     through BLAS ddot, which splits a long sum across threads and rounds it
-    by their count."""
-    return float(np.sqrt((a * a).sum()))
+    by their count.  Only where the squares overflow is a scaled by its
+    largest magnitude first, so every norm in the float range is unchanged."""
+    with np.errstate(over="ignore"):
+        norm = float(np.sqrt((a * a).sum()))
+    if norm == np.inf and np.isfinite(a).all():
+        scale = float(np.abs(a).max())
+        norm = scale * float(np.sqrt(((a / scale) ** 2).sum()))
+    return norm
 
 
 def _evaluate(part, y, omega, ridge):

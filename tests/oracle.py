@@ -1,7 +1,8 @@
 """References the tests check emfkit against.
 
 The residuals, the objective and its y-gradient, written plainly through
-the observation set's apply and adjoint; the scalar bounded draw that
+the observation set's apply and adjoint; the objective's central finite
+differences; plain alternating least squares; the scalar bounded draw that
 Pcg32.permutation_prefix batches; and an exhaustive QP oracle for
 emfkit.subsolver.solve_y.  The oracle enumerates all 2^p residual sign
 patterns of the split-variable formulation (positive and negative residual
@@ -12,6 +13,7 @@ for tiny instances only.
 import numpy as np
 
 from emfkit.core import EntryObservations, FactorPair, ObservationSet, as_matrix
+from emfkit.emf import svd_init
 from emfkit.loss import asymmetric_weights
 
 _QP_MAX_P = 20
@@ -51,6 +53,52 @@ def gradient_y(obs: ObservationSet, f: FactorPair, omega: float, ridge: float = 
     r = residuals(obs, f)
     w = asymmetric_weights(r, omega)
     return obs.adjoint(-2.0 * w * r).T @ f.x + 2.0 * ridge * f.y
+
+
+def fd_gradient(obs: ObservationSet, f: FactorPair, omega: float, wrt: str,
+                ridge: float = 0.0, h: float = 1e-6) -> np.ndarray:
+    """Central differences, step h, of :func:`objective` in each entry of the
+    factor wrt ("x" or "y")."""
+    base = f.y if wrt == "y" else f.x
+    g = np.zeros_like(base)
+    for idx in np.ndindex(*base.shape):
+        plus, minus = base.copy(), base.copy()
+        plus[idx] += h
+        minus[idx] -= h
+        if wrt == "y":
+            fp, fm = FactorPair(f.x, plus), FactorPair(f.x, minus)
+        else:
+            fp, fm = FactorPair(plus, f.y), FactorPair(minus, f.y)
+        g[idx] = (objective(obs, fp, omega, ridge) - objective(obs, fm, omega, ridge)) / (2 * h)
+    return g
+
+
+def als_reference(obs: EntryObservations, k: int, seed: int, iters: int,
+                  tol: float | None = None) -> float:
+    """Plain alternating least squares from svd_init's pair, per-row lstsq
+    with no weight machinery: 0.5 * SSR after iters sweeps, or after the
+    first sweep whose relative SSR decrease is at most tol."""
+    start = svd_init(obs, k, seed)
+    x, y = start.x, start.y
+    m, n = obs.shape
+
+    def ssr():
+        r = obs.values - np.einsum("pk,pk->p", x[obs.row_idx], y[obs.col_idx])
+        return float(r @ r)
+
+    prev = ssr()
+    for _ in range(iters):
+        for j in range(n):
+            sel = obs.col_idx == j
+            y[j] = np.linalg.lstsq(x[obs.row_idx[sel]], obs.values[sel], rcond=None)[0]
+        for i in range(m):
+            sel = obs.row_idx == i
+            x[i] = np.linalg.lstsq(y[obs.col_idx[sel]], obs.values[sel], rcond=None)[0]
+        cur = ssr()
+        if tol is not None and prev - cur <= tol * max(prev, 1e-300):
+            break
+        prev = cur
+    return 0.5 * ssr()
 
 
 def below(g, bound: int) -> int:

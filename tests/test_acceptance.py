@@ -16,10 +16,10 @@ import pytest
 
 from alternation import alternate
 from emfkit.core import EmfConfig, EntryObservations, FactorPair, GeneralObservations
-from emfkit.emf import fit, reconstruct, svd_init
-from emfkit.io import load_dense, write_dense
+from emfkit.cli import main
+from emfkit.emf import fit, reconstruct
+from emfkit.io import load_dense, read_results_csv, write_dense
 from emfkit.loss import scalar_expectile
-from emfkit.metrics import BinSpec, binned_summaries, relative_errors
 from emfkit.rng import Pcg32
 from emfkit.subsolver import solve_y
 from emfkit.synth import (
@@ -30,7 +30,7 @@ from emfkit.synth import (
     gen_low_rank,
     make_completion_instance,
 )
-from oracle import gradient_y, objective, reference_qp_solve
+from oracle import als_reference, fd_gradient, gradient_y, reference_qp_solve
 
 
 def _report(criterion: str, ok: bool, detail: str):
@@ -117,32 +117,6 @@ def test_gaussian_measurements_recover_from_the_half_omega_fit():
 # ---------------------------------------------------------------- criterion 2
 
 
-def _als_reference(obs, k, seed, iters=400, tol=1e-15):
-    """Independent plain-ALS: per-row lstsq, no weight machinery, same init."""
-    start = svd_init(obs, k, seed)
-    x, y = start.x, start.y
-    m, n = obs.shape
-
-    def ssr():
-        r = obs.values - np.einsum("pk,pk->p", x[obs.row_idx], y[obs.col_idx])
-        return float(r @ r)
-
-    prev = ssr()
-    for _ in range(iters):
-        for j in range(n):
-            sel = obs.col_idx == j
-            y[j] = np.linalg.lstsq(x[obs.row_idx[sel]], obs.values[sel], rcond=None)[0]
-        for i in range(m):
-            sel = obs.row_idx == i
-            x[i] = np.linalg.lstsq(y[obs.col_idx[sel]], obs.values[sel], rcond=None)[0]
-        cur = ssr()
-        if prev - cur <= tol * max(prev, 1e-300):
-            prev = cur
-            break
-        prev = cur
-    return 0.5 * prev
-
-
 @pytest.fixture(scope="module")
 def mse_reduction_runs():
     runs = []
@@ -150,7 +124,7 @@ def mse_reduction_runs():
         inst = make_completion_instance(40, 40, 3, 0.3, 3, 0.5, seed=seed)
         cfg = EmfConfig(omega=0.5, rank=3, max_outer=400, tol_objective=1e-15, seed=seed)
         rep = fit(inst.observed, cfg)
-        als = _als_reference(inst.observed, 3, seed=seed)
+        als = als_reference(inst.observed, 3, seed, iters=400, tol=1e-15)
         runs.append(dict(seed=seed, emf=rep.objective_trace[-1], als=als,
                          trace=rep.objective_trace))
     return runs
@@ -166,25 +140,24 @@ def test_c2_mse_special_case_matches_als(mse_reduction_runs):
 
 
 @pytest.fixture(scope="module")
-def skewed_noise_grid():
+def skewed_noise_grid(tmp_path_factory):
+    # `emfkit synth-exp`'s defaults are C3's instance: 1000x1000, rank 10,
+    # 10% sampled, 0.5 chi^2_3 noise, omega 0.1, 0.25, 0.5, 0.75 and 0.9
+    out = tmp_path_factory.mktemp("c3")
     omegas = (0.1, 0.25, 0.5, 0.75, 0.9)
     t0 = time.perf_counter()
+    status = main(["synth-exp", "--seed", "0,1,2", "--max-outer", "40", "--tol-obj", "1e-7",
+                   "--workers", "2", "--out-dir", str(out)])
+    seconds = time.perf_counter() - t0
+    assert status == 0
     by_seed = {}
     traces = []
-    for seed in range(3):
-        inst = make_completion_instance(1000, 1000, 10, 0.5, 3, 0.1, seed=seed)
-        medians = {}
-        for omega in omegas:
-            cfg = EmfConfig(
-                omega=omega, rank=10, max_outer=40, tol_objective=1e-7, seed=seed
-            )
-            rep = fit(inst.observed, cfg)
-            errs = relative_errors(inst.truth, rep.factors, inst.heldout)
-            medians[omega] = float(np.median(errs))
-            traces.append(rep.objective_trace)
-        by_seed[seed] = medians
-    return dict(by_seed=by_seed, seconds=time.perf_counter() - t0, traces=traces,
-                omegas=omegas)
+    for row in read_results_csv(out / "summary.csv"):
+        if row["metric"] == "re_median":
+            by_seed.setdefault(int(row["seed"]), {})[float(row["omega"])] = row["value"]
+            traces.append([r["value"] for r in read_results_csv(out / f"{row['run_id']}.csv")
+                           if r["metric"] == "objective_trace"])
+    return dict(by_seed=by_seed, seconds=seconds, traces=traces, omegas=omegas)
 
 
 def test_c3_skewed_noise_ordering(skewed_noise_grid):
@@ -251,21 +224,6 @@ def test_c4_subproblem_oracle_equivalence():
 # ---------------------------------------------------------------- criterion 5
 
 
-def _fd_gradient(obs, f, omega, wrt, h=1e-6):
-    base = f.y if wrt == "y" else f.x
-    g = np.zeros_like(base)
-    for idx in np.ndindex(*base.shape):
-        plus, minus = base.copy(), base.copy()
-        plus[idx] += h
-        minus[idx] -= h
-        if wrt == "y":
-            fp, fm = FactorPair(f.x, plus), FactorPair(f.x, minus)
-        else:
-            fp, fm = FactorPair(plus, f.y), FactorPair(minus, f.y)
-        g[idx] = (objective(obs, fp, omega) - objective(obs, fm, omega)) / (2 * h)
-    return g
-
-
 def test_c5_gradient_finite_differences():
     rng = np.random.RandomState(99)
     worst = 0.0
@@ -286,7 +244,7 @@ def test_c5_gradient_finite_differences():
             obs = EntryObservations((m, n), rows, cols, base + shift)
         for wrt, got in (("y", gradient_y(obs, f, omega)),
                          ("x", gradient_y(obs.transposed, FactorPair(f.y, f.x), omega))):
-            want = _fd_gradient(obs, f, omega, wrt)
+            want = fd_gradient(obs, f, omega, wrt)
             rel = np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-300)
             worst = max(worst, rel)
     ok = worst <= 1e-5
@@ -360,23 +318,22 @@ def test_c8_qr_equivalence():
 LATENCY_ENV = "EMFKIT_LATENCY_MATRIX"
 
 
-def _latency_bin_medians(obs, bins):
-    """C9's experiment: fit a 10% split of obs at each omega and return, by
-    omega, the median held-out relative error in each bin of truth values."""
-    m, n = obs.shape
-    picked = Pcg32(0, SPLIT_STREAM).permutation_prefix(obs.size, int(0.1 * m * n))
-    sel = np.zeros(obs.size, dtype=bool)
-    sel[picked] = True
-    train = EntryObservations(obs.shape, obs.row_idx[sel], obs.col_idx[sel], obs.values[sel])
-    eval_set = np.column_stack([obs.row_idx[~sel], obs.col_idx[~sel]])
-    truth = np.zeros(obs.shape)
-    truth[obs.row_idx, obs.col_idx] = obs.values
+def _latency_bin_medians(path, edges, out):
+    """C9's experiment, README's `emfkit complete --bins` recipe: fit a 10%
+    split of the matrix file at path at each omega and return, by omega,
+    the median held-out relative error in each bin of truth values that
+    edges bound, read from the run's summary.csv in out."""
+    status = main(["complete", "--input", str(path), "--omega", "0.1,0.25,0.5,0.75,0.9",
+                   "--seed", "0", "--rank", "10", "--sampling-rate", "0.1", "--max-outer", "40",
+                   "--tol-obj", "1e-7", "--bins", ",".join(repr(float(e)) for e in edges), "--workers", "2",
+                   "--out-dir", str(out)])
+    assert status == 0
+    labels = [f"{lo:g}-{hi:g}" for lo, hi in zip(edges, edges[1:])]  # the CLI's bin labels
     medians = {}
-    for omega in (0.1, 0.25, 0.5, 0.75, 0.9):
-        cfg = EmfConfig(omega=omega, rank=10, max_outer=40, tol_objective=1e-7, seed=0)
-        errors = relative_errors(truth, fit(train, cfg).factors, eval_set)
-        out = binned_summaries(errors, obs.values[~sel], bins)
-        medians[omega] = [b.summary.median for b in out[:-1]]
+    for row in read_results_csv(out / "summary.csv"):
+        if row["metric"] == "re_median" and row["bin"] in labels:
+            by_bin = medians.setdefault(float(row["omega"]), [None] * len(labels))
+            by_bin[labels.index(row["bin"])] = row["value"]
     return medians
 
 
@@ -387,15 +344,14 @@ def _best_omegas(medians):
     return low, high
 
 
-def test_c9_latency_dataset():
+def test_c9_latency_dataset(tmp_path):
     path = os.environ.get(LATENCY_ENV, "")
     if not path or not os.path.exists(path):
         pytest.skip(f"SKIPPED(dataset): set {LATENCY_ENV} to the dense latency matrix file")
     obs = load_dense(path, -1.0)
     values = obs.values
     mean, median = float(values.mean()), float(np.median(values))
-    bins = BinSpec(np.array([0.0, 0.3, 3.1, 20.0]))
-    edges = bins.boundaries
+    edges = (0.0, 0.3, 3.1, 20.0)
     occupancy = [
         float(((values >= edges[i]) & (values < edges[i + 1])).mean()) for i in range(3)
     ]
@@ -406,7 +362,7 @@ def test_c9_latency_dataset():
         and abs(occupancy[1] - 0.454) <= 0.005
         and abs(occupancy[2] - 0.071) <= 0.005
     )
-    low_best, high_best = _best_omegas(_latency_bin_medians(obs, bins))
+    low_best, high_best = _best_omegas(_latency_bin_medians(path, edges, tmp_path / "res"))
     ok = stats_ok and low_best == 0.1 and high_best == 0.9
     _report(
         "C9 latency dataset",
@@ -434,8 +390,7 @@ def test_c9_criterion_on_a_latency_twin(tmp_path, seed):
     write_dense(path, values, mask=~holes)
     obs = load_dense(path, -1.0)
     assert obs.size == m * n - 40 and np.array_equal(obs.values, values[~holes])
-    q_low, q_high = np.quantile(obs.values, [0.475, 0.929])
-    bins = BinSpec(np.array([0.0, q_low, q_high, 2.0 * obs.values.max()]))
-    low_best, high_best = _best_omegas(_latency_bin_medians(obs, bins))
+    edges = [0.0, *np.quantile(obs.values, [0.475, 0.929]).tolist(), 2.0 * obs.values.max()]
+    low_best, high_best = _best_omegas(_latency_bin_medians(path, edges, tmp_path / "res"))
     _report("C9 on a latency twin", low_best == 0.1 and high_best == 0.9,
             f"seed {seed}: low-bin best {low_best}, high-bin best {high_best}")

@@ -370,12 +370,14 @@ def test_evaluate_mode_rejects_truth_below_the_floor(tmp_path, capsys):
     tp, ep = tmp_path / "t.txt", tmp_path / "e.txt"
     write_dense(tp, np.array([[1.0, 2.0], [0.0, 5.0]]))
     write_dense(ep, np.ones((2, 2)))
-    out = tmp_path / "res"
-    assert run_cli("evaluate", "--input", tp, "--estimate", ep, "--out-dir", out) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert err == ["error\tDenominatorTooSmallError\ttruth entry (1, 0) = 0.0 "
-                   "is below the floor 1e-12"]
-    assert not (out / "evaluate.csv").exists()
+    # a zero truth is refused at floor 0 too, not scored as an inf error
+    for floor, why in ((), "below the floor 1e-12"), (("--eval-floor", 0), "zero"):
+        out = tmp_path / f"res{len(floor)}"
+        assert run_cli("evaluate", "--input", tp, "--estimate", ep, *floor,
+                       "--out-dir", out) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error\tDenominatorTooSmallError\ttruth entry (1, 0) = 0.0 is {why}"]
+        assert not (out / "evaluate.csv").exists()
 
 
 def test_complete_and_evaluate_report_a_truth_below_the_floor_alike(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -23,8 +24,8 @@ from emfkit.core import (
 )
 from emfkit.emf import DegenerateInitError, fit, reconstruct, svd_init
 from emfkit.subsolver import SingularDesignError, openblas_controls
-from emfkit.synth import gen_low_rank, sample_mask
-from oracle import objective, residuals
+from emfkit.synth import gen_low_rank, make_completion_instance, sample_mask
+from oracle import als_reference, objective, residuals
 
 
 def completion(m, n, k, rate, seed, noise=None):
@@ -150,6 +151,16 @@ def test_t_zero_opens_one_y_half_step():
     expected = objective(obs, rep.factors, 0.3, 0.1)
     assert rep.objective_trace[0] == pytest.approx(expected, rel=1e-12)
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_ridge_whose_term_overflows_is_named_before_any_warning():
+    # svd_init's x is orthonormal, so the first half-step's ridge term is
+    # 1e308 * rank: the fit stops there, not on an overflowed objective trace
+    obs = make_completion_instance(30, 30, 2, 0.5, 3, 0.5, seed=0).observed
+    message = "ridge 1e+308 times the fixed factor's squared norm is not finite"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        fit(obs, EmfConfig(omega=0.5, rank=2, max_outer=3, ridge=1e308, seed=0))
+
+
 def test_half_omega_matches_als_reference():
     rng = np.random.RandomState(11)
     for seed in (0, 1):
@@ -157,26 +168,8 @@ def test_half_omega_matches_als_reference():
                                 noise=0.1 * rng.rand(30, 25))
         cfg = EmfConfig(omega=0.5, rank=2, max_outer=300, tol_objective=1e-14, seed=seed)
         rep = fit(obs, cfg)
-        als_obj = _als_reference(obs, 2, seed=seed)
+        als_obj = als_reference(obs, 2, seed, iters=300)
         assert rep.objective_trace[-1] == pytest.approx(als_obj, rel=1e-8)
-
-
-def _als_reference(obs, k, seed, iters=300):
-    """Plain alternating least squares from the same SVD init; returns 0.5*SSR."""
-    start = svd_init(obs, k, seed)
-    x, y = start.x, start.y
-    m, n = obs.shape
-    for _ in range(iters):
-        for j in range(n):
-            sel = obs.col_idx == j
-            a = x[obs.row_idx[sel]]
-            y[j] = np.linalg.lstsq(a, obs.values[sel], rcond=None)[0]
-        for i in range(m):
-            sel = obs.row_idx == i
-            a = y[obs.col_idx[sel]]
-            x[i] = np.linalg.lstsq(a, obs.values[sel], rcond=None)[0]
-    r = obs.values - np.einsum("pk,pk->p", x[obs.row_idx], y[obs.col_idx])
-    return 0.5 * float(r @ r)
 
 
 def test_qr_equivalence_single_iteration_and_full_fit():

@@ -57,6 +57,12 @@ def test_relative_errors_floor():
         relative_errors_at(np.array([4, 2]), np.array([7, 3]), np.array([-3.0, 0.0]),
                            np.zeros(2), floor=np.float64(0.5))
     assert str(info.value) == "truth entry (2, 3) = 0.0 is below the floor 0.5"
+    # no floor admits a zero denominator: it would give an inf error
+    with pytest.raises(DenominatorTooSmallError) as info:
+        relative_errors_at(np.array([0, 1]), np.array([1, 0]), np.array([1.0, 0.0]),
+                           np.full(2, 0.5), floor=0.0)
+    assert str(info.value) == "truth entry (1, 0) = 0.0 is zero"
+    assert relative_errors_at([0], [0], [5e-324], [0.0], floor=0.0).tolist() == [1.0]
 
 
 def test_relative_errors_at_aligned_values_match_the_dense_wrapper():

@@ -1021,9 +1021,10 @@ def test_one_blas_thread_holds_restore_once_under_contention(monkeypatch):
     (dict(ridge=-0.5), "ridge must be finite and >= 0, got -0.5"),
     (dict(ridge=float("nan")), "ridge must be finite and >= 0, got nan"),
     (dict(ridge=float("inf")), "ridge must be finite and >= 0, got inf"),
+    (dict(ridge=1e308), "ridge 1e+308 times the fixed factor's squared norm is not finite"),
     (dict(warm_start=np.zeros((3, 3))), "warm_start shape (3, 3), expected (3, 2)"),
     (dict(x_fixed=np.ones((5, 2))), "fixed factor has 5 rows, observations expect 6"),
-], ids=["omega 0", "omega nan", "negative ridge", "ridge nan", "ridge inf",
+], ids=["omega 0", "omega nan", "negative ridge", "ridge nan", "ridge inf", "ridge overflows",
         "warm start shape", "fixed factor rows"])
 def test_solve_y_refuses_bad_arguments(kwargs, message):
     rng = np.random.RandomState(3)
@@ -1031,6 +1032,31 @@ def test_solve_y_refuses_bad_arguments(kwargs, message):
     args = dict(x_fixed=rng.randn(6, 2), omega=0.3, ridge=0.0) | kwargs
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         solve_y(obs=obs, **args)
+
+
+def test_start_gradient_norm_stays_finite_where_its_squares_overflow():
+    # at ridge 1e300 the start gradient's entries are finite, near 1e301, but
+    # their squares overflow; the norm is read scaled, so it is finite and
+    # the certificate's bound tol * (1 + norm) no longer accepts any gradient
+    rng = np.random.RandomState(9)
+    x, obs = rng.randn(6, 2), entry_instance(rng)
+    warm = rng.randn(obs.shape[1], 2)
+    res = solve_y(x, obs, 0.3, 1e300, warm_start=warm)
+    g = 2.0 * 1e300 * warm  # the ridge term, far above the loss gradient
+    assert res.start_gradient_norm == pytest.approx(float(np.linalg.norm(g / 1e300)) * 1e300)
+    assert res.converged and res.final_gradient_norm < 1e-8 * res.start_gradient_norm
+    assert emfkit.subsolver._norm(np.array([3e200, 4e200])) == pytest.approx(5e200, rel=1e-15)
+    assert emfkit.subsolver._norm(np.array([np.inf, 1.0])) == np.inf
+
+
+def test_overflowing_opening_objective_names_the_ridge():
+    # the ridge term of the fixed factor is finite, that of the warm start not
+    rng = np.random.RandomState(11)
+    obs = entry_instance(rng)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=r"^ridge 1e\+300: the opening objective inf "):
+            solve_y(1e-10 * rng.randn(6, 2), obs, 0.3, 1e300,
+                    warm_start=1e10 * rng.randn(obs.shape[1], 2))
 
 
 def test_overflowing_normal_matrix_is_refused():
