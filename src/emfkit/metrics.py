@@ -15,7 +15,7 @@ from .core import FactorPair, _as_indices, _check_indices, product_at_entries
 
 
 class DenominatorTooSmallError(ValueError):
-    """A truth entry used as a relative-error denominator is zero or below the floor."""
+    """A truth entry used as a relative-error denominator is zero, too small or below the floor."""
 
 
 @dataclass(frozen=True)
@@ -78,22 +78,27 @@ def relative_errors_at(rows, cols, truth, estimate, floor: float = 1e-12) -> np.
     """|truth[t] - estimate[t]| / |truth[t]| for aligned values of the
     entries (rows[t], cols[t]); the indices only name an entry in the error.
 
-    Raises if any |truth[t]| is below the floor, or zero at any floor:
-    silently skipping near-zero denominators would bias downstream CDFs.
+    Raises if any |truth[t]| is below the floor, or zero at any floor, or
+    so small that the entry's error overflows: silently skipping near-zero
+    denominators would bias downstream CDFs.
     """
     truth = np.asarray(truth, dtype=np.float64)
-    # the least positive float: at floor 0 a zero truth is still refused
-    bad = np.flatnonzero(~(np.abs(truth) >= max(floor, 5e-324)))  # also a NaN truth
+    # one new array; division rounds alike for either sign, so this is
+    # |truth - estimate| / |truth| bit for bit.  A bad entry is refused below
+    with np.errstate(all="ignore"):
+        err = np.subtract(truth, estimate)
+        np.abs(np.divide(err, truth, out=err), out=err)
+    # the least positive float: at floor 0 a zero truth is still refused, and
+    # a NaN truth fails the comparison
+    bad = np.flatnonzero(~(np.abs(truth) >= max(floor, 5e-324)) | (err == np.inf))
     if bad.size:
         t = bad[0]
-        why = "zero" if abs(truth[t]) >= floor else f"below the floor {float(floor)!r}"
+        why = (f"below the floor {float(floor)!r}" if not abs(truth[t]) >= floor
+               else "zero" if truth[t] == 0 else f"too small for the estimate "
+               f"{float(estimate[t])!r}: the relative error overflows")
         raise DenominatorTooSmallError(f"truth entry ({rows[t]}, {cols[t]}) = "
                                        f"{float(truth[t])!r} is {why}")
-    # one new array; division rounds alike for either sign, so this is
-    # |truth - estimate| / |truth| bit for bit
-    err = np.subtract(truth, estimate)
-    np.divide(err, truth, out=err)
-    return np.abs(err, out=err)
+    return err
 
 
 def empirical_cdf(values, grid) -> np.ndarray:

@@ -46,6 +46,7 @@ def test_relative_errors_divide_by_magnitude_of_negative_truth():
     assert (relative_errors(truth, est, [(0, 0), (0, 1)]) >= 0).all()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_relative_errors_floor():
     truth = np.array([[1.0, 1e-15]])
     f = constant_estimate(1, 2, 1.0)
@@ -63,6 +64,14 @@ def test_relative_errors_floor():
                            np.full(2, 0.5), floor=0.0)
     assert str(info.value) == "truth entry (1, 0) = 0.0 is zero"
     assert relative_errors_at([0], [0], [5e-324], [0.0], floor=0.0).tolist() == [1.0]
+    # nor an error that overflows: a subnormal truth, or a tiny one far from
+    # its estimate, is refused by name, with no overflow warning
+    for truth, estimate in (1e-310, 1.0), (1e-300, 1e10):
+        with pytest.raises(DenominatorTooSmallError) as info:
+            relative_errors_at(np.array([2, 5]), np.array([1, 3]), np.array([1.0, truth]),
+                               np.array([1.5, estimate]), floor=0.0)
+        assert str(info.value) == (f"truth entry (5, 3) = {truth!r} is too small for the "
+                                   f"estimate {estimate!r}: the relative error overflows")
 
 
 def test_relative_errors_at_aligned_values_match_the_dense_wrapper():
