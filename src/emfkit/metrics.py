@@ -83,14 +83,21 @@ def relative_errors_at(rows, cols, truth, estimate, floor: float = 1e-12) -> np.
     denominators would bias downstream CDFs.
     """
     truth = np.asarray(truth, dtype=np.float64)
+    estimate = np.asarray(estimate, dtype=np.float64)
+    finite = np.isfinite(estimate)
     # one new array; division rounds alike for either sign, so this is
-    # |truth - estimate| / |truth| bit for bit.  A bad entry is refused below
+    # |truth - estimate| / |truth| bit for bit.  A difference of finite
+    # values past the float range is taken of their halves, exact there, and
+    # its quotient doubled.  A bad entry is refused below
     with np.errstate(all="ignore"):
         err = np.subtract(truth, estimate)
+        over = np.flatnonzero(np.isinf(err) & finite)
+        err[over] = truth[over] / 2 - estimate[over] / 2
         np.abs(np.divide(err, truth, out=err), out=err)
+        err[over] *= 2
     # the least positive float: at floor 0 a zero truth is still refused, and
     # a NaN truth fails the comparison
-    bad = np.flatnonzero(~(np.abs(truth) >= max(floor, 5e-324)) | (err == np.inf))
+    bad = np.flatnonzero(~(np.abs(truth) >= max(floor, 5e-324)) | (err == np.inf) & finite)
     if bad.size:
         t = bad[0]
         why = (f"below the floor {float(floor)!r}" if not abs(truth[t]) >= floor

@@ -1,15 +1,14 @@
 """Exact solvers for the convex inner subproblems of the alternating loop.
 
 With one factor fixed the objective is a convex, C^1, piecewise-quadratic
-function of the other factor.  It is solved by sign-set iteration (Newey
-and Powell's reweighted asymmetric least squares, Econometrica 1987): fix
-the weights implied by the current residual signs, solve the weighted
-ridge normal equations, recompute signs, repeat.  Once a round leaves the
-weights unchanged its solution satisfies its own signs, has zero gradient
-and is therefore the global minimizer.  If a reweighted step ever
-increases the objective, the step is bisected toward the previous iterate
-(the step is a strict descent direction, so a short enough step always
-descends).
+function of the other factor.  It is solved by sign-set iteration
+(reweighted least squares with the two-valued asymmetric weights): fix the
+weights implied by the current residual signs, solve the weighted ridge
+normal equations, recompute signs, repeat.  Once a round leaves the weights
+unchanged its solution satisfies its own signs, has zero gradient and is
+therefore the global minimizer.  If a reweighted step ever increases the
+objective, the step is bisected toward the previous iterate (the step is a
+strict descent direction, so a short enough step always descends).
 
 One driver serves both observation kinds.  It works on blocks of
 independent subproblems: per block a slot-major (rows, d, width) array of
@@ -40,19 +39,18 @@ own: a row leaves the round loop once a round leaves its weights unchanged
 and does not damp it.  It then satisfies its own signs and is its own
 global minimizer, and every later round would reproduce it bit for bit.
 Each block holds, for one half-step and compacted in place as rows leave,
-the design rows, values and weights of each row still in the loop.  A
-round is one reweighted least-squares step on those rows: it assembles
-their normal matrix N and right-hand side q at their weights, solves, and
-weighs again at the solution.  Each weighing also gives the objective and
-the gradient 2 (ridge y - A (w r)) of design rows A, weights w and
-residuals r, which the start gradient, the stall check and the final
-certificate read.  The half-step ends when no row is left; the general
-block is one row.  Rounds and solutions are exactly those of re-solving
-every row in every round until all weights hold.
+the design rows, values, weights, normal matrix N and right-hand side q of
+each row still in the loop.  (N, q) is at the row's current weights:
+assembled at the opening and, after a round, re-assembled for the rows
+that stay; a row leaves with its weights.  So the start gradient, the
+stall check and the final certificate read the gradient 2 (N y - q), with
+no pass over the design.  The half-step ends when no row is left; the
+general block is one row.  Rounds and solutions are exactly those of
+re-solving every row in every round until all weights hold.
 
 Blocks write disjoint rows, so a half-step runs in steps, each a task
-per live block: the opening (design gather, then weights, objective and
-gradient at the warm start) is one step and each round another.  In a
+per live block: the opening (design gather, weights, objective and normal
+equations at the warm start) is one step and each round another.  In a
 step the calling thread takes blocks beside threads - 1 of a pool's, one
 thread per core this process may run on (:data:`ROUND_THREADS` caps that)
 and at most one per live block, each taking the next block when free.
@@ -203,7 +201,7 @@ def solve_y(
         # G G^T of the design rows G: every assembly of the half-step starts from it
         gram = blocks[0].design[0] @ blocks[0].design[0].T
     n, d = y.shape
-    # per column: its objective and its gradient at y
+    # per column: its objective and its gradient 2 (N y - q) at y
     obj, g = np.empty(n), np.empty((n, d))
 
     def open_block(i):
@@ -211,36 +209,44 @@ def solve_y(
         s = blocks[i]
         if entry:
             _gather(xt, buckets[i].rows, s.design)
-        s.w[:], obj[s.cols], g[s.cols] = _evaluate((s.design, s.values), y[s.cols], omega, ridge)
+        s.w[:], obj[s.cols] = _evaluate((s.design, s.values), y[s.cols], omega, ridge)
+        assemble(s)
 
-    def round_block(i):
-        # one bucket's share of a round on its live columns: assemble, solve,
-        # weigh again.  It reads and writes only its own columns, so buckets
-        # may run on different threads
-        s = blocks[i]
+    def assemble(s):
+        # the live columns' normal equations at their weights, and gradients
         n, c = s.n, s.cols[:s.n]
         if entry:
             _assemble(s.design[:n], s.w[:n], s.values[:n], ridge, s.normal[:n], s.rhs[:n])
-        else:
+        elif n:
             _assemble_general(s.design[0], gram, s.w[0], s.values[0], omega, ridge,
                               s.normal[0], s.rhs[0])
+        g[c] = 2.0 * (np.matmul(s.normal[:n], y[c][:, :, None]) - s.rhs[:n])[:, :, 0]
+
+    def round_block(i):
+        # one bucket's share of a round, on its live columns; it reads and
+        # writes only its own columns, so buckets may run on different threads
+        s = blocks[i]
+        n, c = s.n, s.cols[:s.n]
         y_old, obj_old = y[c], obj[c]
         y_c = _solve(s.normal[:n], s.rhs[:n], c, not entry)
         part = (s.design[:n], s.values[:n])
-        w, obj_c, g_c = _evaluate(part, y_c, omega, ridge)
+        w, obj_c = _evaluate(part, y_c, omega, ridge)
         worse = obj_c > obj_old * (1.0 + _DESCENT_SLACK) + 1e-300
         if worse.any():
             bad = tuple(a[worse] for a in part)
             y_c[worse] = _damp(bad, y_old[worse], y_c[worse], obj_old[worse], omega, ridge)
-            w[worse], obj_c[worse], g_c[worse] = _evaluate(bad, y_c[worse], omega, ridge)
+            w[worse], obj_c[worse] = _evaluate(bad, y_c[worse], omega, ridge)
+        keep = worse | (w != s.w[:n]).any(axis=1)
+        s.w[:n] = w
+        y[c], obj[c] = y_c, obj_c
         # a column whose weights held through an undamped step satisfies
         # its own signs, so it is its own global minimizer and every later
         # round would reproduce it bit for bit; at omega = 0.5 every column
-        # leaves after the first round whatever the signs do
-        keep = worse | (w != s.w[:n]).any(axis=1)
-        s.w[:n] = w
-        y[c], obj[c], g[c] = y_c, obj_c, g_c
+        # leaves after the first round whatever the signs do.  Its normal
+        # equations are already at its weights; the others' are re-assembled
+        g[c] = 2.0 * (np.matmul(s.normal[:n], y_c[:, :, None]) - s.rhs[:n])[:, :, 0]
         s.compact(keep)
+        assemble(s)
 
     threads = min(ROUND_THREADS or usable_cores(), len(blocks))
     # this thread solves buckets too, beside threads - 1 of the pool's; the
@@ -285,8 +291,8 @@ def solve_y(
 
 class _Block:
     """A block's arrays for one half-step: the ids, (columns, d, width)
-    design rows, values and weights of the n live columns lead their
-    arrays; normal and rhs take each round's normal equations."""
+    design rows, values, weights and normal equations of the n live columns
+    lead their arrays."""
 
     def __init__(self, cols, design, values):
         self.n, d = design.shape[:2]
@@ -484,18 +490,17 @@ def _norm(a):
 
 
 def _evaluate(part, y, omega, ridge):
-    """Weights, objectives and gradients 2 (ridge y - A (w r)) at y, its
-    rows, of the columns whose (design rows A, values) part holds.
+    """Weights and objectives at y, its rows, of the columns whose (design
+    rows, values) part holds.
 
-    A padding slot's residual r is exactly zero, so it adds nothing.
+    A padding slot's residual is exactly zero, so it adds nothing.
     """
     design, values = part
     r = values - np.matmul(y[:, None, :], design)[:, 0, :]
     w = asymmetric_weights(r, omega)
-    wr = w * r
-    obj = (wr * r).sum(axis=1)
+    obj = (w * r * r).sum(axis=1)
     obj += ridge * np.einsum("ij,ij->i", y, y)
-    return w, obj, 2.0 * (ridge * y - np.matmul(design, wr[:, :, None])[:, :, 0])
+    return w, obj
 
 
 def _damp(part, y_old, y_new, obj_old, omega, ridge):

@@ -72,6 +72,11 @@ def test_relative_errors_floor():
                                np.array([1.5, estimate]), floor=0.0)
         assert str(info.value) == (f"truth entry (5, 3) = {truth!r} is too small for the "
                                    f"estimate {estimate!r}: the relative error overflows")
+    # a huge truth is not too small: a difference past the float range is
+    # not an overflowing error
+    big = np.finfo(np.float64).max
+    assert relative_errors_at([0, 1, 2], [0, 0, 0], [1e308, -big, 4.0], [-1e308, big, 3.0],
+                              floor=0.0).tolist() == [2.0, 2.0, 0.25]
 
 
 def test_relative_errors_at_aligned_values_match_the_dense_wrapper():

@@ -620,7 +620,7 @@ def per_column_sign_set(x, obs, omega, ridge, warm):
 
 
 def solved_columns_per_round(monkeypatch, obs):
-    """Wrap the batched solve of each round's normal equations; the returned
+    """Wrap the batched solve of the carried normal equations; the returned
     list gets the ids of the columns each round solves."""
     import emfkit.subsolver as subsolver
 
@@ -892,7 +892,8 @@ def test_threaded_rounds_name_the_serial_singular_column(monkeypatch):
 def test_entry_certificate_is_the_loss_gradient(threads, monkeypatch):
     # after one round, in buckets of two columns, some columns left, some
     # stay live and some were damped, and the half-step stops uncertified;
-    # the gradients read off the residuals are those of oracle.gradient_y
+    # the gradients read from the carried normal equations are those of
+    # oracle.gradient_y
     import emfkit.subsolver as subsolver
 
     monkeypatch.setattr(emfkit.core, "BUCKET_COLUMNS", 2)
@@ -912,7 +913,8 @@ def test_entry_certificate_is_the_loss_gradient(threads, monkeypatch):
     rng = np.random.RandomState(90)
     m, k, omega = 40, 3, 0.1
     obs = column_degree_instance(rng, m, rng.randint(6, 30, size=15))
-    assert len(obs.column_buckets) >= 5
+    n, buckets = obs.shape[1], len(obs.column_buckets)
+    assert buckets >= 5
     # a column of ones lets the warm start overshoot in its first round
     x = np.column_stack([np.ones(m), rng.randn(m, k - 1)])
     for ridge in (0.0, 0.3):
@@ -924,44 +926,13 @@ def test_entry_certificate_is_the_loss_gradient(threads, monkeypatch):
         assembled.clear()
         res = solve_with_threads(threads, x, obs, omega, ridge, warm_start=warm, max_inner=1)
         assert res.inner_iterations == 1 and not res.converged and damped
-        # the one round assembles every bucket once, with all its columns live
-        assert sorted(assembled) == sorted(b.cols.size for b in obs.column_buckets)
+        # the opening assembles every bucket, the round's end the live columns
+        assert sum(assembled[:buckets]) == n and 0 < sum(assembled[buckets:]) < n
         g = np.linalg.norm(gradient_y(obs, FactorPair(x, res.solution), omega, ridge))
         assert g > 1e-3
         assert abs(res.final_gradient_norm - g) <= 1e-9 * g
         g0 = np.linalg.norm(gradient_y(obs, FactorPair(x, warm), omega, ridge))
         assert abs(res.start_gradient_norm - g0) <= 1e-9 * g0
-
-
-@pytest.mark.parametrize("general", [False, True])
-def test_a_half_step_that_runs_no_round_assembles_nothing(general, monkeypatch):
-    # the opening only weighs the warm start and reads its gradient: at
-    # max_inner = 0, or with a start gradient below tol_gradient, no normal
-    # equations are assembled
-    import emfkit.subsolver as subsolver
-
-    name = "_assemble_general" if general else "_assemble"
-    assembled, real_assemble = [], getattr(subsolver, name)
-
-    def counting_assemble(*args):
-        assembled.append(1)
-        return real_assemble(*args)
-
-    monkeypatch.setattr(subsolver, name, counting_assemble)
-    rng = np.random.RandomState(66)
-    x = rng.randn(4 if general else 6, 2)
-    obs = general_instance(rng, p=10) if general else entry_instance(rng)
-    warm = rng.randn(obs.shape[1], 2) * 3
-    for ridge in (0.0, 0.3):
-        opened = solve_y(x, obs, 0.2, ridge, warm_start=warm, max_inner=0)
-        g0 = opened.start_gradient_norm
-        stopped = solve_y(x, obs, 0.2, ridge, warm_start=warm, tol_gradient=1.01 * g0)
-        for res in (opened, stopped):
-            assert res.inner_iterations == 0 and np.array_equal(res.solution, warm)
-        assert stopped.converged and not opened.converged and not assembled
-    # one round assembles
-    assert solve_y(x, obs, 0.2, warm_start=warm, max_inner=1).inner_iterations == 1
-    assert assembled
 
 
 def test_assembly_chunks_change_no_bit(monkeypatch):
