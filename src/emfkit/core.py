@@ -22,6 +22,8 @@ from typing import Union
 import numpy as np
 import scipy.sparse as sp
 
+from .loss import _check_omega
+
 
 # Most columns one ColumnBucket holds (see EntryObservations.column_buckets).
 BUCKET_COLUMNS = 256
@@ -317,8 +319,7 @@ class EmfConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.omega < 1.0:
-            raise ValueError(f"omega must be in (0, 1), got {self.omega}")
+        _check_omega(self.omega)
         for name, low in (("rank", 1), ("max_outer", 0), ("seed", 0)):
             value = getattr(self, name)
             try:  # kept as a Python int

@@ -60,11 +60,6 @@ class DegenerateInitError(RuntimeError):
     """The weighted measurement sum is zero: no usable initialization."""
 
 
-def _orthonormalize(a: np.ndarray) -> np.ndarray:
-    q, _ = np.linalg.qr(a)
-    return q
-
-
 def svd_init(obs: ObservationSet, k: int, seed: int) -> FactorPair:
     """The pair a fit starts from: the deterministic top-k SVD x0 d0 y0^T of
     the weighted measurement sum, as FactorPair(x0, y0 d0).
@@ -87,25 +82,18 @@ def svd_init(obs: ObservationSet, k: int, seed: int) -> FactorPair:
     if not 1 <= k <= min(m, n):
         raise ValueError(f"rank k={k} must satisfy 1 <= k <= min{(m, n)}")
     s = obs.adjoint(obs.values)
-    st = s.T
     ell = min(min(m, n), k + 8)
     rng = Pcg32(seed, INIT_STREAM)
-    q = _orthonormalize(np.asarray(s @ rng.normal(n * ell).reshape(n, ell)))
+    q = np.linalg.qr(s @ rng.normal(n * ell).reshape(n, ell))[0]
     for _ in range(_POWER_ITERS):
-        q = _orthonormalize(np.asarray(st @ q))   # n x ell
-        q = _orthonormalize(np.asarray(s @ q))    # m x ell
-    small = np.asarray(st @ q).T  # ell x n projection of s
-    ub, d, vt = np.linalg.svd(small, full_matrices=False)
+        q = np.linalg.qr(s.T @ q)[0]  # n x ell
+        q = np.linalg.qr(s @ q)[0]    # m x ell
+    ub, d, vt = np.linalg.svd((s.T @ q).T, full_matrices=False)
     if d[0] <= 1e-300:
         raise DegenerateInitError("all-zero measurement sum; nothing to initialize from")
     x0 = q @ ub[:, :k]
-    y0 = vt[:k].T.copy()
-    for j in range(k):
-        lead = np.argmax(np.abs(x0[:, j]))
-        if x0[lead, j] < 0:
-            x0[:, j] *= -1.0
-            y0[:, j] *= -1.0
-    return FactorPair(x0, y0 * d[:k])
+    sign = np.where(x0[np.abs(x0).argmax(axis=0), np.arange(k)] < 0, -1.0, 1.0)
+    return FactorPair(x0 * sign, vt[:k].T * d[:k] * sign)
 
 
 def fit(obs: ObservationSet, config: EmfConfig) -> SolveReport:
@@ -126,7 +114,8 @@ def fit(obs: ObservationSet, config: EmfConfig) -> SolveReport:
 
     An entry fit holds OpenBLAS at one thread, from svd_init on: its
     half-steps run on the bucket pool, whose cores idle OpenBLAS workers
-    would spin on.  A general fit runs inline and keeps BLAS threads for
+    would spin on, and its bytes then do not depend on the BLAS thread
+    count.  A general fit runs inline and keeps BLAS threads for
     its Gram products.
     """
     hold = one_blas_thread() if isinstance(obs, EntryObservations) else nullcontext()

@@ -65,11 +65,14 @@ are bit-identical to running the blocks one after another.  A step with
 one live block, such as the general block, or with few live design
 numbers runs inline, and the pool lives only as long as one call.
 
-An entry fit holds OpenBLAS at one thread (:func:`one_blas_thread`), so
-the pool is its only parallelism: after a call that OpenBLAS splits across
-threads, such as svd_init's QR, its idle workers spin for a while and take
-a core from the pool.  The general block, which runs inline, keeps the
-BLAS threads for its Gram product.
+An entry fit holds OpenBLAS at one thread (:func:`one_blas_thread`), which
+does two jobs.  The pool is its only parallelism: after a call that
+OpenBLAS splits across threads, such as svd_init's QR, its idle workers
+spin for a while and take a core from the pool.  And an entry fit's bytes
+do not depend on the BLAS thread count: OpenBLAS splits large enough calls
+across its threads and rounds by their count (unheld, a rank-50 fit of a
+1000-by-1000 set differed at one and two threads).  The general block,
+which runs inline, keeps the BLAS threads for its Gram product.
 """
 
 from __future__ import annotations
@@ -85,7 +88,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .core import EntryObservations, FactorPair, ObservationSet, as_matrix
-from .loss import asymmetric_weights
+from .loss import _check_omega, asymmetric_weights
 
 _DESCENT_SLACK = 1e-13
 _MAX_HALVINGS = 60
@@ -155,8 +158,7 @@ def solve_y(
     A start gradient below tol_gradient in norm returns the warm start, with no round.
     """
     x = as_matrix(x_fixed, "fixed factor")
-    if not 0.0 < omega < 1.0:
-        raise ValueError(f"omega must be in (0, 1), got {omega}")
+    _check_omega(omega)
     if not 0 <= ridge < np.inf:
         raise ValueError(f"ridge must be finite and >= 0, got {ridge}")
     if obs.shape[0] != x.shape[0]:
@@ -388,6 +390,9 @@ def openblas_controls() -> tuple:
 def one_blas_thread():
     """Hold every OpenBLAS library loaded in this process at one thread.
 
+    An entry fit runs under it: idle OpenBLAS workers would spin on the
+    bucket pool's cores, and a call OpenBLAS splits across threads rounds
+    by their count, so an unheld fit's bytes can change with that count.
     Nested and concurrent holders share one hold: the first saves the
     thread counts and the last restores them.  With no OpenBLAS found it
     does nothing.
