@@ -19,7 +19,7 @@ from .core import (
     StopReason,
     as_matrix,
 )
-from .emf import DegenerateInitError, fit, reconstruct, svd_init
+from .emf import DegenerateInitError, fit, svd_init
 from .loss import scalar_expectile
 from .metrics import (
     BinSpec,
@@ -60,7 +60,6 @@ __all__ = [
     "SingularDesignError",
     "svd_init",
     "fit",
-    "reconstruct",
     "DegenerateInitError",
     "gen_low_rank",
     "chi_square_noise",

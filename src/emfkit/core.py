@@ -5,10 +5,9 @@ is the single validation gate.  Observation sets come in two flavors:
 entry-level observations of individual matrix elements (the completion
 case) and general linear measurements ``b_i = <A_i, M>``, whose A_i are
 held as one (p, m, n) array.  Both answer :meth:`apply` (``<A_i, x y^T>``
-per observation), which the sign pattern reads, and :meth:`adjoint`
-(``sum_i c_i A_i``), which the initialization reads.  The solver reads an
-entry set's column layout and a general set's :meth:`design` (the rows
-``A_i^T x``); only general sets answer ``design``.
+per observation), which the sign pattern reads.  The solver and the
+initialization read an entry set's column layout, and a general set's
+:meth:`design` (rows ``A_i^T x``) and :meth:`adjoint` (``sum_i c_i A_i``).
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from functools import cached_property
 from typing import Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from .loss import _check_omega
 
@@ -139,8 +137,8 @@ class EntryObservations:
     Duplicate (i, j) pairs are rejected: the completion model has one
     observation per element.  Instances are immutable and safe to share.
     The per-column counts and the padded :attr:`column_buckets` layout the
-    subproblem solver works on are built on first use and cached, so
-    construction only validates.  :meth:`adjoint` stays sparse.
+    subproblem solver and svd_init work on are built on first use and
+    cached, so construction only validates.
     """
 
     def __init__(self, shape: tuple[int, int], row_idx, col_idx, values):
@@ -233,18 +231,13 @@ class EntryObservations:
         """The entries of f.x @ f.y.T at the observed cells, in observation order."""
         return product_at_entries(f, self.row_idx, self.col_idx)
 
-    def adjoint(self, c) -> sp.csr_matrix:
-        """Zero-filled sparse matrix sum_i c[i] * E_ij of the observed cells."""
-        return sp.csr_matrix((c, (self.row_idx, self.col_idx)), shape=self.shape)
-
 
 class GeneralObservations:
     """General linear measurements b_i = <A_i, M> of an m-by-n matrix.
 
     The measurement matrices are one (p, m, n) float64 array,
     ``measurements[i]`` = A_i.  A float64 ndarray of that shape is kept as
-    given, uncopied; a sequence of matrices is stacked once, scipy sparse
-    ones densified.
+    given, uncopied; a sequence of arrays is stacked once (not sparse ones).
     """
 
     def __init__(self, shape: tuple[int, int], measurements, values):
@@ -254,8 +247,6 @@ class GeneralObservations:
             raise ValueError("values must be a non-empty vector")
         if not np.isfinite(vals).all():
             raise ValueError("observation values must be finite")
-        if not isinstance(measurements, np.ndarray):
-            measurements = [a.toarray() if sp.issparse(a) else a for a in measurements]
         ops = np.asarray(measurements, dtype=np.float64)
         if ops.shape != (vals.size, m, n):
             raise ValueError(

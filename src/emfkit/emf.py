@@ -28,6 +28,7 @@ the schedule changes nothing there.
 from __future__ import annotations
 
 from contextlib import nullcontext
+from functools import partial
 
 import numpy as np
 
@@ -40,7 +41,7 @@ from .core import (
     StopReason,
 )
 from .rng import Pcg32
-from .subsolver import one_blas_thread, solve_y
+from .subsolver import _gather, one_blas_thread, solve_y
 
 # Stream id of the initialization's random test matrix; other stream ids
 # live in emfkit.synth.  Any fixed distinct constants work.
@@ -53,7 +54,6 @@ MAX_INNER = 100
 # the fit to exact half-steps for good
 EARLY_DECREASE = 1e-3
 _POWER_ITERS = 4
-_RECONSTRUCT_CAP = 50_000_000
 
 
 class DegenerateInitError(RuntimeError):
@@ -72,6 +72,9 @@ def svd_init(obs: ObservationSet, k: int, seed: int) -> FactorPair:
     values.  The test matrix comes from the package generator, so results
     are reproducible bit-for-bit given the seed.
 
+    The sum S enters only through S q and S^T q, which for an entry set are
+    taken over the buckets of obs.transposed and obs (:func:`_bucket_product`).
+
     x0 is orthonormal, so the singular values d0 (non-increasing) are the
     column norms of the returned y.  Column signs are canonicalized
     (largest-magnitude entry of each x0 column is nonnegative, y0 flipped
@@ -81,19 +84,35 @@ def svd_init(obs: ObservationSet, k: int, seed: int) -> FactorPair:
     m, n = obs.shape
     if not 1 <= k <= min(m, n):
         raise ValueError(f"rank k={k} must satisfy 1 <= k <= min{(m, n)}")
-    s = obs.adjoint(obs.values)
+    if isinstance(obs, EntryObservations):
+        s_times, st_times = (partial(_bucket_product, v) for v in (obs.transposed, obs))
+    else:
+        s = obs.adjoint(obs.values)
+        s_times, st_times = partial(np.matmul, s), partial(np.matmul, s.T)
     ell = min(min(m, n), k + 8)
     rng = Pcg32(seed, INIT_STREAM)
-    q = np.linalg.qr(s @ rng.normal(n * ell).reshape(n, ell))[0]
+    q = np.linalg.qr(s_times(rng.normal(n * ell).reshape(n, ell)))[0]
     for _ in range(_POWER_ITERS):
-        q = np.linalg.qr(s.T @ q)[0]  # n x ell
-        q = np.linalg.qr(s @ q)[0]    # m x ell
-    ub, d, vt = np.linalg.svd((s.T @ q).T, full_matrices=False)
+        q = np.linalg.qr(st_times(q))[0]  # n x ell
+        q = np.linalg.qr(s_times(q))[0]   # m x ell
+    ub, d, vt = np.linalg.svd(st_times(q).T, full_matrices=False)
     if d[0] <= 1e-300:
         raise DegenerateInitError("all-zero measurement sum; nothing to initialize from")
     x0 = q @ ub[:, :k]
     sign = np.where(x0[np.abs(x0).argmax(axis=0), np.arange(k)] < 0, -1.0, 1.0)
     return FactorPair(x0 * sign, vt[:k].T * d[:k] * sign)
+
+
+def _bucket_product(obs: EntryObservations, q) -> np.ndarray:
+    """S^T q for the zero-filled matrix S of obs's values, bucket by bucket."""
+    # gathered as a solve gathers its design: padding slots take a zero row
+    qt = np.append(q.T, np.zeros((q.shape[1], 1)), axis=1)
+    out = np.empty((obs.shape[1], q.shape[1]))
+    for b in obs.column_buckets:
+        rows = np.empty(qt.shape[:1] + b.rows.shape).transpose(1, 0, 2)
+        _gather(qt, b.rows, rows)
+        out[b.cols] = np.matmul(rows, b.values[:, :, None])[:, :, 0]
+    return out
 
 
 def fit(obs: ObservationSet, config: EmfConfig) -> SolveReport:
@@ -183,12 +202,3 @@ def fit(obs: ObservationSet, config: EmfConfig) -> SolveReport:
             uncertified_solves=uncertified,
         )
 
-
-def reconstruct(f: FactorPair) -> np.ndarray:
-    """Materialize the full product x @ y.T (at most _RECONSTRUCT_CAP elements)."""
-    m, n = f.shape
-    if m * n > _RECONSTRUCT_CAP:
-        raise ValueError(
-            f"reconstruction of a {m}x{n} matrix exceeds the cap of {_RECONSTRUCT_CAP} elements"
-        )
-    return f.x @ f.y.T

@@ -1,9 +1,9 @@
 """References the tests check emfkit against.
 
 The residuals, the objective and its y-gradient, written plainly through
-the observation set's apply and adjoint; the objective's central finite
-differences; plain alternating least squares; the scalar bounded draw that
-Pcg32.permutation_prefix batches; and an exhaustive QP oracle for
+the observation set's apply and a dense adjoint; the objective's central
+finite differences; plain alternating least squares; the scalar bounded
+draw that Pcg32.permutation_prefix batches; and an exhaustive QP oracle for
 emfkit.subsolver.solve_y.  The oracle enumerates all 2^p residual sign
 patterns of the split-variable formulation (positive and negative residual
 parts) and keeps the candidate with the lowest true objective.  Intended
@@ -52,7 +52,16 @@ def gradient_y(obs: ObservationSet, f: FactorPair, omega: float, ridge: float = 
     """
     r = residuals(obs, f)
     w = asymmetric_weights(r, omega)
-    return obs.adjoint(-2.0 * w * r).T @ f.x + 2.0 * ridge * f.y
+    return adjoint(obs, -2.0 * w * r).T @ f.x + 2.0 * ridge * f.y
+
+
+def adjoint(obs: ObservationSet, c) -> np.ndarray:
+    """The dense m-by-n matrix sum_i c_i A_i; for an entry set, c zero-filled."""
+    if not isinstance(obs, EntryObservations):
+        return obs.adjoint(c)
+    s = np.zeros(obs.shape)
+    s[obs.row_idx, obs.col_idx] = c
+    return s
 
 
 def fd_gradient(obs: ObservationSet, f: FactorPair, omega: float, wrt: str,

@@ -17,7 +17,7 @@ import pytest
 from alternation import alternate
 from emfkit.core import EmfConfig, EntryObservations, FactorPair, GeneralObservations
 from emfkit.cli import main
-from emfkit.emf import fit, reconstruct
+from emfkit.emf import fit
 from emfkit.io import load_dense, read_results_csv, write_dense
 from emfkit.loss import scalar_expectile
 from emfkit.rng import Pcg32
@@ -50,9 +50,8 @@ def noiseless_recovery_runs():
         for omega in (0.1, 0.5, 0.9):
             cfg = EmfConfig(omega=omega, rank=3, max_outer=200, seed=seed)
             rep = fit(inst.observed, cfg)
-            err = np.linalg.norm(reconstruct(rep.factors) - inst.truth) / np.linalg.norm(
-                inst.truth
-            )
+            f = rep.factors
+            err = np.linalg.norm(f.x @ f.y.T - inst.truth) / np.linalg.norm(inst.truth)
             runs.append(
                 dict(seed=seed, omega=omega, err=err, trace=rep.objective_trace,
                      iters=len(rep.objective_trace) - 1)
@@ -88,7 +87,7 @@ def _gaussian_recovery(per_dof, seed):
                          tol_objective=0.0, seed=seed)
 
     def error(factors):
-        return np.linalg.norm(reconstruct(factors) - truth) / np.linalg.norm(truth)
+        return np.linalg.norm(factors.x @ factors.y.T - truth) / np.linalg.norm(truth)
 
     return obs, config, error
 
@@ -306,8 +305,8 @@ def test_c8_qr_equivalence():
     # fit against the same alternation re-orthonormalized between half-steps
     inst = make_completion_instance(60, 60, 3, 0.0, 3, 0.35, seed=42)
     cfg = EmfConfig(omega=0.25, rank=3, max_outer=200, seed=42)
-    plain = reconstruct(fit(inst.observed, cfg).factors)
-    qr = reconstruct(alternate(inst.observed, cfg, qr=True)[0])
+    plain, qr = fit(inst.observed, cfg).factors, alternate(inst.observed, cfg, qr=True)[0]
+    plain, qr = plain.x @ plain.y.T, qr.x @ qr.y.T
     diff = float(np.linalg.norm(qr - plain))
     ok = diff <= 1e-6
     _report("C8 QR equivalence", ok, f"60x60 noiseless fit, product diff {diff:.2e}")

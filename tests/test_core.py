@@ -18,6 +18,7 @@ from emfkit.core import (
     SolveReport,
     StopReason,
 )
+from emfkit.emf import _bucket_product
 from emfkit.subsolver import solve_y
 from oracle import design, objective
 
@@ -96,9 +97,13 @@ def test_entry_observations_rejects_bad_indices_and_values():
 
 def test_entry_observations_grouping_views():
     obs = EntryObservations((3, 3), [0, 2, 2], [1, 0, 1], [5.0, 6.0, 7.0])
-    v = np.array([1.0, 10.0, 100.0])
-    # column sums of the adjoint sum v over each column's observations
-    assert obs.adjoint(v).sum(axis=0).tolist() == [[10.0, 101.0, 0.0]]
+    # svd_init's bucket product S^T q, over an empty column and a padded
+    # slot, and S q as the same product on the transposed view
+    s = np.zeros((3, 3))
+    s[[0, 2, 2], [1, 0, 1]] = [5.0, 6.0, 7.0]
+    q = np.arange(6.0).reshape(3, 2) - 2.5
+    assert np.array_equal(_bucket_product(obs, q), s.T @ q)
+    assert np.array_equal(_bucket_product(obs.transposed, q), s @ q)
     assert obs.transposed.col_counts.tolist() == [1, 0, 2]
     assert obs.col_counts.tolist() == [1, 2, 0]
     # columns by count: the empty column 2 alone, then columns 0 and 1 at
@@ -151,8 +156,8 @@ def test_entry_observations_transpose_roundtrip():
     assert t.shape == (2, 3)
     assert t.row_idx.tolist() == obs.col_idx.tolist()
     assert t.transposed is obs
-    dense = obs.adjoint(obs.values).toarray()
-    assert dense[0, 1] == 5.0 and dense[2, 0] == 6.0 and dense.sum() == 11.0
+    # the bucket product with the identity is S^T: S[0, 1] = 5, S[2, 0] = 6
+    assert _bucket_product(obs, np.eye(3)).tolist() == [[0.0, 0.0, 6.0], [5.0, 0.0, 0.0]]
 
 
 def test_general_observations_validation():
@@ -209,12 +214,17 @@ def test_observation_operator_adjoint_and_design(make, view):
     obs = obs.transposed if view else obs
     (m, n), k = obs.shape, 3
     f = FactorPair(rng.randn(m, k), rng.randn(n, k))
-    c = rng.randn(obs.size)
+    c = obs.values
     b = obs.apply(f)
     assert b.shape == (obs.size,)
-    # <A(x y^T), c> = <A*(c), x y^T>
+    # <A(x y^T), c> = <A*(c), x y^T>, for an entry set through svd_init's
+    # bucket product S^T x, S = A*(c) the zero-filled matrix of the values
     lhs = float(b @ c)
-    rhs = float(np.sum((obs.adjoint(c) @ f.y) * f.x))
+    if isinstance(obs, EntryObservations):
+        st_x = _bucket_product(obs, f.x)
+    else:
+        st_x = obs.adjoint(c).T @ f.x
+    rhs = float(np.sum(st_x * f.y))
     assert lhs == pytest.approx(rhs, rel=1e-12)
     # <A_i, x y^T> = <g_i, y> with g_i = A_i^T x
     g = design(obs, f.x)

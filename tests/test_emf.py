@@ -22,7 +22,7 @@ from emfkit.core import (
     StopReason,
     product_at_entries,
 )
-from emfkit.emf import DegenerateInitError, fit, reconstruct, svd_init
+from emfkit.emf import DegenerateInitError, fit, svd_init
 from emfkit.subsolver import SingularDesignError, openblas_controls
 from emfkit.synth import gen_low_rank, make_completion_instance, sample_mask
 from oracle import als_reference, objective, residuals
@@ -61,7 +61,7 @@ def test_svd_init_matches_dense_svd_oracle():
         ii, jj = np.nonzero(np.ones((12, 9)))
         obs = EntryObservations((12, 9), ii, jj, s[ii, jj])
         start = svd_init(obs, k, seed=1)
-        assert rel_err(reconstruct(start), s) <= 1e-8
+        assert rel_err(start.x @ start.y.T, s) <= 1e-8
         # singular values, y's column norms, match the dense oracle
         d = np.linalg.norm(start.y, axis=0)
         oracle = np.linalg.svd(s, compute_uv=False)[:k]
@@ -113,7 +113,7 @@ def test_noiseless_recovery_80x80(omega):
     truth, obs = completion(80, 80, 3, 0.3, seed=7)
     cfg = EmfConfig(omega=omega, rank=3, max_outer=200, seed=7)
     rep = fit(obs, cfg)
-    assert rel_err(reconstruct(rep.factors), truth) <= 1e-6
+    assert rel_err(rep.factors.x @ rep.factors.y.T, truth) <= 1e-6
     assert len(rep.objective_trace) - 1 <= 200
 
 
@@ -133,8 +133,8 @@ def test_t_zero_returns_initialization():
     rep = fit(obs, cfg)
     assert len(rep.objective_trace) == 1
     assert rep.stop_reason is StopReason.MAX_ITERATIONS
-    init_product = reconstruct(svd_init(obs, 2, seed=2))
-    assert np.allclose(reconstruct(rep.factors), init_product, atol=1e-12)
+    init = svd_init(obs, 2, seed=2)
+    assert np.allclose(rep.factors.x @ rep.factors.y.T, init.x @ init.y.T, atol=1e-12)
     assert rep.objective_trace[0] == pytest.approx(
         objective(obs, rep.factors, 0.3), rel=1e-12
     )
@@ -177,9 +177,8 @@ def test_qr_equivalence_single_iteration_and_full_fit():
     truth, obs = completion(20, 15, 2, 0.5, seed=9)
     for t in (1, 60):
         cfg = EmfConfig(omega=0.2, rank=2, max_outer=t, seed=4)
-        plain = reconstruct(fit(obs, cfg).factors)
-        qr = reconstruct(alternate(obs, cfg, qr=True)[0])
-        assert np.linalg.norm(plain - qr) <= 1e-8 * max(1, t)
+        plain, qr = fit(obs, cfg).factors, alternate(obs, cfg, qr=True)[0]
+        assert np.linalg.norm(plain.x @ plain.y.T - qr.x @ qr.y.T) <= 1e-8 * max(1, t)
 
 
 def test_mirror_symmetry():
@@ -187,8 +186,8 @@ def test_mirror_symmetry():
     neg = EntryObservations(obs.shape, obs.row_idx, obs.col_idx, -obs.values)
     ra = fit(obs, EmfConfig(omega=0.2, rank=2, max_outer=80, seed=4))
     rb = fit(neg, EmfConfig(omega=0.8, rank=2, max_outer=80, seed=4))
-    a = reconstruct(ra.factors)
-    b = reconstruct(rb.factors)
+    a = ra.factors.x @ ra.factors.y.T
+    b = rb.factors.x @ rb.factors.y.T
     assert np.linalg.norm(a + b) <= 1e-8 * max(1.0, np.linalg.norm(a))
 
 
@@ -198,9 +197,8 @@ def test_transposed_fit_transposes_the_product(seed):
     # take the half-steps in the other order and can end in different minima
     truth, obs = completion(30, 25, 2, 0.5, seed)
     cfg = EmfConfig(omega=0.3, rank=2, seed=seed)
-    a = reconstruct(fit(obs, cfg).factors)
-    b = reconstruct(fit(obs.transposed, cfg).factors)
-    assert rel_err(b.T, a) <= 1e-7
+    fa, fb = fit(obs, cfg).factors, fit(obs.transposed, cfg).factors
+    assert rel_err(fb.y @ fb.x.T, fa.x @ fa.y.T) <= 1e-7
 
 
 def test_numpy_integer_settings_fit_as_python_ints():
@@ -225,26 +223,15 @@ def test_geometric_early_decrease_noiseless():
 def test_predict_and_reconstruct_agree():
     rng = np.random.RandomState(2)
     f = FactorPair(rng.rand(6, 2), rng.rand(5, 2))
-    full = reconstruct(f)
+    full = f.x @ f.y.T
     rows, cols = np.indices(full.shape).reshape(2, -1)
     assert np.allclose(product_at_entries(f, rows, cols), full.ravel(), rtol=0, atol=1e-14)
-    ones = FactorPair(np.ones((3, 1)), np.ones((4, 1)))
-    assert np.allclose(reconstruct(ones), 1.0)
-
-
-def test_reconstruct_cap(monkeypatch):
-    f = FactorPair(np.ones((3, 1)), np.ones((4, 1)))
-    monkeypatch.setattr(emfkit.emf, "_RECONSTRUCT_CAP", 11)
-    with pytest.raises(ValueError, match="cap of 11 elements"):
-        reconstruct(f)
-    monkeypatch.setattr(emfkit.emf, "_RECONSTRUCT_CAP", 12)
-    assert reconstruct(f).shape == (3, 4)
 
 
 def test_converged_fit_residuals_vanish():
     truth, obs = completion(30, 25, 2, 0.5, seed=17)
     rep = fit(obs, EmfConfig(omega=0.7, rank=2, max_outer=200, seed=3))
-    assert rel_err(reconstruct(rep.factors), truth) <= 1e-6
+    assert rel_err(rep.factors.x @ rep.factors.y.T, truth) <= 1e-6
     r = residuals(obs, rep.factors)
     assert np.abs(r).max() <= 1e-6
 
@@ -466,7 +453,7 @@ def test_property_fit_scales_with_the_values(seed, omega, general, power):
     cfg = _tiny_config(k, omega, 0.0, seed)
     a = fit(obs, cfg)
     b = fit(with_values(obs, c * obs.values), cfg)
-    assert np.array_equal(reconstruct(b.factors), c * reconstruct(a.factors))
+    assert np.array_equal(b.factors.x @ b.factors.y.T, c * (a.factors.x @ a.factors.y.T))
     assert np.array_equal(b.objective_trace, c * c * a.objective_trace)
 
 
@@ -483,14 +470,15 @@ def test_property_fit_reflected_values_negate_the_product(seed, omega, general, 
     k, obs = tiny_fit_instance(rng, general)
     a = fit(obs, _tiny_config(k, omega, ridge, seed))
     b = fit(with_values(obs, -obs.values), _tiny_config(k, 1.0 - omega, ridge, seed))
-    pa, pb = reconstruct(a.factors), reconstruct(b.factors)
+    pa, pb = (r.factors.x @ r.factors.y.T for r in (a, b))
     assert np.abs(pb + pa).max() <= 1e-9 * max(1.0, np.abs(pa).max())
 
 
-# An entry fit whose inputs involve no BLAS call (Pcg32 draws, an einsum
-# product), on 24,000 observations: more than OpenBLAS splits a dot product
-# across threads at.  Prints, as JSON, the SHA-256 of each output per seed;
-# then of an svd_init and a solve_y called outside fit, which therefore run
+# Entry fits whose inputs involve no BLAS call (Pcg32 draws, an einsum
+# product): a 600x600 rank-50 fit, whose factors differ between one and two
+# OpenBLAS threads without fit's hold, then fits on 24,000 observations: more
+# than OpenBLAS splits a dot product across threads at.  Prints, as JSON, the
+# SHA-256 of each fit's outputs; then of an svd_init and a solve_y called outside fit, which therefore run
 # at the process's BLAS thread count while fit holds OpenBLAS at one thread;
 # then of each file but plan.txt (which records out_dir) of README's
 # synth-exp reproducer: a 500x500 rank-5 truth, a shape at which OpenBLAS's
@@ -516,17 +504,22 @@ def counting_solve_y(*args, **kwargs):
     return solve_y(*args, **kwargs)
 emfkit.emf.solve_y = counting_solve_y
 
-m, n, k = 200, 400, 3
-out = []
-for seed in range(6):
+def observed(m, n, k, seed):
     draw = Pcg32(seed, 1).normal
     x, y = draw(m * k).reshape(m, k), draw(n * k).reshape(n, k)
     values = np.einsum("ik,jk->ij", x, y) + draw(m * n).reshape(m, n) ** 2
     rows, cols = sample_mask(m, n, 0.3, seed).T
-    obs = EntryObservations((m, n), rows, cols, values[rows, cols])
-    rep = fit(obs, EmfConfig(omega=0.1, rank=k, max_outer=5, seed=seed))
-    out.append(sha(rep.factors.x, rep.factors.y, rep.objective_trace,
-                   np.asarray(rep.inner_iters)))
+    return EntryObservations((m, n), rows, cols, values[rows, cols])
+
+def fit_digests(obs, k, sweeps, seed):
+    rep = fit(obs, EmfConfig(omega=0.1, rank=k, max_outer=sweeps, seed=seed))
+    return sha(rep.factors.x, rep.factors.y, rep.objective_trace, np.asarray(rep.inner_iters))
+
+out = [fit_digests(observed(600, 600, 50, 0), 50, 3, 0)]
+m, n, k = 200, 400, 3
+for seed in range(6):
+    obs = observed(m, n, k, seed)
+    out.append(fit_digests(obs, k, 5, seed))
 start = svd_init(obs, k, 5)
 half = solve_y(start.x, obs, 0.1, warm_start=start.y, max_inner=5)
 out.append(sha(start.x, start.y, half.solution, half.inner_objective_trace))
@@ -558,6 +551,29 @@ def test_entry_fit_bytes_do_not_depend_on_the_blas_thread_count():
     assert len(digests[0][-1]) == 3 and digests[0][-1] == digests[1][-1], "synth-exp files"
     # this process loaded the same numpy, so its OpenBLAS, as the children
     assert in_fit[1] == ([1] if openblas_controls() else []), "fit holds one BLAS thread"
+
+
+# Imports the package and its CLI and runs an entry fit, then prints which of
+# scipy.sparse and scipy.linalg are loaded.
+_IMPORT_GUARD = """
+import sys
+import numpy as np
+import emfkit, emfkit.cli
+rows, cols = np.nonzero(np.ones((8, 6)))
+obs = emfkit.EntryObservations((8, 6), rows, cols, np.cos(rows * 6.0 + cols))
+emfkit.fit(obs, emfkit.EmfConfig(omega=0.3, rank=2, max_outer=3))
+print(" ".join(m for m in ("scipy.sparse", "scipy.linalg") if m in sys.modules))
+"""
+
+
+def test_entry_fits_load_neither_scipy_sparse_nor_scipy_linalg():
+    # nothing in the package needs scipy.sparse, whose import takes a process
+    # from 27 to about 51 MB resident; scipy.linalg serves general fits only
+    src = str(Path(emfkit.emf.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", _IMPORT_GUARD], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.split() == []
 
 
 def blas_counts():
