@@ -12,6 +12,7 @@ Every row a run writes is built here; :mod:`emfkit.io` only formats files.
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import math
 import sys
 import textwrap
@@ -23,7 +24,6 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__, subsolver
 from .core import EmfConfig, EntryObservations, product_at_entries
@@ -218,7 +218,7 @@ def _write_provenance(plan: ExperimentPlan) -> None:
     lines = [
         f"toolkit_version = {__version__}",
         f"numpy_version = {np.__version__}",
-        f"scipy_version = {scipy.__version__}",
+        f"scipy_version = {importlib.metadata.version('scipy')}",
         f"blas = {blas.get('name', 'unknown')} {blas.get('version', 'unknown')}",
         f"usable_cores = {subsolver.usable_cores()}",
     ]

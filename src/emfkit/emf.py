@@ -73,7 +73,8 @@ def svd_init(obs: ObservationSet, k: int, seed: int) -> FactorPair:
     are reproducible bit-for-bit given the seed.
 
     The sum S enters only through S q and S^T q, which for an entry set are
-    taken over the buckets of obs.transposed and obs (:func:`_bucket_product`).
+    taken over the buckets of obs.transposed and obs (:func:`_bucket_product`),
+    and, as in fit, with OpenBLAS held at one thread (:func:`one_blas_thread`).
 
     x0 is orthonormal, so the singular values d0 (non-increasing) are the
     column norms of the returned y.  Column signs are canonicalized
@@ -91,14 +92,15 @@ def svd_init(obs: ObservationSet, k: int, seed: int) -> FactorPair:
         s_times, st_times = partial(np.matmul, s), partial(np.matmul, s.T)
     ell = min(min(m, n), k + 8)
     rng = Pcg32(seed, INIT_STREAM)
-    q = np.linalg.qr(s_times(rng.normal(n * ell).reshape(n, ell)))[0]
-    for _ in range(_POWER_ITERS):
-        q = np.linalg.qr(st_times(q))[0]  # n x ell
-        q = np.linalg.qr(s_times(q))[0]   # m x ell
-    ub, d, vt = np.linalg.svd(st_times(q).T, full_matrices=False)
-    if d[0] <= 1e-300:
-        raise DegenerateInitError("all-zero measurement sum; nothing to initialize from")
-    x0 = q @ ub[:, :k]
+    with one_blas_thread() if isinstance(obs, EntryObservations) else nullcontext():
+        q = np.linalg.qr(s_times(rng.normal(n * ell).reshape(n, ell)))[0]
+        for _ in range(_POWER_ITERS):
+            q = np.linalg.qr(st_times(q))[0]  # n x ell
+            q = np.linalg.qr(s_times(q))[0]   # m x ell
+        ub, d, vt = np.linalg.svd(st_times(q).T, full_matrices=False)
+        if d[0] <= 1e-300:
+            raise DegenerateInitError("all-zero measurement sum; nothing to initialize from")
+        x0 = q @ ub[:, :k]
     sign = np.where(x0[np.abs(x0).argmax(axis=0), np.arange(k)] < 0, -1.0, 1.0)
     return FactorPair(x0 * sign, vt[:k].T * d[:k] * sign)
 
@@ -131,14 +133,11 @@ def fit(obs: ObservationSet, config: EmfConfig) -> SolveReport:
     returned; after the last allowed sweep that half-step only opens
     (max_inner = 0), and only if the x-gradient passed.
 
-    An entry fit holds OpenBLAS at one thread, from svd_init on: its
-    half-steps run on the bucket pool, whose cores idle OpenBLAS workers
-    would spin on, and its bytes then do not depend on the BLAS thread
-    count.  A general fit runs inline and keeps BLAS threads for
-    its Gram products.
+    An entry fit holds OpenBLAS at one thread, from svd_init on, for the
+    reasons :func:`~emfkit.subsolver.one_blas_thread` gives; a general fit
+    runs inline and keeps BLAS threads for its Gram products.
     """
-    hold = one_blas_thread() if isinstance(obs, EntryObservations) else nullcontext()
-    with hold:
+    with one_blas_thread() if isinstance(obs, EntryObservations) else nullcontext():
         start = svd_init(obs, config.rank, config.seed)
         omega, ridge, tol = config.omega, config.ridge, config.tol_gradient
         obs_t = obs.transposed

@@ -42,11 +42,11 @@ Each block holds, for one half-step and compacted in place as rows leave,
 the design rows, values, weights, normal matrix N and right-hand side q of
 each row still in the loop.  (N, q) is at the row's current weights:
 assembled at the opening and, after a round, re-assembled for the rows
-that stay; a row leaves with its weights.  So the start gradient, the
-stall check and the final certificate read the gradient 2 (N y - q), with
-no pass over the design.  The half-step ends when no row is left; the
-general block is one row.  Rounds and solutions are exactly those of
-re-solving every row in every round until all weights hold.
+that stay.  So the start gradient and the stall check read the gradient
+2 (N y - q), with no pass over the design; a row that leaves is certified
+by its signs, and its gradient is zero.  The half-step ends when no row is
+left; the general block is one row.  Rounds and solutions are exactly
+those of re-solving every row in every round until all weights hold.
 
 Blocks write disjoint rows, so a half-step runs in steps, each a task
 per live block: the opening (design gather, weights, objective and normal
@@ -122,7 +122,8 @@ class SubproblemResult:
 
     inner_objective_trace holds the objective before the first and after
     every sign-set round; start_gradient_norm is the norm of the objective's
-    gradient at the warm start.
+    gradient at the warm start; final_gradient_norm is that over the columns
+    still iterating, so 0.0 once every column is certified by its signs.
     """
 
     solution: np.ndarray
@@ -203,7 +204,7 @@ def solve_y(
         # G G^T of the design rows G: every assembly of the half-step starts from it
         gram = blocks[0].design[0] @ blocks[0].design[0].T
     n, d = y.shape
-    # per column: its objective and its gradient 2 (N y - q) at y
+    # per column: its objective, and its gradient 2 (N y - q) at y (0 once it leaves)
     obj, g = np.empty(n), np.empty((n, d))
 
     def open_block(i):
@@ -242,11 +243,11 @@ def solve_y(
         s.w[:n] = w
         y[c], obj[c] = y_c, obj_c
         # a column whose weights held through an undamped step satisfies
-        # its own signs, so it is its own global minimizer and every later
-        # round would reproduce it bit for bit; at omega = 0.5 every column
-        # leaves after the first round whatever the signs do.  Its normal
-        # equations are already at its weights; the others' are re-assembled
-        g[c] = 2.0 * (np.matmul(s.normal[:n], y_c[:, :, None]) - s.rhs[:n])[:, :, 0]
+        # its own signs, so it is its own global minimizer, with gradient
+        # zero, and every later round would reproduce it bit for bit; at
+        # omega = 0.5 every column leaves after the first round whatever the
+        # signs do.  The others' normal equations are re-assembled
+        g[c[~keep]] = 0.0
         s.compact(keep)
         assemble(s)
 
@@ -278,13 +279,12 @@ def solve_y(
             converged = not any(s.n for s in blocks) or (
                 stalled and _norm(g) <= tol_gradient * (1.0 + grad0))
 
-    gnorm = _norm(g)
     return SubproblemResult(
         solution=y.reshape(obs.shape[1], k),
         inner_iterations=iterations,
         start_gradient_norm=grad0,
-        final_gradient_norm=gnorm,
-        converged=converged and gnorm <= tol_gradient * (1.0 + grad0),
+        final_gradient_norm=_norm(g),
+        converged=converged,
         inner_objective_trace=np.asarray(trace),
         _x_fixed=x.copy(),
         _obs=obs,

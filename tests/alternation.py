@@ -1,10 +1,12 @@
 """Reference alternating loop the tests compare emfkit.emf.fit with."""
 
+from contextlib import nullcontext
+
 import numpy as np
 
 from emfkit.core import EntryObservations, FactorPair, StopReason
 from emfkit import emf
-from emfkit.subsolver import solve_y
+from emfkit.subsolver import one_blas_thread, solve_y
 from oracle import gradient_y
 
 
@@ -29,40 +31,41 @@ def alternate(obs, config, qr=False, start=None):
     half-step, the warm start taking its R: the pair (X R^-1, Y R^T) has the
     same product, as in the analysis of alternating minimization (Jain,
     Netrapalli & Sanghavi, STOC 2013).  start, a FactorPair, replaces
-    emf.svd_init's pair.  Returns (factors, objective trace, inner_iters,
-    stop reason).
+    emf.svd_init's pair.  An entry set runs under fit's OpenBLAS hold.
+    Returns (factors, objective trace, inner_iters, stop reason).
     """
-    omega, ridge, tol = config.omega, config.ridge, config.tol_gradient
-    m, n = obs.shape
-    settled = isinstance(obs, EntryObservations) and not ridge and min(
-        np.bincount(obs.row_idx, minlength=m).min(),
-        np.bincount(obs.col_idx, minlength=n).min()) <= config.rank
-    factors = start or emf.svd_init(obs, config.rank, config.seed)
-    x, y = factors.x, factors.y
-    trace, inner = [], []
-    for sweep in range(config.max_outer):
-        exact = settled or not sweep
-        caps = dict(max_inner=emf.MAX_INNER if exact else 1, tol_gradient=tol)
-        res_y = solve_y(x, obs, omega, ridge, warm_start=y, **caps)
-        trace = trace or [float(res_y.inner_objective_trace[0])]
-        y = res_y.solution
-        if qr:
-            y, r = _orthonormalize(y)
-            x = x @ r.T
-        res_x = solve_y(y, obs.transposed, omega, ridge, warm_start=x, **caps)
-        inner += [res_y.inner_iterations, res_x.inner_iterations]
-        factors = FactorPair(res_x.solution, y)
-        trace.append(float(res_x.inner_objective_trace[-1]))
-        x = res_x.solution
-        if qr:
-            x, r = _orthonormalize(x)
-            y = y @ r.T
-        decrease = (trace[-2] - trace[-1]) / max(trace[-2], 1e-300)
-        if (exact or res_y.converged and res_x.converged) and decrease < config.tol_objective:
-            return factors, trace, inner, StopReason.TOLERANCE_OBJECTIVE
-        if res_x.final_gradient_norm < tol and (
-            np.linalg.norm(gradient_y(obs, factors, omega, ridge)) < tol
-        ):
-            return factors, trace, inner, StopReason.TOLERANCE_GRADIENT
-        settled = settled or decrease <= emf.EARLY_DECREASE
-    return factors, trace, inner, StopReason.MAX_ITERATIONS
+    with one_blas_thread() if isinstance(obs, EntryObservations) else nullcontext():
+        omega, ridge, tol = config.omega, config.ridge, config.tol_gradient
+        m, n = obs.shape
+        settled = isinstance(obs, EntryObservations) and not ridge and min(
+            np.bincount(obs.row_idx, minlength=m).min(),
+            np.bincount(obs.col_idx, minlength=n).min()) <= config.rank
+        factors = start or emf.svd_init(obs, config.rank, config.seed)
+        x, y = factors.x, factors.y
+        trace, inner = [], []
+        for sweep in range(config.max_outer):
+            exact = settled or not sweep
+            caps = dict(max_inner=emf.MAX_INNER if exact else 1, tol_gradient=tol)
+            res_y = solve_y(x, obs, omega, ridge, warm_start=y, **caps)
+            trace = trace or [float(res_y.inner_objective_trace[0])]
+            y = res_y.solution
+            if qr:
+                y, r = _orthonormalize(y)
+                x = x @ r.T
+            res_x = solve_y(y, obs.transposed, omega, ridge, warm_start=x, **caps)
+            inner += [res_y.inner_iterations, res_x.inner_iterations]
+            factors = FactorPair(res_x.solution, y)
+            trace.append(float(res_x.inner_objective_trace[-1]))
+            x = res_x.solution
+            if qr:
+                x, r = _orthonormalize(x)
+                y = y @ r.T
+            decrease = (trace[-2] - trace[-1]) / max(trace[-2], 1e-300)
+            if (exact or res_y.converged and res_x.converged) and decrease < config.tol_objective:
+                return factors, trace, inner, StopReason.TOLERANCE_OBJECTIVE
+            if res_x.final_gradient_norm < tol and (
+                np.linalg.norm(gradient_y(obs, factors, omega, ridge)) < tol
+            ):
+                return factors, trace, inner, StopReason.TOLERANCE_GRADIENT
+            settled = settled or decrease <= emf.EARLY_DECREASE
+        return factors, trace, inner, StopReason.MAX_ITERATIONS

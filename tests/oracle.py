@@ -84,25 +84,32 @@ def fd_gradient(obs: ObservationSet, f: FactorPair, omega: float, wrt: str,
 
 def als_reference(obs: EntryObservations, k: int, seed: int, iters: int,
                   tol: float | None = None) -> float:
-    """Plain alternating least squares from svd_init's pair, per-row lstsq
-    with no weight machinery: 0.5 * SSR after iters sweeps, or after the
-    first sweep whose relative SSR decrease is at most tol."""
+    """Plain alternating least squares from svd_init's pair, with no weight
+    machinery: each half-step sums every row's normal equations over its
+    observations and solves them in one batched call.  0.5 * SSR after
+    iters sweeps, or after the first sweep whose relative SSR decrease is
+    at most tol."""
     start = svd_init(obs, k, seed)
     x, y = start.x, start.y
     m, n = obs.shape
+    rows, cols, values = obs.row_idx, obs.col_idx, obs.values
+
+    def least_squares(fixed, own, other, count):
+        # own[p] is observation p's row of the unknown, other[p] its row of fixed
+        a = fixed[other]
+        normal, rhs = np.zeros((count, k, k)), np.zeros((count, k, 1))
+        np.add.at(normal, own, a[:, :, None] * a[:, None, :])
+        np.add.at(rhs, own, (a * values[:, None])[:, :, None])
+        return np.linalg.solve(normal, rhs)[:, :, 0]
 
     def ssr():
-        r = obs.values - np.einsum("pk,pk->p", x[obs.row_idx], y[obs.col_idx])
+        r = values - np.einsum("pk,pk->p", x[rows], y[cols])
         return float(r @ r)
 
     prev = ssr()
     for _ in range(iters):
-        for j in range(n):
-            sel = obs.col_idx == j
-            y[j] = np.linalg.lstsq(x[obs.row_idx[sel]], obs.values[sel], rcond=None)[0]
-        for i in range(m):
-            sel = obs.row_idx == i
-            x[i] = np.linalg.lstsq(y[obs.col_idx[sel]], obs.values[sel], rcond=None)[0]
+        y = least_squares(x, cols, rows, n)
+        x = least_squares(y, rows, cols, m)
         cur = ssr()
         if tol is not None and prev - cur <= tol * max(prev, 1e-300):
             break

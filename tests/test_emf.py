@@ -248,13 +248,14 @@ def test_uncertified_inner_solves_are_counted(monkeypatch):
 
 
 def recorded_fit(monkeypatch, obs, config):
-    """fit(obs, config), and the (max_inner, converged) of each half-step it ran."""
+    """fit(obs, config), and the (max_inner, converged, inner_iterations) of
+    each half-step it ran."""
     calls = []
     real = emfkit.emf.solve_y
 
     def recording(*args, **kwargs):
         res = real(*args, **kwargs)
-        calls.append((kwargs["max_inner"], res.converged))
+        calls.append((kwargs["max_inner"], res.converged, res.inner_iterations))
         return res
 
     monkeypatch.setattr(emfkit.emf, "solve_y", recording)
@@ -270,7 +271,7 @@ def test_early_sweeps_run_one_round_until_the_objective_settles(monkeypatch):
     rep, calls = recorded_fit(monkeypatch, noisy_completion(),
                               EmfConfig(omega=0.1, rank=2, max_outer=60, seed=1))
     tr = rep.objective_trace
-    caps = [cap for cap, _ in calls][:2 * (len(tr) - 1):2]  # each sweep's y half-step
+    caps = [cap for cap, *_ in calls][:2 * (len(tr) - 1):2]  # each sweep's y half-step
     decrease = (tr[:-1] - tr[1:]) / tr[:-1]
     # the first sweep at or below EARLY_DECREASE, 1-based
     settled = int(np.argmax(decrease <= emfkit.emf.EARLY_DECREASE)) + 1
@@ -288,7 +289,7 @@ def test_a_row_with_rank_observations_runs_exact_half_steps_at_ridge_0(monkeypat
     obs = EntryObservations(obs.shape, obs.row_idx[keep], obs.col_idx[keep], obs.values[keep])
     rep, calls = recorded_fit(monkeypatch, obs,
                               EmfConfig(omega=0.1, rank=2, max_outer=8, ridge=ridge, seed=1))
-    caps = {cap for cap, _ in calls[2:]} - {0}  # less a last, open-only half-step
+    caps = {cap for cap, *_ in calls[2:]} - {0}  # less a last, open-only half-step
     assert caps == ({emfkit.emf.MAX_INNER} if exact else {1})
 
 
@@ -314,12 +315,18 @@ def test_half_omega_fits_are_bit_identical_to_all_exact_sweeps(monkeypatch, gene
 
 def test_only_half_steps_stopped_at_max_inner_count_as_uncertified(monkeypatch):
     monkeypatch.setattr(emfkit.emf, "MAX_INNER", 2)
-    rep, calls = recorded_fit(monkeypatch, noisy_completion(),
-                              EmfConfig(omega=0.1, rank=2, max_outer=60, seed=1))
-    stopped_at = {cap: sum(not ok for c, ok in calls if c == cap) for cap in (1, 2)}
-    # one-round half-steps stop short of their certificate too, uncounted
-    assert stopped_at[1] > 0 and stopped_at[2] > 0
-    assert rep.uncertified_solves == stopped_at[2]
+    # at 1e-300 only a certificate by signs passes: a half-step whose columns
+    # all leave is certified however small the tolerance
+    for tol in (1e-8, 1e-300):
+        with monkeypatch.context() as patch:
+            rep, calls = recorded_fit(patch, noisy_completion(), EmfConfig(
+                omega=0.1, rank=2, max_outer=60, seed=1, tol_gradient=tol))
+        # a half-step stops uncertified only at its cap of rounds
+        assert all(rounds == cap for cap, ok, rounds in calls if not ok), tol
+        stopped_at = {cap: sum(not ok for c, ok, _ in calls if c == cap) for cap in (1, 2)}
+        # one-round half-steps stop short of their certificate too, uncounted
+        assert stopped_at[1] > 0 and stopped_at[2] > 0
+        assert rep.uncertified_solves == stopped_at[2]
 
 
 def test_y_gradient_computed_only_after_the_last_allowed_sweep(monkeypatch):
@@ -553,8 +560,8 @@ def test_entry_fit_bytes_do_not_depend_on_the_blas_thread_count():
     assert in_fit[1] == ([1] if openblas_controls() else []), "fit holds one BLAS thread"
 
 
-# Imports the package and its CLI and runs an entry fit, then prints which of
-# scipy.sparse and scipy.linalg are loaded.
+# Imports the package and its CLI and runs an entry fit, then prints the
+# scipy modules loaded.
 _IMPORT_GUARD = """
 import sys
 import numpy as np
@@ -562,13 +569,14 @@ import emfkit, emfkit.cli
 rows, cols = np.nonzero(np.ones((8, 6)))
 obs = emfkit.EntryObservations((8, 6), rows, cols, np.cos(rows * 6.0 + cols))
 emfkit.fit(obs, emfkit.EmfConfig(omega=0.3, rank=2, max_outer=3))
-print(" ".join(m for m in ("scipy.sparse", "scipy.linalg") if m in sys.modules))
+print(" ".join(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
-def test_entry_fits_load_neither_scipy_sparse_nor_scipy_linalg():
-    # nothing in the package needs scipy.sparse, whose import takes a process
-    # from 27 to about 51 MB resident; scipy.linalg serves general fits only
+def test_entry_fits_load_no_scipy_module():
+    # scipy.linalg serves general fits only, and the CLI reads scipy's
+    # version from its package metadata; scipy.sparse alone took a process
+    # from 27 to about 51 MB resident
     src = str(Path(emfkit.emf.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     run = subprocess.run([sys.executable, "-c", _IMPORT_GUARD], env=env,
@@ -622,6 +630,22 @@ def test_entry_fit_holds_openblas_at_one_thread(blas_at_two, monkeypatch):
     _, obs = completion(30, 25, 2, 0.5, seed=4)
     fit(obs, EmfConfig(omega=0.2, rank=2, max_outer=3, seed=4))
     assert seen and all(counts == [1] * len(counts) for counts in seen)
+    assert blas_counts() == [2] * len(seen[0])
+
+
+def test_svd_init_of_an_entry_set_holds_openblas_at_one_thread(blas_at_two, monkeypatch):
+    # called outside fit too, as tests do, its products and QRs run held
+    seen, product = [], emfkit.emf._bucket_product
+
+    def recording(*args):
+        seen.append(blas_counts())
+        return product(*args)
+
+    monkeypatch.setattr(emfkit.emf, "_bucket_product", recording)
+    _, obs = completion(30, 25, 2, 0.5, seed=4)
+    svd_init(obs, 2, seed=4)
+    assert len(seen) == 2 + 2 * emfkit.emf._POWER_ITERS
+    assert all(counts == [1] * len(counts) for counts in seen)
     assert blas_counts() == [2] * len(seen[0])
 
 

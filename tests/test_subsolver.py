@@ -357,6 +357,22 @@ def test_half_omega_stops_after_one_round():
     assert gres.inner_iterations == 1 and gres.converged
 
 
+def test_a_half_step_whose_columns_all_leave_is_certified_at_any_tolerance():
+    # a column whose weights hold through an undamped round satisfies its
+    # own signs, so its gradient is zero: no rounding read can fail a
+    # tolerance no read could meet
+    rng = np.random.RandomState(7)
+    rows, cols = np.nonzero(rng.rand(30, 20) < 0.5)
+    obs = EntryObservations((30, 20), rows, cols, rng.standard_t(3, rows.size))
+    x = rng.randn(30, 3)
+    opt = solve_y(x, obs, 0.2).solution
+    for omega, warm in ((0.5, None), (0.2, opt)):
+        res = solve_y(x, obs, omega, warm_start=warm, tol_gradient=1e-300)
+        assert res.inner_iterations == 1 and res.converged
+        assert res.final_gradient_norm == 0.0
+    assert np.array_equal(res.solution, opt)
+
+
 def one_hot_measurements(obs):
     """The entry observations as general measurements <E_ij, M>."""
     mats = []
