@@ -184,12 +184,13 @@ class EntryObservations:
         """Observations grouped per column into zero-padded buckets.
 
         Columns are taken by (observation count, index).  A bucket holds
-        the next run of at most ``BUCKET_COLUMNS`` of them, which bounds a
-        solve's per-bucket temporaries, none with more than twice the count
-        of the run's first, and is as wide as its last, widest column: so
-        padding at most doubles the slot count, and empty columns (zero
-        doubles to zero) fill width-0 buckets.  Each column's observations
-        keep their original relative order.  Built on first use, then cached.
+        the next run of at most ``BUCKET_COLUMNS`` of them (a bound on its
+        columns, not its slots: it sets a solve's task grain), none with
+        more than twice the count of the run's first, and is as wide as its
+        last, widest column: so padding at most doubles the slot count, and
+        empty columns (zero doubles to zero) fill width-0 buckets.  Each
+        column's observations keep their original relative order.  Built on
+        first use, then cached.
         """
         counts = self.col_counts
         # columns by (count, index), observations by column in that order

@@ -41,7 +41,7 @@ from .core import (
     StopReason,
 )
 from .rng import Pcg32
-from .subsolver import _gather, one_blas_thread, solve_y
+from .subsolver import one_blas_thread, solve_y
 
 # Stream id of the initialization's random test matrix; other stream ids
 # live in emfkit.synth.  Any fixed distinct constants work.
@@ -74,7 +74,8 @@ def svd_init(obs: ObservationSet, k: int, seed: int) -> FactorPair:
 
     The sum S enters only through S q and S^T q, which for an entry set are
     taken over the buckets of obs.transposed and obs (:func:`_bucket_product`),
-    and, as in fit, with OpenBLAS held at one thread (:func:`one_blas_thread`).
+    and, as in fit and solve_y, with OpenBLAS held at one thread
+    (:func:`one_blas_thread`).
 
     x0 is orthonormal, so the singular values d0 (non-increasing) are the
     column norms of the returned y.  Column signs are canonicalized
@@ -106,13 +107,13 @@ def svd_init(obs: ObservationSet, k: int, seed: int) -> FactorPair:
 
 
 def _bucket_product(obs: EntryObservations, q) -> np.ndarray:
-    """S^T q for the zero-filled matrix S of obs's values, bucket by bucket."""
-    # gathered as a solve gathers its design: padding slots take a zero row
+    """S^T q for the zero-filled matrix S of obs's values, bucket by bucket:
+    each bucket's rows of q are one take into a k-major block, as solve_y
+    gathers its design, and padding slots (row -1) wrap to a zero row."""
     qt = np.append(q.T, np.zeros((q.shape[1], 1)), axis=1)
     out = np.empty((obs.shape[1], q.shape[1]))
     for b in obs.column_buckets:
-        rows = np.empty(qt.shape[:1] + b.rows.shape).transpose(1, 0, 2)
-        _gather(qt, b.rows, rows)
+        rows = qt.take(b.rows, axis=1, mode="wrap").transpose(1, 0, 2)
         out[b.cols] = np.matmul(rows, b.values[:, :, None])[:, :, 0]
     return out
 

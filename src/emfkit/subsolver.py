@@ -18,9 +18,11 @@ are each one batched matmul or reduction per block.  For entry
 observations the problem decomposes into independent k-dim subproblems per
 row of the unknown factor, and the blocks are the observation set's cached
 column layout (:attr:`~emfkit.core.EntryObservations.column_buckets`) with
-the fixed factor's rows as design, gathered with one take per factor
-column; each factor column is one plane in memory, so the weighting and
-the products run along contiguous slots.  General linear measurements
+the fixed factor's rows as design.  A bucket's block is one take along
+the columns of the fixed factor's transpose, with a zero column appended
+that padding slots (row -1) wrap to, into a k-major buffer: each factor
+column is one contiguous (columns, width) plane, so the weighting and the
+products run along contiguous slots.  General linear measurements
 couple all rows: they form one (1, n*k, p) block, a view of the
 measurements' design rows G, whose single row is vec(Y), with one slot per
 measurement.  The weights take two values, so its normal matrix is
@@ -65,14 +67,15 @@ are bit-identical to running the blocks one after another.  A step with
 one live block, such as the general block, or with few live design
 numbers runs inline, and the pool lives only as long as one call.
 
-An entry fit holds OpenBLAS at one thread (:func:`one_blas_thread`), which
-does two jobs.  The pool is its only parallelism: after a call that
-OpenBLAS splits across threads, such as svd_init's QR, its idle workers
-spin for a while and take a core from the pool.  And an entry fit's bytes
-do not depend on the BLAS thread count: OpenBLAS splits large enough calls
-across its threads and rounds by their count (unheld, a rank-50 fit of a
-1000-by-1000 set differed at one and two threads).  The general block,
-which runs inline, keeps the BLAS threads for its Gram product.
+An entry half-step holds OpenBLAS at one thread (:func:`one_blas_thread`),
+as an entry fit and svd_init do throughout; the hold does two jobs.  The
+pool is its only parallelism: after a call that OpenBLAS splits across
+threads, such as svd_init's QR, its idle workers spin for a while and take
+a core from the pool.  And an entry half-step's bytes do not depend on the
+BLAS thread count: OpenBLAS splits large enough calls across its threads
+and rounds by their count (unheld, a rank-50 fit of a 1000-by-1000 set
+differed at one and two threads).  The general block, which runs inline,
+keeps the BLAS threads for its Gram product.
 """
 
 from __future__ import annotations
@@ -81,7 +84,7 @@ import ctypes
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -211,7 +214,7 @@ def solve_y(
         # one bucket's opening: its design, and all else at the warm start
         s = blocks[i]
         if entry:
-            _gather(xt, buckets[i].rows, s.design)
+            xt.take(buckets[i].rows, axis=1, out=s.design.transpose(1, 0, 2), mode="wrap")
         s.w[:], obj[s.cols] = _evaluate((s.design, s.values), y[s.cols], omega, ridge)
         assemble(s)
 
@@ -253,8 +256,10 @@ def solve_y(
 
     threads = min(ROUND_THREADS or usable_cores(), len(blocks))
     # this thread solves buckets too, beside threads - 1 of the pool's; the
-    # pool starts a thread only when a step hands it a bucket
-    with ThreadPoolExecutor(max(threads - 1, 1)) as pool:
+    # pool starts a thread only when a step hands it a bucket.  An entry
+    # half-step holds OpenBLAS at one thread, as fit does (nested holds share one)
+    hold = one_blas_thread() if entry else nullcontext()
+    with hold, ThreadPoolExecutor(max(threads - 1, 1)) as pool:
 
         def run(step, ids):
             # inline for one live bucket or few live design numbers
@@ -338,14 +343,6 @@ def _spread(pool, threads, step, ids):
         raise failed[min(failed)]
 
 
-def _gather(xt, rows, out):
-    """Fill the k-major (columns, k, width) design block out: slot (c, s)
-    holds column rows[c, s] of xt, one take per factor column, each written
-    straight into its own contiguous (columns, width) plane."""
-    for j, xj in enumerate(xt):
-        xj.take(rows, out=out[:, j], mode="wrap")  # row -1 wraps to the zero column
-
-
 def usable_cores() -> int:
     """Cores this process may run on."""
     try:
@@ -390,9 +387,9 @@ def openblas_controls() -> tuple:
 def one_blas_thread():
     """Hold every OpenBLAS library loaded in this process at one thread.
 
-    An entry fit runs under it: idle OpenBLAS workers would spin on the
-    bucket pool's cores, and a call OpenBLAS splits across threads rounds
-    by their count, so an unheld fit's bytes can change with that count.
+    An entry fit, svd_init or half-step runs under it: idle OpenBLAS
+    workers would spin on the pool's cores, and a call OpenBLAS splits
+    across threads rounds by their count, so unheld bytes can vary with it.
     Nested and concurrent holders share one hold: the first saves the
     thread counts and the last restores them.  With no OpenBLAS found it
     does nothing.

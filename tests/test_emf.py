@@ -23,7 +23,7 @@ from emfkit.core import (
     product_at_entries,
 )
 from emfkit.emf import DegenerateInitError, fit, svd_init
-from emfkit.subsolver import SingularDesignError, openblas_controls
+from emfkit.subsolver import SingularDesignError, openblas_controls, solve_y
 from emfkit.synth import gen_low_rank, make_completion_instance, sample_mask
 from oracle import als_reference, objective, residuals
 
@@ -485,12 +485,14 @@ def test_property_fit_reflected_values_negate_the_product(seed, omega, general, 
 # product): a 600x600 rank-50 fit, whose factors differ between one and two
 # OpenBLAS threads without fit's hold, then fits on 24,000 observations: more
 # than OpenBLAS splits a dot product across threads at.  Prints, as JSON, the
-# SHA-256 of each fit's outputs; then of an svd_init and a solve_y called outside fit, which therefore run
-# at the process's BLAS thread count while fit holds OpenBLAS at one thread;
-# then of each file but plan.txt (which records out_dir) of README's
-# synth-exp reproducer: a 500x500 rank-5 truth, a shape at which OpenBLAS's
-# dgemm rounds the product differently at one and two threads.  Beside
-# them, the OpenBLAS thread counts that solve_y saw during fits.
+# SHA-256 of each fit's outputs; then of an svd_init and two solve_y called
+# outside fit, which take the hold themselves: one on 24,000 observations and
+# one of rank 50 on a 600x600 set, whose solution differs between one and two
+# OpenBLAS threads without solve_y's hold; then of each file but plan.txt
+# (which records out_dir) of README's synth-exp reproducer: a 500x500 rank-5
+# truth, a shape at which OpenBLAS's dgemm rounds the product differently at
+# one and two threads.  Beside them, the OpenBLAS thread counts that solve_y
+# saw during fits.
 _THREADED_FIT = """
 import contextlib, hashlib, json, pathlib, sys, tempfile
 import numpy as np
@@ -500,7 +502,7 @@ from emfkit.core import EmfConfig, EntryObservations
 from emfkit.emf import fit, solve_y, svd_init
 from emfkit.rng import Pcg32
 from emfkit.subsolver import openblas_controls
-from emfkit.synth import sample_mask
+from emfkit.synth import make_completion_instance, sample_mask
 
 def sha(*arrays):
     return [hashlib.sha256(a.tobytes()).hexdigest() for a in arrays]
@@ -529,7 +531,10 @@ for seed in range(6):
     out.append(fit_digests(obs, k, 5, seed))
 start = svd_init(obs, k, 5)
 half = solve_y(start.x, obs, 0.1, warm_start=start.y, max_inner=5)
-out.append(sha(start.x, start.y, half.solution, half.inner_objective_trace))
+wide = solve_y(np.random.default_rng(0).standard_normal((600, 50)),
+               make_completion_instance(600, 600, 50, 0.5, 3, 0.3, 0).observed, 0.2)
+out.append(sha(start.x, start.y, half.solution, half.inner_objective_trace,
+               wide.solution, wide.inner_objective_trace))
 with tempfile.TemporaryDirectory() as d, contextlib.redirect_stdout(sys.stderr):
     assert main(["synth-exp", "--m", "500", "--n", "500", "--rank", "5", "--k-true", "5",
                  "--sampling-rate", "0.2", "--omega", "0.1", "--seed", "3",
@@ -645,6 +650,22 @@ def test_svd_init_of_an_entry_set_holds_openblas_at_one_thread(blas_at_two, monk
     _, obs = completion(30, 25, 2, 0.5, seed=4)
     svd_init(obs, 2, seed=4)
     assert len(seen) == 2 + 2 * emfkit.emf._POWER_ITERS
+    assert all(counts == [1] * len(counts) for counts in seen)
+    assert blas_counts() == [2] * len(seen[0])
+
+
+def test_solve_y_of_an_entry_set_holds_openblas_at_one_thread(blas_at_two, monkeypatch):
+    # called outside fit, its opening and rounds run held
+    seen, evaluate = [], emfkit.subsolver._evaluate
+
+    def recording(*args):
+        seen.append(blas_counts())
+        return evaluate(*args)
+
+    monkeypatch.setattr(emfkit.subsolver, "_evaluate", recording)
+    _, obs = completion(30, 25, 2, 0.5, seed=4)
+    res = solve_y(np.random.RandomState(4).randn(30, 2), obs, 0.2)
+    assert res.inner_iterations and len(seen) > len(obs.column_buckets)
     assert all(counts == [1] * len(counts) for counts in seen)
     assert blas_counts() == [2] * len(seen[0])
 

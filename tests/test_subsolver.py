@@ -835,20 +835,34 @@ def solve_with_threads(threads, *args, **kwargs):
             sys.setswitchinterval(interval)
 
 
-def record_threads(monkeypatch, name):
-    """Wrap the subsolver's kernel `name`; the returned list gets the thread
-    of every call."""
+def record_threads(monkeypatch, *names):
+    """Wrap the subsolver's kernels `names`; the returned list gets the name
+    and thread of every call, in call order."""
     import emfkit.subsolver as subsolver
 
-    called_on = []
-    real = getattr(subsolver, name)
+    calls = []
+    for name in names:
 
-    def recording(*args):
-        called_on.append(threading.get_ident())
-        return real(*args)
+        def recording(*args, name=name, real=getattr(subsolver, name)):
+            calls.append((name, threading.get_ident()))
+            return real(*args)
 
-    monkeypatch.setattr(subsolver, name, recording)
-    return called_on
+        monkeypatch.setattr(subsolver, name, recording)
+    return calls
+
+
+def threads_of(calls, name):
+    return [thread for called, thread in calls if called == name]
+
+
+def opened_on(calls):
+    """The threads of a half-step's bucket openings, from recorded _evaluate
+    and _solve calls: the opening step joins before round 1, and a bucket's
+    round starts with _solve, so the _evaluate calls before the first _solve
+    are the openings, one per bucket."""
+    names = [name for name, _ in calls]
+    rounds = names.index("_solve") if "_solve" in names else len(calls)
+    return threads_of(calls[:rounds], "_evaluate")
 
 
 @pytest.mark.parametrize("ridge", [0.0, 0.3])
@@ -864,17 +878,17 @@ def test_threaded_rounds_equal_serial_rounds(omega, ridge, monkeypatch):
     assert len(obs.column_buckets) >= 5
     x = rng.randn(m, k)
     warm = rng.randn(obs.shape[1], k) * 10
-    gathered_on = record_threads(monkeypatch, "_gather")
-    solved_on = record_threads(monkeypatch, "_solve")
+    calls = record_threads(monkeypatch, "_evaluate", "_solve")
     serial = solve_with_threads(1, x, obs, omega, ridge, warm_start=warm)
-    assert set(gathered_on) == set(solved_on) == {threading.get_ident()}
-    gathered_on.clear()
-    solved_on.clear()
+    assert len(opened_on(calls)) == len(obs.column_buckets)
+    assert set(threads_of(calls, "_evaluate")) == set(threads_of(calls, "_solve")) == {
+        threading.get_ident()}
+    calls.clear()
     threaded = solve_with_threads(8, x, obs, omega, ridge, warm_start=warm)
     # the calling thread opens and solves buckets too, but not all of them
-    assert len(gathered_on) == len(obs.column_buckets)
-    assert set(gathered_on) - {threading.get_ident()}
-    assert set(solved_on) - {threading.get_ident()}
+    assert len(opened_on(calls)) == len(obs.column_buckets)
+    assert set(opened_on(calls)) - {threading.get_ident()}
+    assert set(threads_of(calls, "_solve")) - {threading.get_ident()}
     assert serial.inner_iterations >= (1 if omega == 0.5 else 3)
     for name in [f.name for f in dataclasses.fields(serial)] + ["sign_pattern"]:
         a, b = getattr(serial, name), getattr(threaded, name)
@@ -895,13 +909,13 @@ def test_threaded_rounds_name_the_serial_singular_column(monkeypatch):
     obs = column_degree_instance(rng, 60, [16, 4, 8, 2])
     x = rng.randn(60, 2)
     x[obs.row_idx[np.isin(obs.col_idx, [0, 2])]] = 1.0
-    gathered_on = record_threads(monkeypatch, "_gather")
+    calls = record_threads(monkeypatch, "_evaluate", "_solve")
     for threads in (1, 8):
-        gathered_on.clear()
+        calls.clear()
         with pytest.raises(SingularDesignError, match=r"^column 2: "):
             solve_with_threads(threads, x, obs, 0.5)
-        assert len(gathered_on) == 4
-        assert (set(gathered_on) == {threading.get_ident()}) is (threads == 1)
+        assert len(opened_on(calls)) == 4
+        assert (set(opened_on(calls)) == {threading.get_ident()}) is (threads == 1)
 
 
 @pytest.mark.parametrize("threads", [1, 8])
