@@ -20,6 +20,11 @@ Derived streams are layered on the raw 32-bit output and are equally pinned:
   ``r*cos(theta), r*sin(theta)`` with ``r = sqrt(-2*log(1 - u1))`` and
   ``theta = 2*pi*u2``.  An odd request consumes a full pair and drops the
   second value.
+* ``normal_at(indices)``: random access into the ``normal`` stream that
+  starts at the current state, which it does not advance.  Normal t is
+  value ``t % 2`` (cos, then sin) of pair ``t // 2``, whose ``u1`` and
+  ``u2`` come from raw draws ``4*(t // 2)``, ``+1`` and ``+2``, ``+3``.
+  So ``normal_at(idx) == normal(N)[idx]`` for every ``N > max(idx)``.
 * ``permutation_prefix(n, count)``: partial Fisher-Yates.  Step i = 0, 1,
   ..., count - 1 takes ``j = i + r mod (n - i)``, r the step's first raw
   draw not below ``2^32 mod (n - i)`` (so j is unbiased), and swaps
@@ -34,7 +39,11 @@ arbitrary strides", 1994) with two tables built once at import, ``a^i`` and
 ``sum_{j<i} a^j`` for ``i < _BLOCK``; the output function is applied to
 them and the result written into the request's output.  Temporaries are
 O(block), so a request takes about its output's memory, and the values are
-the same as ``count`` scalar steps.
+the same as ``count`` scalar steps.  ``normal_at`` reaches a pair's first
+draw from its block's first state, read from a table of block-start states
+built the same way with ``a^_BLOCK`` as the multiplier.  Both paths apply
+one set of output, uniform and Box-Muller functions, so their values are
+the same bits by construction.
 """
 
 from __future__ import annotations
@@ -51,21 +60,26 @@ _MASK64 = (1 << 64) - 1
 # long.  A block's temporaries (at most 128 KiB each) stay in cache, and
 # glibc's malloc reuses them: at 2^15 and 2^16, normal() spent a quarter to
 # a third of its time in page faults on memory handed back and taken again.
-_BLOCK = 1 << 14
+_BLOCK_BITS = 14
+_BLOCK = 1 << _BLOCK_BITS
 
 
-def _jump_tables():
-    """a^i and sum_{j<i} a^j (mod 2^64) for i < _BLOCK, a the multiplier."""
-    powers = np.full(_BLOCK, _MULT, dtype=np.uint64)
-    powers[0] = 1
+def _jump_tables(mult: int, count: int):
+    """mult^i and sum_{j<i} mult^j (mod 2^64) for i < count."""
+    powers = np.full(count, mult, dtype=np.uint64)
+    powers[:1] = 1
     np.multiply.accumulate(powers, out=powers)
-    geo = np.zeros(_BLOCK, dtype=np.uint64)
+    geo = np.zeros(count, dtype=np.uint64)
     np.cumsum(powers[:-1], out=geo[1:])
-    powers.flags.writeable = geo.flags.writeable = False
     return powers, geo
 
 
-_POW, _GEO = _jump_tables()
+_POW, _GEO = _jump_tables(_MULT, _BLOCK)
+_POW.flags.writeable = _GEO.flags.writeable = False
+# a^_BLOCK and sum_{j<_BLOCK} a^j: one block's step, for the block-start
+# states of random access
+_BLOCK_MULT = int(_POW[-1]) * _MULT & _MASK64
+_BLOCK_SUM = (int(_GEO[-1]) + int(_POW[-1])) & _MASK64
 
 
 class Pcg32:
@@ -120,11 +134,66 @@ class Pcg32:
         for start in range(0, 2 * pairs, _BLOCK // 2):
             u = out[start:start + _BLOCK // 2]
             self._fill_uniform(u)
-            r = np.sqrt(-2.0 * np.log1p(-u[0::2]))
-            theta = (2.0 * math.pi) * u[1::2]
-            u[0::2] = r * np.cos(theta)
-            u[1::2] = r * np.sin(theta)
+            _box_muller(u[0::2], u[1::2])
         return out[:count]
+
+    def normal_at(self, indices) -> np.ndarray:
+        """The normals at stream positions `indices`, in their shape: exactly
+        ``normal(N)[indices]`` for any ``N > max(indices)``.  The generator
+        does not advance.
+
+        Normal t is value t % 2 of Box-Muller pair t // 2, made from raw
+        draws 4 (t // 2) to 4 (t // 2) + 3.  A pair's first state is jumped
+        to from the state that starts its block of ``_BLOCK`` raw draws,
+        and its other three are stepped to; the block-start states form a
+        table of about max(indices) / (_BLOCK / 2) entries.  The indices are
+        worked through in chunks of ``_BLOCK``, in their order, and
+        neighbours in a chunk that share a pair share its draw: a run t,
+        t + 1, ... costs one pair per two normals.  Nothing is sorted; a
+        pair repeated further apart is drawn again.
+        """
+        t = np.asarray(indices)
+        if t.size == 0:
+            return np.empty(t.shape)
+        if t.dtype.kind not in "iu":
+            raise TypeError(f"indices must be integers, got dtype {t.dtype}")
+        flat = t.reshape(-1).astype(np.int64, copy=False)
+        if flat.min() < 0:
+            raise ValueError(f"indices must be nonnegative, got {flat.min()}")
+        last = 4 * (int(flat.max()) // 2)  # raw index of the last pair's first draw
+        powers, sums = _jump_tables(_BLOCK_MULT, (last >> _BLOCK_BITS) + 1)
+        starts = powers * np.uint64(self._state)
+        starts += sums * np.uint64(_BLOCK_SUM * self._inc & _MASK64)
+        out = np.empty(flat.size)
+        for start in range(0, flat.size, _BLOCK):
+            stop = start + _BLOCK
+            self._fill_normals_at(flat[start:stop], starts, out[start:stop])
+        return out.reshape(t.shape)
+
+    def _fill_normals_at(self, t: np.ndarray, starts: np.ndarray, out: np.ndarray) -> None:
+        """Write the normals at the nonnegative int64 stream positions `t`
+        into `out`, given the uint64 states `starts` that open each block."""
+        pair = t >> 1
+        fresh = np.empty(t.size, dtype=bool)
+        fresh[0] = True
+        np.not_equal(pair[1:], pair[:-1], out=fresh[1:])
+        first = pair[fresh] << 2  # a pair's raw draw 0
+        offset = first & (_BLOCK - 1)
+        states = np.empty((4, first.size), dtype=np.uint64)
+        np.multiply(_POW[offset], starts[first >> _BLOCK_BITS], out=states[0])
+        states[0] += _GEO[offset] * np.uint64(self._inc)
+        for k in range(1, 4):
+            np.multiply(states[k - 1], np.uint64(_MULT), out=states[k])
+            states[k] += np.uint64(self._inc)
+        raw = np.empty(states.shape, dtype=np.uint32)
+        _output(states, raw)
+        u = np.empty((2, first.size))
+        _unit(raw[0], raw[1], u[0])
+        _unit(raw[2], raw[3], u[1])
+        _box_muller(u[0], u[1])
+        slot = np.cumsum(fresh)  # 1 + the pair's column in u
+        slot += (t & 1) * first.size - 1
+        np.take(u.reshape(-1), slot, out=out)
 
     def _fill_raw(self, out: np.ndarray) -> None:
         """Write the next ``out.size`` (1 to ``_BLOCK``) raw draws into the
@@ -133,20 +202,14 @@ class Pcg32:
         olds = _POW[:c] * np.uint64(self._state)
         olds += _GEO[:c] * np.uint64(self._inc)
         self._state = (int(olds[-1]) * _MULT + self._inc) & _MASK64
-        rot = (olds >> np.uint64(59)).astype(np.uint32)
-        olds ^= olds >> np.uint64(18)
-        olds >>= np.uint64(27)
-        xorshifted = olds.astype(np.uint32)
-        np.bitwise_or(xorshifted >> rot, xorshifted << (-rot & np.uint32(31)), out=out)
+        _output(olds, out)
 
     def _fill_uniform(self, out: np.ndarray) -> None:
         """Write the next ``out.size`` (1 to ``_BLOCK // 2``) uniforms into
         the float64 array `out`, two raw draws each."""
         raw = np.empty(2 * out.size, dtype=np.uint32)
         self._fill_raw(raw)
-        raw = raw.astype(np.uint64)
-        bits = (raw[0::2] << np.uint64(32)) | raw[1::2]
-        out[:] = (bits >> np.uint64(11)) * (2.0 ** -53)
+        _unit(raw[0::2], raw[1::2], out)
 
     def permutation_prefix(self, n: int, count: int) -> np.ndarray:
         """First `count` elements of a Fisher-Yates shuffle of range(n).
@@ -179,6 +242,35 @@ class Pcg32:
 def _check_count(count: int) -> None:
     if count < 0:
         raise ValueError("count must be nonnegative")
+
+
+# The pinned maps below are shared by the sequential and the random-access
+# streams, so the two give the same bits by construction.
+
+def _output(states: np.ndarray, out: np.ndarray) -> None:
+    """Write the XSH-RR outputs of the uint64 `states` (overwritten) into the
+    uint32 array `out`."""
+    rot = (states >> np.uint64(59)).astype(np.uint32)
+    states ^= states >> np.uint64(18)
+    states >>= np.uint64(27)
+    xorshifted = states.astype(np.uint32)
+    np.bitwise_or(xorshifted >> rot, xorshifted << (-rot & np.uint32(31)), out=out)
+
+
+def _unit(hi: np.ndarray, lo: np.ndarray, out: np.ndarray) -> None:
+    """Write the uniforms of the raw draw pairs (hi, lo) into the float64
+    array `out`."""
+    bits = (hi.astype(np.uint64) << np.uint64(32)) | lo
+    out[:] = (bits >> np.uint64(11)) * (2.0 ** -53)
+
+
+def _box_muller(u1: np.ndarray, u2: np.ndarray) -> None:
+    """Overwrite the uniform pairs (u1, u2) with their normals
+    (r cos(theta), r sin(theta))."""
+    r = np.sqrt(-2.0 * np.log1p(-u1))
+    theta = (2.0 * math.pi) * u2
+    u1[:] = r * np.cos(theta)
+    u2[:] = r * np.sin(theta)
 
 
 def _assign_draws(raw: np.ndarray, thresholds: np.ndarray):

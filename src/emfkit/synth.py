@@ -4,7 +4,9 @@ Every generator is a pure function of its seed via :class:`emfkit.rng.Pcg32`
 streams; the stream ids below keep factors, noise, masks and measurement
 draws independent of each other for the same experiment seed.  Products
 are einsum's sums, not BLAS calls, so instances are the same bytes at any
-BLAS thread count.
+BLAS thread count.  A completion instance draws noise at its sampled
+entries only; its values are those of the whole noise matrix at those
+entries, bit for bit.
 """
 
 from __future__ import annotations
@@ -49,16 +51,28 @@ def gen_low_rank(m: int, n: int, k: int, seed: int) -> FactorPair:
 
 
 def chi_square_noise(m: int, n: int, dof: int, scale: float, seed: int) -> np.ndarray:
-    """Entries scale * chi^2_dof, i.i.d. (sum of dof squared standard normals)."""
+    """Entries scale * chi^2_dof, i.i.d. (sum of dof squared standard normals).
+
+    Entry (i, j) sums the squares of normals dof*(i*n + j) to
+    dof*(i*n + j) + dof - 1 of the noise stream.
+    """
+    _check_noise(m, n, dof, scale)
+    z = Pcg32(seed, NOISE_STREAM).normal(m * n * dof).reshape(m * n, dof)
+    return _chi_square(z, scale).reshape(m, n)
+
+
+def _check_noise(m: int, n: int, dof: int, scale: float) -> None:
     if m < 1 or n < 1:
         raise ValueError(f"invalid dimensions m={m}, n={n}")
     if dof < 1:
         raise ValueError(f"dof must be >= 1, got {dof}")
     if scale < 0:
         raise ValueError(f"scale must be >= 0, got {scale}")
-    g = Pcg32(seed, NOISE_STREAM)
-    z = g.normal(m * n * dof).reshape(m * n, dof)
-    return (scale * np.einsum("ij,ij->i", z, z)).reshape(m, n)
+
+
+def _chi_square(z: np.ndarray, scale: float) -> np.ndarray:
+    """scale times the sums of squares of the rows of z."""
+    return scale * np.einsum("ij,ij->i", z, z)
 
 
 def sample_mask(m: int, n: int, rate: float, seed: int) -> np.ndarray:
@@ -105,15 +119,23 @@ def make_completion_instance(
     m: int, n: int, k: int, noise_scale: float, dof: int, rate: float, seed: int
 ) -> SyntheticInstance:
     """The synthetic recipe: uniform low-rank truth plus scaled chi-square noise,
-    observed on a uniform random mask."""
+    observed on a uniform random mask.
+
+    The observed values are truth plus ``chi_square_noise(m, n, dof,
+    noise_scale, seed)`` at the mask, bit for bit; only the sampled
+    entries' normals are drawn, by random access into the noise stream.
+    """
     factors = gen_low_rank(m, n, k, seed)
     truth = np.einsum("ik,jk->ij", factors.x, factors.y)
-    noisy = truth + chi_square_noise(m, n, dof, noise_scale, seed)
+    _check_noise(m, n, dof, noise_scale)
     mask = sample_mask(m, n, rate, seed)
     rows, cols = mask[:, 0], mask[:, 1]
-    observed = EntryObservations((m, n), rows, cols, noisy[rows, cols])
+    flat = rows * n + cols
+    z = Pcg32(seed, NOISE_STREAM).normal_at(dof * flat[:, None] + np.arange(dof))
+    noise = _chi_square(z, noise_scale)
+    observed = EntryObservations((m, n), rows, cols, truth[rows, cols] + noise)
     taken = np.zeros(m * n, dtype=bool)
-    taken[rows * n + cols] = True
+    taken[flat] = True
     rest = np.nonzero(~taken)[0]
     heldout = np.column_stack([rest // n, rest % n])
     return SyntheticInstance(truth=truth, observed=observed, heldout=heldout)

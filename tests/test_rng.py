@@ -61,6 +61,58 @@ def test_normal_matches_one_shot_box_muller(count):
     assert a.next_uint32() == b.next_uint32()
 
 
+# an odd count, so normal(count) drops the second value of its last pair
+_AT_COUNT = 4 * _BLOCK_NORMALS + 3
+# where normal()'s blocks meet, and the ends of the stream
+_SEAMS = sorted({0, _AT_COUNT - 1} | {k * _BLOCK_NORMALS + d
+                                      for k in range(1, 5) for d in range(-2, 3)})
+
+
+def _advanced(seed, seq):
+    """A generator moved an odd number of raw draws past its seeding."""
+    g = Pcg32(seed, seq)
+    g.uniform(3)
+    g.next_uint32()
+    return g
+
+
+@pytest.mark.parametrize("indices", [
+    _SEAMS,
+    _SEAMS[::-1],
+    [5, 5, 4, 5, 0, _AT_COUNT - 1, 4, 4],
+    np.arange(_AT_COUNT),  # several of normal_at's own chunks
+    np.arange(_AT_COUNT)[::-3],
+    np.random.RandomState(8).randint(0, _AT_COUNT, size=(64, 3)),
+    np.array(_SEAMS, dtype=np.uint32),
+    [_AT_COUNT - 1],
+], ids=["seams", "seams reversed", "repeated", "all", "strided down", "2-d random",
+        "uint32", "one"])
+def test_normal_at_is_the_normal_stream_indexed(indices):
+    a, b = _advanced(17, 4), _advanced(17, 4)
+    full = b.normal(_AT_COUNT)
+    got = a.normal_at(indices)
+    expected = full[np.asarray(indices)]
+    assert got.shape == expected.shape and got.dtype == np.float64
+    assert got.tobytes() == expected.tobytes()
+    # the call leaves the generator where it was: its normals are as fresh
+    assert np.array_equal(a.normal(_AT_COUNT), full)
+
+
+@pytest.mark.parametrize("indices", [[], np.array([], dtype=np.int64),
+                                     np.zeros((0, 3), dtype=np.int64)])
+def test_normal_at_of_no_indices_is_empty(indices):
+    got = Pcg32(3).normal_at(indices)
+    assert got.shape == np.shape(indices) and got.dtype == np.float64
+
+
+def test_normal_at_refuses_negative_and_non_integer_indices():
+    g = Pcg32(1)
+    with pytest.raises(ValueError, match="^indices must be nonnegative, got -1$"):
+        g.normal_at([3, -1, 2])
+    with pytest.raises(TypeError, match="^indices must be integers, got dtype float64$"):
+        g.normal_at([1.0, 2.0])
+
+
 def test_multi_block_pinned_vectors():
     # values of the unblocked whole-length jump-ahead, at fixed counts (three
     # blocks and a part at 2^14), so no block size may move the stream

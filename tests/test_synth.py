@@ -107,17 +107,42 @@ def test_gaussian_measurements_cap(monkeypatch):
     assert gaussian_measurements(10, 10, 100, seed=0).shape == (100, 10, 10)
 
 
-def test_make_completion_instance_partition_and_noise_sign():
-    inst = make_completion_instance(30, 20, 3, 0.5, 3, 0.25, seed=6)
-    assert inst.observed.size == int(0.25 * 600)
-    assert len(inst.heldout) == 600 - inst.observed.size
-    flat = set((inst.observed.row_idx * 20 + inst.observed.col_idx).tolist())
-    flat |= set((inst.heldout[:, 0] * 20 + inst.heldout[:, 1]).tolist())
-    assert flat == set(range(600))
+# The noise is drawn at the sampled entries alone, at shares from sparse to
+# every entry.  Each parity of dof splits an entry's normals over Box-Muller
+# pairs differently.
+@pytest.mark.parametrize("dof", [1, 2, 3])
+@pytest.mark.parametrize("m, n, rate", [
+    (30, 20, 0.05), (30, 20, 0.25), (30, 20, 0.45), (30, 20, 0.5), (30, 20, 0.75),
+    (30, 20, 1.0), (7, 13, 0.35), (7, 13, 0.9),
+])
+def test_make_completion_instance_partition_and_noise_sign(m, n, rate, dof):
+    inst = make_completion_instance(m, n, 3, 0.5, dof, rate, seed=6)
+    assert inst.observed.size == int(rate * m * n)
+    assert len(inst.heldout) == m * n - inst.observed.size
+    flat = set((inst.observed.row_idx * n + inst.observed.col_idx).tolist())
+    flat |= set((inst.heldout[:, 0] * n + inst.heldout[:, 1]).tolist())
+    assert flat == set(range(m * n))
     rows, cols = inst.observed.row_idx, inst.observed.col_idx
-    noisy = inst.truth + chi_square_noise(30, 20, 3, 0.5, seed=6)
-    assert np.array_equal(inst.observed.values, noisy[rows, cols])
+    noisy = inst.truth + chi_square_noise(m, n, dof, 0.5, seed=6)
+    assert inst.observed.values.tobytes() == noisy[rows, cols].tobytes()
     assert np.all(inst.observed.values >= inst.truth[rows, cols])  # chi-square noise is >= 0
+
+
+def test_c3_instance_noise_is_the_whole_stream_sampled():
+    # the skewed-noise experiment's instance: 1000x1000, 10% sampled, dof 3
+    inst = make_completion_instance(1000, 1000, 10, 0.5, 3, 0.1, seed=5000)
+    rows, cols = inst.observed.row_idx, inst.observed.col_idx
+    noisy = inst.truth + chi_square_noise(1000, 1000, 3, 0.5, seed=5000)
+    assert inst.observed.values.tobytes() == noisy[rows, cols].tobytes()
+
+
+def test_a_sparse_instance_draws_no_whole_noise_stream(monkeypatch):
+    def refuse(self, count):
+        raise AssertionError(f"normal({count}) drawn")
+
+    monkeypatch.setattr(emfkit.synth.Pcg32, "normal", refuse)
+    inst = make_completion_instance(40, 30, 3, 0.5, 3, 0.1, seed=2)
+    assert inst.observed.size == 120
 
 
 def test_make_completion_instance_noiseless_full():
