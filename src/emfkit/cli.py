@@ -99,6 +99,9 @@ class ExperimentPlan:
                     raise ValueError(f"{key} must be <= min(m, n) = {min(self.m, self.n)}, "
                                      f"got {getattr(self, key)}")
             train = int(self.sampling_rate * (self.m * self.n))  # as synth.sample_mask counts
+            if train == 0:
+                raise ValueError(f"sampling_rate {self.sampling_rate} selects no training entry "
+                                 f"of a {self.m}x{self.n} matrix")
             if train == self.m * self.n:
                 raise ValueError(f"sampling_rate {self.sampling_rate} leaves no held-out entry "
                                  f"of a {self.m}x{self.n} matrix")

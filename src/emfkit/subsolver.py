@@ -4,11 +4,11 @@ With one factor fixed the objective is a convex, C^1, piecewise-quadratic
 function of the other factor.  It is solved by sign-set iteration
 (reweighted least squares with the two-valued asymmetric weights): fix the
 weights implied by the current residual signs, solve the weighted ridge
-normal equations, recompute signs, repeat.  Once a round leaves the weights
-unchanged its solution satisfies its own signs, has zero gradient and is
-therefore the global minimizer.  If a reweighted step ever increases the
-objective, the step is bisected toward the previous iterate (the step is a
-strict descent direction, so a short enough step always descends).
+normal equations, recompute signs, repeat.  A round solves, then halves
+the step of each column whose objective rose until it descends (a strict
+descent direction, so a short enough step always does); a halved column
+stays in the loop.  Once a full step leaves a column's weights unchanged it
+satisfies its own signs, has zero gradient and is the global minimizer.
 
 One driver serves both observation kinds.  It works on blocks of
 independent subproblems: per block a slot-major (rows, d, width) array of
@@ -37,9 +37,8 @@ of the residuals that are zero or rounding noise; such a fit is not
 unique.  A ridge makes every half-step's minimizer unique.
 
 Rows of the unknown are independent subproblems, so each converges on its
-own: a row leaves the round loop once a round leaves its weights unchanged
-and does not damp it.  It then satisfies its own signs and is its own
-global minimizer, and every later round would reproduce it bit for bit.
+own: a row leaves the round loop once its signs certify it, and every
+later round would reproduce it bit for bit.
 Each block holds, for one half-step and compacted in place as rows leave,
 the design rows, values, weights, normal matrix N and right-hand side q of
 each row still in the loop.  (N, q) is at the row's current weights:
@@ -206,6 +205,7 @@ def solve_y(
         y = y.reshape(1, -1)
         # G G^T of the design rows G: every assembly of the half-step starts from it
         gram = blocks[0].design[0] @ blocks[0].design[0].T
+    solve = _solve_entry if entry else _solve_general
     n, d = y.shape
     # per column: its objective, and its gradient 2 (N y - q) at y (0 once it leaves)
     obj, g = np.empty(n), np.empty((n, d))
@@ -233,18 +233,11 @@ def solve_y(
         # writes only its own columns, so buckets may run on different threads
         s = blocks[i]
         n, c = s.n, s.cols[:s.n]
-        y_old, obj_old = y[c], obj[c]
-        y_c = _solve(s.normal[:n], s.rhs[:n], c, not entry)
-        part = (s.design[:n], s.values[:n])
-        w, obj_c = _evaluate(part, y_c, omega, ridge)
-        worse = obj_c > obj_old * (1.0 + _DESCENT_SLACK) + 1e-300
-        if worse.any():
-            bad = tuple(a[worse] for a in part)
-            y_c[worse] = _damp(bad, y_old[worse], y_c[worse], obj_old[worse], omega, ridge)
-            w[worse], obj_c[worse] = _evaluate(bad, y_c[worse], omega, ridge)
-        keep = worse | (w != s.w[:n]).any(axis=1)
+        y[c], w, obj[c], halved = _descend(
+            (s.design[:n], s.values[:n]), y[c], solve(s.normal[:n], s.rhs[:n], c),
+            obj[c], s.w[:n], omega, ridge)
+        keep = halved | (w != s.w[:n]).any(axis=1)
         s.w[:n] = w
-        y[c], obj[c] = y_c, obj_c
         # a column whose weights held through an undamped step satisfies
         # its own signs, so it is its own global minimizer, with gradient
         # zero, and every later round would reproduce it bit for bit; at
@@ -438,29 +431,8 @@ def _assemble_general(a, gram, w, values, omega, ridge, normal, rhs):
     np.matmul(a, w * values, out=rhs[:, 0])
 
 
-def _solve(normal, rhs, cols, min_norm):
-    """Solve the normal equations of the columns cols: one row per column.
-
-    With min_norm (the general block) the min-norm solution is returned:
-    at ridge 0 fewer measurements than n*k leave the normal matrix singular.
-    A Cholesky factorization whose smallest pivot is above _PIVOT_RATIO
-    times its largest shows the matrix nonsingular, and the system's one
-    solution is taken from that factor; any other goes to the SVD of lstsq.
-    """
-    if min_norm:
-        n0, q0 = normal[0], rhs[0, :, 0]
-        try:
-            low = np.linalg.cholesky(n0)
-        except np.linalg.LinAlgError:  # not numerically positive definite
-            low = np.zeros((1, 1))
-        pivots = low.diagonal()
-        if pivots.min() > _PIVOT_RATIO * pivots.max():
-            # imported here: scipy.linalg adds about 8 MB resident to a
-            # process, and only general measurements use it
-            from scipy.linalg import cho_solve
-
-            return cho_solve((low, True), q0, check_finite=False)[None]
-        return np.linalg.lstsq(n0, q0, rcond=None)[0][None]
+def _solve_entry(normal, rhs, cols):
+    """Solve the normal equations of the entry columns cols: one row per column."""
     try:
         y = np.linalg.solve(normal, rhs)[:, :, 0]
     except np.linalg.LinAlgError as exc:
@@ -476,6 +448,26 @@ def _solve(normal, rhs, cols, min_norm):
             "matrix is numerically singular or overflows"
         )
     return y
+
+
+def _solve_general(normal, rhs, cols):
+    """The min-norm solution of the general block's normal equations, of its
+    one row cols: at ridge 0 fewer measurements than n*k leave them singular.
+    A Cholesky factor whose smallest pivot is above _PIVOT_RATIO times its
+    largest shows them nonsingular and gives their one solution, else lstsq."""
+    n0, q0 = normal[0], rhs[0, :, 0]
+    try:
+        low = np.linalg.cholesky(n0)
+    except np.linalg.LinAlgError:  # not numerically positive definite
+        low = np.zeros((1, 1))
+    pivots = low.diagonal()
+    if pivots.min() > _PIVOT_RATIO * pivots.max():
+        # imported here: scipy.linalg adds about 8 MB resident to a
+        # process, and only general measurements use it
+        from scipy.linalg import cho_solve
+
+        return cho_solve((low, True), q0, check_finite=False)[None]
+    return np.linalg.lstsq(n0, q0, rcond=None)[0][None]
 
 
 def _norm(a):
@@ -505,19 +497,23 @@ def _evaluate(part, y, omega, ridge):
     return w, obj
 
 
-def _damp(part, y_old, y_new, obj_old, omega, ridge):
-    """Halve the step from y_old to y_new (the part's rows) per column until
-    it descends from obj_old; a column that never does keeps y_old."""
-    out = y_old.copy()
-    left = np.ones(len(out), dtype=bool)
-    t = 0.5
-    for _ in range(_MAX_HALVINGS):
-        trial = y_old + t * (y_new - y_old)
-        obj = _evaluate(part, trial, omega, ridge)[1]
-        ok = left & (obj <= obj_old * (1.0 + _DESCENT_SLACK) + 1e-300)
-        out[ok] = trial[ok]
-        left &= ~ok
-        if not left.any():
-            break
+def _descend(part, y_old, y_new, obj_old, w_old, omega, ridge):
+    """Step the columns whose (design rows, values) part holds from y_old to
+    their solved rows y_new, in place; halve the step of each column whose
+    objective rose above obj_old until it descends, evaluating only those
+    still rising.  One that never descends gets back y_old, w_old, obj_old.
+    Returns the rows, weights, objectives and the mask of halved columns."""
+    w, obj = _evaluate(part, y_new, omega, ridge)
+    bound = obj_old * (1.0 + _DESCENT_SLACK) + 1e-300
+    halved = obj > bound
+    rising, t = np.flatnonzero(halved), 1.0
+    while rising.size and t > 0.5**_MAX_HALVINGS:
         t *= 0.5
-    return out
+        trial = y_old[rising] + t * (y_new[rising] - y_old[rising])
+        w_t, obj_t = _evaluate(tuple(a[rising] for a in part), trial, omega, ridge)
+        rose = obj_t > bound[rising]
+        done = rising[~rose]  # these leave rising: their y_new is read no more
+        y_new[done], w[done], obj[done] = trial[~rose], w_t[~rose], obj_t[~rose]
+        rising = rising[rose]
+    y_new[rising], w[rising], obj[rising] = y_old[rising], w_old[rising], obj_old[rising]
+    return y_new, w, obj, halved

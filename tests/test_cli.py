@@ -587,6 +587,8 @@ def test_invalid_omega_rejected(tmp_path):
     ("synth-exp", "--k-true", "1001", "k_true must be <= min(m, n) = 1000, got 1001"),
     ("synth-exp", "--sampling-rate", "1",
      "sampling_rate 1.0 leaves no held-out entry of a 1000x1000 matrix"),
+    ("synth-exp", "--sampling-rate", "1e-7",
+     "sampling_rate 1e-07 selects no training entry of a 1000x1000 matrix"),
     ("synth-exp", "--omega", "0.1234561,0.1234562", "two grid cells share the run id suffix "
      "s0_w0.123456: seeds must differ, and omegas in their first 6 significant digits"),
     ("complete", "--seed", "0", "two grid cells share the run id suffix s0_w0.5: seeds must "

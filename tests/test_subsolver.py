@@ -243,6 +243,24 @@ def test_max_inner_returns_unconverged_flag():
     assert not res.converged
 
 
+def record_halvings(monkeypatch):
+    """Wrap the descent step; the returned list gets, per call that halved
+    some column's step, the width of its rows: k for entry columns, n * k
+    for the general block's one row."""
+    import emfkit.subsolver as subsolver
+
+    halvings, real = [], subsolver._descend
+
+    def recording(part, y_old, *args):
+        out = real(part, y_old, *args)
+        if out[3].any():
+            halvings.append(y_old.shape[1])
+        return out
+
+    monkeypatch.setattr(subsolver, "_descend", recording)
+    return halvings
+
+
 def column_degree_instance(rng, m, degrees):
     """Completion instance with the given per-column observation counts,
     observations listed in a shuffled (not column-sorted) order."""
@@ -256,16 +274,7 @@ def column_degree_instance(rng, m, degrees):
 @pytest.mark.parametrize("omega", (0.1, 0.5, 0.9))
 @pytest.mark.parametrize("ridge", (0.0, 0.4))
 def test_padded_layout_matches_reference_qp(omega, ridge, monkeypatch):
-    import emfkit.subsolver as subsolver
-
-    bisections = []
-    real_damp = subsolver._damp
-
-    def counting_damp(*args):
-        bisections.append(1)
-        return real_damp(*args)
-
-    monkeypatch.setattr(subsolver, "_damp", counting_damp)
+    halvings = record_halvings(monkeypatch)
     rng = np.random.RandomState(40 + int(omega * 10) + int(ridge * 10))
     k = 2
     # column 0 has exactly k observations; with ridge a column stays empty
@@ -281,7 +290,7 @@ def test_padded_layout_matches_reference_qp(omega, ridge, monkeypatch):
         if ridge:
             assert np.array_equal(res.solution[3], np.zeros(k))
     if omega != 0.5:
-        assert bisections, "far warm starts should exercise the damped step"
+        assert halvings, "far warm starts should exercise the halved step"
 
 
 def test_padded_layout_power_law_degrees_match_weighted_lstsq():
@@ -400,17 +409,7 @@ def overshooting_warm_start(x, obs, omega):
 
 @pytest.mark.parametrize("omega", (0.1, 0.5, 0.9))
 def test_one_driver_serves_both_observation_kinds(omega, monkeypatch):
-    import emfkit.subsolver as subsolver
-
-    damped = {"entry": 0, "general": 0}
-    real_damp = subsolver._damp
-
-    def counting_damp(part, y_old, *args):
-        # the general block's one row is vec(Y), n * k wide
-        damped["entry" if y_old.shape[1] == k else "general"] += 1
-        return real_damp(part, y_old, *args)
-
-    monkeypatch.setattr(subsolver, "_damp", counting_damp)
+    halvings = record_halvings(monkeypatch)
     rng = np.random.RandomState(60 + int(omega * 10))
     m, k = 8, 2
     for _ in range(3):
@@ -425,23 +424,15 @@ def test_one_driver_serves_both_observation_kinds(omega, monkeypatch):
             assert np.abs(a.solution - b.solution).max() <= 1e-8
             assert np.array_equal(a.sign_pattern, b.sign_pattern)
     if omega != 0.5:
-        assert damped["entry"] and damped["general"]
+        # entry rows are k wide, the general block's one row, vec(Y), n * k
+        assert {k, obs.shape[1] * k} <= set(halvings)
 
 
 @pytest.mark.parametrize("general", [False, True])
 @pytest.mark.parametrize("ridge", [0.0, 0.3])
 def test_solve_leaves_fixed_factor_and_warm_start_untouched(general, ridge, monkeypatch):
     # the rounds update solve_y's own copy of the warm start in place
-    import emfkit.subsolver as subsolver
-
-    damped = []
-    real_damp = subsolver._damp
-
-    def counting_damp(*args):
-        damped.append(1)
-        return real_damp(*args)
-
-    monkeypatch.setattr(subsolver, "_damp", counting_damp)
+    halvings = record_halvings(monkeypatch)
     rng = np.random.RandomState(90 + general + int(ridge * 10))
     m, k = 8, 2
     for _ in range(3):
@@ -454,7 +445,43 @@ def test_solve_leaves_fixed_factor_and_warm_start_untouched(general, ridge, monk
             assert res.converged
             assert np.array_equal(x, x_before) and np.array_equal(warm, warm_before)
             assert not np.shares_memory(res.solution, warm)
-    assert damped, "far warm starts should exercise the damped step"
+    assert halvings, "far warm starts should exercise the halved step"
+
+
+def test_descent_step_halves_exactly_the_rising_columns():
+    # a hand-built part of six columns, each stepping 0.5 to 30 times as far
+    # as its weighted least-squares point at the old weights
+    import emfkit.subsolver as subsolver
+
+    rng = np.random.RandomState(31)
+    cols, k, width, omega, ridge = 6, 3, 12, 0.1, 0.2
+    part = (rng.randn(cols, k, width), rng.standard_t(3, (cols, width)) * 2)
+    y_old = rng.randn(cols, k)
+    w_old, obj_old = subsolver._evaluate(part, y_old, omega, ridge)
+    target = np.stack([np.linalg.solve(a @ (w[:, None] * a.T) + ridge * np.eye(k), a @ (w * v))
+                       for a, w, v in zip(part[0], w_old, part[1])])
+    y_new = y_old + np.array([0.5, 1.0, 2.0, 5.0, 10.0, 30.0])[:, None] * (target - y_old)
+    bound = obj_old * (1.0 + subsolver._DESCENT_SLACK) + 1e-300
+    rose = subsolver._evaluate(part, y_new, omega, ridge)[1] > bound
+    assert 0 < rose.sum() < cols
+    y, w, obj, halved = subsolver._descend(part, y_old, y_new.copy(), obj_old, w_old, omega, ridge)
+    assert np.array_equal(halved, rose)
+    assert np.array_equal(y[~rose], y_new[~rose]) and (obj <= bound).all()
+    assert (y[rose] != y_old[rose]).any(axis=1).all()  # each found a descending step
+    # the weights and objectives returned are those at the rows returned
+    w_at, obj_at = subsolver._evaluate(part, y, omega, ridge)
+    assert np.array_equal(w, w_at) and np.array_equal(obj, obj_at)
+    # no step reaches an objective of 0 with residuals nonzero: after every
+    # halving that column gets back its old row, weights and objective
+    j = int(np.flatnonzero(rose)[0])
+    unreachable = obj_old.copy()
+    unreachable[j] = 0.0
+    y2, w2, obj2, halved2 = subsolver._descend(part, y_old, y_new.copy(), unreachable, w_old,
+                                               omega, ridge)
+    assert np.array_equal(halved2, rose)
+    assert np.array_equal(y2[j], y_old[j]) and np.array_equal(w2[j], w_old[j]) and obj2[j] == 0.0
+    others = np.arange(cols) != j
+    assert np.array_equal(y2[others], y[others]) and np.array_equal(obj2[others], obj[others])
 
 
 def test_general_certificate_is_the_loss_gradient():
@@ -565,7 +592,7 @@ def test_accepted_cholesky_solve_is_the_lstsq_solution(monkeypatch):
         raise AssertionError("a nonsingular general system fell back to lstsq")
 
     monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
-    y = subsolver._solve(normal[None], rhs[None], np.zeros(1, dtype=np.int64), True)
+    y = subsolver._solve_general(normal[None], rhs[None], np.zeros(1, dtype=np.int64))
     assert y.shape == (1, 12)
     assert np.abs(y[0] - expected).max() <= 1e-10 * np.abs(expected).max()
 
@@ -644,9 +671,9 @@ def solved_columns_per_round(monkeypatch, obs):
     for i, b in enumerate(obs.column_buckets):
         bucket_of[b.cols] = i
     per_round, seen, lock = [], set(), threading.Lock()
-    real_solve = subsolver._solve
+    real_solve = subsolver._solve_entry
 
-    def recording_solve(normal, rhs, cols, *args):
+    def recording_solve(normal, rhs, cols):
         # a round solves each live bucket once, in any order and on any
         # thread, and the next round starts only when it is done: a bucket
         # the current round already solved starts a new round
@@ -657,9 +684,9 @@ def solved_columns_per_round(monkeypatch, obs):
                 seen.clear()
             seen.add(i)
             per_round[-1].extend(cols.tolist())
-        return real_solve(normal, rhs, cols, *args)
+        return real_solve(normal, rhs, cols)
 
-    monkeypatch.setattr(subsolver, "_solve", recording_solve)
+    monkeypatch.setattr(subsolver, "_solve_entry", recording_solve)
     return per_round
 
 
@@ -857,11 +884,11 @@ def threads_of(calls, name):
 
 def opened_on(calls):
     """The threads of a half-step's bucket openings, from recorded _evaluate
-    and _solve calls: the opening step joins before round 1, and a bucket's
-    round starts with _solve, so the _evaluate calls before the first _solve
-    are the openings, one per bucket."""
+    and _solve_entry calls: the opening step joins before round 1, and a
+    bucket's round starts with _solve_entry, so the _evaluate calls before
+    the first _solve_entry are the openings, one per bucket."""
     names = [name for name, _ in calls]
-    rounds = names.index("_solve") if "_solve" in names else len(calls)
+    rounds = names.index("_solve_entry") if "_solve_entry" in names else len(calls)
     return threads_of(calls[:rounds], "_evaluate")
 
 
@@ -878,17 +905,17 @@ def test_threaded_rounds_equal_serial_rounds(omega, ridge, monkeypatch):
     assert len(obs.column_buckets) >= 5
     x = rng.randn(m, k)
     warm = rng.randn(obs.shape[1], k) * 10
-    calls = record_threads(monkeypatch, "_evaluate", "_solve")
+    calls = record_threads(monkeypatch, "_evaluate", "_solve_entry")
     serial = solve_with_threads(1, x, obs, omega, ridge, warm_start=warm)
     assert len(opened_on(calls)) == len(obs.column_buckets)
-    assert set(threads_of(calls, "_evaluate")) == set(threads_of(calls, "_solve")) == {
+    assert set(threads_of(calls, "_evaluate")) == set(threads_of(calls, "_solve_entry")) == {
         threading.get_ident()}
     calls.clear()
     threaded = solve_with_threads(8, x, obs, omega, ridge, warm_start=warm)
     # the calling thread opens and solves buckets too, but not all of them
     assert len(opened_on(calls)) == len(obs.column_buckets)
     assert set(opened_on(calls)) - {threading.get_ident()}
-    assert set(threads_of(calls, "_solve")) - {threading.get_ident()}
+    assert set(threads_of(calls, "_solve_entry")) - {threading.get_ident()}
     assert serial.inner_iterations >= (1 if omega == 0.5 else 3)
     for name in [f.name for f in dataclasses.fields(serial)] + ["sign_pattern"]:
         a, b = getattr(serial, name), getattr(threaded, name)
@@ -909,7 +936,7 @@ def test_threaded_rounds_name_the_serial_singular_column(monkeypatch):
     obs = column_degree_instance(rng, 60, [16, 4, 8, 2])
     x = rng.randn(60, 2)
     x[obs.row_idx[np.isin(obs.col_idx, [0, 2])]] = 1.0
-    calls = record_threads(monkeypatch, "_evaluate", "_solve")
+    calls = record_threads(monkeypatch, "_evaluate", "_solve_entry")
     for threads in (1, 8):
         calls.clear()
         with pytest.raises(SingularDesignError, match=r"^column 2: "):
@@ -927,18 +954,13 @@ def test_entry_certificate_is_the_loss_gradient(threads, monkeypatch):
     import emfkit.subsolver as subsolver
 
     monkeypatch.setattr(emfkit.core, "BUCKET_COLUMNS", 2)
-    damped, assembled = [], []
-    real_damp, real_assemble = subsolver._damp, subsolver._assemble
-
-    def counting_damp(*args):
-        damped.append(1)
-        return real_damp(*args)
+    assembled, real_assemble = [], subsolver._assemble
 
     def counting_assemble(a, *args):
         assembled.append(len(a))
         return real_assemble(a, *args)
 
-    monkeypatch.setattr(subsolver, "_damp", counting_damp)
+    halvings = record_halvings(monkeypatch)
     monkeypatch.setattr(subsolver, "_assemble", counting_assemble)
     rng = np.random.RandomState(90)
     m, k, omega = 40, 3, 0.1
@@ -952,10 +974,10 @@ def test_entry_certificate_is_the_loss_gradient(threads, monkeypatch):
         warm = overshooting_warm_start(x, obs, omega)
         warm[::3] = rng.randn(len(warm[::3]), k) * 10
         warm[1::3] = solve_y(x, obs, omega, ridge).solution[1::3]
-        damped.clear()
+        halvings.clear()
         assembled.clear()
         res = solve_with_threads(threads, x, obs, omega, ridge, warm_start=warm, max_inner=1)
-        assert res.inner_iterations == 1 and not res.converged and damped
+        assert res.inner_iterations == 1 and not res.converged and halvings
         # the opening assembles every bucket, the round's end the live columns
         assert sum(assembled[:buckets]) == n and 0 < sum(assembled[buckets:]) < n
         g = np.linalg.norm(gradient_y(obs, FactorPair(x, res.solution), omega, ridge))
@@ -982,23 +1004,18 @@ def test_assembly_chunks_change_no_bit(monkeypatch):
     warm[::3] = rng.randn(len(warm[::3]), k) * 10
     warm[1::3] = solve_y(x, obs, omega).solution[1::3]
     default = solve_y(x, obs, omega, warm_start=warm)
-    damped, assembled = [], []
-    real_damp, real_assemble = subsolver._damp, subsolver._assemble
-
-    def counting_damp(*args):
-        damped.append(1)
-        return real_damp(*args)
+    assembled, real_assemble = [], subsolver._assemble
 
     def counting_assemble(a, *args):
         assembled.append(a.size)
         return real_assemble(a, *args)
 
-    monkeypatch.setattr(subsolver, "_damp", counting_damp)
+    halvings = record_halvings(monkeypatch)
     monkeypatch.setattr(subsolver, "_assemble", counting_assemble)
     monkeypatch.setattr(subsolver, "_WEIGHTED_NUMBERS", 300)
     per_round = solved_columns_per_round(monkeypatch, obs)
     chunked = solve_y(x, obs, omega, warm_start=warm)
-    assert damped and max(assembled) > 300  # some assembly took several chunks
+    assert halvings and max(assembled) > 300  # some assembly took several chunks
     assert default.converged and default.inner_iterations >= 3
     # all columns in the first round, then fewer in each later one
     live = [len(cols) for cols in per_round]
