@@ -98,13 +98,7 @@ class ExperimentPlan:
                 if getattr(self, key) > min(self.m, self.n):
                     raise ValueError(f"{key} must be <= min(m, n) = {min(self.m, self.n)}, "
                                      f"got {getattr(self, key)}")
-            train = int(self.sampling_rate * (self.m * self.n))  # as synth.sample_mask counts
-            if train == 0:
-                raise ValueError(f"sampling_rate {self.sampling_rate} selects no training entry "
-                                 f"of a {self.m}x{self.n} matrix")
-            if train == self.m * self.n:
-                raise ValueError(f"sampling_rate {self.sampling_rate} leaves no held-out entry "
-                                 f"of a {self.m}x{self.n} matrix")
+            _train_count(self.sampling_rate, self.m, self.n, self.m * self.n)
         cells = [_cell_id(s, w) for s in self.seed for w in self.omega]
         if self.mode in ("synth-exp", "complete") and len(set(cells)) < len(cells):
             dup = next(c for c in cells if cells.count(c) > 1)
@@ -132,6 +126,22 @@ class ExperimentPlan:
             ridge=self.ridge,
             seed=seed,
         )
+
+
+def _train_count(sampling_rate: float, m: int, n: int, available: int) -> int:
+    """A train split's size, counted as ``synth.sample_mask`` counts; refused
+    unless it leaves a training and a held-out entry among ``available`` ones."""
+    train = int(sampling_rate * (m * n))
+    if train == 0:
+        raise ValueError(f"sampling_rate {sampling_rate} selects no training entry "
+                         f"of a {m}x{n} matrix")
+    if train > available:
+        raise ValueError(f"sampling_rate {sampling_rate} needs {train} training entries "
+                         f"of a {m}x{n} matrix, but only {available} are observed")
+    if train == available:
+        raise ValueError(f"sampling_rate {sampling_rate} leaves no held-out entry "
+                         f"of a {m}x{n} matrix")
+    return train
 
 
 def _cell_id(seed: int, omega: float) -> str:
@@ -291,24 +301,14 @@ def _synth_instance(plan: ExperimentPlan, seed: int):
     return inst.observed, (rows, cols, inst.truth[rows, cols]), False
 
 
-def _split_instance(obs: EntryObservations, plan: ExperimentPlan, seed: int):
-    """Instance provider of ``complete``: the seeded train split of the observed
-    entries of a parsed file, scored on the held-back ones with value bins."""
-    train_count = int(plan.sampling_rate * obs.shape[0] * obs.shape[1])
-    if train_count > obs.size:
-        raise ValueError(
-            f"sampling rate {plan.sampling_rate} needs {train_count} entries but the "
-            f"file provides only {obs.size} observed ones"
-        )
-    if train_count < 1:
-        raise ValueError(f"sampling rate {plan.sampling_rate} selects no entries")
+def _split_instance(obs: EntryObservations, train_count: int, plan: ExperimentPlan, seed: int):
+    """Instance provider of ``complete``: a seeded train split of train_count
+    of a parsed file's observed entries, scored on the rest with value bins."""
     picked = Pcg32(seed, SPLIT_STREAM).permutation_prefix(obs.size, train_count)
     train_sel = np.zeros(obs.size, dtype=bool)
     train_sel[picked] = True
     train, held = ((obs.row_idx[s], obs.col_idx[s], obs.values[s])
                    for s in (train_sel, ~train_sel))
-    if held[0].size == 0:
-        raise ValueError("no held-back entries left to evaluate on")
     return EntryObservations(obs.shape, *train), held, True
 
 
@@ -385,28 +385,16 @@ def _run_grid(plan: ExperimentPlan, name: str, provider) -> int:
     return 0
 
 
-def _run_complete(plan: ExperimentPlan) -> int:
-    if plan.input_format == "triplets":
-        obs = load_triplets(plan.input)
-    else:
-        obs = load_dense(plan.input, plan.sentinel)
-    return _run_grid(plan, "complete", partial(_split_instance, obs))
-
-
-def _run_evaluate(plan: ExperimentPlan) -> int:
-    obs = load_dense(plan.input, plan.sentinel)
-    # a full matrix: no holes, so it may span the sentinel
-    est = read_dense(plan.estimate)
-    if est.shape != obs.shape:
-        raise ValueError(f"estimate shape {est.shape} != truth shape {obs.shape}")
-    rows, cols = obs.row_idx, obs.col_idx
-    errors = relative_errors_at(rows, cols, obs.values, est[rows, cols], plan.eval_floor)
+def _run_evaluate(plan: ExperimentPlan, truth: EntryObservations, est: np.ndarray) -> int:
+    rows, cols = truth.row_idx, truth.col_idx
+    errors = relative_errors_at(rows, cols, truth.values, est[rows, cols], plan.eval_floor)
     _export(plan, None, errors, [], "evaluate", plan.omega[0], plan.seed[0])
     return 0
 
 
 def _run_expectile(plan: ExperimentPlan) -> int:
-    values = load_values(plan.input, plan.sentinel)
+    values = (load_triplets(plan.input).values if plan.input_format == "triplets"
+              else load_values(plan.input, plan.sentinel))
     table = [f"{w:g}\t{scalar_expectile(values, w)!r}" for w in plan.omega]
     print("omega\texpectile", *table, sep="\n")
     return 0
@@ -426,12 +414,22 @@ def main(argv=None) -> int:
                 raise FileNotFoundError(f"no such file: {path}")
         if plan.mode == "expectile":
             return _run_expectile(plan)
-        _write_provenance(plan)
-        if plan.mode == "evaluate":
-            return _run_evaluate(plan)
+        # so is the input, read once, as --input-format says
+        if plan.mode != "synth-exp":
+            obs = (load_triplets(plan.input) if plan.input_format == "triplets"
+                   else load_dense(plan.input, plan.sentinel))
         if plan.mode == "complete":
-            return _run_complete(plan)
-        return _run_grid(plan, "synth", _synth_instance)
+            train = _train_count(plan.sampling_rate, *obs.shape, obs.size)
+            run = partial(_run_grid, plan, "complete", partial(_split_instance, obs, train))
+        elif plan.mode == "evaluate":
+            est = read_dense(plan.estimate)  # a full matrix, which may span the sentinel
+            if est.shape != obs.shape:
+                raise ValueError(f"estimate shape {est.shape} != truth shape {obs.shape}")
+            run = partial(_run_evaluate, plan, obs, est)
+        else:
+            run = partial(_run_grid, plan, "synth", _synth_instance)
+        _write_provenance(plan)
+        return run()
     except Exception as exc:
         print(f"error\t{type(exc).__name__}\t{exc}", file=sys.stderr)
         return 1

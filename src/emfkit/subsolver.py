@@ -92,7 +92,7 @@ import numpy as np
 from .core import EntryObservations, FactorPair, ObservationSet, as_matrix
 from .loss import _check_omega, asymmetric_weights
 
-_DESCENT_SLACK = 1e-13
+_ROUNDING = 1e-13  # an objective change within this share of it is rounding
 _MAX_HALVINGS = 60
 # Smallest Cholesky pivot, relative to the largest, at which the general
 # block's normal matrix counts as nonsingular.  Singular ridge-0 matrices
@@ -273,7 +273,7 @@ def solve_y(
             trace.append(float(obj.sum()) + ridge_x)
             # signs of near-zero residuals can flap on rounding noise without
             # the point moving; once the objective stalls, certify by the gradient
-            stalled = (trace[-2] - trace[-1]) <= 1e-13 * max(trace[-2], 1e-300)
+            stalled = (trace[-2] - trace[-1]) <= _ROUNDING * max(trace[-2], 1e-300)
             converged = not any(s.n for s in blocks) or (
                 stalled and _norm(g) <= tol_gradient * (1.0 + grad0))
 
@@ -504,7 +504,7 @@ def _descend(part, y_old, y_new, obj_old, w_old, omega, ridge):
     still rising.  One that never descends gets back y_old, w_old, obj_old.
     Returns the rows, weights, objectives and the mask of halved columns."""
     w, obj = _evaluate(part, y_new, omega, ridge)
-    bound = obj_old * (1.0 + _DESCENT_SLACK) + 1e-300
+    bound = obj_old * (1.0 + _ROUNDING) + 1e-300
     halved = obj > bound
     rising, t = np.flatnonzero(halved), 1.0
     while rising.size and t > 0.5**_MAX_HALVINGS:

@@ -13,7 +13,7 @@ from emfkit.cli import ExperimentPlan, _resolve_plan, build_parser, main
 from emfkit.core import EmfConfig, FactorPair, SolveReport, StopReason
 from emfkit.emf import fit
 from emfkit.io import load_dense, read_results_csv, write_dense
-from emfkit.synth import gen_low_rank, make_completion_instance
+from emfkit.synth import gen_low_rank, make_completion_instance, sample_mask
 
 
 def _dir_bytes(path):
@@ -332,7 +332,7 @@ def test_complete_dense_and_triplet_inputs_agree(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_complete_rejects_oversampling(tmp_path):
+def test_complete_rejects_oversampling(tmp_path, capsys):
     mat = np.full((4, 4), 2.0)
     mat[0, 0] = -1.0  # one missing entry
     src = tmp_path / "m.txt"
@@ -340,17 +340,20 @@ def test_complete_rejects_oversampling(tmp_path):
     out = tmp_path / "res"
     code = run_cli(
         "complete", "--input", src, "--sampling-rate", 1.0,
-        "--omega", 0.5, "--seed", 0, "--out-dir", out,
+        "--omega", 0.5, "--seed", 0, "--seed", 1, "--out-dir", out,
     )
     assert code == 1
-    manifest = (out / "failures.txt").read_text()
-    assert manifest.startswith(
-        "complete_s0_w0.5\tValueError: sampling rate 1.0 needs 16 entries but the "
-        "file provides only 15 observed ones\n"
-    )
-    assert "Traceback (most recent call last):" in manifest
-    assert manifest.rstrip().endswith("ValueError: sampling rate 1.0 needs 16 entries but the "
-                                      "file provides only 15 observed ones")
+    # one refusal for the plan and the file, not one failure per grid cell
+    assert capsys.readouterr().err.splitlines() == [
+        "error\tValueError\tsampling_rate 1.0 needs 16 training entries of a 4x4 matrix, "
+        "but only 15 are observed"]
+    assert not out.exists()
+
+
+def test_split_size_counts_as_sample_mask():
+    # (0.3 * 3) * 30 rounds to 26.99..., 0.3 * (3 * 30) to 27.0
+    assert emfkit.cli._train_count(0.3, 3, 30, 90) == 27
+    assert len(sample_mask(3, 30, 0.3, seed=0)) == 27
 
 
 def test_evaluate_mode(tmp_path):
@@ -384,8 +387,8 @@ def test_complete_and_evaluate_report_a_truth_below_the_floor_alike(tmp_path, ca
     # one entry below the floor, placed where seed 0's split holds it back
     src = _complete_input(tmp_path)
     mat = np.loadtxt(src) + 1.0
-    plan = ExperimentPlan("complete", sampling_rate=0.4)
-    rows, cols, _ = emfkit.cli._split_instance(load_dense(src), plan, 0)[1]
+    obs, plan = load_dense(src), ExperimentPlan("complete", sampling_rate=0.4)
+    rows, cols, _ = emfkit.cli._split_instance(obs, 480, plan, 0)[1]
     i, j = rows[0], cols[0]
     mat[i, j] = 0.25
     write_dense(src, mat)
@@ -418,6 +421,21 @@ def test_complete_provider_holds_no_matrix_of_the_input_shape(tmp_path, monkeypa
     held += [v for obj in held if hasattr(obj, "__dict__") for v in vars(obj).values()]
     shapes = [a.shape for a in held if isinstance(a, np.ndarray)]
     assert shapes and (40, 30) not in shapes
+
+
+def test_evaluate_and_expectile_read_the_input_format(tmp_path, capsys):
+    # the observed values are 1.0 and 2.0; read as dense, the header is a row
+    trip = tmp_path / "t.trip"
+    trip.write_text("2 2\n0 0 1.0\n1 1 2.0\n")
+    fmt = ["--input", trip, "--input-format", "triplets"]
+    assert run_cli("expectile", *fmt, "--omega", 0.5) == 0
+    assert capsys.readouterr().out == "omega\texpectile\n0.5\t1.5\n"
+    est = tmp_path / "e.txt"
+    write_dense(est, np.array([[1.1, 7.0], [7.0, 2.2]]))
+    out = tmp_path / "res"
+    assert run_cli("evaluate", *fmt, "--estimate", est, "--out-dir", out) == 0
+    scores = {r["metric"]: r["value"] for r in read_results_csv(out / "evaluate.csv")}
+    assert scores["re_count"] == 2 and scores["re_median"] == pytest.approx(0.1)
 
 
 def test_evaluate_mode_estimate_spans_the_sentinel(tmp_path):
@@ -595,9 +613,29 @@ def test_invalid_omega_rejected(tmp_path):
      "differ, and omegas in their first 6 significant digits"),
     ("complete", "--omega", "0.5", "two grid cells share the run id suffix s0_w0.5: seeds must "
      "differ, and omegas in their first 6 significant digits"),
+    # the input, read and checked once before anything is written
+    ("complete", "--sampling-rate", "0.0005",
+     "sampling_rate 0.0005 selects no training entry of a 40x30 matrix"),
+    ("complete", "--input", "HOLES",
+     "sampling_rate 0.1 needs 120 training entries of a 40x30 matrix, but only 100 are observed"),
+    ("complete", "--sampling-rate", "1",
+     "sampling_rate 1.0 leaves no held-out entry of a 40x30 matrix"),
+    ("complete", "--input", "BAD",
+     "MatrixParseError\tline 2, column 2: cannot parse 'x' as a real number"),
+    ("evaluate", "--input-format", "triplets",
+     "MatrixParseError\tline 1: header must be 'm n', got ['1.0', '2.0']"),
+    ("evaluate", "--estimate", "WIDE", "estimate shape (2, 3) != truth shape (2, 2)"),
 ])
 def test_invalid_plan_value_stops_before_writing(tmp_path, capsys, mode, flag, value, message):
     src = _complete_input(tmp_path)
+    files = {"HOLES": tmp_path / "holes.txt", "BAD": tmp_path / "bad.txt",
+             "WIDE": tmp_path / "wide.txt"}
+    keep = np.zeros((40, 30), dtype=bool)
+    keep.flat[:100] = True
+    write_dense(files["HOLES"], np.ones((40, 30)), keep)
+    files["BAD"].write_text("1 2\n3 x\n")
+    write_dense(files["WIDE"], np.ones((2, 3)))
+    value = files.get(value, value)
     args = ["--input", src, "--omega", 0.5, "--seed", 0, "--rank", 2, "--max-outer", 2]
     if mode == "evaluate":
         # a zero truth entry: a NaN floor used to let it through as an inf error
@@ -609,7 +647,8 @@ def test_invalid_plan_value_stops_before_writing(tmp_path, capsys, mode, flag, v
     out = tmp_path / "res"
     assert run_cli(mode, *args, flag, value, "--out-dir", out) == 1
     err = capsys.readouterr().err.strip().splitlines()
-    assert err == [f"error\tValueError\t{message}"]
+    kind = "" if "\t" in message else "ValueError\t"  # a parse error names its own type
+    assert err == [f"error\t{kind}{message}"]
     assert not out.exists()
 
 
@@ -652,9 +691,9 @@ def test_absent_input_file_stops_before_writing(tmp_path, capsys, mode, absent):
 @pytest.mark.parametrize("mode, flags, message", [
     ("synth-exp", ["--config", "CFG"], "CFG:2: expected 'key = value', got 'rank 3'"),
     ("complete", ["--sampling-rate", 0.0005],
-     "complete_s0_w0.5\tValueError: sampling rate 0.0005 selects no entries"),
+     "sampling_rate 0.0005 selects no training entry of a 40x30 matrix"),
     ("complete", ["--sampling-rate", 1],
-     "complete_s0_w0.5\tValueError: no held-back entries left to evaluate on"),
+     "sampling_rate 1.0 leaves no held-out entry of a 40x30 matrix"),
     ("evaluate", ["--estimate", "WIDE"], "estimate shape (40, 31) != truth shape (40, 30)"),
 ], ids=["config line", "empty split", "no held-back", "estimate shape"])
 def test_cli_refusals_name_their_cause(tmp_path, capsys, mode, flags, message):

@@ -461,7 +461,7 @@ def test_descent_step_halves_exactly_the_rising_columns():
     target = np.stack([np.linalg.solve(a @ (w[:, None] * a.T) + ridge * np.eye(k), a @ (w * v))
                        for a, w, v in zip(part[0], w_old, part[1])])
     y_new = y_old + np.array([0.5, 1.0, 2.0, 5.0, 10.0, 30.0])[:, None] * (target - y_old)
-    bound = obj_old * (1.0 + subsolver._DESCENT_SLACK) + 1e-300
+    bound = obj_old * (1.0 + subsolver._ROUNDING) + 1e-300
     rose = subsolver._evaluate(part, y_new, omega, ridge)[1] > bound
     assert 0 < rose.sum() < cols
     y, w, obj, halved = subsolver._descend(part, y_old, y_new.copy(), obj_old, w_old, omega, ridge)
