@@ -93,12 +93,6 @@ class ExperimentPlan:
             value = getattr(self, key)
             if not value >= low:
                 raise ValueError(f"{key} must be >= {low}, got {value}")
-        if self.mode == "synth-exp":
-            for key in ("rank", "k_true"):
-                if getattr(self, key) > min(self.m, self.n):
-                    raise ValueError(f"{key} must be <= min(m, n) = {min(self.m, self.n)}, "
-                                     f"got {getattr(self, key)}")
-            _train_count(self.sampling_rate, self.m, self.n, self.m * self.n)
         cells = [_cell_id(s, w) for s in self.seed for w in self.omega]
         if self.mode in ("synth-exp", "complete") and len(set(cells)) < len(cells):
             dup = next(c for c in cells if cells.count(c) > 1)
@@ -128,19 +122,23 @@ class ExperimentPlan:
         )
 
 
-def _train_count(sampling_rate: float, m: int, n: int, available: int) -> int:
-    """A train split's size, counted as ``synth.sample_mask`` counts; refused
-    unless it leaves a training and a held-out entry among ``available`` ones."""
-    train = int(sampling_rate * (m * n))
+def _train_count(plan: ExperimentPlan, m: int, n: int, available: int) -> int:
+    """A grid plan's train split of an m-by-n matrix with ``available`` observed
+    entries, counted as ``synth.sample_mask`` counts.  Refused unless the rank
+    (in ``synth-exp`` also ``k_true``) is at most min(m, n) and the split leaves
+    a training and a held-out entry."""
+    for key in ("rank", "k_true") if plan.mode == "synth-exp" else ("rank",):
+        if getattr(plan, key) > min(m, n):
+            raise ValueError(f"{key} must be <= min(m, n) = {min(m, n)}, got {getattr(plan, key)}")
+    rate = plan.sampling_rate
+    train = int(rate * (m * n))
     if train == 0:
-        raise ValueError(f"sampling_rate {sampling_rate} selects no training entry "
-                         f"of a {m}x{n} matrix")
+        raise ValueError(f"sampling_rate {rate} selects no training entry of a {m}x{n} matrix")
     if train > available:
-        raise ValueError(f"sampling_rate {sampling_rate} needs {train} training entries "
-                         f"of a {m}x{n} matrix, but only {available} are observed")
+        raise ValueError(f"sampling_rate {rate} needs {train} training entries of a {m}x{n} "
+                         f"matrix, but only {available} are observed")
     if train == available:
-        raise ValueError(f"sampling_rate {sampling_rate} leaves no held-out entry "
-                         f"of a {m}x{n} matrix")
+        raise ValueError(f"sampling_rate {rate} leaves no held-out entry of a {m}x{n} matrix")
     return train
 
 
@@ -404,22 +402,20 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         plan = _resolve_plan(args)
-        # the files a mode reads, checked before anything is written
+        # the files a mode reads; a reader's open refuses one that is missing
         needed = {"synth-exp": (), "evaluate": ("input", "estimate")}.get(plan.mode, ("input",))
         missing = [f"--{key}" for key in needed if getattr(plan, key) is None]
         if missing:
             raise ValueError(f"{plan.mode} needs {' and '.join(missing)}")
-        for path in (getattr(plan, key) for key in needed):
-            if not Path(path).is_file():
-                raise FileNotFoundError(f"no such file: {path}")
         if plan.mode == "expectile":
             return _run_expectile(plan)
-        # so is the input, read once, as --input-format says
+        # the input is read once, as --input-format says, and it and the plan are
+        # checked against each other before anything is written
         if plan.mode != "synth-exp":
             obs = (load_triplets(plan.input) if plan.input_format == "triplets"
                    else load_dense(plan.input, plan.sentinel))
         if plan.mode == "complete":
-            train = _train_count(plan.sampling_rate, *obs.shape, obs.size)
+            train = _train_count(plan, *obs.shape, obs.size)
             run = partial(_run_grid, plan, "complete", partial(_split_instance, obs, train))
         elif plan.mode == "evaluate":
             est = read_dense(plan.estimate)  # a full matrix, which may span the sentinel
@@ -427,6 +423,7 @@ def main(argv=None) -> int:
                 raise ValueError(f"estimate shape {est.shape} != truth shape {obs.shape}")
             run = partial(_run_evaluate, plan, obs, est)
         else:
+            _train_count(plan, plan.m, plan.n, plan.m * plan.n)
             run = partial(_run_grid, plan, "synth", _synth_instance)
         _write_provenance(plan)
         return run()

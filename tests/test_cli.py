@@ -289,8 +289,12 @@ def test_json_mirror_holds_the_csv_rows_and_cdf(tmp_path, mode):
             "evaluate": ["--input", src, "--estimate", src]}[mode]
     common = ["--omega", 0.3, "--seed", 2, "--rank", 2, "--max-outer", 3, "--ridge", 0.1,
               "--cdf-points", 5]
-    for fmt in ("csv", "json"):
-        assert run_cli(mode, *args, *common, "--format", fmt, "--out-dir", tmp_path / fmt) == 0
+    # the json plan runs twice
+    for fmt, out in ("csv", "csv"), ("json", "json"), ("json", "json-again"):
+        assert run_cli(mode, *args, *common, "--format", fmt, "--out-dir", tmp_path / out) == 0
+    again = [{k: v for k, v in _dir_bytes(tmp_path / out).items() if k != "plan.txt"}
+             for out in ("json", "json-again")]
+    assert again[0] == again[1]  # byte-identical
     run_id = {"synth-exp": "synth_s2_w0.3", "complete": "complete_s2_w0.3"}.get(mode, "evaluate")
     rows = read_results_csv(tmp_path / "csv" / f"{run_id}.csv")
     doc = json.loads((tmp_path / "json" / f"{run_id}.json").read_text())
@@ -339,7 +343,7 @@ def test_complete_rejects_oversampling(tmp_path, capsys):
     src.write_text("\n".join(" ".join(repr(float(v)) for v in row) for row in mat) + "\n")
     out = tmp_path / "res"
     code = run_cli(
-        "complete", "--input", src, "--sampling-rate", 1.0,
+        "complete", "--input", src, "--sampling-rate", 1.0, "--rank", 2,
         "--omega", 0.5, "--seed", 0, "--seed", 1, "--out-dir", out,
     )
     assert code == 1
@@ -352,7 +356,8 @@ def test_complete_rejects_oversampling(tmp_path, capsys):
 
 def test_split_size_counts_as_sample_mask():
     # (0.3 * 3) * 30 rounds to 26.99..., 0.3 * (3 * 30) to 27.0
-    assert emfkit.cli._train_count(0.3, 3, 30, 90) == 27
+    plan = ExperimentPlan("complete", sampling_rate=0.3, rank=3)
+    assert emfkit.cli._train_count(plan, 3, 30, 90) == 27
     assert len(sample_mask(3, 30, 0.3, seed=0)) == 27
 
 
@@ -620,6 +625,7 @@ def test_invalid_omega_rejected(tmp_path):
      "sampling_rate 0.1 needs 120 training entries of a 40x30 matrix, but only 100 are observed"),
     ("complete", "--sampling-rate", "1",
      "sampling_rate 1.0 leaves no held-out entry of a 40x30 matrix"),
+    ("complete", "--rank", "31", "rank must be <= min(m, n) = 30, got 31"),
     ("complete", "--input", "BAD",
      "MatrixParseError\tline 2, column 2: cannot parse 'x' as a real number"),
     ("evaluate", "--input-format", "triplets",
@@ -683,11 +689,13 @@ def test_absent_input_file_stops_before_writing(tmp_path, capsys, mode, absent):
     out = tmp_path / "res"
     argv = [a for flag_path in files.items() for a in flag_path]
     assert run_cli(mode, *argv, "--omega", 0.5, "--seed", 0, "--out-dir", out) == 1
+    # the reader's open refuses it, with Python's message
     assert capsys.readouterr().err.splitlines() == [
-        f"error\tFileNotFoundError\tno such file: {nope}"]
+        f"error\tFileNotFoundError\t[Errno 2] No such file or directory: {str(nope)!r}"]
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("mode, flags, message", [
     ("synth-exp", ["--config", "CFG"], "CFG:2: expected 'key = value', got 'rank 3'"),
     ("complete", ["--sampling-rate", 0.0005],
@@ -695,18 +703,33 @@ def test_absent_input_file_stops_before_writing(tmp_path, capsys, mode, absent):
     ("complete", ["--sampling-rate", 1],
      "sampling_rate 1.0 leaves no held-out entry of a 40x30 matrix"),
     ("evaluate", ["--estimate", "WIDE"], "estimate shape (40, 31) != truth shape (40, 30)"),
-], ids=["config line", "empty split", "no held-back", "estimate shape"])
+    # a subnormal truth entry, whose relative error overflows
+    ("evaluate", ["--input", "TINY", "--estimate", "TINY_EST", "--eval-floor", 0],
+     "truth entry (1, 0) = 1e-310 is too small"),
+    # a ridge whose term overflows fails its grid cell, which failures.txt names
+    ("synth-exp", ["--m", 30, "--n", 30, "--k-true", 2, "--sampling-rate", 0.5,
+                   "--max-outer", 3, "--ridge", 1e308], "ridge 1e+308"),
+], ids=["config line", "empty split", "no held-back", "estimate shape", "tiny truth",
+        "huge ridge"])
 def test_cli_refusals_name_their_cause(tmp_path, capsys, mode, flags, message):
+    # a RuntimeWarning on the way would be raised, and named, in place of the cause
     src = _complete_input(tmp_path)
     (tmp_path / "plan.cfg").write_text("omega = 0.5\nrank 3\n")
     write_dense(tmp_path / "wide.txt", np.ones((40, 31)))
-    names = {"CFG": str(tmp_path / "plan.cfg"), "WIDE": str(tmp_path / "wide.txt")}
+    (tmp_path / "tiny.txt").write_text("1.0 2.0\n1e-310 5.0\n")
+    write_dense(tmp_path / "tiny-est.txt", np.array([[1.5, 2.5], [0.5, 5.5]]))
+    names = {"CFG": str(tmp_path / "plan.cfg"), "WIDE": str(tmp_path / "wide.txt"),
+             "TINY": str(tmp_path / "tiny.txt"), "TINY_EST": str(tmp_path / "tiny-est.txt")}
     flags = [names.get(f, f) for f in flags]
     message = message.replace("CFG", names["CFG"])
     out = tmp_path / "res"
     assert run_cli(mode, "--input", src, "--omega", 0.5, "--seed", 0, "--rank", 2, *flags,
                    "--out-dir", out) == 1
     assert message in capsys.readouterr().err
+    # only a failed fit or scoring writes failures.txt
+    failures = out / "failures.txt"
+    assert failures.exists() == (message == "ridge 1e+308")
+    assert not failures.exists() or message in failures.read_text()
 
 
 @pytest.mark.parametrize("mode, given, message", [
@@ -737,7 +760,6 @@ def test_config_input_format_typo_fails(tmp_path):
 def _non_default_text(field):
     """Valid flag/config text for a plan field that differs from its default."""
     special = {"format": "json", "input_format": "triplets", "omega": "0.2,0.6"}
-    # an int of 17 keeps m and n above the default rank and k_true of 10
     by_type = {"tuple[int, ...]": "7,8", "tuple[float, ...]": "0.75,2.5",
                "int": "17", "float": "0.7"}  # annotations are strings
     return special.get(field.name) or by_type.get(field.type, "elsewhere")
